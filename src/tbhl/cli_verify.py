@@ -78,12 +78,13 @@ from .qsym_typeb import (
 from .shifted_domino import (
     conjugate_family,
     enumerate_shifted,
+    filled_count,
     find_semistandard_with_weight,
     find_standard_with_descents,
     h_lambda,
+    stand_theorem_failures,
     two_quotient,
     verify_peak_theorem,
-    verify_stand_theorem,
 )
 from .signed_permutations import (
     all_elements,
@@ -105,7 +106,6 @@ DEFAULT_SEED = 0
 DEFAULT_MAX_N = 3
 DEFAULT_MAX_PARTITION = 10
 RANDOM_CONVEX_SAMPLES = 200
-WITNESS_BUDGET_SECONDS = 30.0
 WITNESS_SHAPE = (7, 7, 6, 5, 1)
 WITNESS_WEIGHT = (1, 4, 0, 1, 2, 2)
 WITNESS_DESCENTS = frozenset({1, 5, 7, 8})
@@ -383,7 +383,7 @@ def cases_domino(max_partition: int) -> list[AuditCase]:
 # -- criterion: shifted domino tableaux -------------------------------------
 
 
-def cases_shifted(max_partition: int, budget: float) -> list[AuditCase]:
+def cases_shifted(max_partition: int) -> list[AuditCase]:
     cases = [
         AuditCase(
             "shifted.quotient",
@@ -397,12 +397,9 @@ def cases_shifted(max_partition: int, budget: float) -> list[AuditCase]:
         )
     ]
     for shape in _valid_shapes(min(max_partition, 8)):
-        n = h_lambda(shape, "peak").n
-        nvars = n + 1
+        nvars = filled_count(shape) + 1
         marked = enumerate_shifted(shape, "marked")
-        bad = sum(
-            1 for m in marked if not verify_stand_theorem(shape, m, nvars)
-        )
+        bad = stand_theorem_failures(shape, nvars)
         cases.append(
             AuditCase(
                 "shifted.stand",
@@ -432,7 +429,7 @@ def cases_shifted(max_partition: int, budget: float) -> list[AuditCase]:
     for shape in _valid_shapes(min(max_partition, 10)):
         cases.append(peak_theorem_case(shape))
     if max_partition >= 10:
-        cases.extend(witness_cases(budget))
+        cases.extend(witness_cases())
     return cases
 
 
@@ -452,59 +449,35 @@ def peak_theorem_case(shape) -> AuditCase:
     )
 
 
-def witness_cases(budget: float) -> list[AuditCase]:
-    cases = []
-    status, found = find_semistandard_with_weight(
-        WITNESS_SHAPE, WITNESS_WEIGHT, budget_seconds=budget
+def witness_cases() -> list[AuditCase]:
+    weight_status, _ = find_semistandard_with_weight(
+        WITNESS_SHAPE, WITNESS_WEIGHT
     )
-    if status == "found":
-        case = AuditCase(
-            "shifted.witness-weight",
-            {"shape": _shape_text(WITNESS_SHAPE)},
-            "pass",
-            f"tableau with weight {WITNESS_WEIGHT} found",
-        )
-    elif status == "timeout":
-        case = AuditCase(
-            "shifted.witness-weight",
-            {"shape": _shape_text(WITNESS_SHAPE)},
-            "pass",
-            "SKIPPED: search budget exhausted before a verdict",
-        )
-    else:
-        case = AuditCase(
-            "shifted.witness-weight",
-            {"shape": _shape_text(WITNESS_SHAPE)},
-            "fail",
-            f"no tableau with weight {WITNESS_WEIGHT}",
-        )
-    cases.append(case)
-    status, found = find_standard_with_descents(
-        WITNESS_SHAPE, WITNESS_DESCENTS, budget_seconds=budget
+    descents_status, _ = find_standard_with_descents(
+        WITNESS_SHAPE, WITNESS_DESCENTS
     )
-    if status == "found":
-        case = AuditCase(
+    return [
+        _witness_case(
+            "shifted.witness-weight",
+            weight_status,
+            f"tableau with weight {WITNESS_WEIGHT}",
+        ),
+        _witness_case(
             "shifted.witness-descents",
-            {"shape": _shape_text(WITNESS_SHAPE)},
-            "pass",
-            f"tableau with descents {format_index_set(WITNESS_DESCENTS)} found",
-        )
-    elif status == "timeout":
-        case = AuditCase(
-            "shifted.witness-descents",
-            {"shape": _shape_text(WITNESS_SHAPE)},
-            "pass",
-            "SKIPPED: search budget exhausted before a verdict",
-        )
-    else:
-        case = AuditCase(
-            "shifted.witness-descents",
-            {"shape": _shape_text(WITNESS_SHAPE)},
-            "fail",
-            f"no tableau with descents {format_index_set(WITNESS_DESCENTS)}",
-        )
-    cases.append(case)
-    return cases
+            descents_status,
+            f"tableau with descents {format_index_set(WITNESS_DESCENTS)}",
+        ),
+    ]
+
+
+def _witness_case(case_id: str, status: str, target: str) -> AuditCase:
+    found = status == "found"
+    return AuditCase(
+        case_id,
+        {"shape": _shape_text(WITNESS_SHAPE)},
+        _passfail(found),
+        f"{target} found" if found else f"no {target}",
+    )
 
 
 # -- criterion: Clifford-extended modules -----------------------------------
@@ -793,7 +766,6 @@ def run_audit(
     max_partition: int,
     seed: int,
     threads: int,
-    budget: float = WITNESS_BUDGET_SECONDS,
     shape=None,
 ) -> list[AuditCase]:
     if which == "clifford-audit":
@@ -807,7 +779,7 @@ def run_audit(
             lambda: cases_arc(max_n),
             lambda: cases_unimodal(max_n),
             lambda: cases_domino(max_partition),
-            lambda: cases_shifted(max_partition, budget),
+            lambda: cases_shifted(max_partition),
             lambda: cases_clifford(max_n),
             lambda: clifford_audit_cases(max_n),
             lambda: cases_morphisms(max_n),

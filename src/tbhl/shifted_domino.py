@@ -33,9 +33,9 @@ characteristic of its descent set.
 from __future__ import annotations
 
 import itertools
-import time
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .domino_tableaux import (
@@ -208,9 +208,28 @@ class ShiftedTiling:
         if not _is_shifted(self.dominoes):
             raise ValueError("tiling violates the shifted condition")
 
-    @property
+    # The cached properties below index the tiling once; they live in the
+    # instance ``__dict__``, outside the fields that equality and order use.
+
+    @cached_property
     def filled(self) -> tuple[Domino, ...]:
         return tuple(d for d in self.dominoes if weakly_above_diagonal(d))
+
+    @cached_property
+    def filled_owner(self) -> dict[Cell, Domino]:
+        """Map each cell of a filled domino to that domino (do not mutate)."""
+        return {cell: d for d in self.filled for cell in d.cells}
+
+    @cached_property
+    def adjacent_filled_pairs(self) -> tuple[tuple[Domino, Domino], ...]:
+        """(earlier, later) filled dominoes with row- or column-adjacent cells."""
+        owner = self.filled_owner
+        return tuple(
+            (domino, other)
+            for (r, c), domino in owner.items()
+            for other in (owner.get((r, c + 1)), owner.get((r + 1, c)))
+            if other is not None and other != domino
+        )
 
     @property
     def unfilled(self) -> tuple[Domino, ...]:
@@ -251,25 +270,6 @@ def filled_count(shape) -> int:
 
 
 # ---------------------------------------------------------------------------
-# adjacency helpers shared by the tableau validators
-
-
-def _filled_cell_maps(tiling: ShiftedTiling):
-    owner = {cell: d for d in tiling.filled for cell in d.cells}
-    return owner
-
-
-def _adjacent_filled_pairs(tiling: ShiftedTiling):
-    """Yield (earlier domino, later domino) for row/column adjacent cells."""
-    owner = _filled_cell_maps(tiling)
-    for (r, c), domino in owner.items():
-        for successor_cell in ((r, c + 1), (r + 1, c)):
-            other = owner.get(successor_cell)
-            if other is not None and other != domino:
-                yield domino, other
-
-
-# ---------------------------------------------------------------------------
 # standard tableaux
 
 
@@ -288,7 +288,7 @@ class ShiftedStandardTableau:
         if sorted(self.dominoes) != sorted(self.tiling.filled):
             raise ValueError("entries must cover the filled dominoes exactly")
         entry_of = {d: k for k, d in enumerate(self.dominoes, 1)}
-        for earlier, later in _adjacent_filled_pairs(self.tiling):
+        for earlier, later in self.tiling.adjacent_filled_pairs:
             if entry_of[earlier] >= entry_of[later]:
                 raise ValueError(
                     "entries do not strictly increase along rows/columns"
@@ -322,7 +322,7 @@ def _iter_extensions(tiling: ShiftedTiling) -> Iterator[tuple[Domino, ...]]:
     filled = tiling.filled
     successors: dict[Domino, set[Domino]] = {d: set() for d in filled}
     indegree: dict[Domino, int] = {d: 0 for d in filled}
-    for earlier, later in _adjacent_filled_pairs(tiling):
+    for earlier, later in tiling.adjacent_filled_pairs:
         if later not in successors[earlier]:
             successors[earlier].add(later)
             indegree[later] += 1
@@ -349,7 +349,7 @@ def _iter_extensions(tiling: ShiftedTiling) -> Iterator[tuple[Domino, ...]]:
 def iter_standard(shape) -> Iterator[ShiftedStandardTableau]:
     """Lazily yield every standard tableau over every shifted tiling."""
     shape = validate_partition(shape)
-    for tiling in iter_shifted_tilings(shape):
+    for tiling in enumerate_shifted_tilings(shape):
         for order in _iter_extensions(tiling):
             yield ShiftedStandardTableau(tiling, order)
 
@@ -379,7 +379,7 @@ class ShiftedSemistandardTableau:
             raise ValueError("entries must cover the filled dominoes exactly")
         if any(code < 0 for code in code_of.values()):
             raise ValueError("entry codes must be nonnegative")
-        for earlier, later in _adjacent_filled_pairs(self.tiling):
+        for earlier, later in self.tiling.adjacent_filled_pairs:
             if code_of[earlier] > code_of[later]:
                 raise ValueError("entries do not weakly increase")
         rows_with: dict[tuple[int, int], int] = {}
@@ -444,11 +444,18 @@ class ShiftedSemistandardTableau:
 
 
 def _iter_fillings(
-    tiling: ShiftedTiling, maxval: int
+    tiling: ShiftedTiling, maxval: int, caps: tuple[int, ...] | None = None
 ) -> Iterator[ShiftedSemistandardTableau]:
+    """Fill ``tiling`` with entry indices at most ``maxval``.
+
+    ``caps[k]``, when given, bounds how many dominoes carry index ``k``.
+    Counts only grow along a branch, so skipping a code whose index is at its
+    cap cuts no branch that stays within the caps.
+    """
     filled = sorted(tiling.filled, key=lambda d: d.nw_cell)
-    owner = _filled_cell_maps(tiling)
+    owner = tiling.filled_owner
     max_code = 2 * maxval
+    counts = [0] * (maxval + 1)
 
     def compatible(domino: Domino, code: int, assigned: dict[Domino, int]):
         for (r, c) in domino.cells:
@@ -493,9 +500,14 @@ def _iter_fillings(
             return
         domino = filled[position]
         for code in range(max_code + 1):
+            index = entry_index(code)
+            if caps is not None and counts[index] >= caps[index]:
+                continue
             if compatible(domino, code, assigned):
                 assigned[domino] = code
+                counts[index] += 1
                 yield from assign(position + 1, assigned)
+                counts[index] -= 1
                 del assigned[domino]
 
     yield from assign(0, {})
@@ -506,7 +518,7 @@ def iter_semistandard(
 ) -> Iterator[ShiftedSemistandardTableau]:
     """Lazily yield semistandard tableaux with entry indices at most ``maxval``."""
     shape = validate_partition(shape)
-    for tiling in iter_shifted_tilings(shape):
+    for tiling in enumerate_shifted_tilings(shape):
         yield from _iter_fillings(tiling, maxval)
 
 
@@ -666,10 +678,11 @@ def h_lambda(
     if mode == "monomial":
         if nvars is None:
             raise ValueError("monomial mode needs nvars")
-        total = TruncatedPolynomial.zero(nvars, degree)
-        for tableau in enumerate_shifted(shape, "semistandard", nvars - 1):
-            total = total + tableau.monomial(nvars)
-        return total
+        weights = Counter(
+            tableau.weight(nvars)
+            for tableau in enumerate_shifted(shape, "semistandard", nvars - 1)
+        )
+        return TruncatedPolynomial.make(nvars, degree, weights)
     if mode == "peak":
         total = QSymElement.zero(degree)
         for standard in enumerate_shifted(shape, "standard"):
@@ -697,6 +710,31 @@ def verify_stand_theorem(
             total = total + tableau.monomial(nvars)
     expected = fb_monomials(marked_descents(marked), degree, nvars)
     return total == expected
+
+
+def stand_theorem_failures(shape, nvars: int) -> int:
+    """Count the marked tableaux of ``shape`` whose fiber sum is wrong.
+
+    One pass standardizes each bounded semistandard tableau once and sums
+    its monomial into the fiber of its standardization; every marked tableau
+    is then checked as in :func:`verify_stand_theorem`, an empty fiber
+    summing to zero.
+    """
+    shape = validate_partition(shape)
+    fibers: dict[MarkedStandardTableau, TruncatedPolynomial] = {}
+    for tableau in enumerate_shifted(shape, "semistandard", nvars - 1):
+        marked = standardize(tableau)
+        monomial = tableau.monomial(nvars)
+        fibers[marked] = (
+            fibers[marked] + monomial if marked in fibers else monomial
+        )
+    failures = 0
+    for marked in enumerate_shifted(shape, "marked"):
+        degree = marked.base.size
+        total = fibers.get(marked, TruncatedPolynomial.zero(nvars, degree))
+        if total != fb_monomials(marked_descents(marked), degree, nvars):
+            failures += 1
+    return failures
 
 
 def verify_peak_theorem(
@@ -777,37 +815,37 @@ def conjugate_family(shape) -> OperatorFamily:
 
 
 # ---------------------------------------------------------------------------
-# budgeted witness searches
+# witness searches
 
 
 def find_standard_with_descents(
-    shape, target, budget_seconds: float = 10.0
+    shape, target
 ) -> tuple[str, ShiftedStandardTableau | None]:
     """Search for a standard tableau with the given descent set.
 
-    Returns ``("found", tableau)``, ``("not-found", None)`` after exhausting
-    the shape, or ``("timeout", None)`` when the budget runs out.
+    Returns ``("found", tableau)``, or ``("not-found", None)`` after
+    exhausting the shape.
     """
     target = frozenset(target)
-    deadline = time.monotonic() + budget_seconds
     for standard in iter_standard(shape):
         if standard.descent_set() == target:
             return "found", standard
-        if time.monotonic() > deadline:
-            return "timeout", None
     return "not-found", None
 
 
 def find_semistandard_with_weight(
-    shape, weight, budget_seconds: float = 10.0
+    shape, weight
 ) -> tuple[str, ShiftedSemistandardTableau | None]:
-    """Search for a semistandard tableau with the given weight vector."""
+    """Search for a semistandard tableau with the given weight vector.
+
+    The fillings are capped by ``weight`` index by index, so a
+    ``("not-found", None)`` verdict still covers every tableau of the shape
+    with entry indices below ``len(weight)``.
+    """
     weight = tuple(weight)
     nvars = len(weight)
-    deadline = time.monotonic() + budget_seconds
-    for tableau in iter_semistandard(shape, nvars - 1):
-        if tableau.weight(nvars) == weight:
-            return "found", tableau
-        if time.monotonic() > deadline:
-            return "timeout", None
+    for tiling in enumerate_shifted_tilings(validate_partition(shape)):
+        for tableau in _iter_fillings(tiling, nvars - 1, weight):
+            if tableau.weight(nvars) == weight:
+                return "found", tableau
     return "not-found", None

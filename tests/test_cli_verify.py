@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tbhl.cli_verify import AuditCase, main, run_audit
+from tbhl.cli_verify import AuditCase, main, run_audit, witness_cases
 from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_function_type_b
 from tbhl.shifted_domino import enumerate_shifted
 
@@ -310,3 +310,13 @@ class TestAuditLibrary:
     def test_no_failures_at_small_scale(self):
         cases = run_audit("all", 2, 4, 0, 1)
         assert all(case.status != "fail" for case in cases)
+
+    def test_witness_cases_pass_only_on_a_found_verdict(self, monkeypatch):
+        assert [case.status for case in witness_cases()] == ["pass", "pass"]
+        monkeypatch.setattr(
+            "tbhl.cli_verify.find_semistandard_with_weight",
+            lambda shape, weight: ("not-found", None),
+        )
+        weight, descents = witness_cases()
+        assert (weight.status, descents.status) == ("fail", "pass")
+        assert weight.details.startswith("no tableau with weight")

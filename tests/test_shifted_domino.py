@@ -29,7 +29,9 @@ from tbhl.shifted_domino import (
     find_semistandard_with_weight,
     find_standard_with_descents,
     h_lambda,
+    iter_semistandard,
     marked_descents,
+    stand_theorem_failures,
     standardize,
     swap_entries_shifted,
     two_quotient,
@@ -337,6 +339,20 @@ class TestTheorems:
         nvars = filled_count(shape) + 1
         for marked in enumerate_shifted(shape, "marked"):
             assert verify_stand_theorem(shape, marked, nvars)
+        assert stand_theorem_failures(shape, nvars) == 0
+
+    def test_one_pass_check_fails_on_a_wrong_standardization(self, monkeypatch):
+        def unprimed(tableau):
+            return MarkedStandardTableau(standardize(tableau).base, frozenset())
+
+        monkeypatch.setattr("tbhl.shifted_domino.standardize", unprimed)
+        for shape in ((2,), (2, 2), (4,)):
+            nvars = filled_count(shape) + 1
+            oracle = sum(
+                not verify_stand_theorem(shape, marked, nvars)
+                for marked in enumerate_shifted(shape, "marked")
+            )
+            assert stand_theorem_failures(shape, nvars) == oracle > 0
 
     @pytest.mark.parametrize("shape", list(valid_shapes(8)))
     def test_peak_theorem_both_variants(self, shape):
@@ -401,6 +417,28 @@ class TestWitnessSearch:
         status, witness = find_semistandard_with_weight((2, 2), (1, 1))
         assert status == "found"
         assert witness.weight(2) == (1, 1)
+
+    def test_unreachable_weight_is_not_found(self):
+        assert find_semistandard_with_weight((2, 2), (2, 0)) == (
+            "not-found",
+            None,
+        )
+
+    @pytest.mark.parametrize("shape", list(valid_shapes(6)))
+    def test_capped_search_agrees_with_unpruned_filter(self, shape):
+        size = filled_count(shape)
+        for maxval in range(3):
+            nvars = maxval + 1
+            unpruned = list(iter_semistandard(shape, maxval))
+            for weight in itertools.product(range(size + 1), repeat=nvars):
+                if sum(weight) != size:
+                    continue
+                first = next(
+                    (t for t in unpruned if t.weight(nvars) == weight), None
+                )
+                status, witness = find_semistandard_with_weight(shape, weight)
+                assert witness == first, (shape, weight)
+                assert status == ("not-found" if first is None else "found")
 
 
 class TestTextFormat:
