@@ -29,11 +29,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .exact_algebra import GaussianRational
@@ -175,16 +173,6 @@ def cases_family_relations(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, min(max_n, 3) + 1):
         for fam in _family_catalog(n):
-            if not fam.members:
-                cases.append(
-                    AuditCase(
-                        "families.relations",
-                        {"family": fam.name},
-                        "pass",
-                        "empty family; nothing to check",
-                    )
-                )
-                continue
             ops = family_from_elements(fam.members)
             relations = verify_relations(ops)
             char, _ = characteristic_by_composition_series(ops)
@@ -693,8 +681,6 @@ def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
         )
     for n in range(1, min(max_n, 3) + 1):
         for fam in _ascent_compatible_catalog(n):
-            if not fam.members:
-                continue
             direct, report = induce_and_restrict(
                 family_from_elements(fam.members)
             )
@@ -713,11 +699,7 @@ def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
 
 
 def _ascent_compatible_catalog(n: int):
-    for index_set in _index_sets(n):
-        yield invert_family(build_family("dclass", (index_set,), n))
-    for i in range(1, n + 1):
-        yield invert_family(build_family("luni", (i,), n))
-    yield build_family("arc", (), n)
+    return [fam for fam in _family_catalog(n) if fam.inverted or fam.kind == "arc"]
 
 
 # -- criterion: quasisymmetric foundations ----------------------------------
@@ -765,33 +747,26 @@ def run_audit(
     max_n: int,
     max_partition: int,
     seed: int,
-    threads: int,
     shape=None,
 ) -> list[AuditCase]:
     if which == "clifford-audit":
-        builders = [lambda: clifford_audit_cases(max_n)]
+        cases = clifford_audit_cases(max_n)
     elif which == "peak-theorem":
-        builders = [lambda: [peak_theorem_case(shape)]]
+        cases = [peak_theorem_case(shape)]
     else:
-        builders = [
-            lambda: cases_family_relations(max_n),
-            lambda: cases_random_convex(max_n, seed, RANDOM_CONVEX_SAMPLES),
-            lambda: cases_arc(max_n),
-            lambda: cases_unimodal(max_n),
-            lambda: cases_domino(max_partition),
-            lambda: cases_shifted(max_partition),
-            lambda: cases_clifford(max_n),
-            lambda: clifford_audit_cases(max_n),
-            lambda: cases_morphisms(max_n),
-            lambda: cases_induction(max_n, max_partition),
-            lambda: cases_qsym(),
+        cases = [
+            *cases_family_relations(max_n),
+            *cases_random_convex(max_n, seed, RANDOM_CONVEX_SAMPLES),
+            *cases_arc(max_n),
+            *cases_unimodal(max_n),
+            *cases_domino(max_partition),
+            *cases_shifted(max_partition),
+            *cases_clifford(max_n),
+            *clifford_audit_cases(max_n),
+            *cases_morphisms(max_n),
+            *cases_induction(max_n, max_partition),
+            *cases_qsym(),
         ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda b: b(), builders))
-    else:
-        chunks = [builder() for builder in builders]
-    cases = [case for chunk in chunks for case in chunk]
     return sorted(cases, key=AuditCase.sort_key)
 
 
@@ -991,16 +966,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("TBHL_THREADS", "1"))
     shape = _parse_shape(args.shape) if getattr(args, "shape", None) else None
     cases = run_audit(
         args.verify_command,
         args.max_n,
         getattr(args, "max_partition", DEFAULT_MAX_PARTITION),
         getattr(args, "seed", DEFAULT_SEED),
-        threads,
         shape=shape,
     )
     header = {"command": f"verify {args.verify_command}", "max_n": args.max_n}
@@ -1092,7 +1063,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: TBHL_THREADS or 1)",
+        help="accepted for compatibility and ignored; the audit runs serially",
     )
     allcmd = vsub.add_parser("all", parents=[output, common_verify])
     allcmd.add_argument(

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import TypeVar
 
 from .hecke_engine import LabeledBasis, OperatorFamily, build_from_labeled_basis
 from .qsym_typeb import QSymElement
 
 Cell = tuple[int, int]
+_Tableau = TypeVar("_Tableau")
 
 
 def validate_partition(parts) -> tuple[int, ...]:
@@ -128,6 +130,27 @@ def _entry_grid(dominoes) -> dict[Cell, int]:
     return grid
 
 
+def _descent_set(dominoes: tuple[Domino, ...]) -> frozenset[int]:
+    """Descents of dominoes listed in entry order (see the module docstring)."""
+    descents = set()
+    if dominoes and dominoes[0].orientation == "vertical":
+        descents.add(0)
+    for i in range(1, len(dominoes)):
+        if strictly_lower(dominoes[i], dominoes[i - 1]):
+            descents.add(i)
+    return frozenset(descents)
+
+
+def _layout_text(labelled, unfilled: tuple[Domino, ...] = ()) -> str:
+    """One ``label:(r1,c1)-(r2,c2)`` line per ``(label, domino)`` pair, then
+    one ``-:`` line per unfilled domino."""
+    lines = []
+    for label, domino in itertools.chain(labelled, (("-", d) for d in unfilled)):
+        (r1, c1), (r2, c2) = domino.cells
+        lines.append(f"{label}:({r1},{c1})-({r2},{c2})")
+    return "\n".join(lines)
+
+
 def _weakly_increasing_grid(grid: dict[Cell, int]) -> bool:
     for (r, c), entry in grid.items():
         right = grid.get((r, c + 1))
@@ -167,24 +190,11 @@ class StandardDominoTableau:
         """Number of dominoes."""
         return len(self.dominoes)
 
-    def entry_grid(self) -> dict[Cell, int]:
-        return _entry_grid(self.dominoes)
-
     def descent_set(self) -> frozenset[int]:
-        descents = set()
-        if self.dominoes and self.dominoes[0].orientation == "vertical":
-            descents.add(0)
-        for i in range(1, len(self.dominoes)):
-            if strictly_lower(self.dominoes[i], self.dominoes[i - 1]):
-                descents.add(i)
-        return frozenset(descents)
+        return _descent_set(self.dominoes)
 
     def to_text(self) -> str:
-        lines = []
-        for entry, domino in enumerate(self.dominoes, 1):
-            (r1, c1), (r2, c2) = domino.cells
-            lines.append(f"{entry}:({r1},{c1})-({r2},{c2})")
-        return "\n".join(lines)
+        return _layout_text(enumerate(self.dominoes, 1))
 
     @staticmethod
     def from_text(text: str, shape) -> "StandardDominoTableau":
@@ -304,16 +314,17 @@ def g_lambda(shape) -> QSymElement:
     )
 
 
-def swap_entries(
-    tableau: StandardDominoTableau, i: int
-) -> StandardDominoTableau | None:
-    """Exchange the dominoes numbered ``i`` and ``i+1``; None when invalid."""
+def swap_entries(tableau: _Tableau, i: int) -> _Tableau | None:
+    """Exchange the dominoes numbered ``i`` and ``i+1``; None when invalid.
+
+    Works on any tableau dataclass whose ``dominoes`` field is in entry order.
+    """
     if not 1 <= i < len(tableau.dominoes):
         return None
     dominoes = list(tableau.dominoes)
     dominoes[i - 1], dominoes[i] = dominoes[i], dominoes[i - 1]
     try:
-        return StandardDominoTableau(tableau.shape, tuple(dominoes))
+        return replace(tableau, dominoes=tuple(dominoes))
     except ValueError:
         return None
 

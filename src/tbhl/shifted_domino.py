@@ -41,8 +41,11 @@ from typing import Iterator
 from .domino_tableaux import (
     Cell,
     Domino,
+    _descent_set,
+    _layout_text,
     diagram_cells,
-    strictly_lower,
+    enumerate_tilings,
+    swap_entries,
     validate_partition,
 )
 from .exact_algebra import TruncatedPolynomial
@@ -170,25 +173,6 @@ def _is_shifted(dominoes: tuple[Domino, ...]) -> bool:
     return True
 
 
-def _iter_tilings(shape) -> Iterator[tuple[Domino, ...]]:
-    cells = diagram_cells(shape)
-
-    def fill(uncovered: frozenset[Cell], placed: tuple[Domino, ...]):
-        if not uncovered:
-            yield tuple(sorted(placed))
-            return
-        anchor = min(uncovered)
-        r, c = anchor
-        for other in ((r, c + 1), (r + 1, c)):
-            if other in uncovered:
-                yield from fill(
-                    uncovered - {anchor, other},
-                    placed + (Domino((anchor, other)),),
-                )
-
-    yield from fill(cells, ())
-
-
 @dataclass(frozen=True, order=True)
 class ShiftedTiling:
     """A shifted tiling; ``filled`` lists the entry-carrying dominoes."""
@@ -236,21 +220,21 @@ class ShiftedTiling:
         return tuple(d for d in self.dominoes if not weakly_above_diagonal(d))
 
 
-def iter_shifted_tilings(shape) -> Iterator[ShiftedTiling]:
-    shape = validate_partition(shape)
-    for dominoes in _iter_tilings(shape):
-        if _is_shifted(dominoes):
-            yield ShiftedTiling(shape, dominoes)
-
-
 @lru_cache(maxsize=None)
 def enumerate_shifted_tilings(shape) -> tuple[ShiftedTiling, ...]:
-    """All shifted tilings in deterministic order.
+    """The domino tilings of a shape that are shifted, in deterministic order.
 
     >>> len(enumerate_shifted_tilings((2, 2))), len(enumerate_shifted_tilings((1, 1)))
     (1, 0)
     """
-    return tuple(sorted(iter_shifted_tilings(shape)))
+    shape = validate_partition(shape)
+    return tuple(
+        sorted(
+            ShiftedTiling(shape, dominoes)
+            for dominoes in enumerate_tilings(shape)
+            if _is_shifted(dominoes)
+        )
+    )
 
 
 def filled_count(shape) -> int:
@@ -299,23 +283,10 @@ class ShiftedStandardTableau:
         return len(self.dominoes)
 
     def descent_set(self) -> frozenset[int]:
-        descents = set()
-        if self.dominoes and self.dominoes[0].orientation == "vertical":
-            descents.add(0)
-        for i in range(1, len(self.dominoes)):
-            if strictly_lower(self.dominoes[i], self.dominoes[i - 1]):
-                descents.add(i)
-        return frozenset(descents)
+        return _descent_set(self.dominoes)
 
     def to_text(self) -> str:
-        lines = []
-        for entry, domino in enumerate(self.dominoes, 1):
-            (r1, c1), (r2, c2) = domino.cells
-            lines.append(f"{entry}:({r1},{c1})-({r2},{c2})")
-        for domino in self.tiling.unfilled:
-            (r1, c1), (r2, c2) = domino.cells
-            lines.append(f"-:({r1},{c1})-({r2},{c2})")
-        return "\n".join(lines)
+        return _layout_text(enumerate(self.dominoes, 1), self.tiling.unfilled)
 
 
 def _iter_extensions(tiling: ShiftedTiling) -> Iterator[tuple[Domino, ...]]:
@@ -433,14 +404,10 @@ class ShiftedSemistandardTableau:
         )
 
     def to_text(self) -> str:
-        lines = []
-        for domino, code in self.entries:
-            (r1, c1), (r2, c2) = domino.cells
-            lines.append(f"{entry_text(code)}:({r1},{c1})-({r2},{c2})")
-        for domino in self.tiling.unfilled:
-            (r1, c1), (r2, c2) = domino.cells
-            lines.append(f"-:({r1},{c1})-({r2},{c2})")
-        return "\n".join(lines)
+        return _layout_text(
+            ((entry_text(code), domino) for domino, code in self.entries),
+            self.tiling.unfilled,
+        )
 
 
 def _iter_fillings(
@@ -546,15 +513,20 @@ class MarkedStandardTableau:
         )
 
     def to_text(self) -> str:
-        lines = []
-        for entry, domino in enumerate(self.base.dominoes, 1):
-            (r1, c1), (r2, c2) = domino.cells
-            mark = "'" if entry in self.primed else ""
-            lines.append(f"{entry}{mark}:({r1},{c1})-({r2},{c2})")
-        for domino in self.base.tiling.unfilled:
-            (r1, c1), (r2, c2) = domino.cells
-            lines.append(f"-:({r1},{c1})-({r2},{c2})")
-        return "\n".join(lines)
+        return _layout_text(
+            (
+                (f"{entry}'" if entry in self.primed else entry, domino)
+                for entry, domino in enumerate(self.base.dominoes, 1)
+            ),
+            self.base.tiling.unfilled,
+        )
+
+
+def _markings(base: ShiftedStandardTableau) -> Iterator[MarkedStandardTableau]:
+    """Every primed subset of ``base``, by size then lexicographically."""
+    for size in range(base.size + 1):
+        for subset in itertools.combinations(range(1, base.size + 1), size):
+            yield MarkedStandardTableau(base, frozenset(subset))
 
 
 def marked_descents(marked: MarkedStandardTableau) -> frozenset[int]:
@@ -568,9 +540,7 @@ def marked_descents(marked: MarkedStandardTableau) -> frozenset[int]:
     primed = marked.primed
     base_descents = base.descent_set()
     result = set()
-    if base.size and (
-        1 in primed or base.dominoes[0].orientation == "vertical"
-    ):
+    if 1 in primed or 0 in base_descents:
         result.add(0)
     for i in range(1, base.size):
         in_base = i in base_descents
@@ -579,10 +549,6 @@ def marked_descents(marked: MarkedStandardTableau) -> frozenset[int]:
         if (i + 1) in primed and not in_base:
             result.add(i)
     return frozenset(result)
-
-
-def demark(marked: MarkedStandardTableau) -> ShiftedStandardTableau:
-    return marked.base
 
 
 def standardize(tableau: ShiftedSemistandardTableau) -> MarkedStandardTableau:
@@ -636,16 +602,11 @@ def enumerate_shifted(shape, kind: str = "standard", maxval: int | None = None):
             raise ValueError("semistandard enumeration needs maxval")
         return tuple(sorted(iter_semistandard(shape, maxval)))
     if kind == "marked":
-        marked = []
-        for base in enumerate_shifted(shape, "standard"):
-            for size in range(base.size + 1):
-                for subset in itertools.combinations(
-                    range(1, base.size + 1), size
-                ):
-                    marked.append(
-                        MarkedStandardTableau(base, frozenset(subset))
-                    )
-        return tuple(marked)
+        return tuple(
+            marked
+            for base in enumerate_shifted(shape, "standard")
+            for marked in _markings(base)
+        )
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -744,12 +705,8 @@ def verify_peak_theorem(
     shape = validate_partition(shape)
     degree = standard.size
     total = QSymElement.zero(degree)
-    for size in range(degree + 1):
-        for subset in itertools.combinations(range(1, degree + 1), size):
-            marked = MarkedStandardTableau(standard, frozenset(subset))
-            total = total + QSymElement.fundamental(
-                marked_descents(marked), degree
-            )
+    for marked in _markings(standard):
+        total = total + QSymElement.fundamental(marked_descents(marked), degree)
     expected = peak_characteristic(standard.descent_set(), degree, variant)
     return total == expected
 
@@ -770,20 +727,6 @@ class ConjugatedTableau:
     def descent_label(self) -> frozenset[int]:
         m = self.base.size
         return frozenset(range(m)) - self.base.descent_set()
-
-
-def swap_entries_shifted(
-    standard: ShiftedStandardTableau, i: int
-) -> ShiftedStandardTableau | None:
-    """Exchange entries ``i`` and ``i+1``; None when the result is invalid."""
-    if not 1 <= i < standard.size:
-        return None
-    dominoes = list(standard.dominoes)
-    dominoes[i - 1], dominoes[i] = dominoes[i], dominoes[i - 1]
-    try:
-        return ShiftedStandardTableau(standard.tiling, tuple(dominoes))
-    except ValueError:
-        return None
 
 
 def conjugate_family(shape) -> OperatorFamily:
@@ -807,7 +750,7 @@ def conjugate_family(shape) -> OperatorFamily:
         for i in range(rank):
             if i in descent_label[label]:
                 continue
-            moved = swap_entries_shifted(label.base, i) if i else None
+            moved = swap_entries(label.base, i) if i else None
             if moved is not None and moved in inside:
                 transition[(i, label)] = inside[moved]
     basis = LabeledBasis(labels, descent_label, transition, rank=rank)

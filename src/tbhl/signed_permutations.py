@@ -44,6 +44,7 @@ __all__ = [
     "right_inversions",
     "leq_left_weak",
     "weak_order_interval",
+    "convexity_witness",
     "is_convex_left_weak",
     "unique_maximal",
     "is_aligned",
@@ -375,6 +376,26 @@ def weak_order_interval(
     )
 
 
+def convexity_witness(
+    elements: Iterable[SignedPermutation], kind: str = "B"
+) -> tuple[SignedPermutation, SignedPermutation, SignedPermutation] | None:
+    """A triple ``(x, y, z)`` with ``x <= z <= y``, endpoints inside the set
+    and ``z`` outside, or None when the set is convex.
+
+    Pairs are scanned in window order, so the witness is deterministic.
+    """
+    inside = set(elements)
+    ordered = sorted(inside, key=lambda m: m.window)
+    for x in ordered:
+        for y in ordered:
+            if not leq_left_weak(x, y, kind):
+                continue
+            for z in weak_order_interval(x, y, kind):
+                if z not in inside:
+                    return x, y, z
+    return None
+
+
 def is_convex_left_weak(
     elements: Iterable[SignedPermutation], kind: str = "B"
 ) -> bool:
@@ -383,13 +404,7 @@ def is_convex_left_weak(
     >>> is_convex_left_weak([identity(2), simple_reflection(0, 2)])
     True
     """
-    members = set(elements)
-    for x in members:
-        for y in members:
-            if leq_left_weak(x, y, kind):
-                if any(z not in members for z in weak_order_interval(x, y, kind)):
-                    return False
-    return True
+    return convexity_witness(elements, kind) is None
 
 
 def unique_maximal(

@@ -40,9 +40,9 @@ from .signed_permutations import (
     SignedPermutation,
     all_elements,
     ascent_compatibility_report,
+    convexity_witness,
     format_index_set,
-    is_convex_left_weak,
-    leq_left_weak,
+    left_descents,
     parse_index_set,
     weak_order_interval,
 )
@@ -134,7 +134,7 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
             raise ValueError(
                 f"descent set {sorted(index_set)} out of range for degree {n}"
             )
-        predicate = lambda x: _left_descents(x) == index_set
+        predicate = lambda x: left_descents(x, "B") == index_set
     elif name == "luni":
         (position,) = params
         if not 1 <= position <= n:
@@ -154,12 +154,6 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
         raise ValueError(f"unknown family kind {name!r}")
     members = tuple(x for x in all_elements(n, "B") if predicate(x))
     return PermutationFamily(name, params, n, members)
-
-
-def _left_descents(x: SignedPermutation) -> frozenset[int]:
-    from .signed_permutations import left_descents
-
-    return left_descents(x, "B")
 
 
 def invert_family(fam: PermutationFamily) -> PermutationFamily:
@@ -367,22 +361,6 @@ def family_report(fam: PermutationFamily) -> FamilyReport:
 
 # ---------------------------------------------------------------------------
 # convexity search
-
-
-def convexity_witness(
-    members,
-) -> tuple[SignedPermutation, SignedPermutation, SignedPermutation] | None:
-    """A triple ``(x, y, z)`` with ``x <= z <= y``, endpoints inside the set
-    and ``z`` outside, or None when the set is convex."""
-    inside = set(members)
-    for x in sorted(inside, key=lambda m: m.window):
-        for y in sorted(inside, key=lambda m: m.window):
-            if not leq_left_weak(x, y):
-                continue
-            for z in weak_order_interval(x, y):
-                if z not in inside:
-                    return x, y, z
-    return None
 
 
 def smallest_non_convex_arc_degree(

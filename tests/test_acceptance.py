@@ -8,7 +8,13 @@ one-line summaries below, plus any notes recorded in ``NOTES``.
 import itertools
 import random
 
-from tbhl.cli_verify import clifford_audit_cases
+from tbhl.cli_verify import (
+    _ascent_compatible_catalog,
+    _family_catalog,
+    _index_sets,
+    _valid_shapes,
+    clifford_audit_cases,
+)
 from tbhl.domino_tableaux import (
     brute_force_sdt,
     enumerate_sdt,
@@ -81,30 +87,6 @@ CRITERION_SUMMARIES = {
 NOTES: list[str] = []
 
 
-def _index_sets(n):
-    for size in range(n + 1):
-        yield from (frozenset(s) for s in itertools.combinations(range(n), size))
-
-
-def _family_catalog(n):
-    for index_set in _index_sets(n):
-        fam = build_family("dclass", (index_set,), n)
-        yield fam
-        yield invert_family(fam)
-    for i in range(1, n + 1):
-        fam = build_family("luni", (i,), n)
-        yield fam
-        yield invert_family(fam)
-    yield build_family("arc", (), n)
-
-
-def _valid_shapes(max_total):
-    for total in range(2, max_total + 1, 2):
-        for shape in partitions_of(total):
-            if two_quotient(shape).valid:
-                yield shape
-
-
 def _module_checks(members) -> None:
     ops = family_from_elements(members)
     assert verify_relations(ops) == {"relations": "ok"}
@@ -113,6 +95,7 @@ def _module_checks(members) -> None:
 
 
 def test_criterion_1_relation_suites():
+    assert [len(list(_family_catalog(n))) for n in range(1, 4)] == [7, 13, 23]
     for n in range(1, 4):
         for fam in _family_catalog(n):
             assert fam.members, fam.name
@@ -178,6 +161,7 @@ def test_criterion_4_domino_tableaux():
 def test_criterion_5_shifted_tableaux():
     quotient = two_quotient((7, 7, 6, 5, 1))
     assert (quotient.mu, quotient.nu) == ((3, 3, 3), (4,))
+    assert (len(list(_valid_shapes(8))), len(list(_valid_shapes(10)))) == (19, 33)
     for shape in _valid_shapes(8):
         assert stand_theorem_failures(shape, filled_count(shape) + 1) == 0, shape
     for shape in _valid_shapes(10):
@@ -289,14 +273,10 @@ def test_criterion_8_induction_pipeline():
         direct, report = induce_and_restrict(conjugate_family(shape))
         assert report["matches"]["proof_penultimate"], shape
         assert direct == h_lambda(shape, "peak", variant="literal"), shape
+    assert [len(_ascent_compatible_catalog(n)) for n in range(1, 4)] == [4, 7, 12]
     for n in range(1, 4):
-        for index_set in _index_sets(n):
-            fam = invert_family(build_family("dclass", (index_set,), n))
+        for fam in _ascent_compatible_catalog(n):
             _induction_family_check(fam.members)
-        for i in range(1, n + 1):
-            fam = invert_family(build_family("luni", (i,), n))
-            _induction_family_check(fam.members)
-        _induction_family_check(build_family("arc", (), n).members)
 
 
 def _induction_family_check(members) -> None:

@@ -184,6 +184,13 @@ class TestUsageErrors:
         assert code == 2
         assert "even" in err
 
+    def test_odd_shifted_shape(self, capsys):
+        code, _, err = run_cli(
+            capsys, ["enumerate", "shifted", "sshdt", "--shape", "2,1"]
+        )
+        assert code == 2
+        assert "even" in err
+
     def test_non_numeric_shape(self, capsys):
         code, _, err = run_cli(
             capsys, ["enumerate", "domino", "sdt", "--shape", "2,x"]
@@ -284,13 +291,13 @@ class TestVerifyCommands:
 
 class TestAuditLibrary:
     def test_sorted_and_unique_keys(self):
-        cases = run_audit("all", 1, 2, 0, 1)
+        cases = run_audit("all", 1, 2, 0)
         keys = [case.sort_key() for case in cases]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
 
     def test_every_style_of_case_present(self):
-        cases = run_audit("all", 1, 2, 0, 1)
+        cases = run_audit("all", 1, 2, 0)
         ids = {case.id for case in cases}
         assert {
             "families.relations",
@@ -308,7 +315,7 @@ class TestAuditLibrary:
         } <= ids
 
     def test_no_failures_at_small_scale(self):
-        cases = run_audit("all", 2, 4, 0, 1)
+        cases = run_audit("all", 2, 4, 0)
         assert all(case.status != "fail" for case in cases)
 
     def test_witness_cases_pass_only_on_a_found_verdict(self, monkeypatch):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from tbhl.domino_tableaux import Domino, partitions_of
+from tbhl.domino_tableaux import Domino, partitions_of, swap_entries
 from tbhl.exact_algebra import TruncatedPolynomial
 from tbhl.hecke_engine import (
     characteristic_by_composition_series,
@@ -18,7 +18,6 @@ from tbhl.shifted_domino import (
     ShiftedStandardTableau,
     ShiftedTiling,
     conjugate_family,
-    demark,
     encode_entry,
     entry_index,
     entry_is_primed,
@@ -33,7 +32,6 @@ from tbhl.shifted_domino import (
     marked_descents,
     stand_theorem_failures,
     standardize,
-    swap_entries_shifted,
     two_quotient,
     verify_peak_theorem,
     verify_stand_theorem,
@@ -86,6 +84,11 @@ class TestTwoQuotient:
     def test_vertical_dominoes_shape_is_valid_but_untileable(self):
         assert two_quotient((1, 1)).valid
         assert enumerate_shifted_tilings((1, 1)) == ()
+
+    def test_odd_size_is_rejected(self):
+        assert two_quotient((2, 1)).valid
+        with pytest.raises(ValueError, match="even"):
+            enumerate_shifted((2, 1))
 
     def test_invalid_quotient(self):
         assert not two_quotient((2, 2, 1, 1)).valid
@@ -255,7 +258,7 @@ class TestStandardizeAndMarkedDescents:
         for shape in valid_shapes(6):
             for t in enumerate_shifted(shape, "semistandard", maxval=3):
                 marked = standardize(t)
-                assert demark(marked) in enumerate_shifted(shape)
+                assert marked.base in enumerate_shifted(shape)
                 code_of = dict(t.entries)
                 entry_of = {
                     d: k for k, d in enumerate(marked.base.dominoes, 1)
@@ -483,6 +486,6 @@ class TestConjugatedLabelOrder:
                 for i in standard.descent_set():
                     if i == 0:
                         continue
-                    moved = swap_entries_shifted(standard, i)
+                    moved = swap_entries(standard, i)
                     if moved is not None:
-                        assert swap_entries_shifted(moved, i) == standard
+                        assert swap_entries(moved, i) == standard

@@ -14,6 +14,7 @@ from tbhl.signed_permutations import (
     ascent_compatibility_report,
     bfs_word_lengths,
     braid_exponent,
+    convexity_witness,
     format_index_set,
     format_window,
     generator_indices,
@@ -202,6 +203,27 @@ class TestWeakOrder:
     def test_nonconvex_set_detected(self):
         # e and the longest element without anything in between
         assert not is_convex_left_weak([identity(2), SignedPermutation((-1, -2))])
+
+    def test_convexity_witness_on_every_subset_of_b2(self):
+        group = all_elements(2)
+        inversions = {z: right_inversions(z) for z in group}
+        for size in range(len(group) + 1):
+            for chosen in itertools.combinations(group, size):
+                subset = set(chosen)
+                witness = convexity_witness(subset)
+                assert is_convex_left_weak(subset) == (witness is None)
+                convex = all(
+                    z in subset
+                    for x in subset
+                    for y in subset
+                    for z in group
+                    if inversions[x] <= inversions[z] <= inversions[y]
+                )
+                assert convex == (witness is None), chosen
+                if witness is not None:
+                    x, y, z = witness
+                    assert x in subset and y in subset and z not in subset
+                    assert inversions[x] <= inversions[z] <= inversions[y]
 
 
 class TestAlignmentAndCompatibility:
