@@ -21,10 +21,10 @@ square, and flips that square between its horizontal and vertical tilings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import TypeVar
 
 from .hecke_engine import LabeledBasis, OperatorFamily, build_from_labeled_basis
@@ -46,6 +46,23 @@ def validate_partition(parts) -> tuple[int, ...]:
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise ValueError("partition parts must weakly decrease")
     return parts
+
+
+def _shape_cache(func):
+    """Cache ``func(shape, ...)`` on the validated shape tuple.
+
+    The shape is checked and made a tuple before the cache lookup, so a list
+    shape hits the same entry as its tuple and a non-partition raises
+    ``ValueError``.  The wrapper keeps ``cache_info``.
+    """
+    cached = functools.lru_cache(maxsize=None)(func)
+
+    @functools.wraps(func)
+    def wrapper(shape, *args, **kwargs):
+        return cached(validate_partition(shape), *args, **kwargs)
+
+    wrapper.cache_info = cached.cache_info
+    return wrapper
 
 
 def partitions_of(total: int) -> tuple[tuple[int, ...], ...]:
@@ -216,14 +233,13 @@ class StandardDominoTableau:
         return StandardDominoTableau(validate_partition(shape), dominoes)
 
 
-@lru_cache(maxsize=None)
+@_shape_cache
 def enumerate_tilings(shape) -> tuple[tuple[Domino, ...], ...]:
     """All domino tilings of a partition shape, in deterministic order.
 
     >>> len(enumerate_tilings((2, 2))), len(enumerate_tilings((3, 1)))
     (2, 1)
     """
-    shape = validate_partition(shape)
     if sum(shape) % 2:
         raise ValueError("shape size must be even")
     cells = diagram_cells(shape)
@@ -244,7 +260,7 @@ def enumerate_tilings(shape) -> tuple[tuple[Domino, ...], ...]:
     return tuple(sorted(results))
 
 
-@lru_cache(maxsize=None)
+@_shape_cache
 def enumerate_sdt(shape) -> tuple[StandardDominoTableau, ...]:
     """All standard domino tableaux, grown one domino at a time.
 
@@ -254,7 +270,6 @@ def enumerate_sdt(shape) -> tuple[StandardDominoTableau, ...]:
     >>> [len(enumerate_sdt(s)) for s in ((2,), (1, 1), (2, 2))]
     [1, 1, 2]
     """
-    shape = validate_partition(shape)
     if sum(shape) % 2:
         raise ValueError("shape size must be even")
     rows = len(shape)

@@ -57,7 +57,7 @@ from .qsym_typeb import (
     peak_data,
     symmetric_difference_condition,
 )
-from .signed_permutations import CoxeterDescriptor
+from .signed_permutations import braid_exponent
 
 Label = Hashable
 
@@ -234,8 +234,6 @@ class InducedModule:
 
 def induce_labeled_basis(base: LabeledBasis) -> InducedModule:
     """Adjoin the Clifford generators to a casewise labeled basis."""
-    if base.kind != "B":
-        raise ValueError("induction is defined for kind B only")
     n = base.rank
     all_subsets = subsets_of(n)
     basis = tuple(
@@ -369,13 +367,12 @@ def verify_hcl_relations(module: InducedModule) -> dict:
     identity = SparseMatrix.identity(size)
     pi = module.pi_matrices
     cg = module.c_matrices
-    descriptor = CoxeterDescriptor("B", n)
     for i in range(n):
         if pi[i] @ pi[i] != pi[i].scale(_MINUS_ONE):
             return {"failed": {"kind": "quadratic", "i": i}}
     for a in range(n):
         for b in range(a + 1, n):
-            m = descriptor.m(a, b)
+            m = braid_exponent(a, b)
             if alternating_product(pi[a], pi[b], m) != alternating_product(
                 pi[b], pi[a], m
             ):
@@ -473,11 +470,7 @@ def restriction_characteristic(
     module: InducedModule,
 ) -> tuple[QSymElement, CompositionSeries]:
     """Composition-series characteristic of the casewise-operator restriction."""
-    family = family_from_matrices(
-        module.basis,
-        module.pi_matrices,
-        CoxeterDescriptor("B", module.rank),
-    )
+    family = family_from_matrices(module.basis, module.pi_matrices, module.rank)
     return characteristic_by_composition_series(family)
 
 
@@ -512,7 +505,7 @@ def res_MI_formula(index_set, n: int, form: str) -> QSymElement:
             if not symmetric_difference_condition(data.peak, candidate):
                 continue
             total[candidate] = coefficient
-    return QSymElement.make(n, "B", total)
+    return QSymElement.make(n, total)
 
 
 def res_formula_agreement(index_set, n: int) -> dict:

@@ -29,8 +29,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from .exact_algebra import GaussianRational, SparseMatrix
 from .qsym_typeb import QSymElement
 from .signed_permutations import (
-    CoxeterDescriptor,
     SignedPermutation,
+    braid_exponent,
     format_index_set,
     left_descents,
     length,
@@ -47,8 +47,9 @@ _ONE = GaussianRational.integer(1)
 class LabeledBasis:
     """Ordered labels with descent labels and partial transitions.
 
-    ``transition`` may map to labels outside ``elements``; such targets (and
-    absent entries alike) make the corresponding operator column zero.
+    Generator indices are ``0..rank-1``.  ``transition`` may map to labels
+    outside ``elements``; such targets (and absent entries alike) make the
+    corresponding operator column zero.
 
     >>> basis = LabeledBasis(("a", "b"), {"a": frozenset(), "b": frozenset({0})},
     ...                      {(0, "a"): "b"}, rank=1)
@@ -60,7 +61,6 @@ class LabeledBasis:
     descent_label: Mapping[Label, frozenset[int]]
     transition: Mapping[tuple[int, Label], Label]
     rank: int
-    kind: str = "B"
     position: dict[Label, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -68,7 +68,7 @@ class LabeledBasis:
         self.position = {label: k for k, label in enumerate(self.elements)}
         if len(self.position) != len(self.elements):
             raise ValueError("duplicate basis labels")
-        valid = CoxeterDescriptor(self.kind, self.rank).indices
+        valid = range(self.rank)
         for label in self.elements:
             if label not in self.descent_label:
                 raise ValueError(f"missing descent label for {label!r}")
@@ -90,14 +90,13 @@ class LabeledBasis:
 class OperatorFamily:
     """One exact matrix per generator index over a labeled basis."""
 
-    descriptor: CoxeterDescriptor
     basis: LabeledBasis
     matrices: dict[int, SparseMatrix]
 
     def __post_init__(self) -> None:
         size = len(self.basis.elements)
-        if set(self.matrices) != set(self.descriptor.indices):
-            raise ValueError("matrix indices do not match the descriptor")
+        if set(self.matrices) != set(range(self.basis.rank)):
+            raise ValueError("matrix indices do not match the basis rank")
         for matrix in self.matrices.values():
             if matrix.nrows != size or matrix.ncols != size:
                 raise ValueError("operator matrices must be square of basis size")
@@ -123,10 +122,9 @@ def build_from_labeled_basis(basis: LabeledBasis) -> OperatorFamily:
     [((1, 0), GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1))), \
 ((1, 1), GaussianRational(re=Fraction(-1, 1), im=Fraction(0, 1)))]
     """
-    descriptor = CoxeterDescriptor(basis.kind, basis.rank)
     size = len(basis.elements)
     matrices = {}
-    for i in descriptor.indices:
+    for i in range(basis.rank):
         entries = {}
         for col, label in enumerate(basis.elements):
             if i in basis.descent_label[label]:
@@ -137,12 +135,10 @@ def build_from_labeled_basis(basis: LabeledBasis) -> OperatorFamily:
                 if row is not None:
                     entries[(row, col)] = _ONE
         matrices[i] = SparseMatrix.from_entries(size, size, entries)
-    return OperatorFamily(descriptor, basis, matrices)
+    return OperatorFamily(basis, matrices)
 
 
-def basis_from_elements(
-    elements: Iterable[SignedPermutation], kind: str = "B"
-) -> LabeledBasis:
+def basis_from_elements(elements: Iterable[SignedPermutation]) -> LabeledBasis:
     """Labeled basis for a set of signed permutations under left generator action.
 
     The descent label is the left descent set; the transition at a non-descent
@@ -153,52 +149,39 @@ def basis_from_elements(
     distinct = set(elements)
     if not distinct:
         raise ValueError("empty element set")
-    ordered = tuple(sorted(distinct, key=lambda x: (length(x, kind), x.window)))
+    ordered = tuple(sorted(distinct, key=lambda x: (length(x), x.window)))
     n = len(ordered[0].window)
-    descriptor = CoxeterDescriptor.for_group(n, kind)
     inside = set(ordered)
-    descent_label = {x: left_descents(x, kind) for x in ordered}
+    descent_label = {x: left_descents(x) for x in ordered}
     transition = {}
     for x in ordered:
-        for i in descriptor.indices:
+        for i in range(n):
             if i not in descent_label[x]:
                 product = simple_reflection(i, n) * x
                 if product in inside:
                     transition[(i, x)] = product
-    return LabeledBasis(
-        ordered, descent_label, transition, rank=descriptor.rank, kind=kind
-    )
+    return LabeledBasis(ordered, descent_label, transition, rank=n)
 
 
-def family_from_elements(
-    elements: Iterable[SignedPermutation], kind: str = "B"
-) -> OperatorFamily:
+def family_from_elements(elements: Iterable[SignedPermutation]) -> OperatorFamily:
     """Operator family of a signed-permutation set under the casewise action."""
-    return build_from_labeled_basis(basis_from_elements(elements, kind))
+    return build_from_labeled_basis(basis_from_elements(elements))
 
 
 def family_from_matrices(
     labels: Sequence[Label],
     matrices: Mapping[int, SparseMatrix],
-    descriptor: CoxeterDescriptor,
+    rank: int,
 ) -> OperatorFamily:
-    """Wrap precomputed matrices (descent labels read off the diagonals)."""
-    size = len(labels)
+    """Wrap precomputed matrices, one per index ``0..rank-1`` (descent labels
+    read off the diagonals)."""
     descent_label = {}
     for k, label in enumerate(labels):
         descent_label[label] = frozenset(
-            i
-            for i in descriptor.indices
-            if matrices[i].get(k, k) == _MINUS_ONE
+            i for i in range(rank) if matrices[i].get(k, k) == _MINUS_ONE
         )
-    basis = LabeledBasis(
-        tuple(labels),
-        descent_label,
-        {},
-        rank=descriptor.rank,
-        kind=descriptor.kind,
-    )
-    return OperatorFamily(descriptor, basis, dict(matrices))
+    basis = LabeledBasis(tuple(labels), descent_label, {}, rank=rank)
+    return OperatorFamily(basis, dict(matrices))
 
 
 def alternating_product(
@@ -225,15 +208,14 @@ def verify_relations(fam: OperatorFamily) -> dict:
     ``{"failed": {"kind": "quadratic", "i": i}}`` /
     ``{"failed": {"kind": "braid", "i": i, "j": j}}`` for the first failure.
     """
-    indices = fam.descriptor.indices
-    for i in indices:
+    rank = fam.basis.rank
+    for i in range(rank):
         matrix = fam.matrices[i]
         if matrix @ matrix != matrix.scale(_MINUS_ONE):
             return {"failed": {"kind": "quadratic", "i": i}}
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            i, j = indices[a], indices[b]
-            m = fam.descriptor.m(i, j)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            m = braid_exponent(i, j)
             lhs = alternating_product(fam.matrices[i], fam.matrices[j], m)
             rhs = alternating_product(fam.matrices[j], fam.matrices[i], m)
             if lhs != rhs:
@@ -242,7 +224,7 @@ def verify_relations(fam: OperatorFamily) -> dict:
 
 
 def characteristic_by_descent_sum(
-    elements: Iterable[SignedPermutation], kind: str = "B"
+    elements: Iterable[SignedPermutation],
 ) -> QSymElement:
     """Sum of fundamental functions over the left descent sets of a set.
 
@@ -254,21 +236,17 @@ def characteristic_by_descent_sum(
     if not elements:
         raise ValueError("empty element set")
     n = len(elements[0].window)
-    return QSymElement.from_descent_sets(
-        (left_descents(x, kind) for x in elements), n, family=kind
-    )
+    return QSymElement.from_descent_sets((left_descents(x) for x in elements), n)
 
 
-def qx(elements: Iterable[SignedPermutation], kind: str = "B") -> QSymElement:
+def qx(elements: Iterable[SignedPermutation]) -> QSymElement:
     """Sum of fundamental functions over *inverse* descent sets.
 
     >>> from tbhl.signed_permutations import SignedPermutation
     >>> print(qx([SignedPermutation((2, -1))]))
     1*FB{1}
     """
-    return characteristic_by_descent_sum(
-        (x.inverse() for x in elements), kind
-    )
+    return characteristic_by_descent_sum(x.inverse() for x in elements)
 
 
 def characteristic_by_composition_series(
@@ -342,9 +320,7 @@ def characteristic_by_composition_series(
                     f"is neither 0 nor -1"
                 )
         factors.append(frozenset(subset))
-    char = QSymElement.from_descent_sets(
-        factors, fam.descriptor.degree, family=fam.descriptor.kind
-    )
+    char = QSymElement.from_descent_sets(factors, fam.basis.rank)
     series = CompositionSeries(
         tuple(labels[k] for k in order_positions), tuple(factors)
     )

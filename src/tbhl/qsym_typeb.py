@@ -8,10 +8,6 @@ at position j is strict exactly when ``j in I``; the variables are
 ``x_0, x_1, ...``.  Subsets of ``{0, ..., n-1}`` correspond to type-B
 compositions of n, whose first part may be zero.
 
-The type-A analogues (basis string ``"F"``, subsets of ``{1, ..., n-1}``,
-chains starting at ``i_1 >= 1`` so that ``x_0`` is unused) are provided for
-completeness.
-
 A subset I has peak set ``{p >= 1 : p in I, p-1 not in I}``, valley set
 ``{v in [n] : v not in I, v-1 in I}``, and zeta-bit ``[0 in I]``; the number
 of valleys always equals the number of peaks plus the zeta-bit.  The peak
@@ -32,11 +28,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .exact_algebra import TruncatedPolynomial
+from .exact_algebra import SparseMatrix, TruncatedPolynomial, all_exponent_vectors
 from .signed_permutations import format_index_set, parse_index_set
 
 __all__ = [
@@ -45,10 +40,8 @@ __all__ = [
     "descent_set_of_composition",
     "composition_of_descent_set",
     "fb_monomials",
-    "fundamental_monomials_type_a",
     "peak_data",
     "peak_function_type_b",
-    "peak_function_type_a",
     "peak_characteristic",
     "fb_truncations_linearly_independent",
     "PEAK_VARIANTS",
@@ -63,59 +56,52 @@ def _subset_key(indices: frozenset[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class QSymElement:
-    """An integer combination of fundamental elements of one degree.
+    """An integer combination of degree-n fundamental elements.
 
-    ``family`` is ``"B"`` (subsets of ``{0..n-1}``) or ``"A"`` (subsets of
-    ``{1..n-1}``).  ``coeffs`` is stored sorted by subset for canonical
-    hashing and serialization.
+    Fundamental elements are indexed by subsets of ``{0..n-1}``.  ``coeffs``
+    is stored sorted by subset for canonical hashing and serialization.
     """
 
     n: int
-    family: str
     coeffs: tuple[tuple[tuple[int, ...], int], ...]
 
     @staticmethod
     def make(
         n: int,
-        family: str = "B",
         coeffs: Mapping[frozenset[int], int] | Iterable[tuple[frozenset[int], int]] = (),
     ) -> "QSymElement":
-        if family not in ("A", "B"):
-            raise ValueError(f"unknown family {family!r}")
-        valid_range = range(0, n) if family == "B" else range(1, n)
+        valid = set(range(n))
         collected: dict[tuple[int, ...], int] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for subset, coefficient in items:
             subset = frozenset(subset)
-            if not subset <= set(valid_range):
-                raise ValueError(
-                    f"subset {sorted(subset)} outside degree-{n} family {family}"
-                )
+            if not subset <= valid:
+                raise ValueError(f"subset {sorted(subset)} outside [0, {n - 1}]")
             key = _subset_key(subset)
             total = collected.get(key, 0) + int(coefficient)
             if total:
                 collected[key] = total
             else:
                 collected.pop(key, None)
-        return QSymElement(n, family, tuple(sorted(collected.items())))
+        return QSymElement(n, tuple(sorted(collected.items())))
 
     @staticmethod
-    def zero(n: int, family: str = "B") -> "QSymElement":
-        return QSymElement.make(n, family, {})
+    def zero(n: int) -> "QSymElement":
+        return QSymElement.make(n, {})
 
     @staticmethod
-    def fundamental(subset: Iterable[int], n: int, family: str = "B") -> "QSymElement":
-        return QSymElement.make(n, family, {frozenset(subset): 1})
+    def fundamental(subset: Iterable[int], n: int) -> "QSymElement":
+        return QSymElement.make(n, {frozenset(subset): 1})
 
     @staticmethod
     def from_descent_sets(
-        descent_sets: Iterable[Iterable[int]], n: int, family: str = "B"
+        descent_sets: Iterable[Iterable[int]], n: int
     ) -> "QSymElement":
         collected: dict[frozenset[int], int] = {}
         for subset in descent_sets:
             key = frozenset(subset)
             collected[key] = collected.get(key, 0) + 1
-        return QSymElement.make(n, family, collected)
+        return QSymElement.make(n, collected)
 
     def coefficient(self, subset: Iterable[int]) -> int:
         key = _subset_key(frozenset(subset))
@@ -128,8 +114,8 @@ class QSymElement:
         return tuple(frozenset(key) for key, _ in self.coeffs)
 
     def _require_compatible(self, other: "QSymElement") -> None:
-        if (self.n, self.family) != (other.n, other.family):
-            raise ValueError("degree or family mismatch")
+        if self.n != other.n:
+            raise ValueError("degree mismatch")
 
     def __add__(self, other: "QSymElement") -> "QSymElement":
         self._require_compatible(other)
@@ -137,7 +123,7 @@ class QSymElement:
         for key, coefficient in other.coeffs:
             subset = frozenset(key)
             merged[subset] = merged.get(subset, 0) + coefficient
-        return QSymElement.make(self.n, self.family, merged)
+        return QSymElement.make(self.n, merged)
 
     def __neg__(self) -> "QSymElement":
         return self.scale(-1)
@@ -147,9 +133,7 @@ class QSymElement:
 
     def scale(self, scalar: int) -> "QSymElement":
         return QSymElement.make(
-            self.n,
-            self.family,
-            {frozenset(key): scalar * c for key, c in self.coeffs},
+            self.n, {frozenset(key): scalar * c for key, c in self.coeffs}
         )
 
     def is_zero(self) -> bool:
@@ -157,17 +141,15 @@ class QSymElement:
 
     def to_monomials(self, nvars: int) -> TruncatedPolynomial:
         """Expand into monomials in ``x_0 .. x_{nvars-1}``."""
-        expand = fb_monomials if self.family == "B" else fundamental_monomials_type_a
         total = TruncatedPolynomial.zero(nvars, self.n)
         for key, coefficient in self.coeffs:
-            total = total + expand(frozenset(key), self.n, nvars).scale(coefficient)
+            total = total + fb_monomials(key, self.n, nvars).scale(coefficient)
         return total
 
     def to_json(self) -> dict:
-        basis = "FB" if self.family == "B" else "F"
         return {
             "n": self.n,
-            "basis": basis,
+            "basis": "FB",
             "coeffs": [
                 [format_index_set(key), coefficient] for key, coefficient in self.coeffs
             ],
@@ -175,30 +157,29 @@ class QSymElement:
 
     @staticmethod
     def from_json(data: Mapping) -> "QSymElement":
-        family = {"FB": "B", "F": "A"}[data["basis"]]
+        if data["basis"] != "FB":
+            raise ValueError(f"unknown basis {data['basis']!r}")
         return QSymElement.make(
             data["n"],
-            family,
             {parse_index_set(text): coefficient for text, coefficient in data["coeffs"]},
         )
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        basis = "FB" if self.family == "B" else "F"
         return " + ".join(
-            f"{coefficient}*{basis}{format_index_set(key)}"
+            f"{coefficient}*FB{format_index_set(key)}"
             for key, coefficient in self.coeffs
         )
 
 
-def descent_set_of_composition(parts: Iterable[int], family: str = "B") -> frozenset[int]:
+def descent_set_of_composition(parts: Iterable[int]) -> frozenset[int]:
     """Partial sums of a composition, excluding the total.
 
-    Type-B compositions may have first part 0 (making 0 a descent); all
-    other parts must be positive.
+    The first part may be 0 (making 0 a descent); all other parts must be
+    positive.
 
-    >>> sorted(descent_set_of_composition((2, 1, 1), family="A"))
+    >>> sorted(descent_set_of_composition((2, 1, 1)))
     [2, 3]
     >>> sorted(descent_set_of_composition((0, 3, 1)))
     [0, 3]
@@ -207,11 +188,8 @@ def descent_set_of_composition(parts: Iterable[int], family: str = "B") -> froze
     if not parts:
         raise ValueError("empty composition")
     for position, part in enumerate(parts):
-        minimum = 0 if (family == "B" and position == 0) else 1
-        if part < minimum:
+        if part < (1 if position else 0):
             raise ValueError(f"invalid part {part} at position {position}")
-    if family == "A" and parts[0] == 0:
-        raise ValueError("type-A compositions have positive parts")
     partial = 0
     descents = []
     for part in parts[:-1]:
@@ -220,9 +198,7 @@ def descent_set_of_composition(parts: Iterable[int], family: str = "B") -> froze
     return frozenset(descents)
 
 
-def composition_of_descent_set(
-    subset: Iterable[int], n: int, family: str = "B"
-) -> tuple[int, ...]:
+def composition_of_descent_set(subset: Iterable[int], n: int) -> tuple[int, ...]:
     """Inverse of :func:`descent_set_of_composition` for fixed total n.
 
     >>> composition_of_descent_set({0, 3}, 4)
@@ -231,9 +207,8 @@ def composition_of_descent_set(
     (4,)
     """
     subset = sorted(set(subset))
-    low = 0 if family == "B" else 1
-    if any(not low <= i <= n - 1 for i in subset):
-        raise ValueError(f"descent set {subset} outside [{low}, {n - 1}]")
+    if any(not 0 <= i <= n - 1 for i in subset):
+        raise ValueError(f"descent set {subset} outside [0, {n - 1}]")
     boundaries = subset + [n]
     parts = []
     previous = 0
@@ -245,18 +220,17 @@ def composition_of_descent_set(
 
 @lru_cache(maxsize=None)
 def _chain_polynomial(
-    strict_steps: frozenset[int], n: int, nvars: int, start_floor: int
+    strict_steps: frozenset[int], n: int, nvars: int
 ) -> TruncatedPolynomial:
     """Sum of x_{i_1} ... x_{i_n} over chains with prescribed strictness.
 
-    Chains satisfy ``start_floor <= i_1 <= ... <= i_n <= nvars - 1`` with
-    ``i_j < i_{j+1}`` whenever ``j`` is a strict step (and ``i_1 >
-    start_floor - 1 + 1`` handled by the caller via strict step 0, whose
-    meaning is ``i_1 > 0`` relative to the fixed ``i_0 = 0``).
+    Chains satisfy ``0 <= i_1 <= ... <= i_n <= nvars - 1`` with ``i_j <
+    i_{j+1}`` whenever ``j`` is a strict step; strict step 0 means ``i_1 >
+    0``, relative to the fixed ``i_0 = 0``.
     """
     terms: dict[tuple[int, ...], int] = {}
     exponents = [0] * nvars
-    first_minimum = start_floor + (1 if 0 in strict_steps else 0)
+    first_minimum = 1 if 0 in strict_steps else 0
 
     # j indexes i_1 .. i_n; the step between i_j and i_{j+1} is strict
     # exactly when j lies in the strict-step set.
@@ -289,21 +263,7 @@ def fb_monomials(subset: Iterable[int], n: int, nvars: int) -> TruncatedPolynomi
     subset = frozenset(subset)
     if not subset <= set(range(n)):
         raise ValueError(f"subset {sorted(subset)} outside [0, {n - 1}]")
-    return _chain_polynomial(subset, n, nvars, start_floor=0)
-
-
-def fundamental_monomials_type_a(
-    subset: Iterable[int], n: int, nvars: int
-) -> TruncatedPolynomial:
-    """Monomial expansion of the type-A fundamental element (x_0 unused).
-
-    >>> fundamental_monomials_type_a(set(), 1, 2).as_dict()
-    {(0, 1): 1}
-    """
-    subset = frozenset(subset)
-    if not subset <= set(range(1, n)):
-        raise ValueError(f"subset {sorted(subset)} outside [1, {n - 1}]")
-    return _chain_polynomial(subset, n, nvars, start_floor=1)
+    return _chain_polynomial(subset, n, nvars)
 
 
 @dataclass(frozen=True)
@@ -391,30 +351,7 @@ def peak_function_type_b(
                 if variant == "complemented" and zero_in:
                     continue
             collected[candidate] = coefficient
-    return QSymElement.make(n, "B", collected)
-
-
-def peak_function_type_a(peaks: Iterable[int], n: int) -> QSymElement:
-    """The type-A peak function, in the type-A fundamental basis.
-
-    >>> str(peak_function_type_a(set(), 2))
-    '2*F{} + 2*F{1}'
-    """
-    peaks = frozenset(peaks)
-    if not peaks <= set(range(1, n)):
-        raise ValueError(f"peak set {sorted(peaks)} outside [1, {n - 1}]")
-    ordered = sorted(peaks)
-    for a, b in zip(ordered, ordered[1:]):
-        if b - a == 1:
-            raise ValueError(f"peak set {ordered} has adjacent elements")
-    coefficient = 2 ** (len(peaks) + 1)
-    collected: dict[frozenset[int], int] = {}
-    for size in range(n):
-        for subset in itertools.combinations(range(1, n), size):
-            candidate = frozenset(subset)
-            if symmetric_difference_condition(peaks, candidate):
-                collected[candidate] = coefficient
-    return QSymElement.make(n, "A", collected)
+    return QSymElement.make(n, collected)
 
 
 def peak_characteristic(
@@ -447,37 +384,20 @@ def fb_truncations_linearly_independent(n: int, nvars: int | None = None) -> boo
         for size in range(n + 1)
         for c in itertools.combinations(range(n), size)
     ]
-    columns: dict[tuple[int, ...], int] = {}
-    rows = []
-    for subset in subsets:
-        expansion = fb_monomials(subset, n, nvars)
-        row = {}
-        for exponents, coefficient in expansion.terms:
-            if exponents not in columns:
-                columns[exponents] = len(columns)
-            row[columns[exponents]] = Fraction(coefficient)
-        rows.append(row)
-    # exact row reduction; every row must contribute a fresh pivot
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        current = dict(row)
-        while current:
-            pivot_col = min(current)
-            if pivot_col in pivots:
-                pivot_row = pivots[pivot_col]
-                factor = current[pivot_col] / pivot_row[pivot_col]
-                for col, value in pivot_row.items():
-                    updated = current.get(col, Fraction(0)) - factor * value
-                    if updated:
-                        current[col] = updated
-                    else:
-                        current.pop(col, None)
-            else:
-                pivots[pivot_col] = current
-                break
-        else:
-            return False
-    return len(pivots) == len(subsets)
+    column = {
+        exponents: k for k, exponents in enumerate(all_exponent_vectors(nvars, n))
+    }
+    # entries are streamed: a dict of them would double the peak memory
+    expansion = SparseMatrix.from_entries(
+        len(subsets),
+        len(column),
+        (
+            ((row, column[exponents]), coefficient)
+            for row, subset in enumerate(subsets)
+            for exponents, coefficient in fb_monomials(subset, n, nvars).terms
+        ),
+    )
+    return expansion.rank() == len(subsets)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator
 
 from .domino_tableaux import (
@@ -43,6 +43,7 @@ from .domino_tableaux import (
     Domino,
     _descent_set,
     _layout_text,
+    _shape_cache,
     diagram_cells,
     enumerate_tilings,
     swap_entries,
@@ -220,14 +221,13 @@ class ShiftedTiling:
         return tuple(d for d in self.dominoes if not weakly_above_diagonal(d))
 
 
-@lru_cache(maxsize=None)
+@_shape_cache
 def enumerate_shifted_tilings(shape) -> tuple[ShiftedTiling, ...]:
     """The domino tilings of a shape that are shifted, in deterministic order.
 
     >>> len(enumerate_shifted_tilings((2, 2))), len(enumerate_shifted_tilings((1, 1)))
     (1, 0)
     """
-    shape = validate_partition(shape)
     return tuple(
         sorted(
             ShiftedTiling(shape, dominoes)
@@ -580,7 +580,7 @@ def standardize(tableau: ShiftedSemistandardTableau) -> MarkedStandardTableau:
 # enumeration facade
 
 
-@lru_cache(maxsize=None)
+@_shape_cache
 def enumerate_shifted(shape, kind: str = "standard", maxval: int | None = None):
     """Enumerate shifted tableaux of a shape.
 
@@ -592,7 +592,6 @@ def enumerate_shifted(shape, kind: str = "standard", maxval: int | None = None):
     >>> enumerate_shifted((2, 2))[0].descent_set()
     frozenset({1})
     """
-    shape = validate_partition(shape)
     if not two_quotient(shape).valid:
         raise ValueError(f"shape {shape} has an invalid 2-quotient")
     if kind == "standard":

@@ -3,10 +3,8 @@
 A signed permutation on ``{1, ..., n}`` is stored by its window
 ``(sigma(1), ..., sigma(n))``, a tuple of nonzero integers whose absolute
 values are a permutation of ``1..n``; it acts on negative arguments by
-``sigma(-k) = -sigma(k)``.  The full group (kind ``"B"``) is generated by
-``s_0`` (negate the value 1) and ``s_i`` (swap the values i and i+1); kind
-``"A"`` restricts to positive windows and the generators ``s_1, ...,
-s_{n-1}``.
+``sigma(-k) = -sigma(k)``.  The group is generated by ``s_0`` (negate the
+value 1) and ``s_i`` (swap the values i and i+1) for ``1 <= i <= n-1``.
 
 Products compose as functions: ``(sigma * tau)(j) = sigma(tau(j))``, so
 ``simple_reflection(i, n) * sigma`` applies the generator on the left, which
@@ -34,7 +32,6 @@ __all__ = [
     "AscentCompatibilityReport",
     "simple_reflection",
     "identity",
-    "generator_indices",
     "braid_exponent",
     "all_elements",
     "length",
@@ -83,9 +80,6 @@ class SignedPermutation:
             return self.window[j - 1]
         return -self.window[-j - 1]
 
-    def is_positive(self) -> bool:
-        return all(v > 0 for v in self.window)
-
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         if self.n != other.n:
             raise ValueError("ranks differ")
@@ -128,17 +122,8 @@ def simple_reflection(i: int, n: int) -> SignedPermutation:
     return SignedPermutation(tuple(window))
 
 
-def generator_indices(n: int, kind: str = "B") -> tuple[int, ...]:
-    """Generator indices: ``0..n-1`` for kind B, ``1..n-1`` for kind A."""
-    if kind == "B":
-        return tuple(range(n))
-    if kind == "A":
-        return tuple(range(1, n))
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def braid_exponent(i: int, j: int, kind: str = "B") -> int:
-    """Order of ``s_i s_j``: 4 for {0,1} in kind B, 3 for adjacent, else 2.
+def braid_exponent(i: int, j: int) -> int:
+    """Order of ``s_i s_j``: 4 for {0,1}, 3 for other adjacent, else 2.
 
     >>> [braid_exponent(0, 1), braid_exponent(1, 2), braid_exponent(0, 2)]
     [4, 3, 2]
@@ -146,70 +131,22 @@ def braid_exponent(i: int, j: int, kind: str = "B") -> int:
     if i == j:
         raise ValueError("distinct indices required")
     a, b = min(i, j), max(i, j)
-    if kind == "B" and (a, b) == (0, 1):
+    if (a, b) == (0, 1):
         return 4
     if b - a == 1:
         return 3
     return 2
 
 
-@dataclass(frozen=True)
-class CoxeterDescriptor:
-    """Identifies a family of simple generators and their pairwise orders.
-
-    ``rank`` counts the generators.  For kind "B" they are indexed
-    ``0..rank-1`` (the group is the signed permutations of ``rank`` letters);
-    for kind "A" they are indexed ``1..rank`` (the symmetric group on
-    ``rank + 1`` letters).
-
-    >>> d = CoxeterDescriptor.for_group(3, "B")
-    >>> d.indices, d.degree, d.m(0, 1), d.m(1, 2), d.m(0, 2)
-    ((0, 1, 2), 3, 4, 3, 2)
-    >>> CoxeterDescriptor.for_group(3, "A").indices
-    (1, 2)
-    """
-
-    kind: str
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("A", "B"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-
-    @staticmethod
-    def for_group(n: int, kind: str = "B") -> "CoxeterDescriptor":
-        """Descriptor for the degree-``n`` group of the given kind."""
-        return CoxeterDescriptor(kind, len(generator_indices(n, kind)))
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        if self.kind == "B":
-            return tuple(range(self.rank))
-        return tuple(range(1, self.rank + 1))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the underlying group (window length / qsym degree)."""
-        return self.rank if self.kind == "B" else self.rank + 1
-
-    def m(self, i: int, j: int) -> int:
-        return braid_exponent(i, j, self.kind)
-
-
 @lru_cache(maxsize=None)
-def all_elements(n: int, kind: str = "B") -> tuple[SignedPermutation, ...]:
+def all_elements(n: int) -> tuple[SignedPermutation, ...]:
     """All group elements in a fixed deterministic order.
 
-    >>> len(all_elements(2, "B")), len(all_elements(3, "A"))
-    (8, 6)
+    >>> len(all_elements(2)), len(all_elements(3))
+    (8, 48)
     """
     result = []
     for positions in itertools.permutations(range(1, n + 1)):
-        if kind == "A":
-            result.append(SignedPermutation(positions))
-            continue
         for signs in itertools.product((1, -1), repeat=n):
             result.append(
                 SignedPermutation(tuple(s * p for s, p in zip(signs, positions)))
@@ -217,8 +154,8 @@ def all_elements(n: int, kind: str = "B") -> tuple[SignedPermutation, ...]:
     return tuple(sorted(result))
 
 
-def length(x: SignedPermutation, kind: str = "B") -> int:
-    """Coxeter length: window inversions, plus the negated values for kind B.
+def length(x: SignedPermutation) -> int:
+    """Coxeter length: window inversions plus the negated values.
 
     >>> [length(SignedPermutation(w)) for w in [(-1, 2), (2, -1), (-2, 1), (-2, -1), (-1, -2)]]
     [1, 2, 2, 3, 4]
@@ -230,15 +167,11 @@ def length(x: SignedPermutation, kind: str = "B") -> int:
         for k in range(j + 1, len(window))
         if window[j] > window[k]
     )
-    if kind == "A":
-        if not x.is_positive():
-            raise ValueError("kind A requires a positive window")
-        return inversions
     return inversions + sum(-v for v in window if v < 0)
 
 
 @lru_cache(maxsize=None)
-def bfs_word_lengths(n: int, kind: str = "B") -> dict[SignedPermutation, int]:
+def bfs_word_lengths(n: int) -> dict[SignedPermutation, int]:
     """Word lengths from breadth-first search over the Cayley graph.
 
     Independent oracle for :func:`length`; normative at small rank.
@@ -247,7 +180,7 @@ def bfs_word_lengths(n: int, kind: str = "B") -> dict[SignedPermutation, int]:
     >>> lengths[SignedPermutation((-1, -2))]
     4
     """
-    gens = [simple_reflection(i, n) for i in generator_indices(n, kind)]
+    gens = [simple_reflection(i, n) for i in range(n)]
     start = identity(n)
     distances = {start: 0}
     frontier = [start]
@@ -263,7 +196,7 @@ def bfs_word_lengths(n: int, kind: str = "B") -> dict[SignedPermutation, int]:
     return distances
 
 
-def left_descents(x: SignedPermutation, kind: str = "B") -> frozenset[int]:
+def left_descents(x: SignedPermutation) -> frozenset[int]:
     """Indices i with ``length(s_i * x) < length(x)``.
 
     >>> sorted(left_descents(SignedPermutation((2, -1))))
@@ -272,35 +205,29 @@ def left_descents(x: SignedPermutation, kind: str = "B") -> frozenset[int]:
     [0, 1]
     """
     n = x.n
-    base = length(x, kind)
+    base = length(x)
     return frozenset(
-        i
-        for i in generator_indices(n, kind)
-        if length(simple_reflection(i, n) * x, kind) < base
+        i for i in range(n) if length(simple_reflection(i, n) * x) < base
     )
 
 
 @lru_cache(maxsize=None)
-def reflections(n: int, kind: str = "B") -> tuple[SignedPermutation, ...]:
+def reflections(n: int) -> tuple[SignedPermutation, ...]:
     """All reflections (conjugates of generators), as group elements.
 
-    >>> len(reflections(2)), len(reflections(3)), len(reflections(3, "A"))
-    (4, 9, 3)
+    >>> len(reflections(2)), len(reflections(3))
+    (4, 9)
     """
     result: list[SignedPermutation] = []
-    if kind == "B":
-        for k in range(1, n + 1):
-            window = list(range(1, n + 1))
-            window[k - 1] = -k
-            result.append(SignedPermutation(tuple(window)))
+    for k in range(1, n + 1):
+        window = list(range(1, n + 1))
+        window[k - 1] = -k
+        result.append(SignedPermutation(tuple(window)))
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            window = list(range(1, n + 1))
-            window[a - 1], window[b - 1] = b, a
-            result.append(SignedPermutation(tuple(window)))
-            if kind == "B":
+            for left, right in ((b, a), (-b, -a)):
                 window = list(range(1, n + 1))
-                window[a - 1], window[b - 1] = -b, -a
+                window[a - 1], window[b - 1] = left, right
                 result.append(SignedPermutation(tuple(window)))
     return tuple(sorted(result))
 
@@ -310,8 +237,8 @@ class Reflection:
     """A classified reflection: ``("negation", k)`` or ``("swap", a, b)``.
 
     For swaps, ``a`` is positive, ``|b| > a``, and the sign of ``b`` records
-    whether the pair of values is exchanged with (+) or without (-) a sign
-    flip; kind A transpositions are the positive swaps.
+    whether the pair of values is exchanged without (+) or with (-) a sign
+    flip.
     """
 
     element: SignedPermutation
@@ -337,27 +264,23 @@ class Reflection:
         raise ValueError(f"{self.element} is not a reflection")
 
 
-def right_inversions(
-    x: SignedPermutation, kind: str = "B"
-) -> frozenset[SignedPermutation]:
+def right_inversions(x: SignedPermutation) -> frozenset[SignedPermutation]:
     """Reflections r with ``length(x * r) < length(x)``.
 
     >>> len(right_inversions(SignedPermutation((-2, -1)))) == length(SignedPermutation((-2, -1)))
     True
     """
-    base = length(x, kind)
-    return frozenset(
-        r for r in reflections(x.n, kind) if length(x * r, kind) < base
-    )
+    base = length(x)
+    return frozenset(r for r in reflections(x.n) if length(x * r) < base)
 
 
-def leq_left_weak(x: SignedPermutation, y: SignedPermutation, kind: str = "B") -> bool:
+def leq_left_weak(x: SignedPermutation, y: SignedPermutation) -> bool:
     """Left weak order: containment of right-inversion sets."""
-    return right_inversions(x, kind) <= right_inversions(y, kind)
+    return right_inversions(x) <= right_inversions(y)
 
 
 def weak_order_interval(
-    x: SignedPermutation, y: SignedPermutation, kind: str = "B"
+    x: SignedPermutation, y: SignedPermutation
 ) -> tuple[SignedPermutation, ...]:
     """All z with ``x <= z <= y`` in left weak order (sorted; empty if x > y).
 
@@ -365,19 +288,17 @@ def weak_order_interval(
     >>> len(weak_order_interval(simple_reflection(1, 2), top))
     4
     """
-    inv_x = right_inversions(x, kind)
-    inv_y = right_inversions(y, kind)
+    inv_x = right_inversions(x)
+    inv_y = right_inversions(y)
     if not inv_x <= inv_y:
         return ()
     return tuple(
-        z
-        for z in all_elements(x.n, kind)
-        if inv_x <= right_inversions(z, kind) <= inv_y
+        z for z in all_elements(x.n) if inv_x <= right_inversions(z) <= inv_y
     )
 
 
 def convexity_witness(
-    elements: Iterable[SignedPermutation], kind: str = "B"
+    elements: Iterable[SignedPermutation],
 ) -> tuple[SignedPermutation, SignedPermutation, SignedPermutation] | None:
     """A triple ``(x, y, z)`` with ``x <= z <= y``, endpoints inside the set
     and ``z`` outside, or None when the set is convex.
@@ -388,27 +309,25 @@ def convexity_witness(
     ordered = sorted(inside, key=lambda m: m.window)
     for x in ordered:
         for y in ordered:
-            if not leq_left_weak(x, y, kind):
+            if not leq_left_weak(x, y):
                 continue
-            for z in weak_order_interval(x, y, kind):
+            for z in weak_order_interval(x, y):
                 if z not in inside:
                     return x, y, z
     return None
 
 
-def is_convex_left_weak(
-    elements: Iterable[SignedPermutation], kind: str = "B"
-) -> bool:
+def is_convex_left_weak(elements: Iterable[SignedPermutation]) -> bool:
     """Whether every weak-order interval between members stays inside the set.
 
     >>> is_convex_left_weak([identity(2), simple_reflection(0, 2)])
     True
     """
-    return convexity_witness(elements, kind) is None
+    return convexity_witness(elements) is None
 
 
 def unique_maximal(
-    elements: Iterable[SignedPermutation], kind: str = "B"
+    elements: Iterable[SignedPermutation],
 ) -> SignedPermutation | None:
     """The unique weak-order-maximal member, or None if there are several.
 
@@ -419,7 +338,7 @@ def unique_maximal(
     maximal = [
         x
         for x in members
-        if not any(y != x and leq_left_weak(x, y, kind) for y in members)
+        if not any(y != x and leq_left_weak(x, y) for y in members)
     ]
     return maximal[0] if len(maximal) == 1 else None
 
@@ -429,7 +348,6 @@ def is_aligned(
     v: SignedPermutation,
     s: int,
     t: int,
-    kind: str = "B",
 ) -> bool:
     """Whether (u, v, s, t) is aligned: s, t are ascents and the conjugated
     reflections agree.
@@ -438,7 +356,7 @@ def is_aligned(
     >>> is_aligned(e, SignedPermutation((1, -2)), 0, 0)
     True
     """
-    if s in left_descents(u, kind) or t in left_descents(v, kind):
+    if s in left_descents(u) or t in left_descents(v):
         return False
     n = u.n
     left = u.inverse() * simple_reflection(s, n) * u
@@ -463,7 +381,7 @@ class AscentCompatibilityReport:
 
 
 def ascent_compatibility_report(
-    elements: Iterable[SignedPermutation], kind: str = "B"
+    elements: Iterable[SignedPermutation],
 ) -> AscentCompatibilityReport:
     """Scan all aligned quadruples inside the set for membership consistency.
 
@@ -482,8 +400,8 @@ def ascent_compatibility_report(
     # is exactly "same group", so consistency is checked within groups.
     by_reflection: dict[SignedPermutation, list[tuple[SignedPermutation, int, bool]]] = {}
     for u in members:
-        descents = left_descents(u, kind)
-        for s in generator_indices(n, kind):
+        descents = left_descents(u)
+        for s in range(n):
             if s in descents:
                 continue
             conjugated = u.inverse() * simple_reflection(s, n) * u

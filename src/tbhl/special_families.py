@@ -134,7 +134,7 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
             raise ValueError(
                 f"descent set {sorted(index_set)} out of range for degree {n}"
             )
-        predicate = lambda x: left_descents(x, "B") == index_set
+        predicate = lambda x: left_descents(x) == index_set
     elif name == "luni":
         (position,) = params
         if not 1 <= position <= n:
@@ -152,7 +152,7 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
         predicate = is_signed_arc
     else:
         raise ValueError(f"unknown family kind {name!r}")
-    members = tuple(x for x in all_elements(n, "B") if predicate(x))
+    members = tuple(x for x in all_elements(n) if predicate(x))
     return PermutationFamily(name, params, n, members)
 
 
@@ -336,8 +336,8 @@ def family_report(fam: PermutationFamily) -> FamilyReport:
     inverses = tuple(x.inverse() for x in members)
     forward = ascent_compatibility_report(members)
     backward = ascent_compatibility_report(inverses)
-    q_function = qx(members, "B")
-    descent_sum = characteristic_by_descent_sum(members, "B")
+    q_function = qx(members)
+    descent_sum = characteristic_by_descent_sum(members)
     characteristic = None
     relations_ok = None
     if forward.compatible and members:

@@ -53,6 +53,15 @@ class TestPartitions:
     def test_diagram(self):
         assert diagram_cells((2, 1)) == {(1, 1), (1, 2), (2, 1)}
 
+    @pytest.mark.parametrize("enumerate_shape", [enumerate_tilings, enumerate_sdt])
+    def test_cached_enumerators_validate_before_the_cache(self, enumerate_shape):
+        # a list shape hits the cache entry of its tuple
+        assert enumerate_shape([4, 2]) is enumerate_shape((4, 2))
+        assert len(enumerate_shape([2, 2])) == 2
+        with pytest.raises(ValueError):
+            enumerate_shape([2, 4])
+        assert enumerate_shape.cache_info().currsize >= 2
+
 
 class TestDomino:
     def test_normalization_and_orientation(self):
@@ -128,7 +137,7 @@ class TestDescentsAndG:
         assert g_lambda((2,)) == QSymElement.fundamental(set(), 1)
         assert g_lambda((1, 1)) == QSymElement.fundamental({0}, 1)
         assert g_lambda((2, 2)) == QSymElement.make(
-            2, "B", {frozenset({0}): 1, frozenset({1}): 1}
+            2, {frozenset({0}): 1, frozenset({1}): 1}
         )
 
     def test_descents_bounded_by_size(self):

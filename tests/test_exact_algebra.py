@@ -82,6 +82,14 @@ class TestSparseMatrix:
         b = a - a
         assert b.is_zero() and b.entries == {}
 
+    def test_entries_as_pairs(self):
+        pairs = (((0, 0), 1), ((1, 1), 0), ((1, 0), Fraction(1, 2)))
+        assert SparseMatrix.from_entries(2, 2, iter(pairs)) == SparseMatrix.from_entries(
+            2, 2, dict(pairs)
+        )
+        with pytest.raises(IndexError):
+            SparseMatrix.from_entries(2, 2, iter([((2, 0), 1)]))
+
     def test_scale_and_add(self):
         a = SparseMatrix.from_entries(2, 2, {(0, 1): 3})
         assert a.scale(Fraction(1, 3)) + a.scale(-1) == a.scale(Fraction(-2, 3))
@@ -105,6 +113,33 @@ class TestSparseMatrix:
         singular = SparseMatrix.from_entries(2, 2, {(0, 0): i, (0, 1): 1, (1, 0): 1, (1, 1): -i})
         # determinant i*(-i) - 1 = 0
         assert not singular.is_invertible()
+
+    def test_rank(self):
+        assert SparseMatrix.zero(3, 4).rank() == 0
+        assert SparseMatrix.identity(3).rank() == 3
+        # a repeated row, and a row that is the sum of two others
+        rows = [[1, 2, 0, 1], [1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1]]
+        m = SparseMatrix.from_entries(
+            4, 4, {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)}
+        )
+        assert m.rank() == m.transpose().rank() == 2
+        assert not m.is_invertible()
+        wide = SparseMatrix.from_entries(2, 3, {(0, 0): 1, (1, 2): Fraction(1, 2)})
+        assert wide.rank() == 2
+        assert not wide.is_invertible()
+
+    @given(st.lists(st.integers(-2, 2), min_size=12, max_size=12))
+    @settings(max_examples=60)
+    def test_rank_agrees_across_scalars_and_transpose(self, values):
+        # real entries are reduced as fractions, a multiple of i as Gaussian
+        # rationals; both, and the transpose, must give the same rank
+        m = SparseMatrix.from_entries(
+            3, 4, {(k // 4, k % 4): v for k, v in enumerate(values)}
+        )
+        i = GaussianRational.sqrt_minus_one()
+        assert m.rank() == m.scale(i).rank() == m.transpose().rank()
+        mixed = m + SparseMatrix.from_entries(3, 4, {(k, k): i for k in range(3)})
+        assert mixed.rank() == mixed.transpose().rank()
 
     def test_json_round_trip(self):
         a = SparseMatrix.from_entries(

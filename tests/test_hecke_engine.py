@@ -22,7 +22,6 @@ from tbhl.hecke_engine import (
 )
 from tbhl.qsym_typeb import QSymElement
 from tbhl.signed_permutations import (
-    CoxeterDescriptor,
     SignedPermutation,
     all_elements,
     identity,
@@ -42,10 +41,10 @@ def mat(rows):
     return SparseMatrix.from_entries(len(rows), len(rows[0]), entries)
 
 
-def descent_classes(n, kind="B"):
+def descent_classes(n):
     classes = {}
-    for x in all_elements(n, kind):
-        classes.setdefault(left_descents(x, kind), []).append(x)
+    for x in all_elements(n):
+        classes.setdefault(left_descents(x), []).append(x)
     return classes
 
 
@@ -100,10 +99,6 @@ class TestVerifyRelations:
             "relations": "ok"
         }
 
-    def test_type_a_family(self):
-        fam = family_from_elements(all_elements(3, "A"), kind="A")
-        assert verify_relations(fam) == {"relations": "ok"}
-
     @pytest.mark.parametrize("n", [2, 3])
     def test_descent_class_subsets(self, n):
         rng = random.Random(7)
@@ -115,7 +110,7 @@ class TestVerifyRelations:
             for chosen in pool:
                 fam = family_from_elements(chosen)
                 assert verify_relations(fam) == {"relations": "ok"}
-                for i in fam.descriptor.indices:
+                for i in range(fam.basis.rank):
                     expected = (
                         mat([[-1]]) if i in subset
                         else SparseMatrix.zero(len(chosen), len(chosen))
@@ -137,14 +132,14 @@ class TestVerifyRelations:
         assert verify_relations(fam) == {"failed": {"kind": "quadratic", "i": 0}}
 
     def test_braid_fault_reported(self):
-        # both matrices satisfy the quadratic relation but not the braid one
-        descriptor = CoxeterDescriptor("A", 2)
+        # both matrices satisfy the quadratic relation but not the braid one:
+        # ABAB = [[1, -1], [0, 0]] while BABA = [[0, 0], [-1, 1]]
         fam = family_from_matrices(
             ("p", "q"),
-            {1: mat([[-1, 1], [0, 0]]), 2: mat([[0, 0], [1, -1]])},
-            descriptor,
+            {0: mat([[-1, 1], [0, 0]]), 1: mat([[0, 0], [1, -1]])},
+            2,
         )
-        assert verify_relations(fam) == {"failed": {"kind": "braid", "i": 1, "j": 2}}
+        assert verify_relations(fam) == {"failed": {"kind": "braid", "i": 0, "j": 1}}
 
 
 class TestDescentSumCharacteristic:
@@ -153,7 +148,7 @@ class TestDescentSumCharacteristic:
             QSymElement.fundamental(set(), 2)
         )
         assert characteristic_by_descent_sum(all_elements(1)) == QSymElement.make(
-            1, "B", {frozenset(): 1, frozenset({0}): 1}
+            1, {frozenset(): 1, frozenset({0}): 1}
         )
 
     def test_left_unimodal_inverse_interval_rank_two(self):
@@ -162,9 +157,7 @@ class TestDescentSumCharacteristic:
             for w in [(1, 2), (-1, 2), (-2, 1), (-2, -1)]
         ]
         assert characteristic_by_descent_sum(members) == QSymElement.make(
-            2,
-            "B",
-            {frozenset(): 1, frozenset({0}): 2, frozenset({1}): 1},
+            2, {frozenset(): 1, frozenset({0}): 2, frozenset({1}): 1},
         )
 
 
@@ -190,7 +183,7 @@ class TestCompositionSeries:
             family_from_elements(all_elements(1))
         )
         assert char == QSymElement.make(
-            1, "B", {frozenset(): 1, frozenset({0}): 1}
+            1, {frozenset(): 1, frozenset({0}): 1}
         )
         assert series.factors == (frozenset({0}), frozenset())
         assert series.order == (
@@ -238,24 +231,11 @@ class TestCompositionSeries:
         assert series_a.order != series_b.order
 
     def test_cyclic_support_graph_rejected(self):
-        descriptor = CoxeterDescriptor("B", 1)
-        fam = family_from_matrices(
-            ("a", "b"), {0: mat([[0, 1], [1, 0]])}, descriptor
-        )
+        fam = family_from_matrices(("a", "b"), {0: mat([[0, 1], [1, 0]])}, 1)
         with pytest.raises(ValueError, match="cyclic"):
             characteristic_by_composition_series(fam)
 
     def test_bad_diagonal_rejected(self):
-        descriptor = CoxeterDescriptor("B", 1)
-        fam = family_from_matrices(
-            ("a", "b"), {0: mat([[1, 0], [0, 0]])}, descriptor
-        )
+        fam = family_from_matrices(("a", "b"), {0: mat([[1, 0], [0, 0]])}, 1)
         with pytest.raises(ValueError, match="neither"):
             characteristic_by_composition_series(fam)
-
-    def test_type_a_degree(self):
-        fam = family_from_elements(all_elements(3, "A"), kind="A")
-        char, _ = characteristic_by_composition_series(fam)
-        assert char.n == 3
-        assert char.family == "A"
-        assert char == characteristic_by_descent_sum(all_elements(3, "A"), "A")

@@ -13,10 +13,8 @@ from tbhl.qsym_typeb import (
     descent_set_of_composition,
     fb_monomials,
     fb_truncations_linearly_independent,
-    fundamental_monomials_type_a,
     peak_characteristic,
     peak_data,
-    peak_function_type_a,
     peak_function_type_b,
 )
 
@@ -40,28 +38,23 @@ def brute_force_fb(subset, n, nvars):
 
 class TestCompositionBijection:
     def test_pinned_values(self):
-        assert descent_set_of_composition((2, 1, 1), family="A") == frozenset({2, 3})
+        assert descent_set_of_composition((2, 1, 1)) == frozenset({2, 3})
         assert descent_set_of_composition((0, 3, 1)) == frozenset({0, 3})
         assert composition_of_descent_set(set(), 4) == (4,)
         assert composition_of_descent_set({0, 3}, 4) == (0, 3, 1)
-        assert composition_of_descent_set({2, 3}, 4, family="A") == (2, 1, 1)
+        assert composition_of_descent_set({2, 3}, 4) == (2, 1, 1)
 
-    @pytest.mark.parametrize("family,low", [("B", 0), ("A", 1)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_round_trip_all_subsets(self, family, low, n):
-        for size in range(n - low + 1):
-            for subset in itertools.combinations(range(low, n), size):
-                parts = composition_of_descent_set(subset, n, family)
+    def test_round_trip_all_subsets(self, n):
+        for size in range(n + 1):
+            for subset in itertools.combinations(range(n), size):
+                parts = composition_of_descent_set(subset, n)
                 assert sum(parts) == n
-                assert descent_set_of_composition(parts, family) == frozenset(subset)
+                assert descent_set_of_composition(parts) == frozenset(subset)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             descent_set_of_composition((1, 0, 2))
-        with pytest.raises(ValueError):
-            descent_set_of_composition((0, 1), family="A")
-        with pytest.raises(ValueError):
-            composition_of_descent_set({0}, 3, family="A")
         with pytest.raises(ValueError):
             composition_of_descent_set({3}, 3)
 
@@ -78,16 +71,6 @@ class TestFundamentalMonomials:
                 assert fb_monomials(subset, n, nvars) == brute_force_fb(
                     subset, n, nvars
                 )
-
-    def test_type_a_avoids_x0(self):
-        for size in range(3):
-            for subset in itertools.combinations(range(1, 3), size):
-                expansion = fundamental_monomials_type_a(subset, 3, 4)
-                assert all(exponents[0] == 0 for exponents, _ in expansion.terms)
-
-    def test_type_a_pinned(self):
-        assert fundamental_monomials_type_a(set(), 1, 2).as_dict() == {(0, 1): 1}
-        assert fundamental_monomials_type_a({1}, 2, 3).as_dict() == {(0, 1, 1): 1}
 
     def test_expansions_never_truncate(self):
         assert not fb_monomials({0, 2}, 3, 5).truncated
@@ -118,26 +101,26 @@ class TestPeakData:
 class TestPeakFunctions:
     def test_pinned_rank_one(self):
         assert peak_function_type_b(0, set(), 1) == QSymElement.make(
-            1, "B", {frozenset(): 1, frozenset({0}): 1}
+            1, {frozenset(): 1, frozenset({0}): 1}
         )
         assert peak_function_type_b(1, set(), 1, "literal") == QSymElement.make(
-            1, "B", {frozenset({0}): 2}
+            1, {frozenset({0}): 2}
         )
         assert peak_function_type_b(1, set(), 1, "complemented") == QSymElement.make(
-            1, "B", {frozenset(): 2}
+            1, {frozenset(): 2}
         )
 
     def test_pinned_rank_two(self):
-        expected = QSymElement.make(2, "B", {frozenset({0}): 2, frozenset({1}): 2})
+        expected = QSymElement.make(2, {frozenset({0}): 2, frozenset({1}): 2})
         assert peak_function_type_b(0, {1}, 2) == expected
         assert peak_characteristic({1}, 2) == expected
 
     def test_peak_characteristic_variants_rank_one(self):
         assert peak_characteristic({0}, 1, "literal") == QSymElement.make(
-            1, "B", {frozenset({0}): 2}
+            1, {frozenset({0}): 2}
         )
         assert peak_characteristic({0}, 1, "complemented") == QSymElement.make(
-            1, "B", {frozenset(): 2}
+            1, {frozenset(): 2}
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -200,11 +183,6 @@ class TestPeakFunctions:
         with pytest.raises(ValueError):
             peak_function_type_b(0, set(), 3, variant="other")
 
-    def test_type_a_pinned(self):
-        assert peak_function_type_a(set(), 2) == QSymElement.make(
-            2, "A", {frozenset(): 2, frozenset({1}): 2}
-        )
-
 
 class TestQSymElement:
     def test_arithmetic(self):
@@ -225,7 +203,7 @@ class TestQSymElement:
         assert element.coefficient(set()) == 1
 
     def test_to_monomials_pinned(self):
-        element = QSymElement.make(1, "B", {frozenset(): 1, frozenset({0}): 1})
+        element = QSymElement.make(1, {frozenset(): 1, frozenset({0}): 1})
         assert element.to_monomials(3).as_dict() == {
             (1, 0, 0): 1,
             (0, 1, 0): 2,
@@ -233,13 +211,15 @@ class TestQSymElement:
         }
 
     def test_json_round_trip_pinned(self):
-        element = QSymElement.make(4, "B", {frozenset({0, 3}): 2})
+        element = QSymElement.make(4, {frozenset({0, 3}): 2})
         assert element.to_json() == {
             "n": 4,
             "basis": "FB",
             "coeffs": [["{0,3}", 2]],
         }
         assert QSymElement.from_json(element.to_json()) == element
+        with pytest.raises(ValueError, match="basis"):
+            QSymElement.from_json({"n": 4, "basis": "F", "coeffs": []})
 
     @given(
         st.lists(
@@ -252,15 +232,15 @@ class TestQSymElement:
     @settings(max_examples=40)
     def test_json_round_trip_property(self, items):
         element = QSymElement.make(
-            3, "B", [(frozenset(s), c) for s, c in items]
+            3, [(frozenset(s), c) for s, c in items]
         )
         assert QSymElement.from_json(element.to_json()) == element
 
     def test_subset_validation(self):
         with pytest.raises(ValueError):
-            QSymElement.make(2, "B", {frozenset({2}): 1})
+            QSymElement.make(2, {frozenset({2}): 1})
         with pytest.raises(ValueError):
-            QSymElement.make(2, "A", {frozenset({0}): 1})
+            QSymElement.make(2, {frozenset({-1}): 1})
 
 
 class TestLinearIndependence:

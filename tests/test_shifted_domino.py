@@ -99,6 +99,24 @@ class TestTwoQuotient:
 
 
 class TestShiftedTilings:
+    @pytest.mark.parametrize(
+        "enumerate_shape",
+        [enumerate_shifted_tilings, enumerate_shifted],
+    )
+    def test_cached_enumerators_validate_before_the_cache(self, enumerate_shape):
+        # a list shape hits the cache entry of its tuple
+        assert enumerate_shape([4, 4]) is enumerate_shape((4, 4))
+        assert len(enumerate_shape([2, 2])) == 1
+        with pytest.raises(ValueError):
+            enumerate_shape([2, 4])
+        assert enumerate_shape.cache_info().currsize >= 2
+
+    def test_list_shape_keeps_the_enumeration_kind(self):
+        assert enumerate_shifted([4, 4], "marked") is enumerate_shifted((4, 4), "marked")
+        assert enumerate_shifted([2, 2], "semistandard", 2) == enumerate_shifted(
+            (2, 2), "semistandard", 2
+        )
+
     def test_pinned_counts(self):
         assert len(enumerate_shifted_tilings((2,))) == 1
         assert len(enumerate_shifted_tilings((2, 2))) == 1
@@ -308,7 +326,7 @@ class TestHLambda:
         assert poly.as_dict() == {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 2}
         char = h_lambda((2,), "peak")
         assert char == QSymElement.make(
-            1, "B", {frozenset(): 1, frozenset({0}): 1}
+            1, {frozenset(): 1, frozenset({0}): 1}
         )
 
     def test_two_by_two_pinned(self):

@@ -17,7 +17,6 @@ from tbhl.signed_permutations import (
     convexity_witness,
     format_index_set,
     format_window,
-    generator_indices,
     identity,
     is_aligned,
     is_convex_left_weak,
@@ -68,19 +67,15 @@ class TestGroupStructure:
         assert x * identity(3) == x == identity(3) * x
         assert x * x.inverse() == identity(3)
 
-    def test_generator_indices_and_braid_exponents(self):
-        assert generator_indices(3, "B") == (0, 1, 2)
-        assert generator_indices(3, "A") == (1, 2)
+    def test_braid_exponents(self):
         assert braid_exponent(0, 1) == 4
         assert braid_exponent(1, 2) == 3
         assert braid_exponent(0, 2) == 2
-        assert braid_exponent(1, 2, "A") == 3
 
     def test_group_sizes(self):
         assert len(all_elements(1)) == 2
         assert len(all_elements(2)) == 8
         assert len(all_elements(3)) == 48
-        assert len(all_elements(3, "A")) == 6
 
 
 class TestLengthAndDescents:
@@ -97,16 +92,10 @@ class TestLengthAndDescents:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_length_matches_bfs_oracle_type_b(self, n):
-        oracle = bfs_word_lengths(n, "B")
+        oracle = bfs_word_lengths(n)
         assert len(oracle) == len(all_elements(n))
         for x, expected in oracle.items():
-            assert length(x, "B") == expected
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_length_matches_bfs_oracle_type_a(self, n):
-        oracle = bfs_word_lengths(n, "A")
-        for x, expected in oracle.items():
-            assert length(x, "A") == expected
+            assert length(x) == expected
 
     def test_pinned_descents(self):
         assert left_descents(SignedPermutation((2, -1))) == frozenset({0})
@@ -130,18 +119,18 @@ class TestLengthAndDescents:
 
 
 class TestReflectionsAndInversions:
-    @pytest.mark.parametrize("n,kind,count", [(2, "B", 4), (3, "B", 9), (3, "A", 3)])
-    def test_reflection_counts(self, n, kind, count):
-        assert len(reflections(n, kind)) == count
+    @pytest.mark.parametrize("n,count", [(2, 4), (3, 9)])
+    def test_reflection_counts(self, n, count):
+        assert len(reflections(n)) == count
 
-    @pytest.mark.parametrize("n,kind", [(2, "B"), (3, "B"), (3, "A")])
-    def test_reflections_are_conjugates_of_generators(self, n, kind):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_reflections_are_conjugates_of_generators(self, n):
         conjugates = {
             w.inverse() * simple_reflection(i, n) * w
-            for w in all_elements(n, kind)
-            for i in generator_indices(n, kind)
+            for w in all_elements(n)
+            for i in range(n)
         }
-        assert conjugates == set(reflections(n, kind))
+        assert conjugates == set(reflections(n))
 
     def test_reflection_classification(self):
         assert Reflection(SignedPermutation((-1, 2))).descriptor == ("negation", 1)
@@ -150,10 +139,10 @@ class TestReflectionsAndInversions:
         with pytest.raises(ValueError):
             Reflection(SignedPermutation((2, -1))).descriptor
 
-    @pytest.mark.parametrize("n,kind", [(2, "B"), (3, "B"), (3, "A")])
-    def test_inversion_count_equals_length(self, n, kind):
-        for x in all_elements(n, kind):
-            assert len(right_inversions(x, kind)) == length(x, kind)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_inversion_count_equals_length(self, n):
+        for x in all_elements(n):
+            assert len(right_inversions(x)) == length(x)
 
     def test_pinned_inversion_chain(self):
         chain = [(2, 1), (2, -1), (1, -2), (-1, -2)]
