@@ -27,7 +27,6 @@ one failure, 2 = usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import re
@@ -56,7 +55,7 @@ from .hecke_clifford import (
     k_set,
     res_MI_formula,
     restriction_characteristic,
-    subsets_of,
+    ribbon_table_matrix,
     verify_hcl_relations,
 )
 from .hecke_engine import (
@@ -91,6 +90,7 @@ from .signed_permutations import (
     format_window,
     parse_index_set,
     right_inversions,
+    subsets,
 )
 from .special_families import (
     build_family,
@@ -134,11 +134,6 @@ class AuditCase:
         }
 
 
-def _index_sets(n: int):
-    for size in range(n + 1):
-        yield from (frozenset(s) for s in itertools.combinations(range(n), size))
-
-
 def _shape_text(shape) -> str:
     return ",".join(str(part) for part in shape)
 
@@ -158,7 +153,7 @@ def _passfail(ok: bool) -> str:
 
 
 def _family_catalog(n: int):
-    for index_set in _index_sets(n):
+    for index_set in map(frozenset, subsets(range(n))):
         fam = build_family("dclass", (index_set,), n)
         yield fam
         yield invert_family(fam)
@@ -177,13 +172,17 @@ def cases_family_relations(max_n: int) -> list[AuditCase]:
             relations = verify_relations(ops)
             char, _ = characteristic_by_composition_series(ops)
             descent_sum = characteristic_by_descent_sum(fam.members)
-            ok = relations == {"relations": "ok"} and char == descent_sum
+            ok = (
+                bool(fam.members)
+                and relations == {"relations": "ok"}
+                and char == descent_sum
+            )
             details = (
                 f"{len(fam.members)} members; relations hold; "
                 "characteristic equals descent sum"
                 if ok
-                else f"relations={relations}; characteristic={char}; "
-                f"descent sum={descent_sum}"
+                else f"{len(fam.members)} members; relations={relations}; "
+                f"characteristic={char}; descent sum={descent_sum}"
             )
             cases.append(
                 AuditCase(
@@ -259,10 +258,20 @@ def cases_arc(max_n: int) -> list[AuditCase]:
             )
         )
         found = smallest_non_convex_arc_degree(min(max_n, 4))
-        ok = found is not None and found[0] == 3
+        ok = False
         details = "no non-convex degree found"
         if found is not None:
             degree, (low, high, gap) = found
+            members = set(build_family("arc", (), degree).members)
+            ok = (
+                degree == 3
+                and low in members
+                and high in members
+                and gap not in members
+                and right_inversions(low)
+                <= right_inversions(gap)
+                <= right_inversions(high)
+            )
             details = (
                 f"smallest non-convex degree {degree}: "
                 f"{format_window(low)} <= {format_window(gap)} <= "
@@ -478,7 +487,7 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
         restriction_failures = []
         stability_failures = []
         diagonal_failures = []
-        for index_set in _index_sets(n):
+        for index_set in map(frozenset, subsets(range(n))):
             module = build_MI(index_set, n)
             if verify_hcl_relations(module) != {"relations": "ok"}:
                 relation_failures.append(index_set)
@@ -487,14 +496,16 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
                 restriction_failures.append(index_set)
             complement = frozenset(range(n)) - index_set
             valleys = peak_data(complement, n).valley
-            label = frozenset(index_set)
-            for subset in subsets_of(n):
+            for i in range(n):
+                if ribbon_table_matrix(i, index_set, n) != module.pi_matrices[i]:
+                    diagonal_failures.append((index_set, "case table", i))
+            for subset in subsets(range(1, n + 1)):
                 for valley in valleys:
                     if k_set(index_set, subset, n) != k_set(
                         index_set, frozenset(subset) | {valley}, n
                     ):
                         stability_failures.append((index_set, subset, valley))
-                col = module.position[(subset, label)]
+                col = module.position[(subset, index_set)]
                 for i in range(n):
                     diagonal = module.pi_matrices[i].get(col, col)
                     expected = GaussianRational.integer(
@@ -553,7 +564,7 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
 def clifford_audit_cases(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, max_n + 1):
-        for index_set in _index_sets(n):
+        for index_set in map(frozenset, subsets(range(n))):
             direct, _ = restriction_characteristic(build_MI(index_set, n))
             for form in RES_FORMS:
                 formula = res_MI_formula(index_set, n, form)
@@ -589,7 +600,7 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
     for n in range(1, max_n + 1):
         chars = {
             index_set: restriction_characteristic(build_MI(index_set, n))[0]
-            for index_set in _index_sets(n)
+            for index_set in map(frozenset, subsets(range(n)))
         }
         mismatches = [
             (first, second)
@@ -610,7 +621,7 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
     for n in range(1, min(max_n, 3) + 1):
         built = 0
         broken = 0
-        for index_set in _index_sets(n):
+        for index_set in map(frozenset, subsets(range(n))):
             for k in range(1, n):
                 if k in index_set or not iso_predicate(
                     index_set, index_set | {k}, n
@@ -631,20 +642,9 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
             )
         )
         bad = []
-        for index_set in _index_sets(n):
-            valleys = sorted(centralizer_valleys(index_set, n))
-            expected = sorted(
-                (
-                    tuple(sorted(chosen))
-                    for size in range(len(valleys) + 1)
-                    for chosen in itertools.combinations(valleys, size)
-                ),
-                key=lambda s: (len(s), s),
-            )
-            found = sorted(
-                centralizer_check(index_set, n), key=lambda s: (len(s), s)
-            )
-            if found != expected:
+        for index_set in map(frozenset, subsets(range(n))):
+            expected = subsets(sorted(centralizer_valleys(index_set, n)))
+            if centralizer_check(index_set, n) != expected:
                 bad.append(index_set)
         cases.append(
             AuditCase(
@@ -681,10 +681,11 @@ def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
         )
     for n in range(1, min(max_n, 3) + 1):
         for fam in _ascent_compatible_catalog(n):
+            compatible = ascent_compatibility_report(fam.members).compatible
             direct, report = induce_and_restrict(
                 family_from_elements(fam.members)
             )
-            ok = report["matches"]["proof_penultimate"]
+            ok = compatible and report["matches"]["proof_penultimate"]
             cases.append(
                 AuditCase(
                     "induction.family",
@@ -692,7 +693,8 @@ def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
                     _passfail(ok),
                     "induced characteristic equals the per-member sum form"
                     if ok
-                    else f"direct={direct}; per-member sum disagrees",
+                    else f"ascent-compatible={compatible}; direct={direct}; "
+                    f"per-member sum agrees={report['matches']['proof_penultimate']}",
                 )
             )
     return cases
@@ -708,7 +710,7 @@ def _ascent_compatible_catalog(n: int):
 def cases_qsym() -> list[AuditCase]:
     bad = []
     for n in range(1, 9):
-        for index_set in _index_sets(n):
+        for index_set in map(frozenset, subsets(range(n))):
             data = peak_data(index_set, n)
             if len(data.valley) != len(data.peak) + data.zeta:
                 bad.append((n, index_set))
@@ -754,7 +756,10 @@ def run_audit(
     elif which == "peak-theorem":
         cases = [peak_theorem_case(shape)]
     else:
+        # cases_qsym first: its truncation matrix, the audit's memory peak,
+        # then does not sit on top of the caches the other sections fill
         cases = [
+            *cases_qsym(),
             *cases_family_relations(max_n),
             *cases_random_convex(max_n, seed, RANDOM_CONVEX_SAMPLES),
             *cases_arc(max_n),
@@ -765,7 +770,6 @@ def run_audit(
             *clifford_audit_cases(max_n),
             *cases_morphisms(max_n),
             *cases_induction(max_n, max_partition),
-            *cases_qsym(),
         ]
     return sorted(cases, key=AuditCase.sort_key)
 
@@ -814,7 +818,8 @@ def render_report(cases: list[AuditCase], as_json: bool, header: dict) -> str:
 
 
 def _prettify_polynomial(text: str) -> str:
-    return re.sub(r"(?<![0-9.])1\*", "", text)
+    """Drop unit coefficients: a ``1*`` at the start or right after ``+ ``."""
+    return re.sub(r"(^|\+ )1\*", r"\1", text)
 
 
 def cmd_qsym(args) -> int:

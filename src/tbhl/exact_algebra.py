@@ -380,10 +380,6 @@ class TruncatedPolynomial:
         return TruncatedPolynomial.make(nvars, degree_cap, {})
 
     @staticmethod
-    def constant(value: int, nvars: int, degree_cap: int) -> "TruncatedPolynomial":
-        return TruncatedPolynomial.make(nvars, degree_cap, {(0,) * nvars: value})
-
-    @staticmethod
     def variable(index: int, nvars: int, degree_cap: int) -> "TruncatedPolynomial":
         if not 0 <= index < nvars:
             raise IndexError(f"variable x_{index} outside range of {nvars} variables")

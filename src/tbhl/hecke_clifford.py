@@ -32,15 +32,16 @@ computed by commuting ``pi_i`` across ``c_D`` with the rules above and
 then acting casewise on ``y``.
 
 The one-dimensional cyclic case (a single basis label whose descent label is
-a chosen subset) is additionally transcribed from the closed ribbon case
-table and the two constructions are asserted identical.
+a chosen subset) is also transcribed from the closed ribbon case table
+(``ribbon_table_matrix``).  The two constructions are independent; the audit
+(``clifford.diagonal``) compares them for every index set it visits.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable
 
 from .exact_algebra import GaussianRational, SparseMatrix
 from .hecke_engine import (
@@ -57,7 +58,7 @@ from .qsym_typeb import (
     peak_data,
     symmetric_difference_condition,
 )
-from .signed_permutations import braid_exponent
+from .signed_permutations import braid_exponent, subsets
 
 Label = Hashable
 
@@ -117,14 +118,6 @@ def mult_subsets(
     """Product ``c_A c_B`` as a signed sorted monomial."""
     form = clifford_normalize(tuple(left) + tuple(right))
     return form.sign, form.subset
-
-
-def subsets_of(n: int) -> tuple[tuple[int, ...], ...]:
-    """All subsets of ``{1..n}`` as sorted tuples, by size then lexicographic."""
-    out = []
-    for size in range(n + 1):
-        out.extend(itertools.combinations(range(1, n + 1), size))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +228,7 @@ class InducedModule:
 def induce_labeled_basis(base: LabeledBasis) -> InducedModule:
     """Adjoin the Clifford generators to a casewise labeled basis."""
     n = base.rank
-    all_subsets = subsets_of(n)
+    all_subsets = subsets(range(1, n + 1))
     basis = tuple(
         (subset, label) for label in base.elements for subset in all_subsets
     )
@@ -325,35 +318,41 @@ def _ribbon_table_column(
     return ((subset, _MINUS_ONE),)
 
 
-def build_MI(index_set, n: int) -> InducedModule:
-    """Induced module of the one-dimensional module selected by a subset.
-
-    Built from the commutation rules, then cross-checked entry for entry
-    against the transcribed ribbon case table.
-    """
+def _checked_index_set(index_set, n: int) -> frozenset[int]:
     index_set = frozenset(index_set)
     if not index_set <= set(range(n)):
         raise ValueError(f"subset {sorted(index_set)} out of range for n={n}")
-    base = LabeledBasis(
-        (index_set,), {index_set: index_set}, {}, rank=n
-    )
-    module = induce_labeled_basis(base)
-    all_subsets = subsets_of(n)
+    return index_set
+
+
+def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
+    """Matrix of ``pi_i`` on ``build_MI(index_set, n)`` per the case table.
+
+    Rows and columns follow the module's basis order.
+
+    >>> table = ribbon_table_matrix(0, {0}, 1)
+    >>> {row: str(value) for row, value in table.column(1).items()}
+    {0: '-1*i'}
+    """
+    index_set = _checked_index_set(index_set, n)
+    if not 0 <= i < n:
+        raise ValueError(f"generator index {i} out of range for n={n}")
+    all_subsets = subsets(range(1, n + 1))
     position = {subset: k for k, subset in enumerate(all_subsets)}
-    size = len(all_subsets)
-    for i in range(n):
-        entries = {}
-        for subset in all_subsets:
-            for target, coefficient in _ribbon_table_column(
-                i, index_set, subset
-            ):
-                entries[(position[target], position[subset])] = coefficient
-        table_matrix = SparseMatrix.from_entries(size, size, entries)
-        if table_matrix != module.pi_matrices[i]:
-            raise AssertionError(
-                f"case table disagrees with the commutation rules at index {i}"
-            )
-    return module
+    entries = {
+        (position[target], position[subset]): coefficient
+        for subset in all_subsets
+        for target, coefficient in _ribbon_table_column(i, index_set, subset)
+    }
+    return SparseMatrix.from_entries(len(all_subsets), len(all_subsets), entries)
+
+
+def build_MI(index_set, n: int) -> InducedModule:
+    """Induced module of the one-dimensional module selected by a subset."""
+    index_set = _checked_index_set(index_set, n)
+    return induce_labeled_basis(
+        LabeledBasis((index_set,), {index_set: index_set}, {}, rank=n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,24 +496,13 @@ def res_MI_formula(index_set, n: int, form: str) -> QSymElement:
     data = peak_data(complement, n)
     coefficient = 1 << len(data.valley)
     total: dict[frozenset[int], int] = {}
-    for size in range(n + 1):
-        for chosen in itertools.combinations(range(n), size):
-            candidate = frozenset(chosen)
-            if 0 not in index_set and 0 in candidate:
-                continue
-            if not symmetric_difference_condition(data.peak, candidate):
-                continue
-            total[candidate] = coefficient
+    for candidate in map(frozenset, subsets(range(n))):
+        if 0 not in index_set and 0 in candidate:
+            continue
+        if not symmetric_difference_condition(data.peak, candidate):
+            continue
+        total[candidate] = coefficient
     return QSymElement.make(n, total)
-
-
-def res_formula_agreement(index_set, n: int) -> dict:
-    """Compare the direct restriction characteristic with each closed form."""
-    direct, _ = restriction_characteristic(build_MI(index_set, n))
-    return {
-        form: direct == res_MI_formula(index_set, n, form)
-        for form in RES_FORMS
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +555,7 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
         )
     smaller = build_MI(index_set, n)
     larger = build_MI(enlarged, n)
-    all_subsets = subsets_of(n)
+    all_subsets = subsets(range(1, n + 1))
     position = {subset: idx for idx, subset in enumerate(all_subsets)}
     size = len(all_subsets)
     entries: dict[tuple[int, int], GaussianRational] = {}
@@ -605,7 +593,7 @@ def centralizer_check(index_set, n: int) -> tuple[tuple[int, ...], ...]:
     index_set = frozenset(index_set)
     module = build_MI(index_set, n)
     found = []
-    for subset in subsets_of(n):
+    for subset in subsets(range(1, n + 1)):
         col = module.position[(subset, next(iter(module.base.elements)))]
         ok = True
         for i in range(n):

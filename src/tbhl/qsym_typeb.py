@@ -26,13 +26,12 @@ sensitive to the choice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .exact_algebra import SparseMatrix, TruncatedPolynomial, all_exponent_vectors
-from .signed_permutations import format_index_set, parse_index_set
+from .signed_permutations import format_index_set, parse_index_set, subsets
 
 __all__ = [
     "QSymElement",
@@ -339,18 +338,16 @@ def peak_function_type_b(
     _validate_peak_set(peaks, n, bit)
     coefficient = 2 ** (len(peaks) + bit)
     collected: dict[frozenset[int], int] = {}
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            candidate = frozenset(subset)
-            if not symmetric_difference_condition(peaks, candidate):
+    for candidate in map(frozenset, subsets(range(n))):
+        if not symmetric_difference_condition(peaks, candidate):
+            continue
+        if bit == 1:
+            zero_in = 0 in candidate
+            if variant == "literal" and not zero_in:
                 continue
-            if bit == 1:
-                zero_in = 0 in candidate
-                if variant == "literal" and not zero_in:
-                    continue
-                if variant == "complemented" and zero_in:
-                    continue
-            collected[candidate] = coefficient
+            if variant == "complemented" and zero_in:
+                continue
+        collected[candidate] = coefficient
     return QSymElement.make(n, collected)
 
 
@@ -379,25 +376,21 @@ def fb_truncations_linearly_independent(n: int, nvars: int | None = None) -> boo
     """
     if nvars is None:
         nvars = n + 1
-    subsets = [
-        frozenset(c)
-        for size in range(n + 1)
-        for c in itertools.combinations(range(n), size)
-    ]
+    index_sets = [frozenset(c) for c in subsets(range(n))]
     column = {
         exponents: k for k, exponents in enumerate(all_exponent_vectors(nvars, n))
     }
     # entries are streamed: a dict of them would double the peak memory
     expansion = SparseMatrix.from_entries(
-        len(subsets),
+        len(index_sets),
         len(column),
         (
             ((row, column[exponents]), coefficient)
-            for row, subset in enumerate(subsets)
+            for row, subset in enumerate(index_sets)
             for exponents, coefficient in fb_monomials(subset, n, nvars).terms
         ),
     )
-    return expansion.rank() == len(subsets)
+    return expansion.rank() == len(index_sets)
 
 
 if __name__ == "__main__":

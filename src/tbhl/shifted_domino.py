@@ -32,7 +32,6 @@ characteristic of its descent set.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +51,7 @@ from .domino_tableaux import (
 from .exact_algebra import TruncatedPolynomial
 from .hecke_engine import LabeledBasis, OperatorFamily, build_from_labeled_basis
 from .qsym_typeb import QSymElement, fb_monomials, peak_characteristic
+from .signed_permutations import subsets
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +524,8 @@ class MarkedStandardTableau:
 
 def _markings(base: ShiftedStandardTableau) -> Iterator[MarkedStandardTableau]:
     """Every primed subset of ``base``, by size then lexicographically."""
-    for size in range(base.size + 1):
-        for subset in itertools.combinations(range(1, base.size + 1), size):
-            yield MarkedStandardTableau(base, frozenset(subset))
+    for subset in subsets(range(1, base.size + 1)):
+        yield MarkedStandardTableau(base, frozenset(subset))
 
 
 def marked_descents(marked: MarkedStandardTableau) -> frozenset[int]:

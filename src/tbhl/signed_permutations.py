@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "SignedPermutation",
@@ -50,6 +50,7 @@ __all__ = [
     "format_window",
     "parse_index_set",
     "format_index_set",
+    "subsets",
 ]
 
 BARRED = "̄"  # combining macron, renders 3 as 3̄
@@ -469,6 +470,22 @@ def format_index_set(indices: Iterable[int]) -> str:
     '{0,3}'
     """
     return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
+
+
+def subsets(items: Iterable) -> tuple[tuple, ...]:
+    """All subsets of ``items`` as tuples, by size then lexicographically.
+
+    >>> subsets(range(3))
+    ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+    >>> subsets(())
+    ((),)
+    """
+    items = tuple(items)
+    return tuple(
+        itertools.chain.from_iterable(
+            itertools.combinations(items, size) for size in range(len(items) + 1)
+        )
+    )
 
 
 if __name__ == "__main__":

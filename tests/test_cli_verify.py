@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from tbhl.cli_verify import AuditCase, main, run_audit, witness_cases
+from tbhl import hecke_clifford
+from tbhl.cli_verify import (
+    AuditCase,
+    _prettify_polynomial,
+    cases_clifford,
+    main,
+    run_audit,
+    witness_cases,
+)
 from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_function_type_b
 from tbhl.shifted_domino import enumerate_shifted
 
@@ -47,6 +55,24 @@ class TestQsymCommands:
         )
         assert code == 0
         assert out.strip() == "x0 + x1"
+
+    def test_fb_monomials_text_readme_example(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["qsym", "fb", "--set", "{0,3}", "--n", "4", "--monomials"]
+        )
+        assert code == 0
+        assert out == (
+            "x1^3*x2 + x1^3*x3 + x1^3*x4 + x1^2*x2*x3 + x1^2*x2*x4 + "
+            "x1^2*x3*x4 + x1*x2^2*x3 + x1*x2^2*x4 + x1*x2*x3*x4 + "
+            "x1*x3^2*x4 + x2^3*x3 + x2^3*x4 + x2^2*x3*x4 + x2*x3^2*x4 + "
+            "x3^3*x4\n"
+        )
+
+    def test_prettify_strips_only_unit_coefficients(self):
+        assert (
+            _prettify_polynomial("1*x1*x11 + 2*x1 + 1*x11 + 11*x1 + 21*x2")
+            == "x1*x11 + 2*x1 + x11 + 11*x1 + 21*x2"
+        )
 
     def test_fb_monomials_json_matches_library(self, capsys):
         code, out, _ = run_cli(
@@ -277,6 +303,33 @@ class TestVerifyCommands:
         code, out, _ = run_cli(capsys, ["verify", "all"])
         assert code == 1
         assert "FAIL" in out
+
+    def test_case_table_fault_fails_clifford_diagonal(self, capsys, monkeypatch):
+        table_column = hecke_clifford._ribbon_table_column
+
+        def one_sign_flipped(i, index_set, subset):
+            column = table_column(i, index_set, subset)
+            if (i, index_set, subset) != (0, frozenset({0}), ()):
+                return column
+            return tuple((target, -value) for target, value in column)
+
+        monkeypatch.setattr(
+            hecke_clifford, "_ribbon_table_column", one_sign_flipped
+        )
+        statuses = {
+            (case.id, case.params["degree"]): case.status
+            for case in cases_clifford(2)
+        }
+        assert statuses.pop(("clifford.diagonal", 1)) == "fail"
+        assert statuses.pop(("clifford.diagonal", 2)) == "fail"
+        assert set(statuses.values()) == {"pass"}
+        code, out, err = run_cli(
+            capsys, ["verify", "all", "--max-n", "2", "--max-partition", "2"]
+        )
+        assert code == 1
+        assert err == ""
+        failing = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert [line.split()[1] for line in failing] == ["clifford.diagonal"] * 2
 
     def test_variant_dependent_does_not_fail_exit(self, capsys, monkeypatch):
         def fake_run_audit(*args, **kwargs):

@@ -7,8 +7,6 @@ import pytest
 
 from tbhl.exact_algebra import GaussianRational, SparseMatrix
 from tbhl.hecke_clifford import (
-    RES_FORMS,
-    InducedModule,
     build_MI,
     build_intertwiner,
     centralizer_check,
@@ -25,14 +23,15 @@ from tbhl.hecke_clifford import (
     pi_commute,
     render_ribbon,
     res_MI_formula,
-    res_formula_agreement,
     restriction_characteristic,
-    subsets_of,
+    ribbon_table_matrix,
     verify_hcl_relations,
 )
+from tbhl.cli_verify import clifford_audit_cases
 from tbhl.hecke_engine import LabeledBasis
 from tbhl.domino_tableaux import sdt_operator_family
 from tbhl.qsym_typeb import QSymElement, peak_data
+from tbhl.signed_permutations import parse_index_set, subsets
 
 ONE = GaussianRational.integer(1)
 MINUS_ONE = GaussianRational.integer(-1)
@@ -107,9 +106,9 @@ class TestCliffordNormalForm:
             assert sign in (ONE, MINUS_ONE)
 
     def test_subsets_ordering(self):
-        assert subsets_of(2) == ((), (1,), (2,), (1, 2))
-        assert subsets_of(0) == ((),)
-        assert len(subsets_of(4)) == 16
+        assert subsets(range(1, 3)) == ((), (1,), (2,), (1, 2))
+        assert subsets(range(1, 1)) == ((),)
+        assert len(subsets(range(1, 5))) == 16
 
 
 class TestPiCommute:
@@ -166,14 +165,21 @@ class TestBuildMI:
     def test_rejects_out_of_range_subsets(self):
         with pytest.raises(ValueError):
             build_MI({2}, 2)
+        with pytest.raises(ValueError):
+            ribbon_table_matrix(0, {2}, 2)
+        with pytest.raises(ValueError):
+            ribbon_table_matrix(2, {0}, 2)
 
     def test_case_table_cross_check_runs_everywhere(self):
-        # build_MI raises if the transcribed table and the commutation
-        # engine ever disagree; exercising all ranks up to 3 covers every
-        # case of the table.
+        # the transcribed table and the commutation engine agree; all ranks
+        # up to 3 cover every case of the table
         for n in range(1, 4):
             for index_set in all_index_sets(n):
-                build_MI(index_set, n)
+                module = build_MI(index_set, n)
+                for i in range(n):
+                    assert ribbon_table_matrix(i, index_set, n) == (
+                        module.pi_matrices[i]
+                    ), (n, sorted(index_set), i)
 
 
 class TestRelationSuite:
@@ -240,7 +246,7 @@ class TestDiagonalData:
     def test_k_set_matches_k_factor(self):
         for n in range(1, 5):
             for index_set in all_index_sets(n):
-                for subset in subsets_of(n):
+                for subset in subsets(range(1, n + 1)):
                     expected = frozenset(
                         i
                         for i in range(n)
@@ -253,7 +259,7 @@ class TestDiagonalData:
             for index_set in all_index_sets(n):
                 module = build_MI(index_set, n)
                 label = frozenset(index_set)
-                for subset in subsets_of(n):
+                for subset in subsets(range(1, n + 1)):
                     col = module.position[(subset, label)]
                     for i in range(n):
                         diag = module.pi_matrices[i].get(col, col)
@@ -271,7 +277,7 @@ class TestDiagonalData:
             for index_set in all_index_sets(n):
                 complement = frozenset(range(n)) - index_set
                 for valley in peak_data(complement, n).valley:
-                    for subset in subsets_of(n):
+                    for subset in subsets(range(1, n + 1)):
                         enlarged = frozenset(subset) | {valley}
                         assert k_set(index_set, subset, n) == k_set(
                             index_set, enlarged, n
@@ -282,7 +288,7 @@ class TestDiagonalData:
             for index_set in all_index_sets(n):
                 module = build_MI(index_set, n)
                 label = frozenset(index_set)
-                for subset in subsets_of(n):
+                for subset in subsets(range(1, n + 1)):
                     col = module.position[(subset, label)]
                     for i in range(n):
                         allowed = cover_lower_targets(i, index_set, subset)
@@ -318,12 +324,15 @@ class TestRestrictionCharacteristic:
     def test_agreement_pattern(self):
         # The complemented reading always matches; the literal reading
         # matches exactly when 0 is selected.
-        for n in range(1, 4):
-            for index_set in all_index_sets(n):
-                agreement = res_formula_agreement(index_set, n)
-                assert agreement["proof_penultimate"] is True
-                assert agreement["theorem_complemented"] is True
-                assert agreement["theorem_literal"] is (0 in index_set)
+        cases = clifford_audit_cases(3)
+        assert len(cases) == 3 * (2 + 4 + 8)
+        for case in cases:
+            literal_differs = (
+                case.params["form"] == "theorem_literal"
+                and 0 not in parse_index_set(case.params["indices"])
+            )
+            expected = "variant-dependent" if literal_differs else "pass"
+            assert case.status == expected, case
 
     def test_rank_one_empty_set_discrepancy_pinned(self):
         # the smallest case separating the two readings
@@ -362,7 +371,7 @@ class TestIntertwiner:
         result = build_intertwiner(set(), 1, 2)
         assert result.commutes and result.invertible
         assert result.matrix.nrows == 4
-        order = subsets_of(2)
+        order = subsets(range(1, 3))
         position = {subset: idx for idx, subset in enumerate(order)}
         col = position[()]
         assert result.matrix.column(col) == {

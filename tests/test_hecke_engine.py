@@ -1,17 +1,13 @@
 """Tests for operator families, relation checks, and composition series."""
 
-import itertools
 import random
 
 import pytest
 
 from tbhl.exact_algebra import GaussianRational, SparseMatrix
 from tbhl.hecke_engine import (
-    CompositionSeries,
     LabeledBasis,
-    OperatorFamily,
     alternating_product,
-    basis_from_elements,
     build_from_labeled_basis,
     characteristic_by_composition_series,
     characteristic_by_descent_sum,

@@ -16,12 +16,9 @@ from tbhl.signed_permutations import (
     ascent_compatibility_report,
     left_descents,
     leq_left_weak,
-    weak_order_interval,
 )
 from tbhl.special_families import (
-    ENDPOINT_VARIANTS,
     FAMILY_KINDS,
-    PermutationFamily,
     build_family,
     convexity_witness,
     family_report,
