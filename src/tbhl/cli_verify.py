@@ -32,6 +32,7 @@ import random
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .exact_algebra import GaussianRational
 from .domino_tableaux import (
@@ -480,6 +481,14 @@ def _witness_case(case_id: str, status: str, target: str) -> AuditCase:
 # -- criterion: Clifford-extended modules -----------------------------------
 
 
+@lru_cache(maxsize=None)
+def _mi_characteristic(index_set: frozenset[int], n: int) -> QSymElement:
+    """Restriction characteristic of ``build_MI(index_set, n)``, computed once
+    per ``(I, n)`` for the three Clifford sections.  Only the immutable
+    characteristic is kept; a section that needs the module builds it."""
+    return restriction_characteristic(build_MI(index_set, n))[0]
+
+
 def cases_clifford(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, max_n + 1):
@@ -491,7 +500,7 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
             module = build_MI(index_set, n)
             if verify_hcl_relations(module) != {"relations": "ok"}:
                 relation_failures.append(index_set)
-            direct, _ = restriction_characteristic(module)
+            direct = _mi_characteristic(index_set, n)
             if direct != res_MI_formula(index_set, n, "proof_penultimate"):
                 restriction_failures.append(index_set)
             complement = frozenset(range(n)) - index_set
@@ -565,7 +574,7 @@ def clifford_audit_cases(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, max_n + 1):
         for index_set in map(frozenset, subsets(range(n))):
-            direct, _ = restriction_characteristic(build_MI(index_set, n))
+            direct = _mi_characteristic(index_set, n)
             for form in RES_FORMS:
                 formula = res_MI_formula(index_set, n, form)
                 if direct == formula:
@@ -599,7 +608,7 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, max_n + 1):
         chars = {
-            index_set: restriction_characteristic(build_MI(index_set, n))[0]
+            index_set: _mi_characteristic(index_set, n)
             for index_set in map(frozenset, subsets(range(n)))
         }
         mismatches = [

@@ -1,21 +1,27 @@
 """Exact scalar, matrix, and truncated-polynomial arithmetic.
 
-Scalars are Gaussian rationals (complex numbers with rational real and
-imaginary parts) built on :class:`fractions.Fraction`.  Matrices are sparse
-dicts keyed by ``(row, col)``.  Polynomials are truncated multivariate
-polynomials with integer coefficients, used for monomial expansions of
-quasisymmetric functions; they record whether any term was discarded by the
-degree cap so that equality checks can insist that no truncation occurred.
+Scalars are Gaussian rationals: complex numbers with exact rational real and
+imaginary parts.  A part is a Python ``int`` when it is integral and a
+:class:`fractions.Fraction` otherwise, so the ``±1``/``±i`` entries of the
+operator matrices, and all their products, stay in fast integer arithmetic.
+Matrices are sparse dicts keyed by ``(row, col)``.  Polynomials are truncated
+multivariate polynomials with integer coefficients, used for monomial
+expansions of quasisymmetric functions; they record whether any term was
+discarded by the degree cap so that equality checks can insist that no
+truncation occurred.
 
 >>> i = GaussianRational.sqrt_minus_one()
 >>> i * i == GaussianRational.integer(-1)
 True
 >>> (i + GaussianRational.integer(1)).to_json()
 {'re': '1', 'im': '1'}
+>>> GaussianRational.integer(1) / 2
+GaussianRational(re=Fraction(1, 2), im=0)
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -30,26 +36,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Each part is an ``int`` when integral and a ``Fraction`` otherwise.
+    Arithmetic results keep that form; a value built directly from
+    ``Fraction(2)`` still equals, and hashes like, one built from ``2``.
+    """
+
+    re: "int | Fraction" = 0
+    im: "int | Fraction" = 0
+
+    @staticmethod
+    def _of(re: "int | Fraction", im: "int | Fraction") -> "GaussianRational":
+        """Trusted constructor for computed parts: a ``Fraction`` with
+        denominator 1 becomes its ``int`` numerator."""
+        if type(re) is not int and re.denominator == 1:
+            re = re.numerator
+        if type(im) is not int and im.denominator == 1:
+            im = im.numerator
+        return GaussianRational(re, im)
+
+    @staticmethod
+    def integer(value: int) -> "GaussianRational":
+        """The integer ``value``.  It is read through ``operator.index`` before
+        the cache lookup, so ``True`` gives the same plain-``int`` instance as
+        ``1`` and a float raises ``TypeError``."""
+        return GaussianRational._integer(operator.index(value))
 
     @staticmethod
     @lru_cache(maxsize=256)
-    def integer(value: int) -> "GaussianRational":
-        """The integer ``value``.  Scalars are immutable, so instances are
-        shared: a matrix built from ints holds one object per distinct value."""
-        return GaussianRational(Fraction(value), Fraction(0))
+    def _integer(value: int) -> "GaussianRational":
+        # scalars are immutable, so instances are shared: a matrix built from
+        # ints holds one object per distinct value
+        return GaussianRational(value, 0)
 
     @staticmethod
     def sqrt_minus_one() -> "GaussianRational":
         """The imaginary unit.
 
         >>> GaussianRational.sqrt_minus_one() ** 2
-        GaussianRational(re=Fraction(-1, 1), im=Fraction(0, 1))
+        GaussianRational(re=-1, im=0)
         """
-        return GaussianRational(Fraction(0), Fraction(1))
+        return GaussianRational(0, 1)
 
     @staticmethod
     def coerce(value: "GaussianRational | Fraction | int") -> "GaussianRational":
@@ -58,17 +86,17 @@ class GaussianRational:
         if isinstance(value, int):
             return GaussianRational.integer(value)
         if isinstance(value, Fraction):
-            return GaussianRational(value, Fraction(0))
+            return GaussianRational._of(value, 0)
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
     def __add__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
         other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational._of(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self.re, -self.im)
 
     def __sub__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
         return self + (-GaussianRational.coerce(other))
@@ -78,7 +106,7 @@ class GaussianRational:
 
     def __mul__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
         other = GaussianRational.coerce(other)
-        return GaussianRational(
+        return GaussianRational._of(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -95,7 +123,9 @@ class GaussianRational:
         norm = self.re * self.re + self.im * self.im
         if norm == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return GaussianRational._of(
+            Fraction(self.re, norm), Fraction(-self.im, norm)
+        )
 
     def __truediv__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
         return self * GaussianRational.coerce(other).inverse()
@@ -109,7 +139,7 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._of(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -123,9 +153,9 @@ class GaussianRational:
         """Inverse of :meth:`to_json`.
 
         >>> GaussianRational.from_json({"re": "1/2", "im": "-2"})
-        GaussianRational(re=Fraction(1, 2), im=Fraction(-2, 1))
+        GaussianRational(re=Fraction(1, 2), im=-2)
         """
-        return GaussianRational(Fraction(data["re"]), Fraction(data["im"]))
+        return GaussianRational._of(Fraction(data["re"]), Fraction(data["im"]))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -258,8 +288,9 @@ class SparseMatrix:
 
         Each row is reduced against the pivot rows kept so far, keyed by their
         leading column, until it vanishes or leads in a new column.  A real
-        matrix is reduced on the ``Fraction`` real parts of its entries, which
-        is several times faster than Gaussian-rational arithmetic.
+        matrix is reduced on the real parts of its entries, which is several
+        times faster than Gaussian-rational arithmetic; its elimination factor
+        is a ``Fraction``, because ``int / int`` would give a float.
 
         >>> SparseMatrix.from_entries(2, 3, {(0, 0): 1, (0, 2): 1, (1, 0): 2, (1, 2): 2}).rank()
         1
@@ -268,7 +299,7 @@ class SparseMatrix:
         1
         """
         real = all(value.im == 0 for value in self.entries.values())
-        zero = Fraction(0) if real else _ZERO
+        zero = 0 if real else _ZERO
         rows: dict[int, dict] = {}
         for (r, c), value in self.entries.items():
             rows.setdefault(r, {})[c] = value.re if real else value
@@ -280,7 +311,7 @@ class SparseMatrix:
                 if pivot is None:
                     pivots[lead] = row
                     break
-                factor = row[lead] / pivot[lead]
+                factor = (Fraction(row[lead]) if real else row[lead]) / pivot[lead]
                 for c, v in pivot.items():
                     updated = row.get(c, zero) - factor * v
                     if updated == zero:

@@ -40,7 +40,9 @@ a chosen subset) is also transcribed from the closed ribbon case table
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Hashable, Iterable
 
 from .exact_algebra import GaussianRational, SparseMatrix
@@ -86,11 +88,11 @@ def clifford_normalize(
     """Sort a product of ``c`` generators, tracking signs and squares.
 
     >>> clifford_normalize((2, 1)).sign.re, clifford_normalize((2, 1)).subset
-    (Fraction(-1, 1), (1, 2))
+    (-1, (1, 2))
     >>> clifford_normalize((1, 1))
-    CliffordNormalForm(sign=GaussianRational(re=Fraction(-1, 1), im=Fraction(0, 1)), subset=())
+    CliffordNormalForm(sign=GaussianRational(re=-1, im=0), subset=())
     >>> clifford_normalize((3, 1, 3)).sign.re
-    Fraction(1, 1)
+    1
     """
     letters: list[int] = []
     sign = scalar
@@ -148,13 +150,26 @@ def pi_commute(
     coefficient carries the parity of the rest of the monomial.
 
     >>> [(e, (g.re, d.re)) for e, g, d in pi_commute(1, {2})]
-    [((1,), (Fraction(0, 1), Fraction(1, 1)))]
+    [((1,), (0, 1))]
     >>> [(e, d.im) for e, g, d in pi_commute(0, {1})]
-    [((), Fraction(1, 1))]
+    [((), 1)]
     >>> [(e, d.im) for e, g, d in pi_commute(0, {1, 2})]
-    [((2,), Fraction(-1, 1))]
+    [((2,), -1)]
     """
-    word = tuple(sorted(set(subset)))
+    i = operator.index(i)
+    word = tuple(sorted({operator.index(index) for index in subset}))
+    if i < 0 or (word and word[0] < 1):
+        raise ValueError("pi indices start at 0 and generator indices at 1")
+    return _pi_commute(i, word)
+
+
+@lru_cache(maxsize=None)
+def _pi_commute(
+    i: int, word: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], GaussianRational, GaussianRational], ...]:
+    """:func:`pi_commute` on a sorted tuple of generator indices; cached,
+    since every induced module of rank ``n`` needs the same ``n * 2**n``
+    expansions."""
     if i == 0:
         if 1 not in word:
             return ((word, _ZERO, _ONE),)
@@ -254,7 +269,7 @@ def induce_labeled_basis(base: LabeledBasis) -> InducedModule:
                 target = None
             for subset in all_subsets:
                 col = position[(subset, label)]
-                for new_subset, const, with_pi in pi_commute(i, subset):
+                for new_subset, const, with_pi in _pi_commute(i, subset):
                     add(position[(new_subset, label)], col, const)
                     if with_pi.is_zero():
                         continue

@@ -119,8 +119,7 @@ def build_from_labeled_basis(basis: LabeledBasis) -> OperatorFamily:
     >>> from tbhl.signed_permutations import all_elements
     >>> fam = build_from_labeled_basis(basis_from_elements(all_elements(1)))
     >>> sorted(fam.matrices[0].entries.items())
-    [((1, 0), GaussianRational(re=Fraction(1, 1), im=Fraction(0, 1))), \
-((1, 1), GaussianRational(re=Fraction(-1, 1), im=Fraction(0, 1)))]
+    [((1, 0), GaussianRational(re=1, im=0)), ((1, 1), GaussianRational(re=-1, im=0))]
     """
     size = len(basis.elements)
     matrices = {}

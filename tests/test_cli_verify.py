@@ -7,6 +7,7 @@ import pytest
 from tbhl import hecke_clifford
 from tbhl.cli_verify import (
     AuditCase,
+    _mi_characteristic,
     _prettify_polynomial,
     cases_clifford,
     main,
@@ -370,6 +371,26 @@ class TestAuditLibrary:
     def test_no_failures_at_small_scale(self):
         cases = run_audit("all", 2, 4, 0)
         assert all(case.status != "fail" for case in cases)
+
+    def test_one_restriction_characteristic_per_index_set(self, monkeypatch):
+        # the three Clifford sections share one characteristic per (I, n);
+        # induce_and_restrict calls hecke_clifford's own binding, not this one
+        computed = []
+
+        def counting(module):
+            computed.append((frozenset(module.base.elements[0]), module.rank))
+            return hecke_clifford.restriction_characteristic(module)
+
+        monkeypatch.setattr(
+            "tbhl.cli_verify.restriction_characteristic", counting
+        )
+        _mi_characteristic.cache_clear()
+        try:
+            run_audit("all", max_n=3, max_partition=6, seed=0)
+        finally:
+            _mi_characteristic.cache_clear()
+        assert len(computed) == 2 + 4 + 8
+        assert len(set(computed)) == len(computed)
 
     def test_witness_cases_pass_only_on_a_found_verdict(self, monkeypatch):
         assert [case.status for case in witness_cases()] == ["pass", "pass"]

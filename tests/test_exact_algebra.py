@@ -62,6 +62,96 @@ class TestGaussianRational:
         assert value.to_json() == {"re": "-3/4", "im": "5"}
 
 
+def _parts(value: GaussianRational):
+    return (value.re, value.im)
+
+
+class TestScalarRepresentation:
+    """Integral parts are plain ``int``; only a real denominator makes a
+    ``Fraction``."""
+
+    def test_integral_results_have_int_parts(self):
+        i = GaussianRational.sqrt_minus_one()
+        two = GaussianRational.integer(2)
+        half = GaussianRational.coerce(Fraction(1, 2))
+        results = [
+            i + two,
+            half + half,
+            i * two,
+            half * two,
+            (two * i).inverse() * 4,
+            GaussianRational(Fraction(1, 2)).inverse(),
+            GaussianRational.from_json({"re": "6/3", "im": "-1"}),
+            GaussianRational.coerce(Fraction(4, 2)),
+        ]
+        for value in results:
+            assert all(type(part) is int for part in _parts(value)), value
+
+    def test_fractional_parts_stay_fractions(self):
+        value = GaussianRational.integer(1) / GaussianRational.integer(2)
+        assert value.re == Fraction(1, 2) and type(value.re) is Fraction
+        assert type(value.im) is int
+
+    def test_fraction_and_int_built_values_agree(self):
+        # SparseMatrix.__eq__ and __hash__ compare entry dicts, so a value
+        # built directly from Fraction(2) must match one built from 2
+        from_fraction = GaussianRational(Fraction(2), Fraction(0))
+        from_int = GaussianRational.integer(2)
+        assert from_fraction == from_int
+        assert hash(from_fraction) == hash(from_int)
+        a = SparseMatrix(1, 1, {(0, 0): from_fraction})
+        b = SparseMatrix.from_entries(1, 1, {(0, 0): 2})
+        assert a == b and hash(a) == hash(b)
+
+    def test_bool_never_becomes_a_part(self):
+        GaussianRational._integer.cache_clear()
+        assert type(GaussianRational.integer(True).re) is int
+        one = GaussianRational.integer(1)
+        assert type(one.re) is int and str(one) == "1"
+        assert str(GaussianRational.coerce(True)) == "1"
+        assert type(GaussianRational.coerce(False).re) is int
+        with pytest.raises(TypeError):
+            GaussianRational.integer(1.0)
+
+    def test_rank_with_fractional_elimination_factors(self):
+        def real(rows):
+            return SparseMatrix.from_entries(
+                len(rows),
+                len(rows[0]),
+                {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)},
+            )
+
+        # int / int would be a float factor; these need 1/2 exactly
+        assert real([[2, 1], [1, 2]]).rank() == 2
+        assert real([[2, 4], [1, 2]]).rank() == 1
+        assert real([[3, 1, 1], [1, 3, 1], [1, 1, 3]]).rank() == 3
+        # third row = 3 * first + 2 * second; float factors leave a residue
+        # here and report 3
+        assert real([[7, -2, 5], [6, 8, -2], [33, 10, 11]]).rank() == 2
+        i = GaussianRational.sqrt_minus_one()
+        # rows (2i, 1) and (1, 2i) are independent; (2, 4i) and (i, -2) are
+        # proportional by the non-unit factor 2i
+        assert real([[2, 1], [1, 2]]).scale(i).rank() == 2
+        gaussian = SparseMatrix.from_entries(
+            2, 2, {(0, 0): 2, (0, 1): 4 * i, (1, 0): i, (1, 1): -2}
+        )
+        assert gaussian.rank() == 1
+        assert SparseMatrix.from_entries(
+            2, 2, {(0, 0): 2 * i, (0, 1): 1, (1, 0): 1, (1, 1): 2 * i}
+        ).rank() == 2
+
+    @given(gaussians, gaussians)
+    @settings(max_examples=80)
+    def test_integral_result_parts_are_ints(self, a, b):
+        results = [a + b, a - b, a * b, -a, a.conjugate(), a ** 2]
+        results.append(GaussianRational.from_json(a.to_json()))
+        if not b.is_zero():
+            results += [b.inverse(), a / b]
+        for value in results:
+            for part in _parts(value):
+                assert part.denominator != 1 or type(part) is int, value
+
+
 class TestSparseMatrix:
     def test_identity_is_multiplicative_unit(self):
         a = SparseMatrix.from_entries(2, 3, {(0, 0): 2, (1, 2): Fraction(1, 3)})

@@ -140,6 +140,17 @@ class TestPiCommute:
             expected = SQRT if extra % 2 == 0 else SQRT * MINUS_ONE
             assert coeff == expected
 
+    def test_arguments_are_normalized_and_validated(self):
+        # every spelling of the same (i, D) reads the same cached expansion
+        expansion = pi_commute(1, (1, 2))
+        assert pi_commute(1, {2, 1}) is expansion
+        assert pi_commute(True, [2, 1, 2]) is expansion
+        for i, subset in ((-1, {1}), (0, {0}), (1, {0, 2})):
+            with pytest.raises(ValueError):
+                pi_commute(i, subset)
+        with pytest.raises(TypeError):
+            pi_commute(1.0, {1})
+
 
 class TestBuildMI:
     def test_rank_one_empty_set_kills_everything(self):
