@@ -32,7 +32,6 @@ import random
 import re
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exact_algebra import GaussianRational
 from .domino_tableaux import (
@@ -45,6 +44,7 @@ from .domino_tableaux import (
 )
 from .hecke_clifford import (
     RES_FORMS,
+    InducedModule,
     build_MI,
     build_intertwiner,
     centralizer_check,
@@ -89,9 +89,10 @@ from .signed_permutations import (
     ascent_compatibility_report,
     format_index_set,
     format_window,
+    leq_left_weak,
     parse_index_set,
-    right_inversions,
     subsets,
+    weak_order_interval,
 )
 from .special_families import (
     build_family,
@@ -200,17 +201,12 @@ def cases_random_convex(max_n: int, seed: int, samples: int) -> list[AuditCase]:
     degree = min(max_n, 3)
     rng = random.Random(seed)
     group = all_elements(degree)
-    inversions = {z: right_inversions(z) for z in group}
     failures = 0
     for _ in range(samples):
         top = rng.choice(group)
-        lower = [z for z in group if inversions[z] <= inversions[top]]
+        lower = [z for z in group if leq_left_weak(z, top)]
         bottom = rng.choice(lower)
-        members = tuple(
-            z
-            for z in group
-            if inversions[bottom] <= inversions[z] <= inversions[top]
-        )
+        members = weak_order_interval(bottom, top)
         report = ascent_compatibility_report(members)
         ops = family_from_elements(members)
         ok = (
@@ -269,9 +265,8 @@ def cases_arc(max_n: int) -> list[AuditCase]:
                 and low in members
                 and high in members
                 and gap not in members
-                and right_inversions(low)
-                <= right_inversions(gap)
-                <= right_inversions(high)
+                and leq_left_weak(low, gap)
+                and leq_left_weak(gap, high)
             )
             details = (
                 f"smallest non-convex degree {degree}: "
@@ -481,12 +476,22 @@ def _witness_case(case_id: str, status: str, target: str) -> AuditCase:
 # -- criterion: Clifford-extended modules -----------------------------------
 
 
-@lru_cache(maxsize=None)
-def _mi_characteristic(index_set: frozenset[int], n: int) -> QSymElement:
+_mi_characteristics: dict[tuple[frozenset[int], int], QSymElement] = {}
+
+
+def _mi_characteristic(
+    index_set: frozenset[int], n: int, module: InducedModule | None = None
+) -> QSymElement:
     """Restriction characteristic of ``build_MI(index_set, n)``, computed once
     per ``(I, n)`` for the three Clifford sections.  Only the immutable
-    characteristic is kept; a section that needs the module builds it."""
-    return restriction_characteristic(build_MI(index_set, n))[0]
+    characteristic is kept; a section that already holds the module passes
+    it, so no module is built twice."""
+    key = (index_set, n)
+    if key not in _mi_characteristics:
+        if module is None:
+            module = build_MI(index_set, n)
+        _mi_characteristics[key] = restriction_characteristic(module)[0]
+    return _mi_characteristics[key]
 
 
 def cases_clifford(max_n: int) -> list[AuditCase]:
@@ -500,7 +505,7 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
             module = build_MI(index_set, n)
             if verify_hcl_relations(module) != {"relations": "ok"}:
                 relation_failures.append(index_set)
-            direct = _mi_characteristic(index_set, n)
+            direct = _mi_characteristic(index_set, n, module)
             if direct != res_MI_formula(index_set, n, "proof_penultimate"):
                 restriction_failures.append(index_set)
             complement = frozenset(range(n)) - index_set

@@ -193,6 +193,17 @@ class ShiftedTiling:
         if not _is_shifted(self.dominoes):
             raise ValueError("tiling violates the shifted condition")
 
+    @classmethod
+    def _trusted(
+        cls, shape: tuple[int, ...], dominoes: tuple[Domino, ...]
+    ) -> "ShiftedTiling":
+        """A tiling known to be exact and shifted, built without re-checking
+        (for the enumerator); the dominoes are still sorted."""
+        tiling = object.__new__(cls)
+        object.__setattr__(tiling, "shape", shape)
+        object.__setattr__(tiling, "dominoes", tuple(sorted(dominoes)))
+        return tiling
+
     # The cached properties below index the tiling once; they live in the
     # instance ``__dict__``, outside the fields that equality and order use.
 
@@ -230,7 +241,7 @@ def enumerate_shifted_tilings(shape) -> tuple[ShiftedTiling, ...]:
     """
     return tuple(
         sorted(
-            ShiftedTiling(shape, dominoes)
+            ShiftedTiling._trusted(shape, dominoes)
             for dominoes in enumerate_tilings(shape)
             if _is_shifted(dominoes)
         )

@@ -43,7 +43,6 @@ __all__ = [
     "weak_order_interval",
     "convexity_witness",
     "is_convex_left_weak",
-    "unique_maximal",
     "is_aligned",
     "ascent_compatibility_report",
     "parse_window",
@@ -198,18 +197,16 @@ def bfs_word_lengths(n: int) -> dict[SignedPermutation, int]:
 
 
 def left_descents(x: SignedPermutation) -> frozenset[int]:
-    """Indices i with ``length(s_i * x) < length(x)``.
+    """Indices i with ``length(s_i * x) < length(x)``, read from the inverse
+    window: with ``x^-1(0) = 0``, i is a descent iff ``x^-1(i) > x^-1(i+1)``.
 
     >>> sorted(left_descents(SignedPermutation((2, -1))))
     [0]
     >>> sorted(left_descents(SignedPermutation((-1, -2))))
     [0, 1]
     """
-    n = x.n
-    base = length(x)
-    return frozenset(
-        i for i in range(n) if length(simple_reflection(i, n) * x) < base
-    )
+    position = (0, *x.inverse().window)
+    return frozenset(i for i in range(x.n) if position[i] > position[i + 1])
 
 
 @lru_cache(maxsize=None)
@@ -265,19 +262,67 @@ class Reflection:
         raise ValueError(f"{self.element} is not a reflection")
 
 
+@lru_cache(maxsize=None)
+def _inversion_masks(n: int) -> dict[SignedPermutation, int]:
+    """Right-inversion set of every element of B_n, in ``all_elements(n)``
+    order, as an int whose bit k stands for ``reflections(n)[k]``.
+
+    Read from the window (Björner–Brenti, *Combinatorics of Coxeter
+    Groups*, GTM 231, §8.1): the negation of position k is an inversion iff
+    ``w(k) < 0``, the swap of positions a < b iff ``w(a) > w(b)``, and the
+    signed swap iff ``w(a) + w(b) < 0``.  Left weak order is containment of
+    these sets (cf. Prop. 3.1.3).
+    """
+    negations, swaps, signed_swaps = [], [], []
+    for k, r in enumerate(reflections(n)):
+        kind, *moved = Reflection(r).descriptor
+        if kind == "negation":
+            negations.append((moved[0] - 1, 1 << k))
+        elif moved[1] > 0:
+            swaps.append((moved[0] - 1, moved[1] - 1, 1 << k))
+        else:
+            signed_swaps.append((moved[0] - 1, -moved[1] - 1, 1 << k))
+    masks = {}
+    for x in all_elements(n):
+        w = x.window
+        mask = 0
+        for k, bit in negations:
+            if w[k] < 0:
+                mask |= bit
+        for a, b, bit in swaps:
+            if w[a] > w[b]:
+                mask |= bit
+        for a, b, bit in signed_swaps:
+            if w[a] + w[b] < 0:
+                mask |= bit
+        masks[x] = mask
+    return masks
+
+
+def _same_rank(*elements: SignedPermutation) -> int:
+    """The rank shared by ``elements``; mixed ranks raise, as in products."""
+    ranks = {x.n for x in elements}
+    if len(ranks) > 1:
+        raise ValueError("ranks differ")
+    return ranks.pop()
+
+
 def right_inversions(x: SignedPermutation) -> frozenset[SignedPermutation]:
     """Reflections r with ``length(x * r) < length(x)``.
 
     >>> len(right_inversions(SignedPermutation((-2, -1)))) == length(SignedPermutation((-2, -1)))
     True
     """
-    base = length(x)
-    return frozenset(r for r in reflections(x.n) if length(x * r) < base)
+    mask = _inversion_masks(x.n)[x]
+    return frozenset(
+        r for k, r in enumerate(reflections(x.n)) if mask >> k & 1
+    )
 
 
 def leq_left_weak(x: SignedPermutation, y: SignedPermutation) -> bool:
     """Left weak order: containment of right-inversion sets."""
-    return right_inversions(x) <= right_inversions(y)
+    masks = _inversion_masks(_same_rank(x, y))
+    return masks[x] & ~masks[y] == 0
 
 
 def weak_order_interval(
@@ -289,12 +334,12 @@ def weak_order_interval(
     >>> len(weak_order_interval(simple_reflection(1, 2), top))
     4
     """
-    inv_x = right_inversions(x)
-    inv_y = right_inversions(y)
-    if not inv_x <= inv_y:
+    masks = _inversion_masks(_same_rank(x, y))
+    low, high = masks[x], masks[y]
+    if low & ~high:
         return ()
     return tuple(
-        z for z in all_elements(x.n) if inv_x <= right_inversions(z) <= inv_y
+        z for z, mask in masks.items() if low & ~mask == 0 and mask & ~high == 0
     )
 
 
@@ -304,16 +349,24 @@ def convexity_witness(
     """A triple ``(x, y, z)`` with ``x <= z <= y``, endpoints inside the set
     and ``z`` outside, or None when the set is convex.
 
-    Pairs are scanned in window order, so the witness is deterministic.
+    Pairs are scanned in window order and each interval in
+    ``all_elements`` order, so the witness is deterministic.
     """
     inside = set(elements)
+    if not inside:
+        return None
+    masks = _inversion_masks(_same_rank(*inside))
+    outside = [(z, mask) for z, mask in masks.items() if z not in inside]
     ordered = sorted(inside, key=lambda m: m.window)
     for x in ordered:
+        low = masks[x]
+        above = [(z, mask) for z, mask in outside if low & ~mask == 0]
         for y in ordered:
-            if not leq_left_weak(x, y):
+            high = masks[y]
+            if low & ~high:
                 continue
-            for z in weak_order_interval(x, y):
-                if z not in inside:
+            for z, mask in above:
+                if mask & ~high == 0:
                     return x, y, z
     return None
 
@@ -325,23 +378,6 @@ def is_convex_left_weak(elements: Iterable[SignedPermutation]) -> bool:
     True
     """
     return convexity_witness(elements) is None
-
-
-def unique_maximal(
-    elements: Iterable[SignedPermutation],
-) -> SignedPermutation | None:
-    """The unique weak-order-maximal member, or None if there are several.
-
-    >>> unique_maximal([identity(2), simple_reflection(0, 2)]).window
-    (-1, 2)
-    """
-    members = list(set(elements))
-    maximal = [
-        x
-        for x in members
-        if not any(y != x and leq_left_weak(x, y) for y in members)
-    ]
-    return maximal[0] if len(maximal) == 1 else None
 
 
 def is_aligned(

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from tbhl import hecke_clifford
+from tbhl import cli_verify, hecke_clifford
 from tbhl.cli_verify import (
     AuditCase,
-    _mi_characteristic,
     _prettify_polynomial,
     cases_clifford,
     main,
@@ -384,13 +383,25 @@ class TestAuditLibrary:
         monkeypatch.setattr(
             "tbhl.cli_verify.restriction_characteristic", counting
         )
-        _mi_characteristic.cache_clear()
-        try:
-            run_audit("all", max_n=3, max_partition=6, seed=0)
-        finally:
-            _mi_characteristic.cache_clear()
+        monkeypatch.setattr(cli_verify, "_mi_characteristics", {})
+        run_audit("all", max_n=3, max_partition=6, seed=0)
         assert len(computed) == 2 + 4 + 8
         assert len(set(computed)) == len(computed)
+
+    def test_one_module_per_index_set(self, monkeypatch):
+        # cases_clifford hands its module to the shared characteristic;
+        # intertwiners and centralizers use hecke_clifford's own binding
+        built = []
+
+        def counting(index_set, n):
+            built.append((frozenset(index_set), n))
+            return hecke_clifford.build_MI(index_set, n)
+
+        monkeypatch.setattr("tbhl.cli_verify.build_MI", counting)
+        monkeypatch.setattr(cli_verify, "_mi_characteristics", {})
+        run_audit("all", max_n=3, max_partition=6, seed=0)
+        assert len(built) == 2 + 4 + 8
+        assert len(set(built)) == len(built)
 
     def test_witness_cases_pass_only_on_a_found_verdict(self, monkeypatch):
         assert [case.status for case in witness_cases()] == ["pass", "pass"]

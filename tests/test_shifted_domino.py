@@ -4,7 +4,12 @@ import itertools
 
 import pytest
 
-from tbhl.domino_tableaux import Domino, partitions_of, swap_entries
+from tbhl.domino_tableaux import (
+    Domino,
+    enumerate_tilings,
+    partitions_of,
+    swap_entries,
+)
 from tbhl.exact_algebra import TruncatedPolynomial
 from tbhl.hecke_engine import (
     characteristic_by_composition_series,
@@ -136,6 +141,17 @@ class TestShiftedTilings:
                 (2, 2),
                 (Domino(((1, 1), (2, 1))), Domino(((1, 2), (2, 2)))),
             )
+
+    def test_enumerator_agrees_with_the_public_constructor(self):
+        # the enumerator builds its tilings without re-validation
+        for shape in [*valid_shapes(10), (7, 7, 6, 5, 1)]:
+            public = []
+            for dominoes in enumerate_tilings(shape):
+                try:
+                    public.append(ShiftedTiling(shape, dominoes))
+                except ValueError:
+                    continue
+            assert enumerate_shifted_tilings(shape) == tuple(sorted(public))
 
     def test_deep_vertical_diagonal_domino_allowed(self):
         # a diagonal vertical whose left neighbor reaches the diagonal is fine

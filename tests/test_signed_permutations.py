@@ -10,6 +10,7 @@ from tbhl.signed_permutations import (
     AlignedWitness,
     Reflection,
     SignedPermutation,
+    _inversion_masks,
     all_elements,
     ascent_compatibility_report,
     bfs_word_lengths,
@@ -28,7 +29,6 @@ from tbhl.signed_permutations import (
     reflections,
     right_inversions,
     simple_reflection,
-    unique_maximal,
     weak_order_interval,
 )
 
@@ -117,6 +117,15 @@ class TestLengthAndDescents:
                     expected.add(i)
             assert left_descents(x) == frozenset(expected)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_descents_match_the_length_definition(self, n):
+        for x in all_elements(n):
+            base = length(x)
+            expected = {
+                i for i in range(n) if length(simple_reflection(i, n) * x) < base
+            }
+            assert left_descents(x) == frozenset(expected)
+
 
 class TestReflectionsAndInversions:
     @pytest.mark.parametrize("n,count", [(2, 4), (3, 9)])
@@ -144,6 +153,18 @@ class TestReflectionsAndInversions:
         for x in all_elements(n):
             assert len(right_inversions(x)) == length(x)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_masks_match_the_length_definition(self, n):
+        masks = _inversion_masks(n)
+        assert tuple(masks) == all_elements(n)
+        for x, mask in masks.items():
+            base = length(x)
+            expected = frozenset(r for r in reflections(n) if length(x * r) < base)
+            assert right_inversions(x) == expected
+            assert mask == sum(
+                1 << k for k, r in enumerate(reflections(n)) if r in expected
+            )
+
     def test_pinned_inversion_chain(self):
         chain = [(2, 1), (2, -1), (1, -2), (-1, -2)]
         inversions = [right_inversions(SignedPermutation(w)) for w in chain]
@@ -168,10 +189,29 @@ class TestWeakOrder:
             SignedPermutation((-1, -2)),
         }
         assert is_convex_left_weak(interval)
-        assert unique_maximal(interval) == top
+        assert all(leq_left_weak(z, top) for z in interval)
 
     def test_interval_of_incomparable_pair_is_empty(self):
         assert weak_order_interval(simple_reflection(0, 2), simple_reflection(1, 2)) == ()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_order_matches_length_additivity_on_the_bfs_oracle(self, n):
+        # x <= y in left weak order iff y = (y x^-1) x with lengths adding up
+        lengths = bfs_word_lengths(n)
+        for x in all_elements(n):
+            for y in all_elements(n):
+                additive = lengths[y * x.inverse()] + lengths[x] == lengths[y]
+                assert leq_left_weak(x, y) == additive, (x, y)
+
+    def test_mixed_ranks_are_rejected(self):
+        one, two = SignedPermutation((1,)), identity(2)
+        with pytest.raises(ValueError, match="ranks differ"):
+            leq_left_weak(one, two)
+        with pytest.raises(ValueError, match="ranks differ"):
+            weak_order_interval(one, two)
+        with pytest.raises(ValueError, match="ranks differ"):
+            convexity_witness([one, two])
+        assert convexity_witness([]) is None
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_order_is_graded_by_length(self, n):
@@ -181,13 +221,16 @@ class TestWeakOrder:
                 if leq_left_weak(x, y) and x != y:
                     assert length(x) < length(y)
 
-    def test_unique_maximal_rejects_antichains(self):
-        assert unique_maximal([simple_reflection(0, 2), simple_reflection(1, 2)]) is None
+    def test_generators_are_incomparable(self):
+        s0, s1 = simple_reflection(0, 2), simple_reflection(1, 2)
+        assert not leq_left_weak(s0, s1) and not leq_left_weak(s1, s0)
 
     def test_full_group_is_convex_with_unique_max(self):
         group = all_elements(2)
         assert is_convex_left_weak(group)
-        assert unique_maximal(group) == SignedPermutation((-1, -2))
+        top = SignedPermutation((-1, -2))
+        assert all(leq_left_weak(x, top) for x in group)
+        assert [x for x in group if leq_left_weak(top, x)] == [top]
 
     def test_nonconvex_set_detected(self):
         # e and the longest element without anything in between
@@ -195,7 +238,13 @@ class TestWeakOrder:
 
     def test_convexity_witness_on_every_subset_of_b2(self):
         group = all_elements(2)
-        inversions = {z: right_inversions(z) for z in group}
+        lengths = bfs_word_lengths(2)
+        below = {
+            (x, y)
+            for x in group
+            for y in group
+            if lengths[y * x.inverse()] + lengths[x] == lengths[y]
+        }
         for size in range(len(group) + 1):
             for chosen in itertools.combinations(group, size):
                 subset = set(chosen)
@@ -206,13 +255,13 @@ class TestWeakOrder:
                     for x in subset
                     for y in subset
                     for z in group
-                    if inversions[x] <= inversions[z] <= inversions[y]
+                    if (x, z) in below and (z, y) in below
                 )
                 assert convex == (witness is None), chosen
                 if witness is not None:
                     x, y, z = witness
                     assert x in subset and y in subset and z not in subset
-                    assert inversions[x] <= inversions[z] <= inversions[y]
+                    assert (x, z) in below and (z, y) in below
 
 
 class TestAlignmentAndCompatibility:
