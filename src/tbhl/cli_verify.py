@@ -95,6 +95,7 @@ from .signed_permutations import (
     weak_order_interval,
 )
 from .special_families import (
+    MAX_DEGREE,
     build_family,
     invert_family,
     parse_family_spec,
@@ -837,6 +838,8 @@ def _prettify_polynomial(text: str) -> str:
 
 
 def cmd_qsym(args) -> int:
+    if args.n < 0 or (getattr(args, "nvars", None) or 0) < 0:
+        raise ValueError("--n and --nvars must be nonnegative")
     if args.qsym_command == "fb":
         subset = parse_index_set(args.set)
         if args.monomials:
@@ -985,6 +988,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 1 <= args.max_n <= MAX_DEGREE:
+        raise ValueError(f"--max-n must lie in 1..{MAX_DEGREE}")
     shape = _parse_shape(args.shape) if getattr(args, "shape", None) else None
     cases = run_audit(
         args.verify_command,
@@ -1078,12 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = verify.add_subparsers(dest="verify_command", required=True)
     common_verify = argparse.ArgumentParser(add_help=False)
     common_verify.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    common_verify.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility and ignored; the audit runs serially",
-    )
     allcmd = vsub.add_parser("all", parents=[output, common_verify])
     allcmd.add_argument(
         "--max-partition", type=int, default=DEFAULT_MAX_PARTITION

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass, replace
 from typing import TypeVar
 
@@ -212,25 +211,6 @@ class StandardDominoTableau:
 
     def to_text(self) -> str:
         return _layout_text(enumerate(self.dominoes, 1))
-
-    @staticmethod
-    def from_text(text: str, shape) -> "StandardDominoTableau":
-        pattern = re.compile(
-            r"^(\d+):\((\d+),(\d+)\)-\((\d+),(\d+)\)$"
-        )
-        found: dict[int, Domino] = {}
-        for line in text.strip().splitlines():
-            match = pattern.match(line.strip())
-            if not match:
-                raise ValueError(f"bad tableau line: {line!r}")
-            entry, r1, c1, r2, c2 = map(int, match.groups())
-            if entry in found:
-                raise ValueError(f"duplicate entry {entry}")
-            found[entry] = Domino(((r1, c1), (r2, c2)))
-        if sorted(found) != list(range(1, len(found) + 1)):
-            raise ValueError("entries must be 1..n")
-        dominoes = tuple(found[k] for k in sorted(found))
-        return StandardDominoTableau(validate_partition(shape), dominoes)
 
 
 @_shape_cache

@@ -4,11 +4,10 @@ Scalars are Gaussian rationals: complex numbers with exact rational real and
 imaginary parts.  A part is a Python ``int`` when it is integral and a
 :class:`fractions.Fraction` otherwise, so the ``±1``/``±i`` entries of the
 operator matrices, and all their products, stay in fast integer arithmetic.
-Matrices are sparse dicts keyed by ``(row, col)``.  Polynomials are truncated
-multivariate polynomials with integer coefficients, used for monomial
-expansions of quasisymmetric functions; they record whether any term was
-discarded by the degree cap so that equality checks can insist that no
-truncation occurred.
+Matrices are sparse dicts keyed by ``(row, col)``.  Polynomials are
+multivariate polynomials with integer coefficients and a degree cap, used
+for monomial expansions of quasisymmetric functions; a term above the cap is
+an error, never silently dropped.
 
 >>> i = GaussianRational.sqrt_minus_one()
 >>> i * i == GaussianRational.integer(-1)
@@ -137,9 +136,6 @@ class GaussianRational:
         for _ in range(exponent):
             result = result * self
         return result
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._of(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -273,13 +269,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.ncols,
-            self.nrows,
-            {(c, r): value for (r, c), value in self.entries.items()},
-        )
-
     def column(self, col: int) -> dict[int, GaussianRational]:
         return {r: v for (r, c), v in self.entries.items() if c == col}
 
@@ -358,37 +347,31 @@ class TruncatedPolynomial:
     """A multivariate polynomial with integer coefficients, capped by degree.
 
     ``terms`` maps exponent vectors (tuples of length ``nvars``) to nonzero
-    integer coefficients.  Any operation that would create a term of total
-    degree above ``degree_cap`` drops the term and sets ``truncated``; the
-    flag is sticky under addition and multiplication, so ``truncated=False``
-    certifies that the stored terms are the complete polynomial.
+    integer coefficients, each of total degree at most ``degree_cap``; a
+    term above the cap raises ``ValueError``, so the stored terms are always
+    the complete polynomial.
 
-    >>> x0 = TruncatedPolynomial.variable(0, nvars=2, degree_cap=2)
-    >>> x1 = TruncatedPolynomial.variable(1, nvars=2, degree_cap=2)
-    >>> p = (x0 + x1) * x1
-    >>> sorted(p.as_dict().items())
-    [((0, 2), 1), ((1, 1), 1)]
-    >>> p.truncated
-    False
-    >>> (p * x0).truncated
-    True
+    >>> p = TruncatedPolynomial.make(2, 2, {(0, 2): 1, (1, 1): 1})
+    >>> sorted((p + p).as_dict().items())
+    [((0, 2), 2), ((1, 1), 2)]
+    >>> TruncatedPolynomial.make(2, 1, {(1, 1): 1})
+    Traceback (most recent call last):
+    ...
+    ValueError: term (1, 1) exceeds the degree cap 1
     """
 
     nvars: int
     degree_cap: int
     terms: tuple[tuple[tuple[int, ...], int], ...] = field(default=())
-    truncated: bool = False
 
     @staticmethod
     def make(
         nvars: int,
         degree_cap: int,
         terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = (),
-        truncated: bool = False,
     ) -> "TruncatedPolynomial":
         collected: dict[tuple[int, ...], int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clipped = truncated
         for exponents, coefficient in items:
             exponents = tuple(exponents)
             if len(exponents) != nvars:
@@ -396,35 +379,19 @@ class TruncatedPolynomial:
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
             if sum(exponents) > degree_cap:
-                clipped = True
-                continue
+                raise ValueError(
+                    f"term {exponents} exceeds the degree cap {degree_cap}"
+                )
             total = collected.get(exponents, 0) + int(coefficient)
             if total:
                 collected[exponents] = total
             else:
                 collected.pop(exponents, None)
-        ordered = tuple(sorted(collected.items()))
-        return TruncatedPolynomial(nvars, degree_cap, ordered, clipped)
+        return TruncatedPolynomial(nvars, degree_cap, tuple(sorted(collected.items())))
 
     @staticmethod
     def zero(nvars: int, degree_cap: int) -> "TruncatedPolynomial":
         return TruncatedPolynomial.make(nvars, degree_cap, {})
-
-    @staticmethod
-    def variable(index: int, nvars: int, degree_cap: int) -> "TruncatedPolynomial":
-        if not 0 <= index < nvars:
-            raise IndexError(f"variable x_{index} outside range of {nvars} variables")
-        exponents = tuple(1 if k == index else 0 for k in range(nvars))
-        return TruncatedPolynomial.make(nvars, degree_cap, {exponents: 1})
-
-    @staticmethod
-    def monomial(
-        exponents: Iterable[int], coefficient: int, degree_cap: int
-    ) -> "TruncatedPolynomial":
-        exponents = tuple(exponents)
-        return TruncatedPolynomial.make(
-            len(exponents), degree_cap, {exponents: coefficient}
-        )
 
     def _require_compatible(self, other: "TruncatedPolynomial") -> None:
         if self.nvars != other.nvars or self.degree_cap != other.degree_cap:
@@ -442,9 +409,7 @@ class TruncatedPolynomial:
                 merged[exponents] = total
             else:
                 merged.pop(exponents, None)
-        return TruncatedPolynomial.make(
-            self.nvars, self.degree_cap, merged, self.truncated or other.truncated
-        )
+        return TruncatedPolynomial.make(self.nvars, self.degree_cap, merged)
 
     def __neg__(self) -> "TruncatedPolynomial":
         return self.scale(-1)
@@ -457,49 +422,10 @@ class TruncatedPolynomial:
             self.nvars,
             self.degree_cap,
             {exponents: scalar * c for exponents, c in self.terms},
-            self.truncated,
         )
-
-    def __mul__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        self._require_compatible(other)
-        product: dict[tuple[int, ...], int] = {}
-        clipped = self.truncated or other.truncated
-        for left_exp, left_c in self.terms:
-            for right_exp, right_c in other.terms:
-                exponents = tuple(a + b for a, b in zip(left_exp, right_exp))
-                if sum(exponents) > self.degree_cap:
-                    clipped = True
-                    continue
-                total = product.get(exponents, 0) + left_c * right_c
-                if total:
-                    product[exponents] = total
-                else:
-                    product.pop(exponents, None)
-        return TruncatedPolynomial.make(self.nvars, self.degree_cap, product, clipped)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        """Structural equality of stored terms (shape must agree).
-
-        The truncation flags do not participate; use :meth:`exact_eq` to
-        additionally demand that neither side lost terms.
-        """
-        if not isinstance(other, TruncatedPolynomial):
-            return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.degree_cap == other.degree_cap
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.degree_cap, self.terms))
-
-    def exact_eq(self, other: "TruncatedPolynomial") -> bool:
-        """Equality that also certifies no truncation occurred on either side."""
-        return (not self.truncated) and (not other.truncated) and self == other
 
     def to_json(self) -> list:
         """Serialize as ``[[exponent_vector, coefficient], ...]`` in lex order."""

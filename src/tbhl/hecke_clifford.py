@@ -40,7 +40,6 @@ a chosen subset) is also transcribed from the closed ribbon case table
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Hashable, Iterable
@@ -50,9 +49,9 @@ from .hecke_engine import (
     CompositionSeries,
     LabeledBasis,
     OperatorFamily,
-    alternating_product,
     characteristic_by_composition_series,
     family_from_matrices,
+    verify_relations,
 )
 from .qsym_typeb import (
     QSymElement,
@@ -60,7 +59,7 @@ from .qsym_typeb import (
     peak_data,
     symmetric_difference_condition,
 )
-from .signed_permutations import braid_exponent, subsets
+from .signed_permutations import subsets
 
 Label = Hashable
 
@@ -139,37 +138,31 @@ def _single_rules(i: int, j: int):
     return (((j,), _ZERO, _ONE),)
 
 
+@lru_cache(maxsize=None)
 def pi_commute(
-    i: int, subset: Iterable[int]
+    i: int, word: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], GaussianRational, GaussianRational], ...]:
-    """Normal-ordered expansion ``pi_i c_D = sum c_E (gamma_E + delta_E pi_i)``.
+    """Normal-ordered expansion ``pi_i c_D = sum c_E (gamma_E + delta_E pi_i)``
+    for ``D`` given as a strictly increasing tuple of generator indices.
 
     Returns ``(E, gamma_E, delta_E)`` triples sorted by ``E``.  For ``i = 0``
     the expansion follows the graded convention from the module docstring:
     the letter 1 is anticommuted to the right end and absorbed, so its
-    coefficient carries the parity of the rest of the monomial.
+    coefficient carries the parity of the rest of the monomial.  Cached, and
+    validated once per distinct key, since every induced module of rank
+    ``n`` needs the same ``n * 2**n`` expansions.
 
-    >>> [(e, (g.re, d.re)) for e, g, d in pi_commute(1, {2})]
+    >>> [(e, (g.re, d.re)) for e, g, d in pi_commute(1, (2,))]
     [((1,), (0, 1))]
-    >>> [(e, d.im) for e, g, d in pi_commute(0, {1})]
+    >>> [(e, d.im) for e, g, d in pi_commute(0, (1,))]
     [((), 1)]
-    >>> [(e, d.im) for e, g, d in pi_commute(0, {1, 2})]
+    >>> [(e, d.im) for e, g, d in pi_commute(0, (1, 2))]
     [((2,), -1)]
     """
-    i = operator.index(i)
-    word = tuple(sorted({operator.index(index) for index in subset}))
     if i < 0 or (word and word[0] < 1):
         raise ValueError("pi indices start at 0 and generator indices at 1")
-    return _pi_commute(i, word)
-
-
-@lru_cache(maxsize=None)
-def _pi_commute(
-    i: int, word: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], GaussianRational, GaussianRational], ...]:
-    """:func:`pi_commute` on a sorted tuple of generator indices; cached,
-    since every induced module of rank ``n`` needs the same ``n * 2**n``
-    expansions."""
+    if any(a >= b for a, b in zip(word, word[1:])):
+        raise ValueError(f"generator indices {word} must strictly increase")
     if i == 0:
         if 1 not in word:
             return ((word, _ZERO, _ONE),)
@@ -269,7 +262,7 @@ def induce_labeled_basis(base: LabeledBasis) -> InducedModule:
                 target = None
             for subset in all_subsets:
                 col = position[(subset, label)]
-                for new_subset, const, with_pi in _pi_commute(i, subset):
+                for new_subset, const, with_pi in pi_commute(i, subset):
                     add(position[(new_subset, label)], col, const)
                     if with_pi.is_zero():
                         continue
@@ -375,22 +368,20 @@ def build_MI(index_set, n: int) -> InducedModule:
 
 
 def verify_hcl_relations(module: InducedModule) -> dict:
-    """Check casewise, Clifford, and mixed relations as matrix identities."""
+    """Check casewise, Clifford, and mixed relations as matrix identities.
+
+    The casewise quadratic and braid relations are those of
+    :func:`verify_relations`, whose failure is returned as is.
+    """
+    casewise = verify_relations(
+        family_from_matrices(module.basis, module.pi_matrices, module.rank)
+    )
+    if casewise != {"relations": "ok"}:
+        return casewise
     n = module.rank
-    size = len(module.basis)
-    identity = SparseMatrix.identity(size)
+    identity = SparseMatrix.identity(len(module.basis))
     pi = module.pi_matrices
     cg = module.c_matrices
-    for i in range(n):
-        if pi[i] @ pi[i] != pi[i].scale(_MINUS_ONE):
-            return {"failed": {"kind": "quadratic", "i": i}}
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = braid_exponent(a, b)
-            if alternating_product(pi[a], pi[b], m) != alternating_product(
-                pi[b], pi[a], m
-            ):
-                return {"failed": {"kind": "braid", "i": a, "j": b}}
     for j in range(1, n + 1):
         if cg[j] @ cg[j] != identity.scale(_MINUS_ONE):
             return {"failed": {"kind": "clifford-square", "j": j}}
@@ -649,53 +640,3 @@ def induce_and_restrict(base) -> tuple[QSymElement, dict]:
             )
         report["matches"][form] = direct == expected
     return direct, report
-
-
-# ---------------------------------------------------------------------------
-# ribbon rendering
-
-
-@dataclass(frozen=True)
-class RibbonDiagram:
-    """Staircase of boxes ``0..rank``: each next box goes below on a descent
-    index, right otherwise; barred boxes carry a trailing tilde."""
-
-    index_set: frozenset[int]
-    barred: frozenset[int]
-    rank: int
-
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        walk = [(0, 0)]
-        for i in range(self.rank):
-            r, c = walk[-1]
-            walk.append((r + 1, c) if i in self.index_set else (r, c + 1))
-        return tuple(walk)
-
-    def render(self) -> str:
-        cells = {
-            pos: idx for idx, pos in enumerate(self.positions())
-        }
-        max_r = max(r for r, _ in cells)
-        max_c = max(c for _, c in cells)
-        lines = []
-        for r in range(max_r + 1):
-            row = []
-            for c in range(max_c + 1):
-                idx = cells.get((r, c))
-                if idx is None:
-                    row.append("    ")
-                else:
-                    text = f"{idx}~" if idx in self.barred else f"{idx}"
-                    row.append(f"{text:>4}")
-            lines.append("".join(row).rstrip())
-        return "\n".join(lines)
-
-
-def render_ribbon(index_set, barred, n: int) -> str:
-    """ASCII ribbon for a subset with barred boxes.
-
-    >>> print(render_ribbon({0}, {1}, 1))
-       0
-      1~
-    """
-    return RibbonDiagram(frozenset(index_set), frozenset(barred), n).render()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .exact_algebra import GaussianRational, SparseMatrix
 from .qsym_typeb import QSymElement
@@ -238,28 +238,17 @@ def characteristic_by_descent_sum(
     return QSymElement.from_descent_sets((left_descents(x) for x in elements), n)
 
 
-def qx(elements: Iterable[SignedPermutation]) -> QSymElement:
-    """Sum of fundamental functions over *inverse* descent sets.
-
-    >>> from tbhl.signed_permutations import SignedPermutation
-    >>> print(qx([SignedPermutation((2, -1))]))
-    1*FB{1}
-    """
-    return characteristic_by_descent_sum(x.inverse() for x in elements)
-
-
 def characteristic_by_composition_series(
     fam: OperatorFamily,
-    sort_key: Callable[[Label], object] | None = None,
 ) -> tuple[QSymElement, CompositionSeries]:
     """Order the basis triangularly and read factors off the diagonals.
 
     The support digraph has an edge from each basis label to every *other*
     label appearing in its image under some operator; the order puts image
-    supports first, so every prefix span is operator-invariant.  Raises
+    supports first, so every prefix span is operator-invariant.  Ties between
+    simultaneously ready labels go to the earlier basis position.  Raises
     ``ValueError`` if that digraph has a cycle or a diagonal entry is neither
-    ``0`` nor ``-1``.  ``sort_key`` only breaks ties between simultaneously
-    ready labels, for reproducibility; the factors do not depend on it.
+    ``0`` nor ``-1``.
 
     >>> from tbhl.signed_permutations import all_elements
     >>> char, series = characteristic_by_composition_series(
@@ -271,12 +260,6 @@ def characteristic_by_composition_series(
     """
     labels = fam.basis.elements
     size = len(labels)
-    if sort_key is None:
-        base_position = fam.basis.position
-
-        def sort_key(label: Label) -> object:
-            return base_position[label]
-
     successors: dict[int, set[int]] = {k: set() for k in range(size)}
     indegree = [0] * size
     for matrix in fam.matrices.values():
@@ -284,18 +267,16 @@ def characteristic_by_composition_series(
             if r != c and c not in successors[r]:
                 successors[r].add(c)
                 indegree[c] += 1
-    ready = [
-        (sort_key(labels[k]), k) for k in range(size) if indegree[k] == 0
-    ]
+    ready = [k for k in range(size) if indegree[k] == 0]
     heapq.heapify(ready)
     order_positions: list[int] = []
     while ready:
-        _, k = heapq.heappop(ready)
+        k = heapq.heappop(ready)
         order_positions.append(k)
         for c in sorted(successors[k]):
             indegree[c] -= 1
             if indegree[c] == 0:
-                heapq.heappush(ready, (sort_key(labels[c]), c))
+                heapq.heappush(ready, c)
     if len(order_positions) != size:
         raise ValueError(
             "support digraph is cyclic; no triangular basis order exists"

@@ -36,8 +36,6 @@ from .signed_permutations import format_index_set, parse_index_set, subsets
 __all__ = [
     "QSymElement",
     "PeakDataB",
-    "descent_set_of_composition",
-    "composition_of_descent_set",
     "fb_monomials",
     "peak_data",
     "peak_function_type_b",
@@ -109,9 +107,6 @@ class QSymElement:
                 return coefficient
         return 0
 
-    def support(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(key) for key, _ in self.coeffs)
-
     def _require_compatible(self, other: "QSymElement") -> None:
         if self.n != other.n:
             raise ValueError("degree mismatch")
@@ -170,51 +165,6 @@ class QSymElement:
             f"{coefficient}*FB{format_index_set(key)}"
             for key, coefficient in self.coeffs
         )
-
-
-def descent_set_of_composition(parts: Iterable[int]) -> frozenset[int]:
-    """Partial sums of a composition, excluding the total.
-
-    The first part may be 0 (making 0 a descent); all other parts must be
-    positive.
-
-    >>> sorted(descent_set_of_composition((2, 1, 1)))
-    [2, 3]
-    >>> sorted(descent_set_of_composition((0, 3, 1)))
-    [0, 3]
-    """
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("empty composition")
-    for position, part in enumerate(parts):
-        if part < (1 if position else 0):
-            raise ValueError(f"invalid part {part} at position {position}")
-    partial = 0
-    descents = []
-    for part in parts[:-1]:
-        partial += part
-        descents.append(partial)
-    return frozenset(descents)
-
-
-def composition_of_descent_set(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    """Inverse of :func:`descent_set_of_composition` for fixed total n.
-
-    >>> composition_of_descent_set({0, 3}, 4)
-    (0, 3, 1)
-    >>> composition_of_descent_set(set(), 4)
-    (4,)
-    """
-    subset = sorted(set(subset))
-    if any(not 0 <= i <= n - 1 for i in subset):
-        raise ValueError(f"descent set {subset} outside [0, {n - 1}]")
-    boundaries = subset + [n]
-    parts = []
-    previous = 0
-    for boundary in boundaries:
-        parts.append(boundary - previous)
-        previous = boundary
-    return tuple(parts)
 
 
 @lru_cache(maxsize=None)

@@ -58,21 +58,6 @@ from .signed_permutations import subsets
 # entry alphabet
 
 
-def encode_entry(index: int, primed: bool = False) -> int:
-    """Encode ``0``, ``k'`` or ``k`` as an integer preserving the order.
-
-    >>> [encode_entry(0), encode_entry(1, True), encode_entry(1), encode_entry(2, True)]
-    [0, 1, 2, 3]
-    """
-    if index < 0:
-        raise ValueError("entry index must be nonnegative")
-    if index == 0:
-        if primed:
-            raise ValueError("the zero entry cannot be primed")
-        return 0
-    return 2 * index - 1 if primed else 2 * index
-
-
 def entry_index(code: int) -> int:
     """Index of an encoded entry (``3`` and ``3'`` both give 3)."""
     return (code + 1) // 2
@@ -85,8 +70,8 @@ def entry_is_primed(code: int) -> bool:
 def entry_text(code: int) -> str:
     """Display form: ``0``, ``3``, or ``3'``.
 
-    >>> [entry_text(encode_entry(3, True)), entry_text(encode_entry(3))]
-    ["3'", '3']
+    >>> [entry_text(0), entry_text(5), entry_text(6)]
+    ['0', "3'", '3']
     """
     index = entry_index(code)
     return f"{index}'" if entry_is_primed(code) else str(index)
@@ -152,6 +137,16 @@ def two_quotient(shape) -> TwoQuotient:
 # shifted tilings
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without its
+    ``__post_init__`` checks, for values an enumerator makes valid by
+    construction.  The public constructors keep full validation."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def weakly_above_diagonal(domino: Domino) -> bool:
     """A domino is filled when at least one cell (r, c) has c >= r."""
     return any(c >= r for (r, c) in domino.cells)
@@ -193,17 +188,6 @@ class ShiftedTiling:
         if not _is_shifted(self.dominoes):
             raise ValueError("tiling violates the shifted condition")
 
-    @classmethod
-    def _trusted(
-        cls, shape: tuple[int, ...], dominoes: tuple[Domino, ...]
-    ) -> "ShiftedTiling":
-        """A tiling known to be exact and shifted, built without re-checking
-        (for the enumerator); the dominoes are still sorted."""
-        tiling = object.__new__(cls)
-        object.__setattr__(tiling, "shape", shape)
-        object.__setattr__(tiling, "dominoes", tuple(sorted(dominoes)))
-        return tiling
-
     # The cached properties below index the tiling once; they live in the
     # instance ``__dict__``, outside the fields that equality and order use.
 
@@ -241,7 +225,7 @@ def enumerate_shifted_tilings(shape) -> tuple[ShiftedTiling, ...]:
     """
     return tuple(
         sorted(
-            ShiftedTiling._trusted(shape, dominoes)
+            _trusted(ShiftedTiling, shape=shape, dominoes=tuple(sorted(dominoes)))
             for dominoes in enumerate_tilings(shape)
             if _is_shifted(dominoes)
         )
@@ -333,7 +317,7 @@ def iter_standard(shape) -> Iterator[ShiftedStandardTableau]:
     shape = validate_partition(shape)
     for tiling in enumerate_shifted_tilings(shape):
         for order in _iter_extensions(tiling):
-            yield ShiftedStandardTableau(tiling, order)
+            yield _trusted(ShiftedStandardTableau, tiling=tiling, dominoes=order)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +456,10 @@ def _iter_fillings(
 
     def assign(position: int, assigned: dict[Domino, int]):
         if position == len(filled):
-            yield ShiftedSemistandardTableau(
-                tiling, tuple(assigned.items())
+            yield _trusted(
+                ShiftedSemistandardTableau,
+                tiling=tiling,
+                entries=tuple(sorted(assigned.items())),
             )
             return
         domino = filled[position]

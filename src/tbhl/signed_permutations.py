@@ -45,15 +45,11 @@ __all__ = [
     "is_convex_left_weak",
     "is_aligned",
     "ascent_compatibility_report",
-    "parse_window",
     "format_window",
     "parse_index_set",
     "format_index_set",
     "subsets",
 ]
-
-BARRED = "̄"  # combining macron, renders 3 as 3̄
-
 
 @dataclass(frozen=True, order=True)
 class SignedPermutation:
@@ -451,34 +447,12 @@ def ascent_compatibility_report(
     return AscentCompatibilityReport(True, None)
 
 
-def parse_window(text: str) -> SignedPermutation:
-    """Parse ``"2,-3,1"`` (or with barred digits) into a signed permutation.
-
-    >>> parse_window("2,-3,1").window
-    (2, -3, 1)
-    """
-    entries = []
-    for piece in text.strip().split(","):
-        piece = piece.strip()
-        if BARRED in piece:
-            entries.append(-int(piece.replace(BARRED, "")))
-        else:
-            entries.append(int(piece))
-    return SignedPermutation(tuple(entries))
-
-
-def format_window(x: SignedPermutation, barred: bool = False) -> str:
-    """Render a window as ``"2,-3,1"`` or with barred digits.
+def format_window(x: SignedPermutation) -> str:
+    """Render a window as ``"2,-3,1"``.
 
     >>> format_window(SignedPermutation((2, -3, 1)))
     '2,-3,1'
-    >>> format_window(SignedPermutation((2, -3, 1)), barred=True)
-    '2,3̄,1'
     """
-    if barred:
-        return ",".join(
-            f"{abs(v)}{BARRED}" if v < 0 else str(v) for v in x.window
-        )
     return ",".join(str(v) for v in x.window)
 
 

@@ -1,19 +1,17 @@
 """Distinguished subsets of the signed permutation groups.
 
-Four families are constructed by exhaustive filtering:
+Three families are constructed by exhaustive filtering:
 
 * ``dclass``: all elements with a prescribed left descent set.
 * ``luni``: elements whose inverse window decreases down to position ``i``
   and increases afterwards ("left-unimodal" elements).
-* ``luni_union``: the union of the ``luni`` families over all ``i``.
 * ``arc``: elements whose window is a shuffle of a cyclically consecutive
   positive word and a cyclically consecutive negative word whose starting
   letters are cyclically adjacent.
 
-Each family can be inverted element-wise.  ``family_report`` bundles the
-ascent-compatibility scan with the two natural quasisymmetric sums (over
-inverse descent sets, and over descent sets) and, for compatible sets, the
-verified module characteristic.
+Each family can be inverted element-wise.  The audit checks each family's
+relations and characteristic through ``hecke_engine`` and its
+ascent-compatibility through ``signed_permutations``.
 
 The weak-order interval description of the inverted ``luni`` family uses a
 top element whose published bottom companion is off by one position: the
@@ -24,22 +22,11 @@ family at ``i - 1``.  Both readings are exposed via a ``variant`` flag, with
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .hecke_engine import (
-    OperatorFamily,
-    characteristic_by_composition_series,
-    characteristic_by_descent_sum,
-    family_from_elements,
-    qx,
-    verify_relations,
-)
-from .qsym_typeb import QSymElement
 from .signed_permutations import (
     SignedPermutation,
     all_elements,
-    ascent_compatibility_report,
     convexity_witness,
     format_index_set,
     left_descents,
@@ -47,7 +34,10 @@ from .signed_permutations import (
     weak_order_interval,
 )
 
-FAMILY_KINDS = ("dclass", "luni", "luni_union", "arc")
+# Largest degree a family is built at, and the largest ``--max-n`` of the
+# audit: B_6 has 46,080 elements and ``verify all --max-n 6 --max-partition
+# 6`` takes 4-6 s on 2 vCPUs, while B_7 is fourteen times larger.
+MAX_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -125,8 +115,8 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
     >>> [x.window for x in build_family("dclass", (frozenset(),), 2)]
     [(1, 2)]
     """
-    if n < 1:
-        raise ValueError("the degree must be at least 1")
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"the degree {n} is outside 1..{MAX_DEGREE}")
     if name == "dclass":
         (index_set,) = params
         index_set = frozenset(index_set)
@@ -140,12 +130,6 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
         if not 1 <= position <= n:
             raise ValueError(f"unimodal position {position} outside 1..{n}")
         predicate = lambda x: is_left_unimodal(x, position)
-    elif name == "luni_union":
-        if params:
-            raise ValueError("the unimodal union takes no parameters")
-        predicate = lambda x: any(
-            is_left_unimodal(x, i) for i in range(1, n + 1)
-        )
     elif name == "arc":
         if params:
             raise ValueError("the arc family takes no parameters")
@@ -206,40 +190,6 @@ def parse_family_spec(text: str) -> PermutationFamily:
 
 
 # ---------------------------------------------------------------------------
-# shuffles
-
-
-def shuffles(
-    first: tuple[int, ...], second: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """All interleavings of two words over disjoint letter sets.
-
-    >>> shuffles((1,), (2,))
-    ((1, 2), (2, 1))
-    >>> shuffles((1, 2), ())
-    ((1, 2),)
-    """
-    first = tuple(first)
-    second = tuple(second)
-    if set(first) & set(second):
-        raise ValueError("shuffled words must use disjoint letters")
-    out = []
-    for positions in itertools.combinations(range(len(first) + len(second)), len(first)):
-        chosen = set(positions)
-        word = []
-        a = b = 0
-        for k in range(len(first) + len(second)):
-            if k in chosen:
-                word.append(first[a])
-                a += 1
-            else:
-                word.append(second[b])
-                b += 1
-        out.append(tuple(word))
-    return tuple(sorted(set(out)))
-
-
-# ---------------------------------------------------------------------------
 # interval endpoints for the inverted unimodal family
 
 ENDPOINT_VARIANTS = ("corrected", "literal")
@@ -286,77 +236,6 @@ def unimodal_interval(
     """The weak-order interval between the two endpoints."""
     top, bottom = unimodal_interval_endpoints(i, n, variant)
     return weak_order_interval(bottom, top)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass(frozen=True)
-class FamilyReport:
-    """Ascent-compatibility scan plus the associated quasisymmetric sums.
-
-    ``q_function`` sums fundamentals over inverse descent sets of the
-    members; ``descent_sum`` sums them over the descent sets themselves.
-    When the family is ascent-compatible, ``characteristic`` holds the
-    composition-series characteristic of its module (and equals
-    ``descent_sum``); when the inverted family is ascent-compatible,
-    ``ch_of_inverse_set`` holds that module's characteristic (and equals
-    ``q_function``).
-    """
-
-    ascent_compatible: bool
-    inverse_ascent_compatible: bool
-    q_function: QSymElement
-    descent_sum: QSymElement
-    characteristic: QSymElement | None
-    ch_of_inverse_set: QSymElement | None
-    relations_ok: bool | None
-
-
-def _verified_characteristic(
-    members: tuple[SignedPermutation, ...],
-) -> tuple[QSymElement, bool]:
-    fam: OperatorFamily = family_from_elements(members)
-    relations = verify_relations(fam)
-    characteristic, _series = characteristic_by_composition_series(fam)
-    return characteristic, relations == {"relations": "ok"}
-
-
-def family_report(fam: PermutationFamily) -> FamilyReport:
-    """Scan a family and compute its quasisymmetric invariants.
-
-    >>> report = family_report(build_family("arc", (), 2))
-    >>> report.ascent_compatible
-    True
-    >>> report.characteristic == report.descent_sum
-    True
-    """
-    members = fam.members
-    inverses = tuple(x.inverse() for x in members)
-    forward = ascent_compatibility_report(members)
-    backward = ascent_compatibility_report(inverses)
-    q_function = qx(members)
-    descent_sum = characteristic_by_descent_sum(members)
-    characteristic = None
-    relations_ok = None
-    if forward.compatible and members:
-        characteristic, relations_ok = _verified_characteristic(members)
-    ch_of_inverse_set = None
-    if backward.compatible and inverses:
-        ch_of_inverse_set, inverse_ok = _verified_characteristic(inverses)
-        relations_ok = (
-            inverse_ok if relations_ok is None else (relations_ok and inverse_ok)
-        )
-    return FamilyReport(
-        forward.compatible,
-        backward.compatible,
-        q_function,
-        descent_sum,
-        characteristic,
-        ch_of_inverse_set,
-        relations_ok,
-    )
 
 
 # ---------------------------------------------------------------------------

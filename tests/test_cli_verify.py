@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tbhl import cli_verify, hecke_clifford
+from tbhl import cli_verify, hecke_clifford, special_families
 from tbhl.cli_verify import (
     AuditCase,
     _prettify_polynomial,
@@ -234,6 +234,35 @@ class TestUsageErrors:
             main(["bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "all", "--max-n", "-1"],
+            ["verify", "all", "--max-n", "7"],
+            ["verify", "clifford-audit", "--max-n", "0"],
+            ["enumerate", "family", "arc:9"],
+            ["qsym", "fb", "--set", "{}", "--n", "-1"],
+            ["qsym", "fb", "--set", "{}", "--n", "1", "--monomials", "--nvars", "-1"],
+        ],
+        ids=[
+            "max-n-negative",
+            "max-n-7",
+            "clifford-max-n-0",
+            "family-degree-9",
+            "fb-n-negative",
+            "fb-nvars-negative",
+        ],
+    )
+    def test_bad_sizes_fail_before_any_work(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started on a rejected size")
+
+        monkeypatch.setattr(cli_verify, "run_audit", refuse)
+        monkeypatch.setattr(special_families, "all_elements", refuse)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_semistandard_shape_with_bad_quotient(self, capsys):
         code, _, err = run_cli(
             capsys, ["enumerate", "shifted", "sshdt", "--shape", "2,1,1"]
@@ -279,12 +308,6 @@ class TestVerifyCommands:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
-
-    def test_threads_do_not_change_output(self, capsys):
-        argv = ["verify", "all", "--max-n", "1", "--max-partition", "2"]
-        _, single, _ = run_cli(capsys, argv)
-        _, pooled, _ = run_cli(capsys, argv + ["--threads", "3"])
-        assert single == pooled
 
     def test_peak_theorem_subcommand(self, capsys):
         code, out, _ = run_cli(

@@ -19,6 +19,12 @@ rationals = st.fractions(
 gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
+def transpose(matrix):
+    return SparseMatrix.from_entries(
+        matrix.ncols, matrix.nrows, {(c, r): v for (r, c), v in matrix.entries.items()}
+    )
+
+
 class TestGaussianRational:
     def test_imaginary_unit_squares_to_minus_one(self):
         i = GaussianRational.sqrt_minus_one()
@@ -143,7 +149,7 @@ class TestScalarRepresentation:
     @given(gaussians, gaussians)
     @settings(max_examples=80)
     def test_integral_result_parts_are_ints(self, a, b):
-        results = [a + b, a - b, a * b, -a, a.conjugate(), a ** 2]
+        results = [a + b, a - b, a * b, -a, a ** 2]
         results.append(GaussianRational.from_json(a.to_json()))
         if not b.is_zero():
             results += [b.inverse(), a / b]
@@ -212,7 +218,7 @@ class TestSparseMatrix:
         m = SparseMatrix.from_entries(
             4, 4, {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)}
         )
-        assert m.rank() == m.transpose().rank() == 2
+        assert m.rank() == transpose(m).rank() == 2
         assert not m.is_invertible()
         wide = SparseMatrix.from_entries(2, 3, {(0, 0): 1, (1, 2): Fraction(1, 2)})
         assert wide.rank() == 2
@@ -227,9 +233,9 @@ class TestSparseMatrix:
             3, 4, {(k // 4, k % 4): v for k, v in enumerate(values)}
         )
         i = GaussianRational.sqrt_minus_one()
-        assert m.rank() == m.scale(i).rank() == m.transpose().rank()
+        assert m.rank() == m.scale(i).rank() == transpose(m).rank()
         mixed = m + SparseMatrix.from_entries(3, 4, {(k, k): i for k in range(3)})
-        assert mixed.rank() == mixed.transpose().rank()
+        assert mixed.rank() == transpose(mixed).rank()
 
     def test_json_round_trip(self):
         a = SparseMatrix.from_entries(
@@ -239,23 +245,18 @@ class TestSparseMatrix:
 
 
 class TestTruncatedPolynomial:
-    def test_sample_product(self):
-        x0 = TruncatedPolynomial.variable(0, nvars=2, degree_cap=3)
-        x1 = TruncatedPolynomial.variable(1, nvars=2, degree_cap=3)
-        p = (x0 + x1) * (x0 + x1)
-        assert p.as_dict() == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-        assert not p.truncated
-
-    def test_truncation_flag_is_sticky(self):
-        x0 = TruncatedPolynomial.variable(0, nvars=1, degree_cap=1)
-        squared = x0 * x0
-        assert squared.is_zero() and squared.truncated
-        assert (squared + TruncatedPolynomial.zero(1, 1)).truncated
-        assert not x0.exact_eq(squared + x0)
-        assert x0 == squared + x0  # structural equality ignores the flag
+    def test_terms_above_the_cap_are_rejected(self):
+        with pytest.raises(ValueError, match="degree cap"):
+            TruncatedPolynomial.make(2, 1, {(1, 0): 1, (1, 1): 1})
+        with pytest.raises(ValueError):
+            TruncatedPolynomial.make(1, 4, {(5,): 1})
+        # equal terms merge, and a sum that cancels leaves no term
+        p = TruncatedPolynomial.make(2, 2, [((1, 1), 1), ((1, 1), 1)])
+        assert p.as_dict() == {(1, 1): 2}
+        assert TruncatedPolynomial.make(2, 2, {(1, 1): 1, (0, 2): 1}) != p
 
     def test_cancellation_removes_terms(self):
-        x0 = TruncatedPolynomial.variable(0, nvars=1, degree_cap=4)
+        x0 = TruncatedPolynomial.make(1, 4, {(1,): 1})
         assert (x0 - x0).is_zero()
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=5))

@@ -21,7 +21,6 @@ from tbhl.hecke_clifford import (
     k_set,
     mult_subsets,
     pi_commute,
-    render_ribbon,
     res_MI_formula,
     restriction_characteristic,
     ribbon_table_matrix,
@@ -113,43 +112,37 @@ class TestCliffordNormalForm:
 
 class TestPiCommute:
     def test_pinned_expansions(self):
-        assert pi_commute(1, {3}) == (((3,), GaussianRational.integer(0), ONE),)
-        assert pi_commute(1, {2}) == (((1,), GaussianRational.integer(0), ONE),)
-        assert pi_commute(1, {1}) == (
+        assert pi_commute(1, (3,)) == (((3,), GaussianRational.integer(0), ONE),)
+        assert pi_commute(1, (2,)) == (((1,), GaussianRational.integer(0), ONE),)
+        assert pi_commute(1, (1,)) == (
             ((1,), MINUS_ONE, GaussianRational.integer(0)),
             ((2,), ONE, ONE),
         )
 
     def test_zero_index_graded_rule(self):
-        assert pi_commute(0, {2}) == (((2,), GaussianRational.integer(0), ONE),)
-        assert pi_commute(0, {1}) == (((), GaussianRational.integer(0), SQRT),)
+        assert pi_commute(0, (2,)) == (((2,), GaussianRational.integer(0), ONE),)
+        assert pi_commute(0, (1,)) == (((), GaussianRational.integer(0), SQRT),)
         # one extra letter flips the coefficient
-        assert pi_commute(0, {1, 2}) == (
+        assert pi_commute(0, (1, 2)) == (
             ((2,), GaussianRational.integer(0), SQRT * MINUS_ONE),
         )
-        assert pi_commute(0, {1, 2, 3}) == (
+        assert pi_commute(0, (1, 2, 3)) == (
             ((2, 3), GaussianRational.integer(0), SQRT),
         )
 
     def test_zero_index_parity_alternates(self):
         for extra in range(0, 5):
-            word = frozenset({1} | set(range(2, 2 + extra)))
+            word = (1, *range(2, 2 + extra))
             ((rest, const, coeff),) = pi_commute(0, word)
-            assert rest == tuple(sorted(word - {1}))
+            assert rest == word[1:]
             assert const.is_zero()
             expected = SQRT if extra % 2 == 0 else SQRT * MINUS_ONE
             assert coeff == expected
 
-    def test_arguments_are_normalized_and_validated(self):
-        # every spelling of the same (i, D) reads the same cached expansion
-        expansion = pi_commute(1, (1, 2))
-        assert pi_commute(1, {2, 1}) is expansion
-        assert pi_commute(True, [2, 1, 2]) is expansion
-        for i, subset in ((-1, {1}), (0, {0}), (1, {0, 2})):
+    def test_arguments_are_validated(self):
+        for i, word in ((-1, (1,)), (0, (0,)), (1, (0, 2)), (1, (2, 1)), (1, (2, 2))):
             with pytest.raises(ValueError):
-                pi_commute(i, subset)
-        with pytest.raises(TypeError):
-            pi_commute(1.0, {1})
+                pi_commute(i, word)
 
 
 class TestBuildMI:
@@ -493,30 +486,3 @@ class TestInduceAndRestrict:
         )
         with pytest.raises(ValueError):
             induce_and_restrict(base)
-
-
-class TestRibbonRendering:
-    def test_rank_one(self):
-        assert render_ribbon({0}, {1}, 1) == "   0\n  1~"
-        assert render_ribbon(set(), set(), 1) == "   0   1"
-
-    def test_larger_pinned(self):
-        text = render_ribbon({0, 3, 4, 6}, {1, 2, 5}, 7)
-        assert text == "\n".join(
-            [
-                "   0",
-                "  1~  2~   3",
-                "           4",
-                "          5~   6",
-                "               7",
-            ]
-        )
-
-    def test_box_count(self):
-        for n in range(1, 5):
-            for index_set in all_index_sets(n):
-                text = render_ribbon(index_set, set(), n)
-                digits = [
-                    token for token in text.split() if token.strip()
-                ]
-                assert len(digits) == n + 1

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from tbhl.exact_algebra import TruncatedPolynomial
 from tbhl.qsym_typeb import (
     QSymElement,
-    composition_of_descent_set,
-    descent_set_of_composition,
     fb_monomials,
     fb_truncations_linearly_independent,
     peak_characteristic,
@@ -36,27 +34,9 @@ def brute_force_fb(subset, n, nvars):
     return TruncatedPolynomial.make(nvars, n, terms)
 
 
-class TestCompositionBijection:
-    def test_pinned_values(self):
-        assert descent_set_of_composition((2, 1, 1)) == frozenset({2, 3})
-        assert descent_set_of_composition((0, 3, 1)) == frozenset({0, 3})
-        assert composition_of_descent_set(set(), 4) == (4,)
-        assert composition_of_descent_set({0, 3}, 4) == (0, 3, 1)
-        assert composition_of_descent_set({2, 3}, 4) == (2, 1, 1)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_round_trip_all_subsets(self, n):
-        for size in range(n + 1):
-            for subset in itertools.combinations(range(n), size):
-                parts = composition_of_descent_set(subset, n)
-                assert sum(parts) == n
-                assert descent_set_of_composition(parts) == frozenset(subset)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            descent_set_of_composition((1, 0, 2))
-        with pytest.raises(ValueError):
-            composition_of_descent_set({3}, 3)
+def support(element):
+    """The index sets with a nonzero coefficient."""
+    return {frozenset(key) for key, _ in element.coeffs}
 
 
 class TestFundamentalMonomials:
@@ -73,7 +53,9 @@ class TestFundamentalMonomials:
                 )
 
     def test_expansions_never_truncate(self):
-        assert not fb_monomials({0, 2}, 3, 5).truncated
+        # every term has the full degree, so the cap of ``make`` never bites
+        terms = fb_monomials({0, 2}, 3, 5).as_dict()
+        assert terms and all(sum(exponents) == 3 for exponents in terms)
 
 
 class TestPeakData:
@@ -153,11 +135,9 @@ class TestPeakFunctions:
             if all(b - a >= 2 for a, b in zip(sorted(c), sorted(c)[1:]))
         ]
         for peaks in valid_peak_sets:
-            base = set(peak_function_type_b(0, peaks, n).support())
-            literal = set(peak_function_type_b(1, peaks, n, "literal").support())
-            complemented = set(
-                peak_function_type_b(1, peaks, n, "complemented").support()
-            )
+            base = support(peak_function_type_b(0, peaks, n))
+            literal = support(peak_function_type_b(1, peaks, n, "literal"))
+            complemented = support(peak_function_type_b(1, peaks, n, "complemented"))
             assert literal | complemented == base
             assert not literal & complemented
             assert all(0 in subset for subset in literal)

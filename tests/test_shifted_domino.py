@@ -23,7 +23,6 @@ from tbhl.shifted_domino import (
     ShiftedStandardTableau,
     ShiftedTiling,
     conjugate_family,
-    encode_entry,
     entry_index,
     entry_is_primed,
     entry_text,
@@ -34,6 +33,7 @@ from tbhl.shifted_domino import (
     find_standard_with_descents,
     h_lambda,
     iter_semistandard,
+    iter_standard,
     marked_descents,
     stand_theorem_failures,
     standardize,
@@ -58,15 +58,23 @@ def markings_of(base):
 
 class TestEntryAlphabet:
     def test_order_and_round_trip(self):
-        codes = [encode_entry(0)]
-        for index in range(1, 4):
-            codes.append(encode_entry(index, primed=True))
-            codes.append(encode_entry(index))
-        assert codes == sorted(codes) == list(range(7))
+        # codes 0 < 1' < 1 < 2' < 2 < 3' < 3 are the integers 0..6
+        codes = range(7)
         assert [entry_index(c) for c in codes] == [0, 1, 1, 2, 2, 3, 3]
-        assert entry_text(encode_entry(2, primed=True)) == "2'"
-        with pytest.raises(ValueError):
-            encode_entry(0, primed=True)
+        assert [entry_is_primed(c) for c in codes] == [False, True] * 3 + [False]
+        assert [entry_text(c) for c in codes] == ["0", "1'", "1", "2'", "2", "3'", "3"]
+
+
+class TestTrustedConstruction:
+    def test_enumerated_tableaux_pass_the_public_checks(self):
+        # the enumerators build tableaux without re-checking; the public
+        # constructors must accept, and reproduce, everything they yield
+        for shape in valid_shapes(8):
+            for standard in iter_standard(shape):
+                rebuilt = ShiftedStandardTableau(standard.tiling, standard.dominoes)
+                assert rebuilt == standard
+            for semi in iter_semistandard(shape, 2):
+                assert ShiftedSemistandardTableau(semi.tiling, semi.entries) == semi
 
 
 class TestTwoQuotient:
@@ -264,13 +272,13 @@ class TestStandardizeAndMarkedDescents:
 
         primed_then_unprimed = ShiftedSemistandardTableau(
             base.tiling,
-            ((top, encode_entry(1, primed=True)), (bottom, encode_entry(1))),
+            ((top, 1), (bottom, 2)),  # 1' then 1
         )
         marked = standardize(primed_then_unprimed)
         assert marked.base == base and marked.primed == frozenset({1})
 
         zero_then_one = ShiftedSemistandardTableau(
-            base.tiling, ((top, 0), (bottom, encode_entry(1)))
+            base.tiling, ((top, 0), (bottom, 2))
         )
         marked = standardize(zero_then_one)
         assert marked.base == base and marked.primed == frozenset()
@@ -489,7 +497,7 @@ class TestTextFormat:
         assert marked.to_text() == "1:(1,1)-(1,2)\n2':(2,1)-(2,2)"
         top, bottom = base.dominoes
         semi = ShiftedSemistandardTableau(
-            base.tiling, ((top, 0), (bottom, encode_entry(2, primed=True)))
+            base.tiling, ((top, 0), (bottom, 3))
         )
         assert semi.to_text() == "0:(1,1)-(1,2)\n2':(2,1)-(2,2)"
 

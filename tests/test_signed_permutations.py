@@ -25,7 +25,6 @@ from tbhl.signed_permutations import (
     left_descents,
     length,
     parse_index_set,
-    parse_window,
     reflections,
     right_inversions,
     simple_reflection,
@@ -313,17 +312,13 @@ class TestAlignmentAndCompatibility:
 
 class TestTextFormats:
     def test_window_round_trip(self):
-        assert parse_window("2,-3,1").window == (2, -3, 1)
         assert format_window(SignedPermutation((2, -3, 1))) == "2,-3,1"
-        barred = format_window(SignedPermutation((2, -3, 1)), barred=True)
-        assert parse_window(barred).window == (2, -3, 1)
 
     @given(windows(3))
     @settings(max_examples=40)
     def test_round_trip_property(self, window):
         x = SignedPermutation(window)
-        assert parse_window(format_window(x)) == x
-        assert parse_window(format_window(x, barred=True)) == x
+        assert SignedPermutation(tuple(map(int, format_window(x).split(",")))) == x
 
     def test_index_set_round_trip(self):
         assert parse_index_set("{0,3}") == frozenset({0, 3})
