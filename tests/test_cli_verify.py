@@ -243,6 +243,11 @@ class TestUsageErrors:
             ["enumerate", "family", "arc:9"],
             ["qsym", "fb", "--set", "{}", "--n", "-1"],
             ["qsym", "fb", "--set", "{}", "--n", "1", "--monomials", "--nvars", "-1"],
+            ["verify", "all", "--max-n", "0"],
+            ["verify", "clifford-audit", "--max-n", "7"],
+            ["enumerate", "family", "dclass:{0}:7"],
+            ["enumerate", "family", "luni:1:7:inv"],
+            ["enumerate", "family", "arc:0", "--count"],
         ],
         ids=[
             "max-n-negative",
@@ -251,6 +256,11 @@ class TestUsageErrors:
             "family-degree-9",
             "fb-n-negative",
             "fb-nvars-negative",
+            "max-n-0",
+            "clifford-max-n-7",
+            "family-dclass-degree-7",
+            "family-inverse-degree-7",
+            "family-degree-0",
         ],
     )
     def test_bad_sizes_fail_before_any_work(self, capsys, monkeypatch, argv):
@@ -262,6 +272,51 @@ class TestUsageErrors:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["verify", "all", "--max-n", "1"], 1),
+            (["verify", "all", "--max-n", "6"], 6),
+            (["verify", "clifford-audit", "--max-n", "1"], 1),
+            (["verify", "clifford-audit", "--max-n", "6"], 6),
+        ],
+        ids=["max-n-1", "max-n-6", "clifford-max-n-1", "clifford-max-n-6"],
+    )
+    def test_extreme_max_n_reaches_the_audit(self, capsys, monkeypatch, argv, expected):
+        seen = []
+
+        def record(command, max_n, *args, **kwargs):
+            seen.append(max_n)
+            return []
+
+        monkeypatch.setattr(cli_verify, "run_audit", record)
+        code, out, err = run_cli(capsys, [*argv, "--json"])
+        assert (code, err) == (0, "")
+        assert seen == [expected]
+        assert json.loads(out)["max_n"] == expected
+
+    def test_largest_family_degree_is_built(self, capsys, monkeypatch):
+        seen = []
+
+        def record(n):
+            seen.append(n)
+            return ()
+
+        monkeypatch.setattr(special_families, "all_elements", record)
+        code, out, err = run_cli(capsys, ["enumerate", "family", "arc:6", "--count"])
+        assert (code, out, err) == (0, "0\n", "")
+        assert seen == [special_families.MAX_DEGREE] == [6]
+
+    def test_zero_sizes_are_accepted(self, capsys):
+        code, out, err = run_cli(capsys, ["qsym", "fb", "--set", "{}", "--n", "0"])
+        assert (code, out, err) == (0, "1*FB{}\n", "")
+        # a degree-1 function in no variables is the zero polynomial
+        code, out, err = run_cli(
+            capsys,
+            ["qsym", "fb", "--set", "{}", "--n", "1", "--monomials", "--nvars", "0"],
+        )
+        assert (code, out, err) == (0, "0\n", "")
 
     def test_semistandard_shape_with_bad_quotient(self, capsys):
         code, _, err = run_cli(

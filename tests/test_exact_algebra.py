@@ -255,6 +255,14 @@ class TestTruncatedPolynomial:
         assert p.as_dict() == {(1, 1): 2}
         assert TruncatedPolynomial.make(2, 2, {(1, 1): 1, (0, 2): 1}) != p
 
+    def test_malformed_exponents_are_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            TruncatedPolynomial.make(2, 3, {(1,): 1})
+        with pytest.raises(ValueError, match="negative"):
+            TruncatedPolynomial.make(2, 3, {(2, -1): 1})
+        # a term of degree exactly the cap is kept
+        assert TruncatedPolynomial.make(2, 3, {(2, 1): 4}).as_dict() == {(2, 1): 4}
+
     def test_cancellation_removes_terms(self):
         x0 = TruncatedPolynomial.make(1, 4, {(1,): 1})
         assert (x0 - x0).is_zero()

@@ -27,7 +27,7 @@ from tbhl.hecke_clifford import (
     verify_hcl_relations,
 )
 from tbhl.cli_verify import clifford_audit_cases
-from tbhl.hecke_engine import LabeledBasis
+from tbhl.hecke_engine import LabeledBasis, family_from_matrices, verify_relations
 from tbhl.domino_tableaux import sdt_operator_family
 from tbhl.qsym_typeb import QSymElement, peak_data
 from tbhl.signed_permutations import parse_index_set, subsets
@@ -144,6 +144,16 @@ class TestPiCommute:
             with pytest.raises(ValueError):
                 pi_commute(i, word)
 
+    def test_expansions_are_cached_per_key(self):
+        expansion = pi_commute(1, (1, 2))
+        assert pi_commute(1, (1, 2)) is expansion
+        # a rejected key raises every time and leaves nothing in the cache
+        size = pi_commute.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                pi_commute(1, (2, 1))
+        assert pi_commute.cache_info().currsize == size
+
 
 class TestBuildMI:
     def test_rank_one_empty_set_kills_everything(self):
@@ -231,6 +241,14 @@ class TestRelationSuite:
         module.pi_matrices[0] = SparseMatrix.from_entries(4, 4, corrupted)
         report = verify_hcl_relations(module)
         assert report["failed"]["kind"] in ("braid", "mixed-zero")
+
+    def test_quadratic_fault_is_reported_as_verify_relations_does(self):
+        module = build_MI({0}, 2)
+        module.pi_matrices[1] = SparseMatrix.identity(len(module.basis))
+        expected = {"failed": {"kind": "quadratic", "i": 1}}
+        assert verify_hcl_relations(module) == expected
+        family = family_from_matrices(module.basis, module.pi_matrices, module.rank)
+        assert verify_relations(family) == expected
 
     def test_clifford_fault_is_reported(self):
         module = build_MI(frozenset(), 2)

@@ -180,8 +180,11 @@ def test_oracle_is_called_from_a_test(oracle):
     assert callers, f"{oracle} is not called from any test"
 
 
-def test_every_all_entry_resolves():
-    for module, source in package_sources().items():
+def unresolved_exports(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each ``__all__`` entry its module does not bind;
+    the package ``__init__`` binds its submodules too."""
+    stale = []
+    for module, source in sources.items():
         tree = ast.parse(source)
         exported = [
             item.value
@@ -198,5 +201,41 @@ def test_every_all_entry_resolves():
             for alias in node.names
         }
         if module == "__init__":
-            bound |= {path.stem for path in PACKAGE.glob("*.py")}
-        assert [name for name in exported if name not in bound] == [], module
+            bound |= set(sources)
+        stale += [f"{module}.{name}" for name in exported if name not in bound]
+    return sorted(stale)
+
+
+def test_every_all_entry_resolves():
+    assert unresolved_exports(package_sources()) == []
+
+
+def test_all_listing_is_not_a_use():
+    sources = {
+        "a": "__all__ = ['main', 'listed']\ndef main():\n    pass\n"
+        "def listed():\n    pass\n",
+    }
+    assert unreached(definitions(sources), {("a", "main")}) == ["a.listed"]
+
+
+def test_aliased_import_is_followed():
+    sources = {
+        "a": "from .b import g as h\ndef main():\n    return h()\n",
+        "b": "def g():\n    return 1\n",
+    }
+    assert unreached(definitions(sources), {("a", "main")}) == []
+
+
+def test_an_appended_orphan_is_reported():
+    sources = package_sources()
+    sources["qsym_typeb"] += "\n\ndef orphan_helper():\n    return QSymElement\n"
+    roots = {_split(root) for root in (*ENTRY_POINTS, *ORACLES, *benchmark_roots())}
+    assert unreached(definitions(sources), roots) == ["qsym_typeb.orphan_helper"]
+
+
+def test_a_stale_all_entry_is_reported():
+    sources = {
+        "__init__": "__all__ = ['a', 'b']\n",
+        "a": "from .c import g\n__all__ = ['f', 'g', 'gone']\ndef f():\n    pass\n",
+    }
+    assert unresolved_exports(sources) == ["__init__.b", "a.gone"]

@@ -76,6 +76,35 @@ class TestTrustedConstruction:
             for semi in iter_semistandard(shape, 2):
                 assert ShiftedSemistandardTableau(semi.tiling, semi.entries) == semi
 
+    def test_enumerated_fillings_are_all_the_valid_ones(self):
+        # every filling with codes 0..2 that the public constructor accepts
+        # is enumerated, so the enumerator's pruning rejects nothing valid
+        for shape in valid_shapes(8):
+            enumerated = set(iter_semistandard(shape, 2))
+            accepted = set()
+            for tiling in enumerate_shifted_tilings(shape):
+                filled = sorted(tiling.filled)
+                for codes in itertools.product(range(5), repeat=len(filled)):
+                    try:
+                        accepted.add(
+                            ShiftedSemistandardTableau(tiling, tuple(zip(filled, codes)))
+                        )
+                    except ValueError:
+                        pass
+            assert accepted == enumerated, shape
+
+    def test_standard_orders_are_all_the_valid_ones(self):
+        for shape in valid_shapes(8):
+            enumerated = set(iter_standard(shape))
+            accepted = set()
+            for tiling in enumerate_shifted_tilings(shape):
+                for order in itertools.permutations(sorted(tiling.filled)):
+                    try:
+                        accepted.add(ShiftedStandardTableau(tiling, order))
+                    except ValueError:
+                        pass
+            assert accepted == enumerated, shape
+
 
 class TestTwoQuotient:
     def test_pinned_values(self):

@@ -4,12 +4,14 @@ import itertools
 
 import pytest
 
+from tbhl import special_families
 from tbhl.hecke_engine import (
     characteristic_by_composition_series,
     characteristic_by_descent_sum,
     family_from_elements,
     verify_relations,
 )
+from tbhl.qsym_typeb import QSymElement
 from tbhl.signed_permutations import (
     SignedPermutation,
     all_elements,
@@ -227,6 +229,57 @@ class TestFamilySpecs:
         for kind in ("blob", "luni_union"):
             with pytest.raises(ValueError):
                 build_family(kind, (), 2)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("dclass", (frozenset(),)), ("luni", (1,)), ("arc", ())],
+        ids=["dclass", "luni", "arc"],
+    )
+    def test_degrees_outside_the_bound_are_rejected(self, monkeypatch, kind, params):
+        def refuse(n):
+            raise AssertionError(f"enumerated B_{n} for a rejected degree")
+
+        monkeypatch.setattr(special_families, "all_elements", refuse)
+        for n in (0, special_families.MAX_DEGREE + 1):
+            with pytest.raises(ValueError, match="outside"):
+                build_family(kind, params, n)
+
+
+def assert_module_realizes_descent_sum(members):
+    """The 0-Hecke module spanned by ``members`` is well defined, satisfies
+    the relations, and has the descent sum of ``members`` as characteristic."""
+    assert ascent_compatibility_report(members).compatible
+    ops = family_from_elements(members)
+    assert verify_relations(ops) == {"relations": "ok"}
+    char, _ = characteristic_by_composition_series(ops)
+    assert char == characteristic_by_descent_sum(members)
+
+
+class TestFamilyModules:
+    def test_descent_class_inverse_families(self):
+        for n in range(1, 4):
+            for index_set in all_index_sets(n):
+                fam = build_family("dclass", (index_set,), n)
+                if fam.members:
+                    assert_module_realizes_descent_sum(invert_family(fam).members)
+
+    def test_arc_family_characteristic(self):
+        for n in range(2, 4):
+            assert_module_realizes_descent_sum(build_family("arc", (), n).members)
+
+    def test_inverted_unimodal_families(self):
+        for n in range(1, 4):
+            for i in range(1, n + 1):
+                fam = invert_family(build_family("luni", (i,), n))
+                assert_module_realizes_descent_sum(fam.members)
+
+    def test_single_element_family_is_one_fundamental(self):
+        fam = build_family("dclass", (frozenset({0}),), 1)
+        assert len(fam) == 1
+        char, _ = characteristic_by_composition_series(
+            family_from_elements(fam.members)
+        )
+        assert char == QSymElement.fundamental({0}, 1)
 
 
 class TestInverseFamilies:
