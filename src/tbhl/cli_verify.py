@@ -950,6 +950,14 @@ def cmd_enumerate(args) -> int:
                     f"valid={'yes' if quotient.valid else 'no'}"
                 )
             return 0
+        if args.maxval is not None:
+            # a filling has at most one distinct value per domino, so larger
+            # bounds add only relabelings of the same fillings
+            dominoes = sum(shape) // 2
+            if not 1 <= args.maxval <= dominoes:
+                raise ValueError(
+                    f"--maxval must lie in 1..{dominoes} for shape {_shape_text(shape)}"
+                )
         kind = "semistandard" if args.maxval is not None else "standard"
         tableaux = enumerate_shifted(shape, kind, args.maxval)
         _emit_tableaux(
@@ -990,11 +998,14 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     if not 1 <= args.max_n <= MAX_DEGREE:
         raise ValueError(f"--max-n must lie in 1..{MAX_DEGREE}")
+    max_partition = getattr(args, "max_partition", DEFAULT_MAX_PARTITION)
+    if max_partition < 2:
+        raise ValueError("--max-partition must be at least 2")
     shape = _parse_shape(args.shape) if getattr(args, "shape", None) else None
     cases = run_audit(
         args.verify_command,
         args.max_n,
-        getattr(args, "max_partition", DEFAULT_MAX_PARTITION),
+        max_partition,
         getattr(args, "seed", DEFAULT_SEED),
         shape=shape,
     )
@@ -1069,7 +1080,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--maxval",
         type=int,
         default=None,
-        help="bound entry indices; switches to semistandard tableaux",
+        help="bound entry indices by 1..(number of dominoes), since a filling "
+        "uses at most that many distinct values; switches to semistandard "
+        "tableaux",
     )
     quotient = ssub.add_parser("quotient", parents=[output])
     quotient.add_argument("--shape", required=True)
@@ -1085,7 +1098,10 @@ def build_parser() -> argparse.ArgumentParser:
     common_verify.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     allcmd = vsub.add_parser("all", parents=[output, common_verify])
     allcmd.add_argument(
-        "--max-partition", type=int, default=DEFAULT_MAX_PARTITION
+        "--max-partition",
+        type=int,
+        default=DEFAULT_MAX_PARTITION,
+        help="largest partition size of the shape-indexed cases (at least 2)",
     )
     allcmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vsub.add_parser("clifford-audit", parents=[output, common_verify])

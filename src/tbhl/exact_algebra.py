@@ -4,10 +4,17 @@ Scalars are Gaussian rationals: complex numbers with exact rational real and
 imaginary parts.  A part is a Python ``int`` when it is integral and a
 :class:`fractions.Fraction` otherwise, so the ``±1``/``±i`` entries of the
 operator matrices, and all their products, stay in fast integer arithmetic.
-Matrices are sparse dicts keyed by ``(row, col)``.  Polynomials are
-multivariate polynomials with integer coefficients and a degree cap, used
-for monomial expansions of quasisymmetric functions; a term above the cap is
-an error, never silently dropped.
+Gaussian integers are interned: results with integral parts come from one
+bounded cache, so the few values the operators produce are shared instances.
+
+Matrices are sparse dicts keyed by ``(row, col)`` that never store a zero
+entry.  The public constructor checks every position and value; sums,
+scalings and products are built by a trusted constructor instead.  A product
+sums the parts of its terms and builds one scalar per nonzero entry.
+
+Polynomials are multivariate polynomials with integer coefficients and a
+degree cap, used for monomial expansions of quasisymmetric functions; a term
+above the cap is an error, never silently dropped.
 
 >>> i = GaussianRational.sqrt_minus_one()
 >>> i * i == GaussianRational.integer(-1)
@@ -48,11 +55,14 @@ class GaussianRational:
     @staticmethod
     def _of(re: "int | Fraction", im: "int | Fraction") -> "GaussianRational":
         """Trusted constructor for computed parts: a ``Fraction`` with
-        denominator 1 becomes its ``int`` numerator."""
+        denominator 1 becomes its ``int`` numerator, and a Gaussian integer
+        is the shared instance of :meth:`_gaussian_integer`."""
         if type(re) is not int and re.denominator == 1:
             re = re.numerator
         if type(im) is not int and im.denominator == 1:
             im = im.numerator
+        if type(re) is int and type(im) is int:
+            return GaussianRational._gaussian_integer(re, im)
         return GaussianRational(re, im)
 
     @staticmethod
@@ -60,14 +70,15 @@ class GaussianRational:
         """The integer ``value``.  It is read through ``operator.index`` before
         the cache lookup, so ``True`` gives the same plain-``int`` instance as
         ``1`` and a float raises ``TypeError``."""
-        return GaussianRational._integer(operator.index(value))
+        return GaussianRational._gaussian_integer(operator.index(value), 0)
 
     @staticmethod
-    @lru_cache(maxsize=256)
-    def _integer(value: int) -> "GaussianRational":
-        # scalars are immutable, so instances are shared: a matrix built from
-        # ints holds one object per distinct value
-        return GaussianRational(value, 0)
+    @lru_cache(maxsize=1024)
+    def _gaussian_integer(re: int, im: int) -> "GaussianRational":
+        # scalars are immutable, so instances are shared: the ±1/±i entries
+        # of the operators, and every integral product of them, are a few
+        # objects, and entry dicts of equal matrices compare by identity
+        return GaussianRational(re, im)
 
     @staticmethod
     def sqrt_minus_one() -> "GaussianRational":
@@ -76,7 +87,7 @@ class GaussianRational:
         >>> GaussianRational.sqrt_minus_one() ** 2
         GaussianRational(re=-1, im=0)
         """
-        return GaussianRational(0, 1)
+        return GaussianRational._gaussian_integer(0, 1)
 
     @staticmethod
     def coerce(value: "GaussianRational | Fraction | int") -> "GaussianRational":
@@ -170,9 +181,14 @@ class SparseMatrix:
     """An exact sparse matrix over the Gaussian rationals.
 
     Entries are stored in a dict keyed by ``(row, col)``; zero entries are
-    never stored.  They are given as a mapping or as an iterable of
-    ``((row, col), value)`` pairs.  Instances are immutable in intent: all
-    operations return new matrices.
+    never stored, so equal matrices have equal entry dicts.  They are given
+    as a mapping or as an iterable of ``((row, col), value)`` pairs, and the
+    public constructor checks every position and coerces every value.
+    Results of ``@``, ``+`` and :meth:`scale` come from the trusted
+    constructor :meth:`_trusted`, which skips those checks: their entries are
+    computed from already-checked matrices, and entries that cancel are
+    dropped.  Instances are immutable in intent: all operations return new
+    matrices.
 
     >>> a = SparseMatrix.from_entries(2, 2, {(0, 1): 1, (1, 0): 1})
     >>> (a @ a) == SparseMatrix.identity(2)
@@ -201,6 +217,19 @@ class SparseMatrix:
         self.entries = stored
 
     @staticmethod
+    def _trusted(
+        nrows: int, ncols: int, entries: dict[tuple[int, int], GaussianRational]
+    ) -> "SparseMatrix":
+        """Wrap ``entries`` without checks: the caller guarantees in-range
+        positions and nonzero ``GaussianRational`` values, and hands the
+        dict over."""
+        matrix = object.__new__(SparseMatrix)
+        matrix.nrows = nrows
+        matrix.ncols = ncols
+        matrix.entries = entries
+        return matrix
+
+    @staticmethod
     def from_entries(
         nrows: int,
         ncols: int,
@@ -215,7 +244,7 @@ class SparseMatrix:
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n, n, {(k, k): _ONE for k in range(n)})
+        return SparseMatrix._trusted(n, n, {(k, k): _ONE for k in range(n)})
 
     def get(self, row: int, col: int) -> GaussianRational:
         return self.entries.get((row, col), _ZERO)
@@ -228,32 +257,59 @@ class SparseMatrix:
         self._require_same_shape(other)
         merged = dict(self.entries)
         for pos, value in other.entries.items():
-            merged[pos] = merged.get(pos, _ZERO) + value
-        return SparseMatrix(self.nrows, self.ncols, merged)
+            mine = merged.get(pos)
+            if mine is None:
+                merged[pos] = value
+                continue
+            total = mine + value
+            if total.is_zero():
+                del merged[pos]
+            else:
+                merged[pos] = total
+        return SparseMatrix._trusted(self.nrows, self.ncols, merged)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + other.scale(GaussianRational.integer(-1))
 
     def scale(self, scalar: "GaussianRational | Fraction | int") -> "SparseMatrix":
         scalar = GaussianRational.coerce(scalar)
-        return SparseMatrix(
+        if scalar.is_zero():
+            return SparseMatrix.zero(self.nrows, self.ncols)
+        # a product of nonzero Gaussian rationals is nonzero
+        return SparseMatrix._trusted(
             self.nrows,
             self.ncols,
             {pos: scalar * value for pos, value in self.entries.items()},
         )
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """Sparse product, summed on the parts of the entries: one scalar is
+        built per nonzero output entry, none per term."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        by_row: dict[int, list[tuple[int, GaussianRational]]] = {}
+        by_row: dict[int, list[tuple[int, "int | Fraction", "int | Fraction"]]] = {}
         for (k, c), value in other.entries.items():
-            by_row.setdefault(k, []).append((c, value))
-        product: dict[tuple[int, int], GaussianRational] = {}
+            by_row.setdefault(k, []).append((c, value.re, value.im))
+        sums: dict[tuple[int, int], list] = {}
         for (r, k), left in self.entries.items():
-            for c, right in by_row.get(k, ()):
+            row = by_row.get(k)
+            if row is None:
+                continue
+            a, b = left.re, left.im
+            for c, x, y in row:
                 pos = (r, c)
-                product[pos] = product.get(pos, _ZERO) + left * right
-        return SparseMatrix(self.nrows, other.ncols, product)
+                acc = sums.get(pos)
+                if acc is None:
+                    sums[pos] = [a * x - b * y, a * y + b * x]
+                else:
+                    acc[0] += a * x - b * y
+                    acc[1] += a * y + b * x
+        of = GaussianRational._of
+        return SparseMatrix._trusted(
+            self.nrows,
+            other.ncols,
+            {pos: of(re, im) for pos, (re, im) in sums.items() if re or im},
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):

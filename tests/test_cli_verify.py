@@ -318,6 +318,39 @@ class TestUsageErrors:
         )
         assert (code, out, err) == (0, "0\n", "")
 
+    @pytest.mark.parametrize("value", ["-3", "0", "1"])
+    def test_max_partition_below_two_fails_fast(self, capsys, value):
+        argv = ["verify", "all", "--max-n", "1", "--max-partition", value]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --max-partition must be at least 2\n"
+
+    def test_max_partition_two_runs(self, capsys):
+        argv = ["verify", "all", "--max-n", "1", "--max-partition", "2", "--json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        cases = json.loads(out)["cases"]
+        assert any(case["id"].startswith("domino.") for case in cases)
+
+    @pytest.mark.parametrize(
+        "shape, maxval", [("2,2", "-1"), ("2,2", "0"), ("2,2", "3"), ("4,2", "4")]
+    )
+    def test_maxval_outside_one_to_dominoes_fails_fast(self, capsys, shape, maxval):
+        argv = ["enumerate", "shifted", "sshdt", "--shape", shape, "--maxval", maxval]
+        code, out, err = run_cli(capsys, argv)
+        dominoes = sum(int(part) for part in shape.split(",")) // 2
+        assert (code, out) == (2, "")
+        assert err == f"error: --maxval must lie in 1..{dominoes} for shape {shape}\n"
+
+    @pytest.mark.parametrize("shape, maxval", [("2,2", 1), ("2,2", 2), ("4,2", 3)])
+    def test_maxval_at_its_bounds_enumerates(self, capsys, shape, maxval):
+        argv = ["enumerate", "shifted", "sshdt", "--shape", shape]
+        code, out, _ = run_cli(capsys, [*argv, "--maxval", str(maxval), "--count"])
+        parts = tuple(int(part) for part in shape.split(","))
+        expected = len(enumerate_shifted(parts, "semistandard", maxval))
+        assert (code, out) == (0, f"{expected}\n")
+        assert expected > 0
+
     def test_semistandard_shape_with_bad_quotient(self, capsys):
         code, _, err = run_cli(
             capsys, ["enumerate", "shifted", "sshdt", "--shape", "2,1,1"]

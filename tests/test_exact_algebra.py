@@ -110,7 +110,7 @@ class TestScalarRepresentation:
         assert a == b and hash(a) == hash(b)
 
     def test_bool_never_becomes_a_part(self):
-        GaussianRational._integer.cache_clear()
+        GaussianRational._gaussian_integer.cache_clear()
         assert type(GaussianRational.integer(True).re) is int
         one = GaussianRational.integer(1)
         assert type(one.re) is int and str(one) == "1"
@@ -242,6 +242,94 @@ class TestSparseMatrix:
             2, 2, {(0, 1): GaussianRational(Fraction(1, 2), Fraction(-1))}
         )
         assert SparseMatrix.from_json(a.to_json()) == a
+
+
+def sparse_matrices(nrows, ncols):
+    """Random matrices with about half their entries zero."""
+    entry = st.one_of(st.just(GaussianRational.integer(0)), gaussians)
+    return st.lists(
+        entry, min_size=nrows * ncols, max_size=nrows * ncols
+    ).map(
+        lambda values: SparseMatrix.from_entries(
+            nrows,
+            ncols,
+            {(k // ncols, k % ncols): v for k, v in enumerate(values)},
+        )
+    )
+
+
+def dense_product(a, b):
+    """Row-by-column product on every position, in scalar arithmetic."""
+    entries = {}
+    for r in range(a.nrows):
+        for c in range(b.ncols):
+            total = GaussianRational.integer(0)
+            for k in range(a.ncols):
+                total = total + a.get(r, k) * b.get(k, c)
+            entries[(r, c)] = total
+    return SparseMatrix.from_entries(a.nrows, b.ncols, entries)
+
+
+class TestSparseProducts:
+    """``@``, ``+`` and ``scale`` build their results without re-checking
+    entries; these pin what the public constructor would have enforced."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(sparse_matrices(2, n), sparse_matrices(n, 2))
+        )
+    )
+    @settings(max_examples=40)
+    def test_product_agrees_with_dense_reference(self, pair):
+        a, b = pair
+        product = a @ b
+        assert product == dense_product(a, b)
+        assert hash(product) == hash(dense_product(a, b))
+        for value in product.entries.values():
+            assert type(value) is GaussianRational and not value.is_zero()
+            for part in _parts(value):
+                assert part.denominator != 1 or type(part) is int, value
+
+    def test_cancelling_results_store_no_zero(self):
+        i = GaussianRational.sqrt_minus_one()
+        half = Fraction(1, 2)
+        # row (1, i) times column (1, i)^T is 1 + i*i = 0; with fractional
+        # parts, (1/2)(2) + (-1/2)(2) = 0
+        a = SparseMatrix.from_entries(2, 2, {(0, 0): 1, (0, 1): i, (1, 0): half, (1, 1): -half})
+        b = SparseMatrix.from_entries(2, 1, {(0, 0): 1, (1, 0): i})
+        c = SparseMatrix.from_entries(2, 1, {(0, 0): 2, (1, 0): 2})
+        assert (a @ b).entries == {(1, 0): GaussianRational(Fraction(1, 2), Fraction(-1, 2))}
+        assert (a @ c).entries == {(0, 0): GaussianRational(2, 2)}
+        d = SparseMatrix.from_entries(2, 2, {(0, 0): i, (1, 1): half})
+        e = SparseMatrix.from_entries(2, 2, {(0, 0): -i, (1, 1): 1})
+        assert (d + e).entries == {(1, 1): GaussianRational(Fraction(3, 2))}
+        assert (d - d).entries == {}
+        assert (d.scale(i) + d.scale(-i)).entries == {}
+        # equal matrices reached different ways hash equal
+        assert d + e == SparseMatrix.from_entries(2, 2, {(1, 1): Fraction(3, 2)})
+        assert hash(d + e) == hash(SparseMatrix.from_entries(2, 2, {(1, 1): Fraction(3, 2)}))
+        assert hash(a @ c) == hash(SparseMatrix.from_entries(2, 1, {(0, 0): 2 + 2 * i}))
+
+    def test_scale_by_zero_is_the_zero_matrix(self):
+        a = SparseMatrix.from_entries(2, 3, {(0, 1): 3, (1, 2): Fraction(1, 2)})
+        for zero in (0, Fraction(0), GaussianRational.integer(0)):
+            scaled = a.scale(zero)
+            assert scaled == SparseMatrix.zero(2, 3)
+            assert scaled.entries == {} and scaled.is_zero()
+            assert hash(scaled) == hash(SparseMatrix.zero(2, 3))
+
+    def test_integral_product_entries_are_shared_instances(self):
+        i = GaussianRational.sqrt_minus_one()
+        half = Fraction(1, 2)
+        a = SparseMatrix.from_entries(2, 2, {(0, 0): 2, (0, 1): half, (1, 1): i})
+        b = SparseMatrix.from_entries(2, 2, {(0, 0): 3, (1, 0): 2, (1, 1): -i})
+        product = a @ b
+        # 2*3 + (1/2)*2 = 7 sums a Fraction term into an integer
+        assert product.get(0, 0) is GaussianRational.integer(7)
+        assert type(product.get(0, 0).re) is int
+        assert product.get(1, 1) is GaussianRational.integer(1)
+        assert product.get(1, 0) is GaussianRational.integer(2) * i
+        assert product.get(0, 1) == GaussianRational(0, Fraction(-1, 2))
 
 
 class TestTruncatedPolynomial:

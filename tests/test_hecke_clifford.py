@@ -256,6 +256,51 @@ class TestRelationSuite:
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "clifford-square", "j": 1}}
 
+    def test_clifford_anticommute_fault_is_reported(self):
+        # One entry of c_j alone always breaks c_j^2 = -1, so negate both
+        # entries of one 2-cycle of c_1: it still squares to -1 but no longer
+        # anticommutes with c_2.
+        module = build_MI(frozenset(), 2)
+        plain = module.position[((), frozenset())]
+        barred = module.position[((1,), frozenset())]
+        corrupted = dict(module.c_matrices[1].entries)
+        for pos in ((barred, plain), (plain, barred)):
+            corrupted[pos] = corrupted[pos] * MINUS_ONE
+        module.c_matrices[1] = SparseMatrix.from_entries(4, 4, corrupted)
+        report = verify_hcl_relations(module)
+        assert report == {"failed": {"kind": "clifford-anticommute", "i": 1, "j": 2}}
+
+    def test_mixed_commute_fault_is_reported(self):
+        module = build_MI({1}, 3)
+        label = frozenset({1})
+        row = module.position[((1,), label)]
+        col = module.position[((2,), label)]
+        corrupted = dict(module.pi_matrices[1].entries)
+        corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
+        size = len(module.basis)
+        module.pi_matrices[1] = SparseMatrix.from_entries(size, size, corrupted)
+        report = verify_hcl_relations(module)
+        assert report == {"failed": {"kind": "mixed-commute", "i": 1, "j": 3}}
+
+    def test_mixed_swap_fault_is_reported(self):
+        module = build_MI(frozenset(), 2)
+        row = module.position[((2,), frozenset())]
+        col = module.position[((1,), frozenset())]
+        corrupted = dict(module.pi_matrices[1].entries)
+        corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
+        module.pi_matrices[1] = SparseMatrix.from_entries(4, 4, corrupted)
+        report = verify_hcl_relations(module)
+        assert report == {"failed": {"kind": "mixed-swap", "i": 1}}
+
+    def test_mixed_shift_fault_is_reported(self):
+        # One changed entry of pi_i always breaks pi_i c_{i+1} = c_i pi_i
+        # first, so pi_1 acts by zero instead: that satisfies the quadratic,
+        # braid and swap relations, and the shift then demands c_1 = c_2.
+        module = build_MI(frozenset(), 2)
+        module.pi_matrices[1] = SparseMatrix.zero(4, 4)
+        report = verify_hcl_relations(module)
+        assert report == {"failed": {"kind": "mixed-shift", "i": 1}}
+
 
 class TestDiagonalData:
     def test_k_set_pinned(self):
