@@ -110,6 +110,11 @@ RANDOM_CONVEX_SAMPLES = 200
 WITNESS_SHAPE = (7, 7, 6, 5, 1)
 WITNESS_WEIGHT = (1, 4, 0, 1, 2, 2)
 WITNESS_DESCENTS = frozenset({1, 5, 7, 8})
+# Largest shapes, in dominoes (half the shape size), that the commands
+# enumerating one shape's tableaux accept; the work is exponential in it.
+MAX_STANDARD_DOMINOES = 12
+MAX_SEMISTANDARD_DOMINOES = 6
+MAX_PEAK_THEOREM_DOMINOES = 9
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +517,7 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
             complement = frozenset(range(n)) - index_set
             valleys = peak_data(complement, n).valley
             for i in range(n):
-                if ribbon_table_matrix(i, index_set, n) != module.pi_matrices[i]:
+                if ribbon_table_matrix(i, index_set, n) != module.matrices[i]:
                     diagonal_failures.append((index_set, "case table", i))
             for subset in subsets(range(1, n + 1)):
                 for valley in valleys:
@@ -522,15 +527,15 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
                         stability_failures.append((index_set, subset, valley))
                 col = module.position[(subset, index_set)]
                 for i in range(n):
-                    diagonal = module.pi_matrices[i].get(col, col)
+                    diagonal = module.matrices[i].get(col, col)
                     expected = GaussianRational.integer(
                         k_factor(i, index_set, subset)
                     )
                     if diagonal != expected:
                         diagonal_failures.append((index_set, subset, i))
                     allowed = cover_lower_targets(i, index_set, subset)
-                    for row in module.pi_matrices[i].column(col):
-                        if row != col and module.basis[row][0] not in allowed:
+                    for row in module.matrices[i].column(col):
+                        if row != col and module.labels[row][0] not in allowed:
                             diagonal_failures.append((index_set, subset, i))
         cases.append(
             AuditCase(
@@ -919,6 +924,8 @@ def _emit_tableaux(tableaux, meta: dict, args) -> None:
 def cmd_enumerate(args) -> int:
     if args.enumerate_command == "domino":
         shape = _parse_shape(args.shape)
+        if sum(shape) > 2 * MAX_STANDARD_DOMINOES:
+            raise ValueError(f"--shape has more than {MAX_STANDARD_DOMINOES} dominoes")
         tableaux = enumerate_sdt(shape)
         _emit_tableaux(
             tableaux, {"shape": _shape_text(shape), "kind": "sdt"}, args
@@ -950,10 +957,15 @@ def cmd_enumerate(args) -> int:
                     f"valid={'yes' if quotient.valid else 'no'}"
                 )
             return 0
+        dominoes = sum(shape) // 2
+        bound = MAX_STANDARD_DOMINOES
+        if args.maxval is not None:
+            bound = MAX_SEMISTANDARD_DOMINOES
+        if dominoes > bound:
+            raise ValueError(f"--shape has more than {bound} dominoes")
         if args.maxval is not None:
             # a filling has at most one distinct value per domino, so larger
             # bounds add only relabelings of the same fillings
-            dominoes = sum(shape) // 2
             if not 1 <= args.maxval <= dominoes:
                 raise ValueError(
                     f"--maxval must lie in 1..{dominoes} for shape {_shape_text(shape)}"
@@ -1002,6 +1014,8 @@ def cmd_verify(args) -> int:
     if max_partition < 2:
         raise ValueError("--max-partition must be at least 2")
     shape = _parse_shape(args.shape) if getattr(args, "shape", None) else None
+    if shape and sum(shape) > 2 * MAX_PEAK_THEOREM_DOMINOES:
+        raise ValueError(f"--shape has more than {MAX_PEAK_THEOREM_DOMINOES} dominoes")
     cases = run_audit(
         args.verify_command,
         args.max_n,
@@ -1069,12 +1083,19 @@ def build_parser() -> argparse.ArgumentParser:
     domino = esub.add_parser("domino", help="standard domino tableaux")
     dsub = domino.add_subparsers(dest="domino_command", required=True)
     sdt = dsub.add_parser("sdt", parents=[output])
-    sdt.add_argument("--shape", required=True)
+    sdt.add_argument(
+        "--shape", required=True, help=f"at most {MAX_STANDARD_DOMINOES} dominoes"
+    )
     sdt.add_argument("--count", action="store_true")
     shifted = esub.add_parser("shifted", help="shifted domino objects")
     ssub = shifted.add_subparsers(dest="shifted_command", required=True)
     sshdt = ssub.add_parser("sshdt", parents=[output])
-    sshdt.add_argument("--shape", required=True)
+    sshdt.add_argument(
+        "--shape",
+        required=True,
+        help=f"at most {MAX_STANDARD_DOMINOES} dominoes, "
+        f"{MAX_SEMISTANDARD_DOMINOES} with --maxval",
+    )
     sshdt.add_argument("--count", action="store_true")
     sshdt.add_argument(
         "--maxval",
@@ -1106,7 +1127,9 @@ def build_parser() -> argparse.ArgumentParser:
     allcmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vsub.add_parser("clifford-audit", parents=[output, common_verify])
     peak = vsub.add_parser("peak-theorem", parents=[output, common_verify])
-    peak.add_argument("--shape", required=True)
+    peak.add_argument(
+        "--shape", required=True, help=f"at most {MAX_PEAK_THEOREM_DOMINOES} dominoes"
+    )
     return parser
 
 

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import TypeVar
 
-from .hecke_engine import LabeledBasis, OperatorFamily, build_from_labeled_basis
+from .hecke_engine import OperatorFamily, basis_from_action, build_from_labeled_basis
 from .qsym_typeb import QSymElement
 
 Cell = tuple[int, int]
@@ -62,6 +62,16 @@ def _shape_cache(func):
 
     wrapper.cache_info = cached.cache_info
     return wrapper
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without its
+    ``__post_init__`` checks, for values an enumerator makes valid by
+    construction.  The public constructors keep full validation."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def partitions_of(total: int) -> tuple[tuple[int, ...], ...]:
@@ -257,7 +267,9 @@ def enumerate_sdt(shape) -> tuple[StandardDominoTableau, ...]:
 
     def grow(profile: tuple[int, ...], placed: tuple[Domino, ...]) -> None:
         if profile == shape:
-            results.append(StandardDominoTableau(shape, placed))
+            results.append(
+                _trusted(StandardDominoTableau, shape=shape, dominoes=placed)
+            )
             return
         for r in range(rows):
             width = profile[r]
@@ -369,17 +381,10 @@ def generator_action(
 def sdt_operator_family(shape) -> OperatorFamily:
     """Casewise operators on the standard domino tableaux of a shape."""
     shape = validate_partition(shape)
-    n = sum(shape) // 2
-    tableaux = enumerate_sdt(shape)
-    descent_label = {t: t.descent_set() for t in tableaux}
-    inside = set(tableaux)
-    transition = {}
-    for t in tableaux:
-        for i in range(n):
-            if i in descent_label[t]:
-                continue
-            moved = generator_action(t, i)
-            if moved is not None and moved in inside:
-                transition[(i, t)] = moved
-    basis = LabeledBasis(tableaux, descent_label, transition, rank=n)
+    basis = basis_from_action(
+        enumerate_sdt(shape),
+        StandardDominoTableau.descent_set,
+        generator_action,
+        sum(shape) // 2,
+    )
     return build_from_labeled_basis(basis)

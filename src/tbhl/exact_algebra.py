@@ -19,8 +19,8 @@ above the cap is an error, never silently dropped.
 >>> i = GaussianRational.sqrt_minus_one()
 >>> i * i == GaussianRational.integer(-1)
 True
->>> (i + GaussianRational.integer(1)).to_json()
-{'re': '1', 'im': '1'}
+>>> print(i + GaussianRational.integer(1))
+1+1*i
 >>> GaussianRational.integer(1) / 2
 GaussianRational(re=Fraction(1, 2), im=0)
 """
@@ -150,19 +150,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def to_json(self) -> dict:
-        """Serialize as ``{"re": "p/q", "im": "p/q"}``."""
-        return {"re": str(self.re), "im": str(self.im)}
-
-    @staticmethod
-    def from_json(data: Mapping[str, str]) -> "GaussianRational":
-        """Inverse of :meth:`to_json`.
-
-        >>> GaussianRational.from_json({"re": "1/2", "im": "-2"})
-        GaussianRational(re=Fraction(1, 2), im=-2)
-        """
-        return GaussianRational._of(Fraction(data["re"]), Fraction(data["im"]))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -375,25 +362,6 @@ class SparseMatrix:
         """
         return self.nrows == self.ncols and self.rank() == self.nrows
 
-    def to_json(self) -> dict:
-        ordered = sorted(self.entries.items())
-        return {
-            "nrows": self.nrows,
-            "ncols": self.ncols,
-            "entries": [[r, c, value.to_json()] for (r, c), value in ordered],
-        }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "SparseMatrix":
-        return SparseMatrix(
-            data["nrows"],
-            data["ncols"],
-            {
-                (r, c): GaussianRational.from_json(value)
-                for r, c, value in data["entries"]
-            },
-        )
-
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
 
@@ -486,14 +454,6 @@ class TruncatedPolynomial:
     def to_json(self) -> list:
         """Serialize as ``[[exponent_vector, coefficient], ...]`` in lex order."""
         return [[list(exponents), coefficient] for exponents, coefficient in self.terms]
-
-    @staticmethod
-    def from_json(
-        data: Iterable, nvars: int, degree_cap: int
-    ) -> "TruncatedPolynomial":
-        return TruncatedPolynomial.make(
-            nvars, degree_cap, {tuple(exponents): c for exponents, c in data}
-        )
 
     def __str__(self) -> str:
         if not self.terms:

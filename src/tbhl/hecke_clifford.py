@@ -26,10 +26,11 @@ every induced module is ``pi_0 c_1 = sqrt(-1) * parity * pi_0`` where
 relation suite checks that graded form.
 
 Words in the ``c`` generators normalize to a sign times ``c_D`` with the
-index set ``D`` increasing.  Inducing a labeled basis adjoins a free Clifford
-factor: the induced basis is all pairs ``(D, y)`` and the ``pi`` action is
-computed by commuting ``pi_i`` across ``c_D`` with the rules above and
-then acting casewise on ``y``.
+index set ``D`` increasing.  Inducing an operator family adjoins a free
+Clifford factor: the induced module is again an operator family, on all pairs
+``(D, y)``, and its ``pi`` action is computed by commuting ``pi_i`` across
+``c_D`` with the rules above and then applying the base family's ``pi_i`` to
+``y``.
 
 The one-dimensional cyclic case (a single basis label whose descent label is
 a chosen subset) is also transcribed from the closed ribbon case table
@@ -39,18 +40,17 @@ a chosen subset) is also transcribed from the closed ribbon case table
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from .exact_algebra import GaussianRational, SparseMatrix
 from .hecke_engine import (
     CompositionSeries,
     LabeledBasis,
     OperatorFamily,
+    build_from_labeled_basis,
     characteristic_by_composition_series,
-    family_from_matrices,
     verify_relations,
 )
 from .qsym_typeb import (
@@ -60,8 +60,6 @@ from .qsym_typeb import (
     symmetric_difference_condition,
 )
 from .signed_permutations import subsets
-
-Label = Hashable
 
 _ZERO = GaussianRational.integer(0)
 _ONE = GaussianRational.integer(1)
@@ -73,28 +71,22 @@ _SQRT = GaussianRational.sqrt_minus_one()
 # Clifford normal forms
 
 
-@dataclass(frozen=True)
-class CliffordNormalForm:
-    """A scalar multiple of a sorted Clifford monomial ``c_D``."""
-
-    sign: GaussianRational
-    subset: tuple[int, ...]
-
-
 def clifford_normalize(
-    word: Iterable[int], scalar: GaussianRational = _ONE
-) -> CliffordNormalForm:
-    """Sort a product of ``c`` generators, tracking signs and squares.
+    word: Iterable[int],
+) -> tuple[GaussianRational, tuple[int, ...]]:
+    """Sort a product of ``c`` generators into ``(sign, D)`` with the word
+    equal to ``sign * c_D``, tracking signs and squares.
 
-    >>> clifford_normalize((2, 1)).sign.re, clifford_normalize((2, 1)).subset
+    >>> sign, subset = clifford_normalize((2, 1))
+    >>> sign.re, subset
     (-1, (1, 2))
     >>> clifford_normalize((1, 1))
-    CliffordNormalForm(sign=GaussianRational(re=-1, im=0), subset=())
-    >>> clifford_normalize((3, 1, 3)).sign.re
+    (GaussianRational(re=-1, im=0), ())
+    >>> clifford_normalize((3, 1, 3))[0].re
     1
     """
     letters: list[int] = []
-    sign = scalar
+    sign = _ONE
     for index in word:
         if index < 1:
             raise ValueError("generator indices start at 1")
@@ -110,15 +102,7 @@ def clifford_normalize(
             sign = sign * _MINUS_ONE
         else:
             letters.insert(position, index)
-    return CliffordNormalForm(sign, tuple(letters))
-
-
-def mult_subsets(
-    left: Iterable[int], right: Iterable[int]
-) -> tuple[GaussianRational, tuple[int, ...]]:
-    """Product ``c_A c_B`` as a signed sorted monomial."""
-    form = clifford_normalize(tuple(left) + tuple(right))
-    return form.sign, form.subset
+    return sign, tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +176,10 @@ def pi_commute(
 
     combined: dict[tuple[int, ...], list[GaussianRational]] = {}
     for raw_word, const, with_pi in push(word):
-        form = clifford_normalize(raw_word)
-        slot = combined.setdefault(form.subset, [_ZERO, _ZERO])
-        slot[0] = slot[0] + form.sign * const
-        slot[1] = slot[1] + form.sign * with_pi
+        sign, subset = clifford_normalize(raw_word)
+        slot = combined.setdefault(subset, [_ZERO, _ZERO])
+        slot[0] = slot[0] + sign * const
+        slot[1] = slot[1] + sign * with_pi
     return tuple(
         (subset_key, consts[0], consts[1])
         for subset_key, consts in sorted(combined.items())
@@ -208,84 +192,67 @@ def pi_commute(
 
 
 @dataclass
-class InducedModule:
-    """A labeled basis tensored with a free Clifford factor."""
+class InducedModule(OperatorFamily):
+    """An operator family tensored with a free Clifford factor.
 
-    base: LabeledBasis
-    rank: int
-    basis: tuple[tuple[tuple[int, ...], Label], ...]
-    pi_matrices: dict[int, SparseMatrix]
+    The labels are the pairs ``(D, y)`` of a Clifford index set and a label
+    of ``base``; ``matrices`` are the ``pi_i`` and ``c_matrices[j]`` is
+    ``c_j`` for ``j = 1..rank``.
+    """
+
+    base: OperatorFamily
     c_matrices: dict[int, SparseMatrix]
-    position: dict[tuple[tuple[int, ...], Label], int] = field(
-        init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
-        self.position = {pair: k for k, pair in enumerate(self.basis)}
-        size = len(self.basis)
-        expected = (1 << self.rank) * len(self.base.elements)
-        if size != expected:
+        super().__post_init__()
+        size = len(self.labels)
+        if size != (1 << self.rank) * len(self.base.labels):
             raise ValueError("induced basis has the wrong dimension")
-        for matrix in itertools.chain(
-            self.pi_matrices.values(), self.c_matrices.values()
-        ):
+        for matrix in self.c_matrices.values():
             if matrix.nrows != size or matrix.ncols != size:
                 raise ValueError("matrices must be square of basis size")
 
 
-def induce_labeled_basis(base: LabeledBasis) -> InducedModule:
-    """Adjoin the Clifford generators to a casewise labeled basis."""
+def induce_labeled_basis(base: OperatorFamily) -> InducedModule:
+    """Adjoin the Clifford generators to an operator family.
+
+    ``pi_i c_D y`` expands by :func:`pi_commute` as ``sum_E c_E (gamma_E y +
+    delta_E pi_i y)``, with ``pi_i y`` read off column ``y`` of
+    ``base.matrices[i]``.
+    """
     n = base.rank
     all_subsets = subsets(range(1, n + 1))
-    basis = tuple(
-        (subset, label) for label in base.elements for subset in all_subsets
+    labels = tuple(
+        (subset, label) for label in base.labels for subset in all_subsets
     )
-    position = {pair: k for k, pair in enumerate(basis)}
-    size = len(basis)
-    pi_matrices = {}
-    for i in range(n):
+    position = {pair: k for k, pair in enumerate(labels)}
+    size = len(labels)
+    pi_matrices = []
+    for i, base_matrix in enumerate(base.matrices):
         entries: dict[tuple[int, int], GaussianRational] = {}
-
-        def add(row: int, col: int, value: GaussianRational) -> None:
-            if value.is_zero():
-                return
-            current = entries.get((row, col), _ZERO) + value
-            if current.is_zero():
-                entries.pop((row, col), None)
-            else:
-                entries[(row, col)] = current
-
-        for label in base.elements:
-            in_descent = i in base.descent_label[label]
-            target = base.transition.get((i, label))
-            if target is not None and target not in base.position:
-                target = None
+        for k, label in enumerate(base.labels):
+            image = base_matrix.column(k).items()
             for subset in all_subsets:
                 col = position[(subset, label)]
                 for new_subset, const, with_pi in pi_commute(i, subset):
-                    add(position[(new_subset, label)], col, const)
-                    if with_pi.is_zero():
-                        continue
-                    if in_descent:
-                        add(
-                            position[(new_subset, label)],
-                            col,
-                            with_pi * _MINUS_ONE,
-                        )
-                    elif target is not None:
-                        add(position[(new_subset, target)], col, with_pi)
-        pi_matrices[i] = SparseMatrix.from_entries(size, size, entries)
+                    terms = [(label, const)]
+                    terms += [(base.labels[row], with_pi * v) for row, v in image]
+                    for target, value in terms:
+                        key = (position[(new_subset, target)], col)
+                        entries[key] = entries.get(key, _ZERO) + value
+        # the constructor drops the entries that sum to zero
+        pi_matrices.append(SparseMatrix.from_entries(size, size, entries))
     c_matrices = {}
     for j in range(1, n + 1):
         entries = {}
-        for label in base.elements:
+        for label in base.labels:
             for subset in all_subsets:
-                sign, product = mult_subsets((j,), subset)
+                sign, product = clifford_normalize((j, *subset))
                 entries[
                     (position[(product, label)], position[(subset, label)])
                 ] = sign
         c_matrices[j] = SparseMatrix.from_entries(size, size, entries)
-    return InducedModule(base, n, basis, pi_matrices, c_matrices)
+    return InducedModule(labels, pi_matrices, base, c_matrices)
 
 
 def _ribbon_table_column(
@@ -358,9 +325,8 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
 def build_MI(index_set, n: int) -> InducedModule:
     """Induced module of the one-dimensional module selected by a subset."""
     index_set = _checked_index_set(index_set, n)
-    return induce_labeled_basis(
-        LabeledBasis((index_set,), {index_set: index_set}, {}, rank=n)
-    )
+    basis = LabeledBasis((index_set,), {index_set: index_set}, {}, rank=n)
+    return induce_labeled_basis(build_from_labeled_basis(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +339,12 @@ def verify_hcl_relations(module: InducedModule) -> dict:
     The casewise quadratic and braid relations are those of
     :func:`verify_relations`, whose failure is returned as is.
     """
-    casewise = verify_relations(
-        family_from_matrices(module.basis, module.pi_matrices, module.rank)
-    )
+    casewise = verify_relations(module)
     if casewise != {"relations": "ok"}:
         return casewise
     n = module.rank
-    identity = SparseMatrix.identity(len(module.basis))
-    pi = module.pi_matrices
+    identity = SparseMatrix.identity(len(module.labels))
+    pi = module.matrices
     cg = module.c_matrices
     for j in range(1, n + 1):
         if cg[j] @ cg[j] != identity.scale(_MINUS_ONE):
@@ -409,9 +373,9 @@ def verify_hcl_relations(module: InducedModule) -> dict:
 def clifford_parity_matrix(module: InducedModule) -> SparseMatrix:
     """Diagonal sign matrix negating columns with odd Clifford index sets."""
     entries = {}
-    for idx, (subset, _label) in enumerate(module.basis):
+    for idx, (subset, _label) in enumerate(module.labels):
         entries[(idx, idx)] = _MINUS_ONE if len(subset) % 2 else _ONE
-    return SparseMatrix.from_entries(len(module.basis), len(module.basis), entries)
+    return SparseMatrix.from_entries(len(module.labels), len(module.labels), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +439,7 @@ def restriction_characteristic(
     module: InducedModule,
 ) -> tuple[QSymElement, CompositionSeries]:
     """Composition-series characteristic of the casewise-operator restriction."""
-    family = family_from_matrices(module.basis, module.pi_matrices, module.rank)
-    return characteristic_by_composition_series(family)
+    return characteristic_by_composition_series(module)
 
 
 RES_FORMS = ("proof_penultimate", "theorem_literal", "theorem_complemented")
@@ -567,12 +530,12 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
     entries: dict[tuple[int, int], GaussianRational] = {}
     for subset in all_subsets:
         col = position[subset]
-        sign, product = mult_subsets(subset, (k, k + 1))
+        sign, product = clifford_normalize((*subset, k, k + 1))
         entries[(position[product], col)] = sign
         entries[(col, col)] = entries.get((col, col), _ZERO) + _MINUS_ONE
     matrix = SparseMatrix.from_entries(size, size, entries)
     commutes = all(
-        matrix @ smaller.pi_matrices[i] == larger.pi_matrices[i] @ matrix
+        matrix @ smaller.matrices[i] == larger.matrices[i] @ matrix
         for i in range(n)
     ) and all(
         matrix @ smaller.c_matrices[j] == larger.c_matrices[j] @ matrix
@@ -600,10 +563,10 @@ def centralizer_check(index_set, n: int) -> tuple[tuple[int, ...], ...]:
     module = build_MI(index_set, n)
     found = []
     for subset in subsets(range(1, n + 1)):
-        col = module.position[(subset, next(iter(module.base.elements)))]
+        col = module.position[(subset, index_set)]
         ok = True
         for i in range(n):
-            column = module.pi_matrices[i].column(col)
+            column = module.matrices[i].column(col)
             expected = {}
             if i in index_set:
                 expected = {col: _MINUS_ONE}
@@ -619,24 +582,27 @@ def centralizer_check(index_set, n: int) -> tuple[tuple[int, ...], ...]:
 # general induction
 
 
-def induce_and_restrict(base) -> tuple[QSymElement, dict]:
-    """Induce a labeled basis, restrict, and compare with the closed forms.
+def induce_and_restrict(base: OperatorFamily) -> tuple[QSymElement, dict]:
+    """Induce an operator family, restrict, and compare with the closed forms.
 
-    Accepts a labeled basis or an operator family (its basis is used).
     Returns the direct characteristic and, per closed form, whether the sum
-    of that form over the basis labels matches it.
+    of that form over the labels matches it; each label's descent label is
+    read off the diagonals of the base operators.
     """
-    if isinstance(base, OperatorFamily):
-        base = base.basis
     module = induce_labeled_basis(base)
     direct, _ = restriction_characteristic(module)
     n = base.rank
+    descent_labels = [
+        frozenset(
+            i for i, matrix in enumerate(base.matrices)
+            if matrix.get(k, k) == _MINUS_ONE
+        )
+        for k in range(len(base.labels))
+    ]
     report = {"matches": {}}
     for form in RES_FORMS:
         expected = QSymElement.zero(n)
-        for label in base.elements:
-            expected = expected + res_MI_formula(
-                base.descent_label[label], n, form
-            )
+        for descent_label in descent_labels:
+            expected = expected + res_MI_formula(descent_label, n, form)
         report["matches"][form] = direct == expected
     return direct, report

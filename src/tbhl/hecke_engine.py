@@ -1,37 +1,40 @@
-"""Operator families on labeled bases and composition-series characteristics.
+"""Operator families, the casewise rule that builds them, and composition series.
 
-A *labeled basis* is a finite set of opaque labels, each carrying a subset of
-generator indices (its descent label) and, for each index outside that subset,
-an optional transition to another label.  These data induce one square matrix
-per generator index:
+Every module here is an *operator family*: ordered labels with one exact
+square matrix per generator index ``0..rank-1``.  The relation checker and
+the composition-series walk read nothing else, so families built by the
+casewise rule and induced Clifford modules (``hecke_clifford``) share them.
 
-* column ``y`` is ``-y`` when the index lies in the descent label of ``y``;
-* a unit at the transition target when that target is itself a basis label;
-* zero otherwise (no transition, or a transition out of the basis).
+A *labeled basis* is the combinatorial input of the casewise rule: each
+label carries a subset of generator indices (its descent label) and, for
+each index outside that subset, an optional transition to another label.
+Column ``y`` of the operator at index ``i`` is
 
-The same matrix machinery accepts arbitrary exact matrices, so bases whose
-operators have richer coefficients (for example Clifford-algebra signs) reuse
-the relation checker and the composition-series walk unchanged.
+* ``-y`` when ``i`` lies in the descent label of ``y``;
+* a unit at the transition target when ``y`` has a transition at ``i``;
+* zero otherwise.
 
-The composition-series walk orders the basis so that every operator maps each
-basis vector into the span of itself and *earlier* vectors, reads the diagonal
-entry of each operator at each position (always ``0`` or ``-1``), and sums one
-fundamental function per position, indexed by the set of generators acting by
-``-1`` there.
+``basis_from_action`` derives a labeled basis from a partial action, keeping
+only the moves that land on a label.
+
+The composition-series walk orders the labels so that every operator maps
+each basis vector into the span of itself and *earlier* vectors, reads the
+diagonal entry of each operator at each position (always ``0`` or ``-1``),
+and sums one fundamental function per position, indexed by the set of
+generators acting by ``-1`` there.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .exact_algebra import GaussianRational, SparseMatrix
 from .qsym_typeb import QSymElement
 from .signed_permutations import (
     SignedPermutation,
     braid_exponent,
-    format_index_set,
     left_descents,
     length,
     simple_reflection,
@@ -47,9 +50,8 @@ _ONE = GaussianRational.integer(1)
 class LabeledBasis:
     """Ordered labels with descent labels and partial transitions.
 
-    Generator indices are ``0..rank-1``.  ``transition`` may map to labels
-    outside ``elements``; such targets (and absent entries alike) make the
-    corresponding operator column zero.
+    Generator indices are ``0..rank-1``; a transition at index ``i`` leads
+    from a label whose descent label omits ``i`` to a label.
 
     >>> basis = LabeledBasis(("a", "b"), {"a": frozenset(), "b": frozenset({0})},
     ...                      {(0, "a"): "b"}, rank=1)
@@ -57,29 +59,31 @@ class LabeledBasis:
     1
     """
 
-    elements: tuple[Label, ...]
+    labels: tuple[Label, ...]
     descent_label: Mapping[Label, frozenset[int]]
     transition: Mapping[tuple[int, Label], Label]
     rank: int
     position: dict[Label, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.elements = tuple(self.elements)
-        self.position = {label: k for k, label in enumerate(self.elements)}
-        if len(self.position) != len(self.elements):
+        self.labels = tuple(self.labels)
+        self.position = {label: k for k, label in enumerate(self.labels)}
+        if len(self.position) != len(self.labels):
             raise ValueError("duplicate basis labels")
         valid = range(self.rank)
-        for label in self.elements:
+        for label in self.labels:
             if label not in self.descent_label:
                 raise ValueError(f"missing descent label for {label!r}")
             bad = set(self.descent_label[label]) - set(valid)
             if bad:
                 raise ValueError(f"descent label of {label!r} out of range: {bad}")
-        for (i, label), _target in self.transition.items():
+        for (i, label), target in self.transition.items():
             if i not in valid:
                 raise ValueError(f"transition index {i} out of range")
             if label not in self.position:
                 raise ValueError(f"transition source {label!r} not in basis")
+            if target not in self.position:
+                raise ValueError(f"transition target {target!r} not in basis")
             if i in self.descent_label[label]:
                 raise ValueError(
                     f"transition at {i} conflicts with descent label of {label!r}"
@@ -88,18 +92,30 @@ class LabeledBasis:
 
 @dataclass
 class OperatorFamily:
-    """One exact matrix per generator index over a labeled basis."""
+    """Ordered labels and one exact square matrix per generator index.
 
-    basis: LabeledBasis
-    matrices: dict[int, SparseMatrix]
+    ``matrices[i]`` is the operator of index ``i``, so the rank is
+    ``len(matrices)``; ``position`` maps each label to its row and column.
+    """
+
+    labels: tuple[Label, ...]
+    matrices: tuple[SparseMatrix, ...]
+    position: dict[Label, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        size = len(self.basis.elements)
-        if set(self.matrices) != set(range(self.basis.rank)):
-            raise ValueError("matrix indices do not match the basis rank")
-        for matrix in self.matrices.values():
+        self.labels = tuple(self.labels)
+        self.matrices = tuple(self.matrices)
+        self.position = {label: k for k, label in enumerate(self.labels)}
+        if len(self.position) != len(self.labels):
+            raise ValueError("duplicate labels")
+        size = len(self.labels)
+        for matrix in self.matrices:
             if matrix.nrows != size or matrix.ncols != size:
-                raise ValueError("operator matrices must be square of basis size")
+                raise ValueError("operator matrices must be square of label count")
+
+    @property
+    def rank(self) -> int:
+        return len(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -108,9 +124,6 @@ class CompositionSeries:
 
     order: tuple[Label, ...]
     factors: tuple[frozenset[int], ...]
-
-    def to_json(self) -> dict:
-        return {"factors": [format_index_set(k) for k in self.factors]}
 
 
 def build_from_labeled_basis(basis: LabeledBasis) -> OperatorFamily:
@@ -121,20 +134,47 @@ def build_from_labeled_basis(basis: LabeledBasis) -> OperatorFamily:
     >>> sorted(fam.matrices[0].entries.items())
     [((1, 0), GaussianRational(re=1, im=0)), ((1, 1), GaussianRational(re=-1, im=0))]
     """
-    size = len(basis.elements)
-    matrices = {}
+    size = len(basis.labels)
+    matrices = []
     for i in range(basis.rank):
         entries = {}
-        for col, label in enumerate(basis.elements):
+        for col, label in enumerate(basis.labels):
             if i in basis.descent_label[label]:
                 entries[(col, col)] = _MINUS_ONE
-            else:
-                target = basis.transition.get((i, label))
-                row = basis.position.get(target) if target is not None else None
-                if row is not None:
-                    entries[(row, col)] = _ONE
-        matrices[i] = SparseMatrix.from_entries(size, size, entries)
-    return OperatorFamily(basis, matrices)
+            elif (i, label) in basis.transition:
+                entries[(basis.position[basis.transition[(i, label)]], col)] = _ONE
+        matrices.append(SparseMatrix.from_entries(size, size, entries))
+    return OperatorFamily(basis.labels, matrices)
+
+
+def basis_from_action(
+    labels: Iterable[Label],
+    descent_label: Callable[[Label], Iterable[int]],
+    move: Callable[[Label, int], Label | None],
+    rank: int,
+) -> LabeledBasis:
+    """Labeled basis of ``labels`` under a partial action.
+
+    ``descent_label(y)`` gives the descent label of ``y``; at every other
+    index ``i``, ``move(y, i)`` is the transition of ``y``, kept only when it
+    is one of ``labels`` (``None`` or an outside value gives none).
+
+    >>> basis = basis_from_action((1, 2), lambda y: {0} if y == 2 else (),
+    ...                           lambda y, i: y + 1, rank=1)
+    >>> basis.transition
+    {(0, 1): 2}
+    """
+    labels = tuple(labels)
+    inside = set(labels)
+    descents = {y: frozenset(descent_label(y)) for y in labels}
+    transition = {}
+    for y in labels:
+        for i in range(rank):
+            if i not in descents[y]:
+                target = move(y, i)
+                if target in inside:
+                    transition[(i, y)] = target
+    return LabeledBasis(labels, descents, transition, rank)
 
 
 def basis_from_elements(elements: Iterable[SignedPermutation]) -> LabeledBasis:
@@ -148,39 +188,16 @@ def basis_from_elements(elements: Iterable[SignedPermutation]) -> LabeledBasis:
     distinct = set(elements)
     if not distinct:
         raise ValueError("empty element set")
-    ordered = tuple(sorted(distinct, key=lambda x: (length(x), x.window)))
+    ordered = sorted(distinct, key=lambda x: (length(x), x.window))
     n = len(ordered[0].window)
-    inside = set(ordered)
-    descent_label = {x: left_descents(x) for x in ordered}
-    transition = {}
-    for x in ordered:
-        for i in range(n):
-            if i not in descent_label[x]:
-                product = simple_reflection(i, n) * x
-                if product in inside:
-                    transition[(i, x)] = product
-    return LabeledBasis(ordered, descent_label, transition, rank=n)
+    return basis_from_action(
+        ordered, left_descents, lambda x, i: simple_reflection(i, n) * x, n
+    )
 
 
 def family_from_elements(elements: Iterable[SignedPermutation]) -> OperatorFamily:
     """Operator family of a signed-permutation set under the casewise action."""
     return build_from_labeled_basis(basis_from_elements(elements))
-
-
-def family_from_matrices(
-    labels: Sequence[Label],
-    matrices: Mapping[int, SparseMatrix],
-    rank: int,
-) -> OperatorFamily:
-    """Wrap precomputed matrices, one per index ``0..rank-1`` (descent labels
-    read off the diagonals)."""
-    descent_label = {}
-    for k, label in enumerate(labels):
-        descent_label[label] = frozenset(
-            i for i in range(rank) if matrices[i].get(k, k) == _MINUS_ONE
-        )
-    basis = LabeledBasis(tuple(labels), descent_label, {}, rank=rank)
-    return OperatorFamily(basis, dict(matrices))
 
 
 def alternating_product(
@@ -207,7 +224,7 @@ def verify_relations(fam: OperatorFamily) -> dict:
     ``{"failed": {"kind": "quadratic", "i": i}}`` /
     ``{"failed": {"kind": "braid", "i": i, "j": j}}`` for the first failure.
     """
-    rank = fam.basis.rank
+    rank = fam.rank
     for i in range(rank):
         matrix = fam.matrices[i]
         if matrix @ matrix != matrix.scale(_MINUS_ONE):
@@ -255,14 +272,14 @@ def characteristic_by_composition_series(
     ...     family_from_elements(all_elements(1)))
     >>> print(char)
     1*FB{} + 1*FB{0}
-    >>> series.to_json()
-    {'factors': ['{0}', '{}']}
+    >>> series.factors
+    (frozenset({0}), frozenset())
     """
-    labels = fam.basis.elements
+    labels = fam.labels
     size = len(labels)
     successors: dict[int, set[int]] = {k: set() for k in range(size)}
     indegree = [0] * size
-    for matrix in fam.matrices.values():
+    for matrix in fam.matrices:
         for (r, c) in matrix.entries:
             if r != c and c not in successors[r]:
                 successors[r].add(c)
@@ -282,7 +299,7 @@ def characteristic_by_composition_series(
             "support digraph is cyclic; no triangular basis order exists"
         )
     placed = {k: rank for rank, k in enumerate(order_positions)}
-    for matrix in fam.matrices.values():
+    for matrix in fam.matrices:
         for (r, c) in matrix.entries:
             if r != c and placed[r] >= placed[c]:
                 raise ValueError("prefix spans are not invariant")
@@ -290,7 +307,7 @@ def characteristic_by_composition_series(
     factors = []
     for k in order_positions:
         subset = set()
-        for i, matrix in fam.matrices.items():
+        for i, matrix in enumerate(fam.matrices):
             diagonal = matrix.get(k, k)
             if diagonal == _MINUS_ONE:
                 subset.add(i)
@@ -300,7 +317,7 @@ def characteristic_by_composition_series(
                     f"is neither 0 nor -1"
                 )
         factors.append(frozenset(subset))
-    char = QSymElement.from_descent_sets(factors, fam.basis.rank)
+    char = QSymElement.from_descent_sets(factors, fam.rank)
     series = CompositionSeries(
         tuple(labels[k] for k in order_positions), tuple(factors)
     )

@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .exact_algebra import SparseMatrix, TruncatedPolynomial, all_exponent_vectors
-from .signed_permutations import format_index_set, parse_index_set, subsets
+from .signed_permutations import format_index_set, subsets
 
 __all__ = [
     "QSymElement",
@@ -100,13 +100,6 @@ class QSymElement:
             collected[key] = collected.get(key, 0) + 1
         return QSymElement.make(n, collected)
 
-    def coefficient(self, subset: Iterable[int]) -> int:
-        key = _subset_key(frozenset(subset))
-        for stored, coefficient in self.coeffs:
-            if stored == key:
-                return coefficient
-        return 0
-
     def _require_compatible(self, other: "QSymElement") -> None:
         if self.n != other.n:
             raise ValueError("degree mismatch")
@@ -148,15 +141,6 @@ class QSymElement:
                 [format_index_set(key), coefficient] for key, coefficient in self.coeffs
             ],
         }
-
-    @staticmethod
-    def from_json(data: Mapping) -> "QSymElement":
-        if data["basis"] != "FB":
-            raise ValueError(f"unknown basis {data['basis']!r}")
-        return QSymElement.make(
-            data["n"],
-            {parse_index_set(text): coefficient for text, coefficient in data["coeffs"]},
-        )
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -43,13 +43,14 @@ from .domino_tableaux import (
     _descent_set,
     _layout_text,
     _shape_cache,
+    _trusted,
     diagram_cells,
     enumerate_tilings,
     swap_entries,
     validate_partition,
 )
 from .exact_algebra import TruncatedPolynomial
-from .hecke_engine import LabeledBasis, OperatorFamily, build_from_labeled_basis
+from .hecke_engine import OperatorFamily, basis_from_action, build_from_labeled_basis
 from .qsym_typeb import QSymElement, fb_monomials, peak_characteristic
 from .signed_permutations import subsets
 
@@ -135,16 +136,6 @@ def two_quotient(shape) -> TwoQuotient:
 
 # ---------------------------------------------------------------------------
 # shifted tilings
-
-
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` built without its
-    ``__post_init__`` checks, for values an enumerator makes valid by
-    construction.  The public constructors keep full validation."""
-    instance = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(instance, name, value)
-    return instance
 
 
 def weakly_above_diagonal(domino: Domino) -> bool:
@@ -509,15 +500,6 @@ class MarkedStandardTableau:
             sorted(other.primed),
         )
 
-    def to_text(self) -> str:
-        return _layout_text(
-            (
-                (f"{entry}'" if entry in self.primed else entry, domino)
-                for entry, domino in enumerate(self.base.dominoes, 1)
-            ),
-            self.base.tiling.unfilled,
-        )
-
 
 def _markings(base: ShiftedStandardTableau) -> Iterator[MarkedStandardTableau]:
     """Every primed subset of ``base``, by size then lexicographically."""
@@ -710,45 +692,24 @@ def verify_peak_theorem(
 # conjugated operator family
 
 
-@dataclass(frozen=True, order=True)
-class ConjugatedTableau:
-    """A standard shifted tableau viewed through the diagonal reflection.
-
-    Its descent label is the complement of the base tableau's descent set.
-    """
-
-    base: ShiftedStandardTableau
-
-    def descent_label(self) -> frozenset[int]:
-        m = self.base.size
-        return frozenset(range(m)) - self.base.descent_set()
-
-
 def conjugate_family(shape) -> OperatorFamily:
-    """Casewise operators on the diagonal reflections of standard tableaux.
+    """Casewise operators on the standard tableaux seen through the diagonal
+    reflection.
 
     Reflection complements the descent labels, so the index-``i`` move is
-    available exactly when ``i`` is a descent of the base tableau; it swaps
-    the base entries ``i`` and ``i+1`` when that stays standard.
+    available exactly when ``i`` is a descent of the tableau; it swaps the
+    entries ``i`` and ``i+1`` when that stays standard (index 0 never moves).
     """
     shape = validate_partition(shape)
     if not two_quotient(shape).valid:
         raise ValueError(f"shape {shape} has an invalid 2-quotient")
     rank = filled_count(shape)
-    labels = tuple(
-        ConjugatedTableau(base) for base in enumerate_shifted(shape, "standard")
+    basis = basis_from_action(
+        enumerate_shifted(shape, "standard"),
+        lambda tableau: frozenset(range(rank)) - tableau.descent_set(),
+        swap_entries,
+        rank,
     )
-    descent_label = {label: label.descent_label() for label in labels}
-    inside = {label.base: label for label in labels}
-    transition = {}
-    for label in labels:
-        for i in range(rank):
-            if i in descent_label[label]:
-                continue
-            moved = swap_entries(label.base, i) if i else None
-            if moved is not None and moved in inside:
-                transition[(i, label)] = inside[moved]
-    basis = LabeledBasis(labels, descent_label, transition, rank=rank)
     return build_from_labeled_basis(basis)
 
 

@@ -64,12 +64,6 @@ class PermutationFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, element: SignedPermutation) -> bool:
-        return element in set(self.members)
-
 
 def is_left_unimodal(x: SignedPermutation, i: int) -> bool:
     """Whether the inverse window decreases to position ``i`` then increases."""
@@ -112,7 +106,7 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
 
     >>> len(build_family("arc", (), 2))
     8
-    >>> [x.window for x in build_family("dclass", (frozenset(),), 2)]
+    >>> [x.window for x in build_family("dclass", (frozenset(),), 2).members]
     [(1, 2)]
     """
     if not 1 <= n <= MAX_DEGREE:

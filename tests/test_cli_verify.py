@@ -351,6 +351,46 @@ class TestUsageErrors:
         assert (code, out) == (0, f"{expected}\n")
         assert expected > 0
 
+    SHAPE_BOUNDS = [
+        (["enumerate", "domino", "sdt"], "MAX_STANDARD_DOMINOES"),
+        (["enumerate", "shifted", "sshdt"], "MAX_STANDARD_DOMINOES"),
+        (["enumerate", "shifted", "sshdt", "--maxval", "1"], "MAX_SEMISTANDARD_DOMINOES"),
+        (["verify", "peak-theorem"], "MAX_PEAK_THEOREM_DOMINOES"),
+    ]
+
+    @pytest.mark.parametrize("command, bound", SHAPE_BOUNDS)
+    def test_shape_above_its_bound_fails_before_enumerating(
+        self, capsys, monkeypatch, command, bound
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumeration started on a rejected shape")
+
+        for name in ("enumerate_sdt", "enumerate_shifted", "run_audit"):
+            monkeypatch.setattr(cli_verify, name, refuse)
+        dominoes = getattr(cli_verify, bound)
+        argv = [*command, "--shape", str(2 * dominoes + 2)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --shape has more than {dominoes} dominoes\n"
+
+    @pytest.mark.parametrize("command, bound", SHAPE_BOUNDS)
+    def test_shape_at_its_bound_is_enumerated(self, capsys, command, bound):
+        # a single row: the largest shape the bound admits, with few tableaux
+        shape = str(2 * getattr(cli_verify, bound))
+        extra = ["--count"] if command[0] == "enumerate" else []
+        code, out, err = run_cli(capsys, [*command, "--shape", shape, *extra])
+        assert (code, err) == (0, "")
+        assert int(out) > 0 if extra else out.startswith("PASS")
+
+    def test_bounds_are_stated_in_help(self, capsys):
+        for command, bound in self.SHAPE_BOUNDS:
+            with pytest.raises(SystemExit):
+                main([*command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert f"at most {getattr(cli_verify, bound)} dominoes" in text or (
+                f"{getattr(cli_verify, bound)} with --maxval" in text
+            )
+
     def test_semistandard_shape_with_bad_quotient(self, capsys):
         code, _, err = run_cli(
             capsys, ["enumerate", "shifted", "sshdt", "--shape", "2,1,1"]
@@ -488,7 +528,7 @@ class TestAuditLibrary:
         computed = []
 
         def counting(module):
-            computed.append((frozenset(module.base.elements[0]), module.rank))
+            computed.append((frozenset(module.base.labels[0]), module.rank))
             return hecke_clifford.restriction_characteristic(module)
 
         monkeypatch.setattr(

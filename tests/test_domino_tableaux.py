@@ -127,6 +127,15 @@ class TestEnumerateSdt:
     def test_matches_filter_oracle(self, shape):
         assert enumerate_sdt(shape) == brute_force_sdt(shape)
 
+    @pytest.mark.parametrize("shape", list(even_partitions(4)))
+    def test_enumerated_tableaux_equal_their_validated_rebuilds(self, shape):
+        # the enumerator skips the constructor's checks; the public
+        # constructor accepts each tableau and rebuilds the same value
+        for t in enumerate_sdt(shape):
+            rebuilt = StandardDominoTableau(list(t.shape), list(t.dominoes))
+            assert rebuilt == t and hash(rebuilt) == hash(t)
+            assert type(t.shape) is type(t.dominoes) is tuple
+
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             enumerate_sdt((5,))
@@ -186,7 +195,7 @@ class TestGeneratorAction:
 class TestOperatorFamily:
     def test_two_by_two_matrices(self):
         fam = sdt_operator_family((2, 2))
-        pos = fam.basis.position
+        pos = fam.position
         h, v = pos[HORIZONTAL_PAIR], pos[VERTICAL_PAIR]
         pi0, pi1 = fam.matrices[0], fam.matrices[1]
         one = pi0.get(v, h)

@@ -55,17 +55,6 @@ class TestGaussianRational:
         else:
             assert a * a.inverse() == GaussianRational.integer(1)
 
-    @given(gaussians)
-    @settings(max_examples=60)
-    def test_json_round_trip(self, a):
-        data = a.to_json()
-        assert set(data) == {"re", "im"}
-        assert isinstance(data["re"], str) and isinstance(data["im"], str)
-        assert GaussianRational.from_json(data) == a
-
-    def test_json_format_is_p_over_q(self):
-        value = GaussianRational(Fraction(-3, 4), Fraction(5))
-        assert value.to_json() == {"re": "-3/4", "im": "5"}
 
 
 def _parts(value: GaussianRational):
@@ -87,7 +76,6 @@ class TestScalarRepresentation:
             half * two,
             (two * i).inverse() * 4,
             GaussianRational(Fraction(1, 2)).inverse(),
-            GaussianRational.from_json({"re": "6/3", "im": "-1"}),
             GaussianRational.coerce(Fraction(4, 2)),
         ]
         for value in results:
@@ -150,7 +138,6 @@ class TestScalarRepresentation:
     @settings(max_examples=80)
     def test_integral_result_parts_are_ints(self, a, b):
         results = [a + b, a - b, a * b, -a, a ** 2]
-        results.append(GaussianRational.from_json(a.to_json()))
         if not b.is_zero():
             results += [b.inverse(), a / b]
         for value in results:
@@ -236,12 +223,6 @@ class TestSparseMatrix:
         assert m.rank() == m.scale(i).rank() == transpose(m).rank()
         mixed = m + SparseMatrix.from_entries(3, 4, {(k, k): i for k in range(3)})
         assert mixed.rank() == transpose(mixed).rank()
-
-    def test_json_round_trip(self):
-        a = SparseMatrix.from_entries(
-            2, 2, {(0, 1): GaussianRational(Fraction(1, 2), Fraction(-1))}
-        )
-        assert SparseMatrix.from_json(a.to_json()) == a
 
 
 def sparse_matrices(nrows, ncols):
@@ -373,7 +354,6 @@ class TestTruncatedPolynomial:
     def test_json_is_lex_sorted(self):
         p = TruncatedPolynomial.make(2, 3, {(1, 0): 2, (0, 2): 5, (0, 1): -1})
         assert p.to_json() == [[[0, 1], -1], [[0, 2], 5], [[1, 0], 2]]
-        assert TruncatedPolynomial.from_json(p.to_json(), 2, 3) == p
 
     def test_all_exponent_vectors(self):
         assert all_exponent_vectors(2, 2) == [(0, 2), (1, 1), (2, 0)]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,6 @@ from tbhl.hecke_clifford import (
     iso_predicate,
     k_factor,
     k_set,
-    mult_subsets,
     pi_commute,
     res_MI_formula,
     restriction_characteristic,
@@ -27,7 +27,12 @@ from tbhl.hecke_clifford import (
     verify_hcl_relations,
 )
 from tbhl.cli_verify import clifford_audit_cases
-from tbhl.hecke_engine import LabeledBasis, family_from_matrices, verify_relations
+from tbhl.hecke_engine import (
+    LabeledBasis,
+    OperatorFamily,
+    build_from_labeled_basis,
+    verify_relations,
+)
 from tbhl.domino_tableaux import sdt_operator_family
 from tbhl.qsym_typeb import QSymElement, peak_data
 from tbhl.signed_permutations import parse_index_set, subsets
@@ -46,18 +51,21 @@ def fb(subset, n):
     return QSymElement.fundamental(subset, n)
 
 
+def with_pi(module, i, matrix):
+    """``module`` with its ``pi_i`` replaced by ``matrix``."""
+    matrices = list(module.matrices)
+    matrices[i] = matrix
+    return replace(module, matrices=matrices)
+
+
 class TestCliffordNormalForm:
     def test_pinned_words(self):
-        form = clifford_normalize((2, 1))
-        assert (form.sign, form.subset) == (MINUS_ONE, (1, 2))
-        form = clifford_normalize((1, 1))
-        assert (form.sign, form.subset) == (MINUS_ONE, ())
-        form = clifford_normalize((3, 1, 3))
-        assert (form.sign, form.subset) == (ONE, (1,))
+        assert clifford_normalize((2, 1)) == (MINUS_ONE, (1, 2))
+        assert clifford_normalize((1, 1)) == (MINUS_ONE, ())
+        assert clifford_normalize((3, 1, 3)) == (ONE, (1,))
 
-    def test_empty_word_and_scalar_passthrough(self):
-        form = clifford_normalize((), SQRT)
-        assert (form.sign, form.subset) == (SQRT, ())
+    def test_empty_word(self):
+        assert clifford_normalize(()) == (ONE, ())
 
     def test_rejects_nonpositive_indices(self):
         with pytest.raises(ValueError):
@@ -67,10 +75,8 @@ class TestCliffordNormalForm:
         rng = random.Random(7)
         for _ in range(200):
             word = [rng.randint(1, 5) for _ in range(rng.randint(0, 8))]
-            form = clifford_normalize(tuple(word))
             sign, letters = self._reference(word)
-            assert form.sign == sign
-            assert form.subset == tuple(letters)
+            assert clifford_normalize(tuple(word)) == (sign, tuple(letters))
 
     @staticmethod
     def _reference(word):
@@ -95,12 +101,12 @@ class TestCliffordNormalForm:
                 k += 1
         return sign, letters
 
-    def test_mult_subsets_is_group_like(self):
+    def test_monomial_products_are_group_like(self):
         rng = random.Random(11)
         for _ in range(100):
             a = tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 4))))
             b = tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 4))))
-            sign, product = mult_subsets(a, b)
+            sign, product = clifford_normalize(a + b)
             assert product == tuple(sorted(set(a) ^ set(b)))
             assert sign in (ONE, MINUS_ONE)
 
@@ -158,15 +164,16 @@ class TestPiCommute:
 class TestBuildMI:
     def test_rank_one_empty_set_kills_everything(self):
         module = build_MI(frozenset(), 1)
-        assert module.pi_matrices[0] == SparseMatrix.zero(2, 2)
-        assert [pair[0] for pair in module.basis] == [(), (1,)]
+        assert module.matrices[0] == SparseMatrix.zero(2, 2)
+        assert [pair[0] for pair in module.labels] == [(), (1,)]
+        assert module.rank == 1 and module.base.labels == (frozenset(),)
 
     def test_rank_one_full_set_pinned_action(self):
         module = build_MI({0}, 1)
         label = frozenset({0})
         plain = module.position[((), label)]
         barred = module.position[((1,), label)]
-        pi = module.pi_matrices[0]
+        pi = module.matrices[0]
         assert pi.column(plain) == {plain: MINUS_ONE}
         assert pi.column(barred) == {plain: SQRT * MINUS_ONE}
 
@@ -174,7 +181,7 @@ class TestBuildMI:
         for n in range(1, 4):
             for index_set in all_index_sets(n):
                 module = build_MI(index_set, n)
-                assert len(module.basis) == 1 << n
+                assert len(module.labels) == 1 << n
 
     def test_rejects_out_of_range_subsets(self):
         with pytest.raises(ValueError):
@@ -192,7 +199,7 @@ class TestBuildMI:
                 module = build_MI(index_set, n)
                 for i in range(n):
                     assert ribbon_table_matrix(i, index_set, n) == (
-                        module.pi_matrices[i]
+                        module.matrices[i]
                     ), (n, sorted(index_set), i)
 
 
@@ -205,7 +212,7 @@ class TestRelationSuite:
 
     def test_tableau_module_rank_two(self):
         fam = sdt_operator_family((2, 2))
-        module = induce_labeled_basis(fam.basis)
+        module = induce_labeled_basis(fam)
         assert verify_hcl_relations(module) == {"relations": "ok"}
 
     def test_graded_zero_identity_needs_parity(self):
@@ -213,7 +220,7 @@ class TestRelationSuite:
         # basis vectors of odd Clifford degree not containing 1; the parity
         # factor is what makes the suite pass.
         module = build_MI({0, 1}, 2)
-        pi0 = module.pi_matrices[0]
+        pi0 = module.matrices[0]
         c1 = module.c_matrices[1]
         assert pi0 @ c1 != pi0.scale(SQRT)
         assert pi0 @ c1 == (clifford_parity_matrix(module) @ pi0).scale(SQRT)
@@ -225,9 +232,9 @@ class TestRelationSuite:
         label = frozenset({0})
         plain = module.position[((), label)]
         barred = module.position[((1,), label)]
-        corrupted = dict(module.pi_matrices[0].entries)
+        corrupted = dict(module.matrices[0].entries)
         corrupted[(plain, barred)] = MINUS_ONE
-        module.pi_matrices[0] = SparseMatrix.from_entries(2, 2, corrupted)
+        module = with_pi(module, 0, SparseMatrix.from_entries(2, 2, corrupted))
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "mixed-zero", "j": 1}}
 
@@ -236,19 +243,18 @@ class TestRelationSuite:
         label = frozenset({0, 1})
         source = module.position[((1, 2), label)]
         target = module.position[((2,), label)]
-        corrupted = dict(module.pi_matrices[0].entries)
+        corrupted = dict(module.matrices[0].entries)
         corrupted[(target, source)] = corrupted[(target, source)] * MINUS_ONE
-        module.pi_matrices[0] = SparseMatrix.from_entries(4, 4, corrupted)
+        module = with_pi(module, 0, SparseMatrix.from_entries(4, 4, corrupted))
         report = verify_hcl_relations(module)
         assert report["failed"]["kind"] in ("braid", "mixed-zero")
 
     def test_quadratic_fault_is_reported_as_verify_relations_does(self):
         module = build_MI({0}, 2)
-        module.pi_matrices[1] = SparseMatrix.identity(len(module.basis))
+        module = with_pi(module, 1, SparseMatrix.identity(len(module.labels)))
         expected = {"failed": {"kind": "quadratic", "i": 1}}
         assert verify_hcl_relations(module) == expected
-        family = family_from_matrices(module.basis, module.pi_matrices, module.rank)
-        assert verify_relations(family) == expected
+        assert verify_relations(module) == expected
 
     def test_clifford_fault_is_reported(self):
         module = build_MI(frozenset(), 2)
@@ -275,10 +281,10 @@ class TestRelationSuite:
         label = frozenset({1})
         row = module.position[((1,), label)]
         col = module.position[((2,), label)]
-        corrupted = dict(module.pi_matrices[1].entries)
+        corrupted = dict(module.matrices[1].entries)
         corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
-        size = len(module.basis)
-        module.pi_matrices[1] = SparseMatrix.from_entries(size, size, corrupted)
+        size = len(module.labels)
+        module = with_pi(module, 1, SparseMatrix.from_entries(size, size, corrupted))
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "mixed-commute", "i": 1, "j": 3}}
 
@@ -286,9 +292,9 @@ class TestRelationSuite:
         module = build_MI(frozenset(), 2)
         row = module.position[((2,), frozenset())]
         col = module.position[((1,), frozenset())]
-        corrupted = dict(module.pi_matrices[1].entries)
+        corrupted = dict(module.matrices[1].entries)
         corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
-        module.pi_matrices[1] = SparseMatrix.from_entries(4, 4, corrupted)
+        module = with_pi(module, 1, SparseMatrix.from_entries(4, 4, corrupted))
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "mixed-swap", "i": 1}}
 
@@ -297,7 +303,7 @@ class TestRelationSuite:
         # first, so pi_1 acts by zero instead: that satisfies the quadratic,
         # braid and swap relations, and the shift then demands c_1 = c_2.
         module = build_MI(frozenset(), 2)
-        module.pi_matrices[1] = SparseMatrix.zero(4, 4)
+        module = with_pi(module, 1, SparseMatrix.zero(4, 4))
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "mixed-shift", "i": 1}}
 
@@ -329,7 +335,7 @@ class TestDiagonalData:
                 for subset in subsets(range(1, n + 1)):
                     col = module.position[(subset, label)]
                     for i in range(n):
-                        diag = module.pi_matrices[i].get(col, col)
+                        diag = module.matrices[i].get(col, col)
                         assert diag in (
                             GaussianRational.integer(0),
                             MINUS_ONE,
@@ -359,12 +365,12 @@ class TestDiagonalData:
                     col = module.position[(subset, label)]
                     for i in range(n):
                         allowed = cover_lower_targets(i, index_set, subset)
-                        for row, _value in module.pi_matrices[i].column(
+                        for row, _value in module.matrices[i].column(
                             col
                         ).items():
                             if row == col:
                                 continue
-                            target = module.basis[row][0]
+                            target = module.labels[row][0]
                             assert target in allowed
 
 
@@ -509,9 +515,7 @@ class TestCentralizer:
 
 class TestInduceAndRestrict:
     def test_single_label_matches_direct_construction(self):
-        base = LabeledBasis(
-            ("x",), {"x": frozenset({0})}, {}, rank=1
-        )
+        base = OperatorFamily(("x",), (SparseMatrix.identity(1).scale(MINUS_ONE),))
         direct, report = induce_and_restrict(base)
         assert direct == fb(set(), 1) + fb({0}, 1)
         assert report["matches"]["proof_penultimate"] is True
@@ -519,18 +523,25 @@ class TestInduceAndRestrict:
         assert report["matches"]["theorem_complemented"] is True
 
     def test_two_labels_pinned(self):
-        base = LabeledBasis(
-            ("e", "s"),
-            {"e": frozenset(), "s": frozenset({0})},
-            {(0, "e"): "s"},
-            rank=1,
+        # "e" moves to "s" at index 0, where "s" acts by -1; the same
+        # family built by the casewise rule and from its matrices
+        pi0 = SparseMatrix.from_entries(2, 2, {(1, 0): ONE, (1, 1): MINUS_ONE})
+        built = build_from_labeled_basis(
+            LabeledBasis(
+                ("e", "s"),
+                {"e": frozenset(), "s": frozenset({0})},
+                {(0, "e"): "s"},
+                rank=1,
+            )
         )
-        direct, report = induce_and_restrict(base)
-        assert direct == fb(set(), 1).scale(3) + fb({0}, 1)
-        assert report["matches"]["proof_penultimate"] is True
-        # a label without 0 separates the literal reading
-        assert report["matches"]["theorem_literal"] is False
-        assert report["matches"]["theorem_complemented"] is True
+        assert built.matrices == (pi0,)
+        for base in (built, OperatorFamily(("e", "s"), (pi0,))):
+            direct, report = induce_and_restrict(base)
+            assert direct == fb(set(), 1).scale(3) + fb({0}, 1)
+            assert report["matches"]["proof_penultimate"] is True
+            # a label without 0 separates the literal reading
+            assert report["matches"]["theorem_literal"] is False
+            assert report["matches"]["theorem_complemented"] is True
 
     def test_operator_family_accepted(self):
         fam = sdt_operator_family((2, 2))
@@ -541,11 +552,13 @@ class TestInduceAndRestrict:
         ).scale(4)
 
     def test_cyclic_transitions_rejected(self):
-        base = LabeledBasis(
-            ("a", "b"),
-            {"a": frozenset(), "b": frozenset()},
-            {(0, "a"): "b", (0, "b"): "a"},
-            rank=1,
+        base = build_from_labeled_basis(
+            LabeledBasis(
+                ("a", "b"),
+                {"a": frozenset(), "b": frozenset()},
+                {(0, "a"): "b", (0, "b"): "a"},
+                rank=1,
+            )
         )
         with pytest.raises(ValueError):
             induce_and_restrict(base)

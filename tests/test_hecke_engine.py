@@ -7,12 +7,14 @@ import pytest
 from tbhl.exact_algebra import GaussianRational, SparseMatrix
 from tbhl.hecke_engine import (
     LabeledBasis,
+    OperatorFamily,
     alternating_product,
+    basis_from_action,
+    basis_from_elements,
     build_from_labeled_basis,
     characteristic_by_composition_series,
     characteristic_by_descent_sum,
     family_from_elements,
-    family_from_matrices,
     verify_relations,
 )
 from tbhl.qsym_typeb import QSymElement
@@ -47,22 +49,47 @@ class TestBuildFromLabeledBasis:
     def test_rank_one_group_family_pinned(self):
         fam = family_from_elements(all_elements(1))
         assert fam.matrices[0] == mat([[0, 0], [1, -1]])
-        assert fam.basis.elements == (
+        assert fam.labels == (
             SignedPermutation((1,)),
             SignedPermutation((-1,)),
         )
+        assert fam.rank == 1
+        assert fam.position[SignedPermutation((-1,))] == 1
 
     def test_singleton_full_descent_label(self):
         basis = LabeledBasis(("x",), {"x": frozenset({0})}, {}, rank=1)
         fam = build_from_labeled_basis(basis)
         assert fam.matrices[0] == mat([[-1]])
 
-    def test_transition_out_of_basis_gives_zero_column(self):
-        basis = LabeledBasis(
-            ("a",), {"a": frozenset()}, {(0, "a"): "elsewhere"}, rank=1
+    def test_transition_out_of_basis_is_rejected(self):
+        with pytest.raises(ValueError, match="target"):
+            LabeledBasis(
+                ("a",), {"a": frozenset()}, {(0, "a"): "elsewhere"}, rank=1
+            )
+
+    def test_basis_from_action_keeps_moves_that_land_inside(self):
+        # on 0..3 with index 0 adding one and index 1 adding two: the moves
+        # that leave the labels, and a None move, give no transition
+        basis = basis_from_action(
+            range(4),
+            lambda y: {1} if y == 3 else (),
+            lambda y, i: None if y == 0 and i == 1 else y + 1 + i,
+            rank=2,
         )
+        assert basis.labels == (0, 1, 2, 3)
+        assert basis.descent_label == {
+            0: frozenset(), 1: frozenset(), 2: frozenset(), 3: frozenset({1})
+        }
+        assert basis.transition == {
+            (0, 0): 1, (0, 1): 2, (0, 2): 3, (1, 1): 3,
+        }
         fam = build_from_labeled_basis(basis)
-        assert fam.matrices[0] == mat([[0]])
+        assert fam.matrices[0] == mat(
+            [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+        )
+        assert fam.matrices[1] == mat(
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, -1]]
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -75,6 +102,12 @@ class TestBuildFromLabeledBasis:
             LabeledBasis(
                 ("a",), {"a": frozenset({0})}, {(0, "a"): "a"}, rank=1
             )
+
+    def test_operator_family_validation(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            OperatorFamily(("a", "a"), ())
+        with pytest.raises(ValueError, match="square"):
+            OperatorFamily(("a",), (mat([[0, 0], [0, 0]]),))
 
 
 class TestAlternatingProduct:
@@ -105,7 +138,7 @@ class TestVerifyRelations:
             for chosen in pool:
                 fam = family_from_elements(chosen)
                 assert verify_relations(fam) == {"relations": "ok"}
-                for i in range(fam.basis.rank):
+                for i in range(fam.rank):
                     expected = (
                         mat([[-1]]) if i in subset
                         else SparseMatrix.zero(len(chosen), len(chosen))
@@ -118,21 +151,21 @@ class TestVerifyRelations:
 
     def test_quadratic_fault_reported(self):
         fam = family_from_elements(all_elements(2))
-        pos = fam.basis.position
+        pos = fam.position
         e = identity(2)
         bad = dict(fam.matrices[0].entries)
         del bad[(pos[simple_reflection(0, 2)], pos[e])]
         bad[(pos[simple_reflection(1, 2)], pos[e])] = GaussianRational.integer(1)
-        fam.matrices[0] = SparseMatrix.from_entries(8, 8, bad)
+        fam = OperatorFamily(
+            fam.labels, (SparseMatrix.from_entries(8, 8, bad), fam.matrices[1])
+        )
         assert verify_relations(fam) == {"failed": {"kind": "quadratic", "i": 0}}
 
     def test_braid_fault_reported(self):
         # both matrices satisfy the quadratic relation but not the braid one:
         # ABAB = [[1, -1], [0, 0]] while BABA = [[0, 0], [-1, 1]]
-        fam = family_from_matrices(
-            ("p", "q"),
-            {0: mat([[-1, 1], [0, 0]]), 1: mat([[0, 0], [1, -1]])},
-            2,
+        fam = OperatorFamily(
+            ("p", "q"), (mat([[-1, 1], [0, 0]]), mat([[0, 0], [1, -1]]))
         )
         assert verify_relations(fam) == {"failed": {"kind": "braid", "i": 0, "j": 1}}
 
@@ -169,7 +202,6 @@ class TestCompositionSeries:
             SignedPermutation((-1,)),
             SignedPermutation((1,)),
         )
-        assert series.to_json() == {"factors": ["{0}", "{}"]}
 
     def test_singleton_with_two_descents(self):
         basis = LabeledBasis(("y",), {"y": frozenset({0, 2})}, {}, rank=3)
@@ -199,10 +231,10 @@ class TestCompositionSeries:
     def test_factors_invariant_under_tie_breaks(self):
         # ready labels are taken in basis order; reversing that order
         # changes the series but not its factors
-        fam = family_from_elements(all_elements(2))
-        basis = fam.basis
+        basis = basis_from_elements(all_elements(2))
+        fam = build_from_labeled_basis(basis)
         reversed_basis = LabeledBasis(
-            basis.elements[::-1], basis.descent_label, basis.transition, basis.rank
+            basis.labels[::-1], basis.descent_label, basis.transition, basis.rank
         )
         char_a, series_a = characteristic_by_composition_series(fam)
         char_b, series_b = characteristic_by_composition_series(
@@ -215,11 +247,11 @@ class TestCompositionSeries:
         assert series_a.order != series_b.order
 
     def test_cyclic_support_graph_rejected(self):
-        fam = family_from_matrices(("a", "b"), {0: mat([[0, 1], [1, 0]])}, 1)
+        fam = OperatorFamily(("a", "b"), (mat([[0, 1], [1, 0]]),))
         with pytest.raises(ValueError, match="cyclic"):
             characteristic_by_composition_series(fam)
 
     def test_bad_diagonal_rejected(self):
-        fam = family_from_matrices(("a", "b"), {0: mat([[1, 0], [0, 0]])}, 1)
+        fam = OperatorFamily(("a", "b"), (mat([[1, 0], [0, 0]]),))
         with pytest.raises(ValueError, match="neither"):
             characteristic_by_composition_series(fam)

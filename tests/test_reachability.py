@@ -9,6 +9,13 @@ import name``; a listing in ``__all__`` does not count as a use, and neither
 does a doctest.  Each oracle must be called from some other test file, where
 it is compared with the fast path it mirrors.
 
+Methods are checked by name: a public non-dunder method (or property) of a
+``tbhl`` class is used when a module of ``src/tbhl`` or of the ``perfbench``
+harness (its top-level modules, not its tests) reads an attribute of that
+name, on any object.  A name shared by two classes therefore counts as used
+for both, so a method whose name another class also uses escapes the check;
+tests and doctests do not count as uses.
+
 The scan is stdlib ``ast`` only, in the style of ``test_imports.py``.
 """
 
@@ -204,6 +211,47 @@ def unresolved_exports(sources: dict[str, str]) -> list[str]:
             bound |= set(sources)
         stale += [f"{module}.{name}" for name in exported if name not in bound]
     return sorted(stale)
+
+
+def unused_methods(sources: dict[str, str], users: list[str]) -> list[str]:
+    """``module.Class.method`` for each public non-dunder method defined in
+    ``sources`` whose name no module in ``users`` reads as an attribute."""
+    read = {
+        node.attr
+        for source in users
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+    }
+    return sorted(
+        f"{module}.{node.name}.{method.name}"
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not method.name.startswith("_")
+        and method.name not in read
+    )
+
+
+def test_every_public_method_is_used():
+    sources = package_sources()
+    users = [*sources.values()]
+    users += [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert unused_methods(sources, users) == []
+
+
+def test_method_scanner_on_a_sample():
+    sources = {
+        "a": "class A:\n    def used(self):\n        pass\n"
+        "    def unused(self):\n        pass\n    def _private(self):\n"
+        "        pass\n    def __len__(self):\n        return 0\n"
+        "class B:\n    @property\n    def unused(self):\n        return 1\n",
+    }
+    users = ["def f(x):\n    return x.used()\n"]
+    assert unused_methods(sources, users) == ["a.A.unused", "a.B.unused"]
+    # a name read on any object counts for every class that defines it
+    assert unused_methods(sources, [*users, "y.unused"]) == []
 
 
 def test_every_all_entry_resolves():

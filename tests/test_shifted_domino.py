@@ -17,7 +17,6 @@ from tbhl.hecke_engine import (
 )
 from tbhl.qsym_typeb import QSymElement, peak_characteristic
 from tbhl.shifted_domino import (
-    ConjugatedTableau,
     MarkedStandardTableau,
     ShiftedSemistandardTableau,
     ShiftedStandardTableau,
@@ -443,16 +442,27 @@ class TestTheorems:
 class TestConjugateFamily:
     def test_single_row(self):
         fam = conjugate_family((2,))
-        assert len(fam.basis.elements) == 1
-        (label,) = fam.basis.elements
-        assert fam.basis.descent_label[label] == frozenset({0})
+        assert fam.labels == enumerate_shifted((2,))
         assert fam.matrices[0].get(0, 0).re == -1
 
     def test_two_by_two(self):
         fam = conjugate_family((2, 2))
-        assert len(fam.basis.elements) == 1
-        (label,) = fam.basis.elements
-        assert fam.basis.descent_label[label] == frozenset({0})
+        assert fam.labels == enumerate_shifted((2, 2))
+        assert fam.rank == 2
+        assert fam.matrices[0].get(0, 0).re == -1
+        assert fam.matrices[1].is_zero()
+
+    @pytest.mark.parametrize("shape", list(valid_shapes(8)))
+    def test_descent_labels_are_complements(self, shape):
+        # the indices acting by -1 on a tableau are its non-descents
+        fam = conjugate_family(shape)
+        m = filled_count(shape)
+        for k, tableau in enumerate(fam.labels):
+            acting = {
+                i for i, matrix in enumerate(fam.matrices)
+                if matrix.get(k, k).re == -1
+            }
+            assert acting == set(range(m)) - tableau.descent_set()
 
     @pytest.mark.parametrize("shape", list(valid_shapes(8)))
     def test_relations(self, shape):
@@ -463,7 +473,7 @@ class TestConjugateFamily:
     @pytest.mark.parametrize("shape", list(valid_shapes(8)))
     def test_characteristic_is_complemented_descent_sum(self, shape):
         fam = conjugate_family(shape)
-        if not fam.basis.elements:
+        if not fam.labels:
             return
         char, _ = characteristic_by_composition_series(fam)
         m = filled_count(shape)
@@ -520,10 +530,8 @@ class TestTextFormat:
         (only,) = enumerate_shifted((2, 2))
         assert only.to_text() == "1:(1,1)-(1,2)\n2:(2,1)-(2,2)"
 
-    def test_marked_and_semistandard_text(self):
+    def test_semistandard_text(self):
         (base,) = enumerate_shifted((2, 2))
-        marked = MarkedStandardTableau(base, frozenset({2}))
-        assert marked.to_text() == "1:(1,1)-(1,2)\n2':(2,1)-(2,2)"
         top, bottom = base.dominoes
         semi = ShiftedSemistandardTableau(
             base.tiling, ((top, 0), (bottom, 3))
@@ -547,9 +555,9 @@ class TestTextFormat:
 class TestConjugatedLabelOrder:
     def test_labels_sorted_and_hashable(self):
         fam = conjugate_family((4,))
-        labels = fam.basis.elements
+        labels = fam.labels
         assert len(set(labels)) == len(labels)
-        assert all(isinstance(l, ConjugatedTableau) for l in labels)
+        assert labels == tuple(sorted(labels)) == enumerate_shifted((4,))
 
     def test_swap_roundtrip(self):
         for shape in valid_shapes(6):

@@ -99,15 +99,15 @@ class TestArcFamily:
         # observed fact: the element-wise inverse families pass the same
         # scan at every degree small enough to enumerate
         for n in range(2, 5):
-            inverses = [x.inverse() for x in build_family("arc", (), n)]
+            inverses = [x.inverse() for x in build_family("arc", (), n).members]
             assert ascent_compatibility_report(inverses).compatible
 
     def test_not_convex_and_smallest_degree_is_three(self):
         degree, (low, high, gap) = smallest_non_convex_arc_degree(4)
         assert degree == 3
         family = build_family("arc", (), 3)
-        assert low in family and high in family
-        assert gap not in family
+        assert low in family.members and high in family.members
+        assert gap not in family.members
         assert leq_left_weak(low, gap) and leq_left_weak(gap, high)
         assert convexity_witness(build_family("arc", (), 2).members) is None
 
@@ -115,13 +115,13 @@ class TestArcFamily:
 class TestDescentClassFamily:
     def test_identity_class(self):
         fam = build_family("dclass", (frozenset(),), 2)
-        assert [x.window for x in fam] == [(1, 2)]
+        assert [x.window for x in fam.members] == [(1, 2)]
 
     def test_members_match_defining_filter(self):
         for n in range(1, 4):
             for index_set in all_index_sets(n):
                 fam = build_family("dclass", (index_set,), n)
-                assert all(left_descents(x) == index_set for x in fam)
+                assert all(left_descents(x) == index_set for x in fam.members)
                 others = set(all_elements(n)) - set(fam.members)
                 assert all(left_descents(x) != index_set for x in others)
 
@@ -141,7 +141,7 @@ class TestDescentClassFamily:
 class TestUnimodalFamily:
     def test_position_one_is_increasing_inverse_window(self):
         fam = build_family("luni", (1,), 2)
-        for x in fam:
+        for x in fam.members:
             q = x.inverse().window
             assert q[0] < q[1]
         assert len(fam) == 4
@@ -163,7 +163,7 @@ class TestUnimodalFamily:
         assert report.witness.u.window == (-3, 1, -2)
         assert report.witness.v.window == (2, 1, 3)
         assert (report.witness.s, report.witness.t) == (0, 0)
-        assert {left_descents(x) for x in fam} == {
+        assert {left_descents(x) for x in fam.members} == {
             frozenset({1}),
             frozenset({0, 1}),
         }
@@ -287,7 +287,7 @@ class TestInverseFamilies:
         # the sum over inverse descent sets of a family is the characteristic
         # of the module of its inverses, whenever those scan compatible
         for spec in ["dclass:{0}:2", "luni:2:3", "arc:3"]:
-            inverses = [x.inverse() for x in parse_family_spec(spec)]
+            inverses = [x.inverse() for x in parse_family_spec(spec).members]
             assert ascent_compatibility_report(inverses).compatible
             ops = family_from_elements(inverses)
             assert verify_relations(ops) == {"relations": "ok"}
