@@ -1,6 +1,6 @@
 """tbhl: exact-arithmetic toolkit for type-B quasisymmetric combinatorics.
 
-The package constructs, with exact (Gaussian-rational) arithmetic:
+The package constructs, with exact arithmetic over the Gaussian integers:
 
 - signed permutations (hyperoctahedral groups) with left weak order,
   alignment, and ascent-compatibility scanning;

@@ -33,7 +33,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .exact_algebra import GaussianRational
+from .exact_algebra import GaussianInteger
 from .domino_tableaux import (
     brute_force_sdt,
     enumerate_sdt,
@@ -89,6 +89,7 @@ from .signed_permutations import (
     ascent_compatibility_report,
     format_index_set,
     format_window,
+    identity,
     leq_left_weak,
     parse_index_set,
     subsets,
@@ -210,8 +211,7 @@ def cases_random_convex(max_n: int, seed: int, samples: int) -> list[AuditCase]:
     failures = 0
     for _ in range(samples):
         top = rng.choice(group)
-        lower = [z for z in group if leq_left_weak(z, top)]
-        bottom = rng.choice(lower)
+        bottom = rng.choice(weak_order_interval(identity(degree), top))
         members = weak_order_interval(bottom, top)
         report = ascent_compatibility_report(members)
         ops = family_from_elements(members)
@@ -528,7 +528,7 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
                 col = module.position[(subset, index_set)]
                 for i in range(n):
                     diagonal = module.matrices[i].get(col, col)
-                    expected = GaussianRational.integer(
+                    expected = GaussianInteger.integer(
                         k_factor(i, index_set, subset)
                     )
                     if diagonal != expected:

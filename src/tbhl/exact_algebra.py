@@ -1,11 +1,10 @@
 """Exact scalar, matrix, and truncated-polynomial arithmetic.
 
-Scalars are Gaussian rationals: complex numbers with exact rational real and
-imaginary parts.  A part is a Python ``int`` when it is integral and a
-:class:`fractions.Fraction` otherwise, so the ``±1``/``±i`` entries of the
-operator matrices, and all their products, stay in fast integer arithmetic.
-Gaussian integers are interned: results with integral parts come from one
-bounded cache, so the few values the operators produce are shared instances.
+Scalars are Gaussian integers: complex numbers with ``int`` real and
+imaginary parts.  Every operator entry is ``0``, ``±1`` or ``±i``, and sums
+and products of Gaussian integers are Gaussian integers, so no computation
+leaves them.  The scalars are interned: values come from one bounded cache,
+so the few values the operators produce are shared instances.
 
 Matrices are sparse dicts keyed by ``(row, col)`` that never store a zero
 entry.  The public constructor checks every position and value; sums,
@@ -16,137 +15,100 @@ Polynomials are multivariate polynomials with integer coefficients and a
 degree cap, used for monomial expansions of quasisymmetric functions; a term
 above the cap is an error, never silently dropped.
 
->>> i = GaussianRational.sqrt_minus_one()
->>> i * i == GaussianRational.integer(-1)
+>>> i = GaussianInteger.sqrt_minus_one()
+>>> i * i == GaussianInteger.integer(-1)
 True
->>> print(i + GaussianRational.integer(1))
+>>> print(i + GaussianInteger.integer(1))
 1+1*i
->>> GaussianRational.integer(1) / 2
-GaussianRational(re=Fraction(1, 2), im=0)
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
 __all__ = [
-    "GaussianRational",
+    "GaussianInteger",
     "SparseMatrix",
     "TruncatedPolynomial",
 ]
 
 
 @dataclass(frozen=True)
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts.
+class GaussianInteger:
+    """A complex number with ``int`` real and imaginary parts.
 
-    Each part is an ``int`` when integral and a ``Fraction`` otherwise.
-    Arithmetic results keep that form; a value built directly from
-    ``Fraction(2)`` still equals, and hashes like, one built from ``2``.
+    Each part is read through ``operator.index``, so ``True`` becomes the
+    plain ``int`` 1 and a ``float``, a rational or any other non-integral
+    value raises ``TypeError``.
     """
 
-    re: "int | Fraction" = 0
-    im: "int | Fraction" = 0
+    re: int = 0
+    im: int = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "re", operator.index(self.re))
+        object.__setattr__(self, "im", operator.index(self.im))
 
     @staticmethod
-    def _of(re: "int | Fraction", im: "int | Fraction") -> "GaussianRational":
-        """Trusted constructor for computed parts: a ``Fraction`` with
-        denominator 1 becomes its ``int`` numerator, and a Gaussian integer
-        is the shared instance of :meth:`_gaussian_integer`."""
-        if type(re) is not int and re.denominator == 1:
-            re = re.numerator
-        if type(im) is not int and im.denominator == 1:
-            im = im.numerator
-        if type(re) is int and type(im) is int:
-            return GaussianRational._gaussian_integer(re, im)
-        return GaussianRational(re, im)
-
-    @staticmethod
-    def integer(value: int) -> "GaussianRational":
+    def integer(value: int) -> "GaussianInteger":
         """The integer ``value``.  It is read through ``operator.index`` before
         the cache lookup, so ``True`` gives the same plain-``int`` instance as
         ``1`` and a float raises ``TypeError``."""
-        return GaussianRational._gaussian_integer(operator.index(value), 0)
+        return GaussianInteger._gaussian_integer(operator.index(value), 0)
 
     @staticmethod
     @lru_cache(maxsize=1024)
-    def _gaussian_integer(re: int, im: int) -> "GaussianRational":
+    def _gaussian_integer(re: int, im: int) -> "GaussianInteger":
         # scalars are immutable, so instances are shared: the ±1/±i entries
-        # of the operators, and every integral product of them, are a few
-        # objects, and entry dicts of equal matrices compare by identity
-        return GaussianRational(re, im)
+        # of the operators, and every product of them, are a few objects,
+        # and entry dicts of equal matrices compare by identity
+        return GaussianInteger(re, im)
 
     @staticmethod
-    def sqrt_minus_one() -> "GaussianRational":
+    def sqrt_minus_one() -> "GaussianInteger":
         """The imaginary unit.
 
-        >>> GaussianRational.sqrt_minus_one() ** 2
-        GaussianRational(re=-1, im=0)
+        >>> i = GaussianInteger.sqrt_minus_one()
+        >>> i * i
+        GaussianInteger(re=-1, im=0)
         """
-        return GaussianRational._gaussian_integer(0, 1)
+        return GaussianInteger._gaussian_integer(0, 1)
 
     @staticmethod
-    def coerce(value: "GaussianRational | Fraction | int") -> "GaussianRational":
-        if isinstance(value, GaussianRational):
+    def coerce(value: "GaussianInteger | int") -> "GaussianInteger":
+        if isinstance(value, GaussianInteger):
             return value
-        if isinstance(value, int):
-            return GaussianRational.integer(value)
-        if isinstance(value, Fraction):
-            return GaussianRational._of(value, 0)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return GaussianInteger.integer(value)
 
-    def __add__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        return GaussianRational._of(self.re + other.re, self.im + other.im)
+    def __add__(self, other: "GaussianInteger | int") -> "GaussianInteger":
+        other = GaussianInteger.coerce(other)
+        return GaussianInteger._gaussian_integer(
+            self.re + other.re, self.im + other.im
+        )
 
     __radd__ = __add__
 
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational._of(-self.re, -self.im)
+    def __neg__(self) -> "GaussianInteger":
+        return GaussianInteger._gaussian_integer(-self.re, -self.im)
 
-    def __sub__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
-        return self + (-GaussianRational.coerce(other))
+    def __sub__(self, other: "GaussianInteger | int") -> "GaussianInteger":
+        return self + (-GaussianInteger.coerce(other))
 
-    def __rsub__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
-        return GaussianRational.coerce(other) + (-self)
+    def __rsub__(self, other: "GaussianInteger | int") -> "GaussianInteger":
+        return GaussianInteger.coerce(other) + (-self)
 
-    def __mul__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        return GaussianRational._of(
+    def __mul__(self, other: "GaussianInteger | int") -> "GaussianInteger":
+        other = GaussianInteger.coerce(other)
+        return GaussianInteger._gaussian_integer(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "GaussianRational":
-        """Multiplicative inverse.
-
-        >>> x = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
-        >>> x * x.inverse() == GaussianRational.integer(1)
-        True
-        """
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational._of(
-            Fraction(self.re, norm), Fraction(-self.im, norm)
-        )
-
-    def __truediv__(self, other: "GaussianRational | Fraction | int") -> "GaussianRational":
-        return self * GaussianRational.coerce(other).inverse()
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = GaussianRational.integer(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -160,12 +122,12 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-_ZERO = GaussianRational.integer(0)
-_ONE = GaussianRational.integer(1)
+_ZERO = GaussianInteger.integer(0)
+_ONE = GaussianInteger.integer(1)
 
 
 class SparseMatrix:
-    """An exact sparse matrix over the Gaussian rationals.
+    """An exact sparse matrix over the Gaussian integers.
 
     Entries are stored in a dict keyed by ``(row, col)``; zero entries are
     never stored, so equal matrices have equal entry dicts.  They are given
@@ -177,7 +139,7 @@ class SparseMatrix:
     dropped.  Instances are immutable in intent: all operations return new
     matrices.
 
-    >>> a = SparseMatrix.from_entries(2, 2, {(0, 1): 1, (1, 0): 1})
+    >>> a = SparseMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
     >>> (a @ a) == SparseMatrix.identity(2)
     True
     """
@@ -188,42 +150,33 @@ class SparseMatrix:
         self,
         nrows: int,
         ncols: int,
-        entries: Mapping[tuple[int, int], GaussianRational]
-        | Iterable[tuple[tuple[int, int], GaussianRational]] = (),
+        entries: Mapping[tuple[int, int], GaussianInteger]
+        | Iterable[tuple[tuple[int, int], GaussianInteger]] = (),
     ) -> None:
         self.nrows = nrows
         self.ncols = ncols
-        stored: dict[tuple[int, int], GaussianRational] = {}
+        stored: dict[tuple[int, int], GaussianInteger] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (r, c), value in items:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry {(r, c)} outside {nrows}x{ncols} matrix")
-            value = GaussianRational.coerce(value)
+            value = GaussianInteger.coerce(value)
             if not value.is_zero():
                 stored[(r, c)] = value
         self.entries = stored
 
     @staticmethod
     def _trusted(
-        nrows: int, ncols: int, entries: dict[tuple[int, int], GaussianRational]
+        nrows: int, ncols: int, entries: dict[tuple[int, int], GaussianInteger]
     ) -> "SparseMatrix":
         """Wrap ``entries`` without checks: the caller guarantees in-range
-        positions and nonzero ``GaussianRational`` values, and hands the
+        positions and nonzero ``GaussianInteger`` values, and hands the
         dict over."""
         matrix = object.__new__(SparseMatrix)
         matrix.nrows = nrows
         matrix.ncols = ncols
         matrix.entries = entries
         return matrix
-
-    @staticmethod
-    def from_entries(
-        nrows: int,
-        ncols: int,
-        entries: Mapping[tuple[int, int], "GaussianRational | Fraction | int"]
-        | Iterable[tuple[tuple[int, int], "GaussianRational | Fraction | int"]],
-    ) -> "SparseMatrix":
-        return SparseMatrix(nrows, ncols, entries)
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "SparseMatrix":
@@ -233,7 +186,7 @@ class SparseMatrix:
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix._trusted(n, n, {(k, k): _ONE for k in range(n)})
 
-    def get(self, row: int, col: int) -> GaussianRational:
+    def get(self, row: int, col: int) -> GaussianInteger:
         return self.entries.get((row, col), _ZERO)
 
     def _require_same_shape(self, other: "SparseMatrix") -> None:
@@ -256,13 +209,13 @@ class SparseMatrix:
         return SparseMatrix._trusted(self.nrows, self.ncols, merged)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(GaussianRational.integer(-1))
+        return self + other.scale(GaussianInteger.integer(-1))
 
-    def scale(self, scalar: "GaussianRational | Fraction | int") -> "SparseMatrix":
-        scalar = GaussianRational.coerce(scalar)
+    def scale(self, scalar: "GaussianInteger | int") -> "SparseMatrix":
+        scalar = GaussianInteger.coerce(scalar)
         if scalar.is_zero():
             return SparseMatrix.zero(self.nrows, self.ncols)
-        # a product of nonzero Gaussian rationals is nonzero
+        # a product of nonzero Gaussian integers is nonzero
         return SparseMatrix._trusted(
             self.nrows,
             self.ncols,
@@ -274,7 +227,7 @@ class SparseMatrix:
         built per nonzero output entry, none per term."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        by_row: dict[int, list[tuple[int, "int | Fraction", "int | Fraction"]]] = {}
+        by_row: dict[int, list[tuple[int, int, int]]] = {}
         for (k, c), value in other.entries.items():
             by_row.setdefault(k, []).append((c, value.re, value.im))
         sums: dict[tuple[int, int], list] = {}
@@ -291,7 +244,7 @@ class SparseMatrix:
                 else:
                     acc[0] += a * x - b * y
                     acc[1] += a * y + b * x
-        of = GaussianRational._of
+        of = GaussianInteger._gaussian_integer
         return SparseMatrix._trusted(
             self.nrows,
             other.ncols,
@@ -312,30 +265,32 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def column(self, col: int) -> dict[int, GaussianRational]:
+    def column(self, col: int) -> dict[int, GaussianInteger]:
         return {r: v for (r, c), v in self.entries.items() if c == col}
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination.
+        """Exact rank by fraction-free Gaussian elimination.
 
-        Each row is reduced against the pivot rows kept so far, keyed by their
-        leading column, until it vanishes or leads in a new column.  A real
-        matrix is reduced on the real parts of its entries, which is several
-        times faster than Gaussian-rational arithmetic; its elimination factor
-        is a ``Fraction``, because ``int / int`` would give a float.
+        Rows are kept as ``col -> (re, im)`` integer parts.  Each row is
+        reduced against the pivot rows kept so far, keyed by their leading
+        column, until it vanishes or leads in a new column.  One step
+        replaces the row by ``p*row - r*pivot``, where ``p`` is the pivot's
+        lead and ``r`` the row's: the lead cancels, the result is ``p`` times
+        the row that dividing by ``p`` would give, and every part stays an
+        ``int``.  The row is then divided by the gcd of all its parts, so the
+        parts do not grow from step to step.  Real and complex matrices take
+        this one path.
 
-        >>> SparseMatrix.from_entries(2, 3, {(0, 0): 1, (0, 2): 1, (1, 0): 2, (1, 2): 2}).rank()
+        >>> SparseMatrix(2, 3, {(0, 0): 1, (0, 2): 1, (1, 0): 2, (1, 2): 2}).rank()
         1
-        >>> i = GaussianRational.sqrt_minus_one()
-        >>> SparseMatrix.from_entries(2, 2, {(0, 0): 1, (0, 1): i, (1, 0): i, (1, 1): -1}).rank()
+        >>> i = GaussianInteger.sqrt_minus_one()
+        >>> SparseMatrix(2, 2, {(0, 0): 1, (0, 1): i, (1, 0): i, (1, 1): -1}).rank()
         1
         """
-        real = all(value.im == 0 for value in self.entries.values())
-        zero = 0 if real else _ZERO
-        rows: dict[int, dict] = {}
+        rows: dict[int, dict[int, tuple[int, int]]] = {}
         for (r, c), value in self.entries.items():
-            rows.setdefault(r, {})[c] = value.re if real else value
-        pivots: dict[int, dict] = {}
+            rows.setdefault(r, {})[c] = (value.re, value.im)
+        pivots: dict[int, dict[int, tuple[int, int]]] = {}
         for row in rows.values():
             while row:
                 lead = min(row)
@@ -343,21 +298,36 @@ class SparseMatrix:
                 if pivot is None:
                     pivots[lead] = row
                     break
-                factor = (Fraction(row[lead]) if real else row[lead]) / pivot[lead]
-                for c, v in pivot.items():
-                    updated = row.get(c, zero) - factor * v
-                    if updated == zero:
-                        row.pop(c, None)
+                p_re, p_im = pivot[lead]
+                r_re, r_im = row[lead]
+                # p and the row's entries are nonzero, and the Gaussian
+                # integers have no zero divisors, so no scaled entry is zero
+                reduced = {
+                    c: (p_re * x - p_im * y, p_re * y + p_im * x)
+                    for c, (x, y) in row.items()
+                }
+                for c, (x, y) in pivot.items():
+                    a, b = reduced.get(c, (0, 0))
+                    a -= r_re * x - r_im * y
+                    b -= r_re * y + r_im * x
+                    if a or b:
+                        reduced[c] = (a, b)
                     else:
-                        row[c] = updated
+                        del reduced[c]
+                content = math.gcd(*(part for pair in reduced.values() for part in pair))
+                if content > 1:
+                    reduced = {
+                        c: (x // content, y // content) for c, (x, y) in reduced.items()
+                    }
+                row = reduced
         return len(pivots)
 
     def is_invertible(self) -> bool:
         """Whether the matrix is square with full rank.
 
-        >>> SparseMatrix.from_entries(2, 2, {(0, 0): 1, (1, 1): 2}).is_invertible()
+        >>> SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 2}).is_invertible()
         True
-        >>> SparseMatrix.from_entries(2, 2, {(0, 0): 1}).is_invertible()
+        >>> SparseMatrix(2, 2, {(0, 0): 1}).is_invertible()
         False
         """
         return self.nrows == self.ncols and self.rank() == self.nrows

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .exact_algebra import GaussianRational, SparseMatrix
+from .exact_algebra import GaussianInteger, SparseMatrix
 from .hecke_engine import (
     CompositionSeries,
     LabeledBasis,
@@ -61,10 +61,10 @@ from .qsym_typeb import (
 )
 from .signed_permutations import subsets
 
-_ZERO = GaussianRational.integer(0)
-_ONE = GaussianRational.integer(1)
-_MINUS_ONE = GaussianRational.integer(-1)
-_SQRT = GaussianRational.sqrt_minus_one()
+_ZERO = GaussianInteger.integer(0)
+_ONE = GaussianInteger.integer(1)
+_MINUS_ONE = GaussianInteger.integer(-1)
+_SQRT = GaussianInteger.sqrt_minus_one()
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ _SQRT = GaussianRational.sqrt_minus_one()
 
 def clifford_normalize(
     word: Iterable[int],
-) -> tuple[GaussianRational, tuple[int, ...]]:
+) -> tuple[GaussianInteger, tuple[int, ...]]:
     """Sort a product of ``c`` generators into ``(sign, D)`` with the word
     equal to ``sign * c_D``, tracking signs and squares.
 
@@ -81,7 +81,7 @@ def clifford_normalize(
     >>> sign.re, subset
     (-1, (1, 2))
     >>> clifford_normalize((1, 1))
-    (GaussianRational(re=-1, im=0), ())
+    (GaussianInteger(re=-1, im=0), ())
     >>> clifford_normalize((3, 1, 3))[0].re
     1
     """
@@ -125,7 +125,7 @@ def _single_rules(i: int, j: int):
 @lru_cache(maxsize=None)
 def pi_commute(
     i: int, word: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], GaussianRational, GaussianRational], ...]:
+) -> tuple[tuple[tuple[int, ...], GaussianInteger, GaussianInteger], ...]:
     """Normal-ordered expansion ``pi_i c_D = sum c_E (gamma_E + delta_E pi_i)``
     for ``D`` given as a strictly increasing tuple of generator indices.
 
@@ -174,7 +174,7 @@ def pi_commute(
                     )
         return out
 
-    combined: dict[tuple[int, ...], list[GaussianRational]] = {}
+    combined: dict[tuple[int, ...], list[GaussianInteger]] = {}
     for raw_word, const, with_pi in push(word):
         sign, subset = clifford_normalize(raw_word)
         slot = combined.setdefault(subset, [_ZERO, _ZERO])
@@ -229,7 +229,7 @@ def induce_labeled_basis(base: OperatorFamily) -> InducedModule:
     size = len(labels)
     pi_matrices = []
     for i, base_matrix in enumerate(base.matrices):
-        entries: dict[tuple[int, int], GaussianRational] = {}
+        entries: dict[tuple[int, int], GaussianInteger] = {}
         for k, label in enumerate(base.labels):
             image = base_matrix.column(k).items()
             for subset in all_subsets:
@@ -241,7 +241,7 @@ def induce_labeled_basis(base: OperatorFamily) -> InducedModule:
                         key = (position[(new_subset, target)], col)
                         entries[key] = entries.get(key, _ZERO) + value
         # the constructor drops the entries that sum to zero
-        pi_matrices.append(SparseMatrix.from_entries(size, size, entries))
+        pi_matrices.append(SparseMatrix(size, size, entries))
     c_matrices = {}
     for j in range(1, n + 1):
         entries = {}
@@ -251,13 +251,13 @@ def induce_labeled_basis(base: OperatorFamily) -> InducedModule:
                 entries[
                     (position[(product, label)], position[(subset, label)])
                 ] = sign
-        c_matrices[j] = SparseMatrix.from_entries(size, size, entries)
+        c_matrices[j] = SparseMatrix(size, size, entries)
     return InducedModule(labels, pi_matrices, base, c_matrices)
 
 
 def _ribbon_table_column(
     i: int, index_set: frozenset[int], subset: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], GaussianRational], ...]:
+) -> tuple[tuple[tuple[int, ...], GaussianInteger], ...]:
     """Image of the basis element ``c_D`` under ``pi_i`` per the case table."""
     barred = set(subset)
 
@@ -319,7 +319,7 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
         for subset in all_subsets
         for target, coefficient in _ribbon_table_column(i, index_set, subset)
     }
-    return SparseMatrix.from_entries(len(all_subsets), len(all_subsets), entries)
+    return SparseMatrix(len(all_subsets), len(all_subsets), entries)
 
 
 def build_MI(index_set, n: int) -> InducedModule:
@@ -375,7 +375,7 @@ def clifford_parity_matrix(module: InducedModule) -> SparseMatrix:
     entries = {}
     for idx, (subset, _label) in enumerate(module.labels):
         entries[(idx, idx)] = _MINUS_ONE if len(subset) % 2 else _ONE
-    return SparseMatrix.from_entries(len(module.labels), len(module.labels), entries)
+    return SparseMatrix(len(module.labels), len(module.labels), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +527,13 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
     all_subsets = subsets(range(1, n + 1))
     position = {subset: idx for idx, subset in enumerate(all_subsets)}
     size = len(all_subsets)
-    entries: dict[tuple[int, int], GaussianRational] = {}
+    entries: dict[tuple[int, int], GaussianInteger] = {}
     for subset in all_subsets:
         col = position[subset]
         sign, product = clifford_normalize((*subset, k, k + 1))
         entries[(position[product], col)] = sign
         entries[(col, col)] = entries.get((col, col), _ZERO) + _MINUS_ONE
-    matrix = SparseMatrix.from_entries(size, size, entries)
+    matrix = SparseMatrix(size, size, entries)
     commutes = all(
         matrix @ smaller.matrices[i] == larger.matrices[i] @ matrix
         for i in range(n)

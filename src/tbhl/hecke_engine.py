@@ -30,7 +30,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping
 
-from .exact_algebra import GaussianRational, SparseMatrix
+from .exact_algebra import GaussianInteger, SparseMatrix
 from .qsym_typeb import QSymElement
 from .signed_permutations import (
     SignedPermutation,
@@ -42,8 +42,8 @@ from .signed_permutations import (
 
 Label = Hashable
 
-_MINUS_ONE = GaussianRational.integer(-1)
-_ONE = GaussianRational.integer(1)
+_MINUS_ONE = GaussianInteger.integer(-1)
+_ONE = GaussianInteger.integer(1)
 
 
 @dataclass
@@ -132,7 +132,7 @@ def build_from_labeled_basis(basis: LabeledBasis) -> OperatorFamily:
     >>> from tbhl.signed_permutations import all_elements
     >>> fam = build_from_labeled_basis(basis_from_elements(all_elements(1)))
     >>> sorted(fam.matrices[0].entries.items())
-    [((1, 0), GaussianRational(re=1, im=0)), ((1, 1), GaussianRational(re=-1, im=0))]
+    [((1, 0), GaussianInteger(re=1, im=0)), ((1, 1), GaussianInteger(re=-1, im=0))]
     """
     size = len(basis.labels)
     matrices = []
@@ -143,7 +143,7 @@ def build_from_labeled_basis(basis: LabeledBasis) -> OperatorFamily:
                 entries[(col, col)] = _MINUS_ONE
             elif (i, label) in basis.transition:
                 entries[(basis.position[basis.transition[(i, label)]], col)] = _ONE
-        matrices.append(SparseMatrix.from_entries(size, size, entries))
+        matrices.append(SparseMatrix(size, size, entries))
     return OperatorFamily(basis.labels, matrices)
 
 
@@ -303,7 +303,7 @@ def characteristic_by_composition_series(
         for (r, c) in matrix.entries:
             if r != c and placed[r] >= placed[c]:
                 raise ValueError("prefix spans are not invariant")
-    zero = GaussianRational.integer(0)
+    zero = GaussianInteger.integer(0)
     factors = []
     for k in order_positions:
         subset = set()

@@ -315,7 +315,7 @@ def fb_truncations_linearly_independent(n: int, nvars: int | None = None) -> boo
         exponents: k for k, exponents in enumerate(all_exponent_vectors(nvars, n))
     }
     # entries are streamed: a dict of them would double the peak memory
-    expansion = SparseMatrix.from_entries(
+    expansion = SparseMatrix(
         len(index_sets),
         len(column),
         (

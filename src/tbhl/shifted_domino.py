@@ -653,23 +653,19 @@ def verify_stand_theorem(
 def stand_theorem_failures(shape, nvars: int) -> int:
     """Count the marked tableaux of ``shape`` whose fiber sum is wrong.
 
-    One pass standardizes each bounded semistandard tableau once and sums
-    its monomial into the fiber of its standardization; every marked tableau
-    is then checked as in :func:`verify_stand_theorem`, an empty fiber
-    summing to zero.
+    One pass standardizes each bounded semistandard tableau once and counts
+    its weight in the fiber of its standardization; every marked tableau is
+    then checked as in :func:`verify_stand_theorem`, an empty fiber summing
+    to zero.
     """
     shape = validate_partition(shape)
-    fibers: dict[MarkedStandardTableau, TruncatedPolynomial] = {}
+    fibers: dict[MarkedStandardTableau, Counter] = {}
     for tableau in enumerate_shifted(shape, "semistandard", nvars - 1):
-        marked = standardize(tableau)
-        monomial = tableau.monomial(nvars)
-        fibers[marked] = (
-            fibers[marked] + monomial if marked in fibers else monomial
-        )
+        fibers.setdefault(standardize(tableau), Counter())[tableau.weight(nvars)] += 1
     failures = 0
     for marked in enumerate_shifted(shape, "marked"):
         degree = marked.base.size
-        total = fibers.get(marked, TruncatedPolynomial.zero(nvars, degree))
+        total = TruncatedPolynomial.make(nvars, degree, fibers.get(marked, {}))
         if total != fb_monomials(marked_descents(marked), degree, nvars):
             failures += 1
     return failures
@@ -681,9 +677,9 @@ def verify_peak_theorem(
     """Check that all markings of one standard tableau sum to its peak function."""
     shape = validate_partition(shape)
     degree = standard.size
-    total = QSymElement.zero(degree)
-    for marked in _markings(standard):
-        total = total + QSymElement.fundamental(marked_descents(marked), degree)
+    total = QSymElement.from_descent_sets(
+        (marked_descents(marked) for marked in _markings(standard)), degree
+    )
     expected = peak_characteristic(standard.descent_set(), degree, variant)
     return total == expected
 

@@ -1,5 +1,6 @@
 """Tests for exact scalar, matrix, and truncated-polynomial arithmetic."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,36 +8,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbhl.exact_algebra import (
-    GaussianRational,
+    GaussianInteger,
     SparseMatrix,
     TruncatedPolynomial,
     all_exponent_vectors,
 )
 
-rationals = st.fractions(
-    min_value=Fraction(-30), max_value=Fraction(30), max_denominator=12
-)
-gaussians = st.builds(GaussianRational, rationals, rationals)
+integers = st.integers(-30, 30)
+gaussians = st.builds(GaussianInteger, integers, integers)
 
 
 def transpose(matrix):
-    return SparseMatrix.from_entries(
+    return SparseMatrix(
         matrix.ncols, matrix.nrows, {(c, r): v for (r, c), v in matrix.entries.items()}
     )
 
 
-class TestGaussianRational:
+class TestGaussianInteger:
     def test_imaginary_unit_squares_to_minus_one(self):
-        i = GaussianRational.sqrt_minus_one()
-        assert i * i == GaussianRational.integer(-1)
+        i = GaussianInteger.sqrt_minus_one()
+        assert i * i == GaussianInteger.integer(-1)
 
     def test_sample_arithmetic(self):
-        a = GaussianRational(Fraction(1, 2), Fraction(3))
-        b = GaussianRational(Fraction(-2), Fraction(1, 3))
-        assert a + b == GaussianRational(Fraction(-3, 2), Fraction(10, 3))
-        assert a * b == GaussianRational(Fraction(-2), Fraction(-35, 6))
-        assert -a == GaussianRational(Fraction(-1, 2), Fraction(-3))
-        assert a.inverse() == GaussianRational(Fraction(2, 37), Fraction(-12, 37))
+        a = GaussianInteger(1, 3)
+        b = GaussianInteger(-2, 5)
+        assert a + b == GaussianInteger(-1, 8)
+        assert a - b == GaussianInteger(3, -2)
+        assert a * b == GaussianInteger(-17, -1)
+        assert -a == GaussianInteger(-1, -3)
+        assert 2 - a == GaussianInteger(1, -3) and a * 2 == GaussianInteger(2, 6)
 
     @given(gaussians, gaussians, gaussians)
     @settings(max_examples=60)
@@ -46,136 +46,149 @@ class TestGaussianRational:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    @given(gaussians)
-    @settings(max_examples=60)
-    def test_inverse_round_trip(self, a):
-        if a.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                a.inverse()
-        else:
-            assert a * a.inverse() == GaussianRational.integer(1)
 
-
-
-def _parts(value: GaussianRational):
+def _parts(value: GaussianInteger):
     return (value.re, value.im)
 
 
 class TestScalarRepresentation:
-    """Integral parts are plain ``int``; only a real denominator makes a
-    ``Fraction``."""
+    """Parts are plain ``int``, and computed values are interned."""
 
-    def test_integral_results_have_int_parts(self):
-        i = GaussianRational.sqrt_minus_one()
-        two = GaussianRational.integer(2)
-        half = GaussianRational.coerce(Fraction(1, 2))
-        results = [
-            i + two,
-            half + half,
-            i * two,
-            half * two,
-            (two * i).inverse() * 4,
-            GaussianRational(Fraction(1, 2)).inverse(),
-            GaussianRational.coerce(Fraction(4, 2)),
-        ]
+    def test_results_are_interned_int_parts(self):
+        i = GaussianInteger.sqrt_minus_one()
+        two = GaussianInteger.integer(2)
+        results = [i + two, two - i, i * two, -two, GaussianInteger.coerce(4)]
         for value in results:
             assert all(type(part) is int for part in _parts(value)), value
+            assert value is GaussianInteger._gaussian_integer(value.re, value.im)
 
-    def test_fractional_parts_stay_fractions(self):
-        value = GaussianRational.integer(1) / GaussianRational.integer(2)
-        assert value.re == Fraction(1, 2) and type(value.re) is Fraction
-        assert type(value.im) is int
-
-    def test_fraction_and_int_built_values_agree(self):
+    def test_directly_built_and_interned_values_agree(self):
         # SparseMatrix.__eq__ and __hash__ compare entry dicts, so a value
-        # built directly from Fraction(2) must match one built from 2
-        from_fraction = GaussianRational(Fraction(2), Fraction(0))
-        from_int = GaussianRational.integer(2)
-        assert from_fraction == from_int
-        assert hash(from_fraction) == hash(from_int)
-        a = SparseMatrix(1, 1, {(0, 0): from_fraction})
-        b = SparseMatrix.from_entries(1, 1, {(0, 0): 2})
+        # built by the public constructor must match the interned one
+        direct = GaussianInteger(2, 0)
+        interned = GaussianInteger.integer(2)
+        assert direct == interned and hash(direct) == hash(interned)
+        a = SparseMatrix(1, 1, {(0, 0): direct})
+        b = SparseMatrix(1, 1, {(0, 0): 2})
         assert a == b and hash(a) == hash(b)
 
     def test_bool_never_becomes_a_part(self):
-        GaussianRational._gaussian_integer.cache_clear()
-        assert type(GaussianRational.integer(True).re) is int
-        one = GaussianRational.integer(1)
+        GaussianInteger._gaussian_integer.cache_clear()
+        assert type(GaussianInteger.integer(True).re) is int
+        one = GaussianInteger.integer(1)
         assert type(one.re) is int and str(one) == "1"
-        assert str(GaussianRational.coerce(True)) == "1"
-        assert type(GaussianRational.coerce(False).re) is int
+        assert str(GaussianInteger.coerce(True)) == "1"
+        assert type(GaussianInteger.coerce(False).re) is int
+        direct = GaussianInteger(True, False)
+        assert _parts(direct) == (1, 0)
+        assert all(type(part) is int for part in _parts(direct))
         with pytest.raises(TypeError):
-            GaussianRational.integer(1.0)
+            GaussianInteger.integer(1.0)
 
-    def test_rank_with_fractional_elimination_factors(self):
+    def test_rank_with_non_unit_leads(self):
         def real(rows):
-            return SparseMatrix.from_entries(
+            return SparseMatrix(
                 len(rows),
                 len(rows[0]),
                 {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)},
             )
 
-        # int / int would be a float factor; these need 1/2 exactly
+        # no lead divides the one below it, so elimination over the integers
+        # alone would need a factor 1/2
         assert real([[2, 1], [1, 2]]).rank() == 2
         assert real([[2, 4], [1, 2]]).rank() == 1
         assert real([[3, 1, 1], [1, 3, 1], [1, 1, 3]]).rank() == 3
         # third row = 3 * first + 2 * second; float factors leave a residue
         # here and report 3
         assert real([[7, -2, 5], [6, 8, -2], [33, 10, 11]]).rank() == 2
-        i = GaussianRational.sqrt_minus_one()
+        i = GaussianInteger.sqrt_minus_one()
         # rows (2i, 1) and (1, 2i) are independent; (2, 4i) and (i, -2) are
         # proportional by the non-unit factor 2i
         assert real([[2, 1], [1, 2]]).scale(i).rank() == 2
-        gaussian = SparseMatrix.from_entries(
+        gaussian = SparseMatrix(
             2, 2, {(0, 0): 2, (0, 1): 4 * i, (1, 0): i, (1, 1): -2}
         )
         assert gaussian.rank() == 1
-        assert SparseMatrix.from_entries(
+        assert SparseMatrix(
             2, 2, {(0, 0): 2 * i, (0, 1): 1, (1, 0): 1, (1, 1): 2 * i}
         ).rank() == 2
 
     @given(gaussians, gaussians)
     @settings(max_examples=80)
-    def test_integral_result_parts_are_ints(self, a, b):
-        results = [a + b, a - b, a * b, -a, a ** 2]
-        if not b.is_zero():
-            results += [b.inverse(), a / b]
-        for value in results:
-            for part in _parts(value):
-                assert part.denominator != 1 or type(part) is int, value
+    def test_result_parts_are_ints(self, a, b):
+        for value in [a + b, a - b, a * b, -a, a + 1, 1 - a, 3 * a]:
+            assert all(type(part) is int for part in _parts(value)), value
+
+
+NON_INTEGRAL = [
+    Fraction(1, 2),
+    Fraction(2),
+    0.5,
+    1.0,
+    Decimal(1),
+    complex(1, 0),
+    "1",
+    None,
+]
+
+
+class TestScalarValidation:
+    """Every public way in reads a value through ``operator.index``; only
+    integers, and scalars already built, are accepted."""
+
+    @pytest.mark.parametrize("value", NON_INTEGRAL, ids=repr)
+    def test_non_integral_values_are_rejected(self, value):
+        with pytest.raises(TypeError):
+            GaussianInteger(value, 0)
+        with pytest.raises(TypeError):
+            GaussianInteger(0, value)
+        with pytest.raises(TypeError):
+            GaussianInteger.integer(value)
+        with pytest.raises(TypeError):
+            GaussianInteger.coerce(value)
+        with pytest.raises(TypeError):
+            SparseMatrix(1, 1, {(0, 0): value})
+        with pytest.raises(TypeError):
+            SparseMatrix(2, 2, [((0, 0), 1), ((1, 1), value)])
+        with pytest.raises(TypeError):
+            SparseMatrix.identity(2).scale(value)
+        with pytest.raises(TypeError):
+            GaussianInteger.integer(1) + value
+
 
 
 class TestSparseMatrix:
     def test_identity_is_multiplicative_unit(self):
-        a = SparseMatrix.from_entries(2, 3, {(0, 0): 2, (1, 2): Fraction(1, 3)})
+        i = GaussianInteger.sqrt_minus_one()
+        a = SparseMatrix(2, 3, {(0, 0): 2, (1, 2): 3 - i})
         assert SparseMatrix.identity(2) @ a == a
         assert a @ SparseMatrix.identity(3) == a
 
     def test_product_matches_hand_computation(self):
-        a = SparseMatrix.from_entries(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): 3})
-        b = SparseMatrix.from_entries(2, 2, {(0, 1): 1, (1, 0): 4, (1, 1): 5})
-        expected = SparseMatrix.from_entries(
+        a = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 2, (1, 1): 3})
+        b = SparseMatrix(2, 2, {(0, 1): 1, (1, 0): 4, (1, 1): 5})
+        expected = SparseMatrix(
             2, 2, {(0, 0): 8, (0, 1): 11, (1, 0): 12, (1, 1): 15}
         )
         assert a @ b == expected
 
     def test_zero_entries_are_not_stored(self):
-        a = SparseMatrix.from_entries(2, 2, {(0, 0): 1, (1, 1): 0})
+        a = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 0})
         assert (0, 0) in a.entries and (1, 1) not in a.entries
         b = a - a
         assert b.is_zero() and b.entries == {}
 
     def test_entries_as_pairs(self):
-        pairs = (((0, 0), 1), ((1, 1), 0), ((1, 0), Fraction(1, 2)))
-        assert SparseMatrix.from_entries(2, 2, iter(pairs)) == SparseMatrix.from_entries(
+        pairs = (((0, 0), 1), ((1, 1), 0), ((1, 0), -3))
+        assert SparseMatrix(2, 2, iter(pairs)) == SparseMatrix(
             2, 2, dict(pairs)
         )
         with pytest.raises(IndexError):
-            SparseMatrix.from_entries(2, 2, iter([((2, 0), 1)]))
+            SparseMatrix(2, 2, iter([((2, 0), 1)]))
 
     def test_scale_and_add(self):
-        a = SparseMatrix.from_entries(2, 2, {(0, 1): 3})
-        assert a.scale(Fraction(1, 3)) + a.scale(-1) == a.scale(Fraction(-2, 3))
+        a = SparseMatrix(2, 2, {(0, 1): 3})
+        assert a.scale(3) + a.scale(-1) == a.scale(2)
 
     def test_shape_mismatch_raises(self):
         a = SparseMatrix.zero(2, 3)
@@ -185,15 +198,15 @@ class TestSparseMatrix:
             a @ SparseMatrix.zero(2, 2)
 
     def test_invertibility(self):
-        swap = SparseMatrix.from_entries(2, 2, {(0, 1): 1, (1, 0): 1})
+        swap = SparseMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
         assert swap.is_invertible()
-        assert not SparseMatrix.from_entries(2, 2, {(0, 0): 1, (0, 1): 1}).is_invertible()
+        assert not SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 1}).is_invertible()
         assert not SparseMatrix.zero(3, 3).is_invertible()
-        i = GaussianRational.sqrt_minus_one()
-        m = SparseMatrix.from_entries(2, 2, {(0, 0): i, (0, 1): 1, (1, 0): 1, (1, 1): i})
+        i = GaussianInteger.sqrt_minus_one()
+        m = SparseMatrix(2, 2, {(0, 0): i, (0, 1): 1, (1, 0): 1, (1, 1): i})
         # determinant i*i - 1 = -2, invertible
         assert m.is_invertible()
-        singular = SparseMatrix.from_entries(2, 2, {(0, 0): i, (0, 1): 1, (1, 0): 1, (1, 1): -i})
+        singular = SparseMatrix(2, 2, {(0, 0): i, (0, 1): 1, (1, 0): 1, (1, 1): -i})
         # determinant i*(-i) - 1 = 0
         assert not singular.is_invertible()
 
@@ -202,36 +215,141 @@ class TestSparseMatrix:
         assert SparseMatrix.identity(3).rank() == 3
         # a repeated row, and a row that is the sum of two others
         rows = [[1, 2, 0, 1], [1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1]]
-        m = SparseMatrix.from_entries(
+        m = SparseMatrix(
             4, 4, {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)}
         )
         assert m.rank() == transpose(m).rank() == 2
         assert not m.is_invertible()
-        wide = SparseMatrix.from_entries(2, 3, {(0, 0): 1, (1, 2): Fraction(1, 2)})
+        wide = SparseMatrix(2, 3, {(0, 0): 1, (1, 2): 2})
         assert wide.rank() == 2
         assert not wide.is_invertible()
 
     @given(st.lists(st.integers(-2, 2), min_size=12, max_size=12))
     @settings(max_examples=60)
     def test_rank_agrees_across_scalars_and_transpose(self, values):
-        # real entries are reduced as fractions, a multiple of i as Gaussian
-        # rationals; both, and the transpose, must give the same rank
-        m = SparseMatrix.from_entries(
+        # a real matrix, its multiple by i, and its transpose have one rank
+        m = SparseMatrix(
             3, 4, {(k // 4, k % 4): v for k, v in enumerate(values)}
         )
-        i = GaussianRational.sqrt_minus_one()
+        i = GaussianInteger.sqrt_minus_one()
         assert m.rank() == m.scale(i).rank() == transpose(m).rank()
-        mixed = m + SparseMatrix.from_entries(3, 4, {(k, k): i for k in range(3)})
+        mixed = m + SparseMatrix(3, 4, {(k, k): i for k in range(3)})
         assert mixed.rank() == transpose(mixed).rank()
+
+
+def oracle_rank(matrix):
+    """Rank by textbook Gaussian elimination over the Gaussian rationals,
+    each entry a pair of ``Fraction`` parts, dense and pivoting row by row."""
+    rows = [
+        [
+            (Fraction(value.re), Fraction(value.im))
+            for value in (matrix.get(r, c) for c in range(matrix.ncols))
+        ]
+        for r in range(matrix.nrows)
+    ]
+    rank = 0
+    for col in range(matrix.ncols):
+        pivot = next(
+            (r for r in range(rank, len(rows)) if rows[r][col] != (0, 0)), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        a, b = rows[rank][col]
+        norm = a * a + b * b
+        inverse = (a / norm, -b / norm)
+        for r in range(rank + 1, len(rows)):
+            x, y = rows[r][col]
+            # factor = rows[r][col] / pivot entry
+            f = (x * inverse[0] - y * inverse[1], x * inverse[1] + y * inverse[0])
+            rows[r] = [
+                (u - (f[0] * p - f[1] * q), v - (f[0] * q + f[1] * p))
+                for (u, v), (p, q) in zip(rows[r], rows[rank])
+            ]
+        rank += 1
+    return rank
+
+
+def integer_matrices(imaginary):
+    """Matrices up to 5x5 with real parts in -3..3 and imaginary parts drawn
+    from ``imaginary``, about half of their entries zero, where some rows are
+    replaced by Gaussian-integer combinations of the rows before them."""
+    parts = st.integers(-3, 3)
+    scalar = st.tuples(parts, imaginary)
+
+    def combine(weights, rows, c):
+        return (
+            sum(a * row[c][0] - b * row[c][1] for (a, b), row in zip(weights, rows)),
+            sum(a * row[c][1] + b * row[c][0] for (a, b), row in zip(weights, rows)),
+        )
+
+    @st.composite
+    def build(draw):
+        nrows = draw(st.integers(1, 5))
+        ncols = draw(st.integers(1, 5))
+        entry = st.one_of(st.just((0, 0)), scalar)
+        rows = [
+            draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)
+        ]
+        for r in range(1, nrows):
+            if draw(st.booleans()):
+                weights = draw(st.lists(scalar, min_size=r, max_size=r))
+                rows[r] = [combine(weights, rows[:r], c) for c in range(ncols)]
+        return SparseMatrix(
+            nrows,
+            ncols,
+            {
+                (r, c): GaussianInteger(*rows[r][c])
+                for r in range(nrows)
+                for c in range(ncols)
+            },
+        )
+
+    return build()
+
+
+class TestFractionFreeRank:
+    """``rank`` eliminates over the integers; the oracle divides."""
+
+    @given(integer_matrices(st.integers(-3, 3)))
+    @settings(max_examples=150)
+    def test_gaussian_rank_agrees_with_the_fraction_oracle(self, matrix):
+        assert matrix.rank() == oracle_rank(matrix) == transpose(matrix).rank()
+
+    @given(integer_matrices(st.just(0)))
+    @settings(max_examples=150)
+    def test_real_rank_agrees_with_the_fraction_oracle(self, matrix):
+        assert all(value.im == 0 for value in matrix.entries.values())
+        assert matrix.rank() == oracle_rank(matrix) == transpose(matrix).rank()
+
+    def test_dependent_rows_lower_the_rank(self):
+        i = GaussianInteger.sqrt_minus_one()
+        first = {0: 2, 1: 3 + i, 2: -1}
+        second = {0: i, 1: 0, 2: 5}
+        third = {c: (2 - i) * first[c] + 3 * second[c] for c in range(3)}
+        matrix = SparseMatrix(
+            3,
+            3,
+            {(r, c): row[c] for r, row in enumerate((first, second, third)) for c in range(3)},
+        )
+        assert matrix.rank() == oracle_rank(matrix) == 2
+        assert not matrix.is_invertible()
+
+    def test_oracle_on_a_sample(self):
+        i = GaussianInteger.sqrt_minus_one()
+        assert oracle_rank(SparseMatrix(2, 2, {(0, 0): 1, (0, 1): i, (1, 0): i, (1, 1): -1})) == 1
+        assert oracle_rank(SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 2})) == 2
+        assert oracle_rank(SparseMatrix.zero(2, 3)) == 0
 
 
 def sparse_matrices(nrows, ncols):
     """Random matrices with about half their entries zero."""
-    entry = st.one_of(st.just(GaussianRational.integer(0)), gaussians)
+    entry = st.one_of(st.just(GaussianInteger.integer(0)), gaussians)
     return st.lists(
         entry, min_size=nrows * ncols, max_size=nrows * ncols
     ).map(
-        lambda values: SparseMatrix.from_entries(
+        lambda values: SparseMatrix(
             nrows,
             ncols,
             {(k // ncols, k % ncols): v for k, v in enumerate(values)},
@@ -244,11 +362,11 @@ def dense_product(a, b):
     entries = {}
     for r in range(a.nrows):
         for c in range(b.ncols):
-            total = GaussianRational.integer(0)
+            total = GaussianInteger.integer(0)
             for k in range(a.ncols):
                 total = total + a.get(r, k) * b.get(k, c)
             entries[(r, c)] = total
-    return SparseMatrix.from_entries(a.nrows, b.ncols, entries)
+    return SparseMatrix(a.nrows, b.ncols, entries)
 
 
 class TestSparseProducts:
@@ -267,50 +385,47 @@ class TestSparseProducts:
         assert product == dense_product(a, b)
         assert hash(product) == hash(dense_product(a, b))
         for value in product.entries.values():
-            assert type(value) is GaussianRational and not value.is_zero()
-            for part in _parts(value):
-                assert part.denominator != 1 or type(part) is int, value
+            assert type(value) is GaussianInteger and not value.is_zero()
+            assert all(type(part) is int for part in _parts(value)), value
 
     def test_cancelling_results_store_no_zero(self):
-        i = GaussianRational.sqrt_minus_one()
-        half = Fraction(1, 2)
-        # row (1, i) times column (1, i)^T is 1 + i*i = 0; with fractional
-        # parts, (1/2)(2) + (-1/2)(2) = 0
-        a = SparseMatrix.from_entries(2, 2, {(0, 0): 1, (0, 1): i, (1, 0): half, (1, 1): -half})
-        b = SparseMatrix.from_entries(2, 1, {(0, 0): 1, (1, 0): i})
-        c = SparseMatrix.from_entries(2, 1, {(0, 0): 2, (1, 0): 2})
-        assert (a @ b).entries == {(1, 0): GaussianRational(Fraction(1, 2), Fraction(-1, 2))}
-        assert (a @ c).entries == {(0, 0): GaussianRational(2, 2)}
-        d = SparseMatrix.from_entries(2, 2, {(0, 0): i, (1, 1): half})
-        e = SparseMatrix.from_entries(2, 2, {(0, 0): -i, (1, 1): 1})
-        assert (d + e).entries == {(1, 1): GaussianRational(Fraction(3, 2))}
+        i = GaussianInteger.sqrt_minus_one()
+        # row (1, i) times column (1, i)^T is 1 + i*i = 0; row (2, -2) times
+        # column (2, 2)^T is 0
+        a = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): i, (1, 0): 2, (1, 1): -2})
+        b = SparseMatrix(2, 1, {(0, 0): 1, (1, 0): i})
+        c = SparseMatrix(2, 1, {(0, 0): 2, (1, 0): 2})
+        assert (a @ b).entries == {(1, 0): GaussianInteger(2, -2)}
+        assert (a @ c).entries == {(0, 0): GaussianInteger(2, 2)}
+        d = SparseMatrix(2, 2, {(0, 0): i, (1, 1): 3})
+        e = SparseMatrix(2, 2, {(0, 0): -i, (1, 1): 1})
+        assert (d + e).entries == {(1, 1): GaussianInteger(4)}
         assert (d - d).entries == {}
         assert (d.scale(i) + d.scale(-i)).entries == {}
         # equal matrices reached different ways hash equal
-        assert d + e == SparseMatrix.from_entries(2, 2, {(1, 1): Fraction(3, 2)})
-        assert hash(d + e) == hash(SparseMatrix.from_entries(2, 2, {(1, 1): Fraction(3, 2)}))
-        assert hash(a @ c) == hash(SparseMatrix.from_entries(2, 1, {(0, 0): 2 + 2 * i}))
+        assert d + e == SparseMatrix(2, 2, {(1, 1): 4})
+        assert hash(d + e) == hash(SparseMatrix(2, 2, {(1, 1): 4}))
+        assert hash(a @ c) == hash(SparseMatrix(2, 1, {(0, 0): 2 + 2 * i}))
 
     def test_scale_by_zero_is_the_zero_matrix(self):
-        a = SparseMatrix.from_entries(2, 3, {(0, 1): 3, (1, 2): Fraction(1, 2)})
-        for zero in (0, Fraction(0), GaussianRational.integer(0)):
+        a = SparseMatrix(2, 3, {(0, 1): 3, (1, 2): -5})
+        for zero in (0, False, GaussianInteger.integer(0), GaussianInteger()):
             scaled = a.scale(zero)
             assert scaled == SparseMatrix.zero(2, 3)
             assert scaled.entries == {} and scaled.is_zero()
             assert hash(scaled) == hash(SparseMatrix.zero(2, 3))
 
-    def test_integral_product_entries_are_shared_instances(self):
-        i = GaussianRational.sqrt_minus_one()
-        half = Fraction(1, 2)
-        a = SparseMatrix.from_entries(2, 2, {(0, 0): 2, (0, 1): half, (1, 1): i})
-        b = SparseMatrix.from_entries(2, 2, {(0, 0): 3, (1, 0): 2, (1, 1): -i})
+    def test_product_entries_are_shared_instances(self):
+        i = GaussianInteger.sqrt_minus_one()
+        a = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 3, (1, 1): i})
+        b = SparseMatrix(2, 2, {(0, 0): 3, (1, 0): 1, (1, 1): -i})
         product = a @ b
-        # 2*3 + (1/2)*2 = 7 sums a Fraction term into an integer
-        assert product.get(0, 0) is GaussianRational.integer(7)
+        # 2*3 + 3*1 = 9 is summed on parts, then built once, interned
+        assert product.get(0, 0) is GaussianInteger.integer(9)
         assert type(product.get(0, 0).re) is int
-        assert product.get(1, 1) is GaussianRational.integer(1)
-        assert product.get(1, 0) is GaussianRational.integer(2) * i
-        assert product.get(0, 1) == GaussianRational(0, Fraction(-1, 2))
+        assert product.get(1, 1) is GaussianInteger.integer(1)
+        assert product.get(1, 0) is i
+        assert product.get(0, 1) is GaussianInteger.integer(-3) * i
 
 
 class TestTruncatedPolynomial:

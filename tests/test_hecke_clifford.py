@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from tbhl.exact_algebra import GaussianRational, SparseMatrix
+from tbhl.exact_algebra import GaussianInteger, SparseMatrix
 from tbhl.hecke_clifford import (
     build_MI,
     build_intertwiner,
@@ -37,9 +37,9 @@ from tbhl.domino_tableaux import sdt_operator_family
 from tbhl.qsym_typeb import QSymElement, peak_data
 from tbhl.signed_permutations import parse_index_set, subsets
 
-ONE = GaussianRational.integer(1)
-MINUS_ONE = GaussianRational.integer(-1)
-SQRT = GaussianRational.sqrt_minus_one()
+ONE = GaussianInteger.integer(1)
+MINUS_ONE = GaussianInteger.integer(-1)
+SQRT = GaussianInteger.sqrt_minus_one()
 
 
 def all_index_sets(n):
@@ -118,22 +118,22 @@ class TestCliffordNormalForm:
 
 class TestPiCommute:
     def test_pinned_expansions(self):
-        assert pi_commute(1, (3,)) == (((3,), GaussianRational.integer(0), ONE),)
-        assert pi_commute(1, (2,)) == (((1,), GaussianRational.integer(0), ONE),)
+        assert pi_commute(1, (3,)) == (((3,), GaussianInteger.integer(0), ONE),)
+        assert pi_commute(1, (2,)) == (((1,), GaussianInteger.integer(0), ONE),)
         assert pi_commute(1, (1,)) == (
-            ((1,), MINUS_ONE, GaussianRational.integer(0)),
+            ((1,), MINUS_ONE, GaussianInteger.integer(0)),
             ((2,), ONE, ONE),
         )
 
     def test_zero_index_graded_rule(self):
-        assert pi_commute(0, (2,)) == (((2,), GaussianRational.integer(0), ONE),)
-        assert pi_commute(0, (1,)) == (((), GaussianRational.integer(0), SQRT),)
+        assert pi_commute(0, (2,)) == (((2,), GaussianInteger.integer(0), ONE),)
+        assert pi_commute(0, (1,)) == (((), GaussianInteger.integer(0), SQRT),)
         # one extra letter flips the coefficient
         assert pi_commute(0, (1, 2)) == (
-            ((2,), GaussianRational.integer(0), SQRT * MINUS_ONE),
+            ((2,), GaussianInteger.integer(0), SQRT * MINUS_ONE),
         )
         assert pi_commute(0, (1, 2, 3)) == (
-            ((2, 3), GaussianRational.integer(0), SQRT),
+            ((2, 3), GaussianInteger.integer(0), SQRT),
         )
 
     def test_zero_index_parity_alternates(self):
@@ -234,7 +234,7 @@ class TestRelationSuite:
         barred = module.position[((1,), label)]
         corrupted = dict(module.matrices[0].entries)
         corrupted[(plain, barred)] = MINUS_ONE
-        module = with_pi(module, 0, SparseMatrix.from_entries(2, 2, corrupted))
+        module = with_pi(module, 0, SparseMatrix(2, 2, corrupted))
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "mixed-zero", "j": 1}}
 
@@ -245,7 +245,7 @@ class TestRelationSuite:
         target = module.position[((2,), label)]
         corrupted = dict(module.matrices[0].entries)
         corrupted[(target, source)] = corrupted[(target, source)] * MINUS_ONE
-        module = with_pi(module, 0, SparseMatrix.from_entries(4, 4, corrupted))
+        module = with_pi(module, 0, SparseMatrix(4, 4, corrupted))
         report = verify_hcl_relations(module)
         assert report["failed"]["kind"] in ("braid", "mixed-zero")
 
@@ -272,7 +272,7 @@ class TestRelationSuite:
         corrupted = dict(module.c_matrices[1].entries)
         for pos in ((barred, plain), (plain, barred)):
             corrupted[pos] = corrupted[pos] * MINUS_ONE
-        module.c_matrices[1] = SparseMatrix.from_entries(4, 4, corrupted)
+        module.c_matrices[1] = SparseMatrix(4, 4, corrupted)
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "clifford-anticommute", "i": 1, "j": 2}}
 
@@ -284,7 +284,7 @@ class TestRelationSuite:
         corrupted = dict(module.matrices[1].entries)
         corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
         size = len(module.labels)
-        module = with_pi(module, 1, SparseMatrix.from_entries(size, size, corrupted))
+        module = with_pi(module, 1, SparseMatrix(size, size, corrupted))
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "mixed-commute", "i": 1, "j": 3}}
 
@@ -294,7 +294,7 @@ class TestRelationSuite:
         col = module.position[((1,), frozenset())]
         corrupted = dict(module.matrices[1].entries)
         corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
-        module = with_pi(module, 1, SparseMatrix.from_entries(4, 4, corrupted))
+        module = with_pi(module, 1, SparseMatrix(4, 4, corrupted))
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "mixed-swap", "i": 1}}
 
@@ -337,11 +337,11 @@ class TestDiagonalData:
                     for i in range(n):
                         diag = module.matrices[i].get(col, col)
                         assert diag in (
-                            GaussianRational.integer(0),
+                            GaussianInteger.integer(0),
                             MINUS_ONE,
                         )
                         expected = k_factor(i, index_set, subset)
-                        assert diag == GaussianRational.integer(expected)
+                        assert diag == GaussianInteger.integer(expected)
 
     def test_valley_stability(self):
         # adding any valley of the complement to the barred set does not
@@ -525,7 +525,7 @@ class TestInduceAndRestrict:
     def test_two_labels_pinned(self):
         # "e" moves to "s" at index 0, where "s" acts by -1; the same
         # family built by the casewise rule and from its matrices
-        pi0 = SparseMatrix.from_entries(2, 2, {(1, 0): ONE, (1, 1): MINUS_ONE})
+        pi0 = SparseMatrix(2, 2, {(1, 0): ONE, (1, 1): MINUS_ONE})
         built = build_from_labeled_basis(
             LabeledBasis(
                 ("e", "s"),

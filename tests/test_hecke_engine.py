@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tbhl.exact_algebra import GaussianRational, SparseMatrix
+from tbhl.exact_algebra import GaussianInteger, SparseMatrix
 from tbhl.hecke_engine import (
     LabeledBasis,
     OperatorFamily,
@@ -30,12 +30,12 @@ from tbhl.signed_permutations import (
 
 def mat(rows):
     entries = {
-        (r, c): GaussianRational.integer(value)
+        (r, c): GaussianInteger.integer(value)
         for r, row in enumerate(rows)
         for c, value in enumerate(row)
         if value
     }
-    return SparseMatrix.from_entries(len(rows), len(rows[0]), entries)
+    return SparseMatrix(len(rows), len(rows[0]), entries)
 
 
 def descent_classes(n):
@@ -145,7 +145,7 @@ class TestVerifyRelations:
                     )
                     if i in subset:
                         expected = SparseMatrix.identity(len(chosen)).scale(
-                            GaussianRational.integer(-1)
+                            GaussianInteger.integer(-1)
                         )
                     assert fam.matrices[i] == expected
 
@@ -155,9 +155,9 @@ class TestVerifyRelations:
         e = identity(2)
         bad = dict(fam.matrices[0].entries)
         del bad[(pos[simple_reflection(0, 2)], pos[e])]
-        bad[(pos[simple_reflection(1, 2)], pos[e])] = GaussianRational.integer(1)
+        bad[(pos[simple_reflection(1, 2)], pos[e])] = GaussianInteger.integer(1)
         fam = OperatorFamily(
-            fam.labels, (SparseMatrix.from_entries(8, 8, bad), fam.matrices[1])
+            fam.labels, (SparseMatrix(8, 8, bad), fam.matrices[1])
         )
         assert verify_relations(fam) == {"failed": {"kind": "quadratic", "i": 0}}
 

@@ -3,9 +3,14 @@
 No lint tool runs with the test suite, so this stdlib-only scan is the check:
 a module fails if it imports a name that it never reads.  Names listed in
 ``__all__`` count as read, and ``from __future__`` imports are not names.
+The package also stays off the rational-arithmetic modules of the standard
+library, which its Gaussian-integer scalars do not need.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +70,21 @@ def test_scanner_on_a_sample():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_imports_no_rational_arithmetic():
+    # a fresh interpreter, so modules the test run has loaded do not count
+    probe = (
+        "import sys, tbhl.cli_verify; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from tbhl import shifted_domino
 from tbhl.domino_tableaux import (
     Domino,
     enumerate_tilings,
@@ -437,6 +438,21 @@ class TestTheorems:
         (standard,) = enumerate_shifted((4,))
         assert standard.descent_set() == frozenset()
         assert verify_peak_theorem((4,), standard)
+
+    @pytest.mark.parametrize("dropped", [0, -1])
+    def test_peak_theorem_fails_on_a_missing_marking(self, monkeypatch, dropped):
+        markings = shifted_domino._markings
+
+        def all_but_one(standard):
+            kept = list(markings(standard))
+            del kept[dropped]
+            return iter(kept)
+
+        monkeypatch.setattr(shifted_domino, "_markings", all_but_one)
+        for shape in ((2,), (4,), (4, 2)):
+            for standard in enumerate_shifted(shape):
+                assert not verify_peak_theorem(shape, standard, "literal")
+                assert not verify_peak_theorem(shape, standard, "complemented")
 
 
 class TestConjugateFamily:
