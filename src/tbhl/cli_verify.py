@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -44,7 +45,6 @@ from .domino_tableaux import (
 )
 from .hecke_clifford import (
     RES_FORMS,
-    InducedModule,
     build_MI,
     build_intertwiner,
     centralizer_check,
@@ -60,6 +60,7 @@ from .hecke_clifford import (
     verify_hcl_relations,
 )
 from .hecke_engine import (
+    OperatorFamily,
     characteristic_by_composition_series,
     characteristic_by_descent_sum,
     family_from_elements,
@@ -116,6 +117,13 @@ WITNESS_DESCENTS = frozenset({1, 5, 7, 8})
 MAX_STANDARD_DOMINOES = 12
 MAX_SEMISTANDARD_DOMINOES = 6
 MAX_PEAK_THEOREM_DOMINOES = 9
+# Largest inputs of the ``qsym`` commands.  ``delta`` and ``peakfn`` sum over
+# all 2^n subsets; ``fb --monomials`` writes one exponent vector of length
+# nvars per chain, and the fundamental element of the empty set has the most
+# chains, C(n + nvars - 1, n).
+MAX_QSYM_DEGREE = 16
+MAX_QSYM_VARIABLES = 64
+MAX_MONOMIAL_CHAINS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +494,7 @@ _mi_characteristics: dict[tuple[frozenset[int], int], QSymElement] = {}
 
 
 def _mi_characteristic(
-    index_set: frozenset[int], n: int, module: InducedModule | None = None
+    index_set: frozenset[int], n: int, module: OperatorFamily | None = None
 ) -> QSymElement:
     """Restriction characteristic of ``build_MI(index_set, n)``, computed once
     per ``(I, n)`` for the three Clifford sections.  Only the immutable
@@ -845,10 +853,18 @@ def _prettify_polynomial(text: str) -> str:
 def cmd_qsym(args) -> int:
     if args.n < 0 or (getattr(args, "nvars", None) or 0) < 0:
         raise ValueError("--n and --nvars must be nonnegative")
+    if args.n > MAX_QSYM_DEGREE:
+        raise ValueError(f"--n must be at most {MAX_QSYM_DEGREE}")
     if args.qsym_command == "fb":
         subset = parse_index_set(args.set)
         if args.monomials:
             nvars = args.nvars if args.nvars is not None else args.n + 1
+            if nvars > MAX_QSYM_VARIABLES:
+                raise ValueError(f"--nvars must be at most {MAX_QSYM_VARIABLES}")
+            if math.comb(max(args.n + nvars - 1, 0), args.n) > MAX_MONOMIAL_CHAINS:
+                raise ValueError(
+                    f"--monomials needs C(n+nvars-1, n) at most {MAX_MONOMIAL_CHAINS}"
+                )
             poly = fb_monomials(subset, args.n, nvars)
             payload = {
                 "kind": "fundamental-monomials",
@@ -1056,15 +1072,26 @@ def build_parser() -> argparse.ArgumentParser:
     qsym = top.add_parser("qsym", help="quasisymmetric elements")
     qsub = qsym.add_subparsers(dest="qsym_command", required=True)
     fb = qsub.add_parser("fb", parents=[output], help="fundamental element")
+    degree_help = f"degree, at most {MAX_QSYM_DEGREE}"
     fb.add_argument("--set", required=True, help="index set, e.g. {0,3}")
-    fb.add_argument("--n", type=int, required=True)
-    fb.add_argument("--monomials", action="store_true")
-    fb.add_argument("--nvars", type=int, default=None)
+    fb.add_argument("--n", type=int, required=True, help=degree_help)
+    fb.add_argument(
+        "--monomials",
+        action="store_true",
+        help="expand in variables; needs C(n+nvars-1, n) at most "
+        f"{MAX_MONOMIAL_CHAINS}",
+    )
+    fb.add_argument(
+        "--nvars",
+        type=int,
+        default=None,
+        help=f"number of variables (default n+1), at most {MAX_QSYM_VARIABLES}",
+    )
     delta = qsub.add_parser(
         "delta", parents=[output], help="peak characteristic of a subset"
     )
     delta.add_argument("--set", required=True)
-    delta.add_argument("--n", type=int, required=True)
+    delta.add_argument("--n", type=int, required=True, help=degree_help)
     delta.add_argument(
         "--variant", choices=("literal", "complemented"), default="literal"
     )
@@ -1073,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     peakfn.add_argument("--bit", type=int, choices=(0, 1), required=True)
     peakfn.add_argument("--peaks", required=True)
-    peakfn.add_argument("--n", type=int, required=True)
+    peakfn.add_argument("--n", type=int, required=True, help=degree_help)
     peakfn.add_argument(
         "--variant", choices=("literal", "complemented"), default="literal"
     )

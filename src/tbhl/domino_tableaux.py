@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import TypeVar
 
-from .hecke_engine import OperatorFamily, basis_from_action, build_from_labeled_basis
+from .hecke_engine import OperatorFamily, family_from_action
 from .qsym_typeb import QSymElement
 
 Cell = tuple[int, int]
@@ -381,10 +381,9 @@ def generator_action(
 def sdt_operator_family(shape) -> OperatorFamily:
     """Casewise operators on the standard domino tableaux of a shape."""
     shape = validate_partition(shape)
-    basis = basis_from_action(
+    return family_from_action(
         enumerate_sdt(shape),
         StandardDominoTableau.descent_set,
         generator_action,
         sum(shape) // 2,
     )
-    return build_from_labeled_basis(basis)

@@ -27,10 +27,12 @@ relation suite checks that graded form.
 
 Words in the ``c`` generators normalize to a sign times ``c_D`` with the
 index set ``D`` increasing.  Inducing an operator family adjoins a free
-Clifford factor: the induced module is again an operator family, on all pairs
+Clifford factor: the induced module is a plain operator family on all pairs
 ``(D, y)``, and its ``pi`` action is computed by commuting ``pi_i`` across
 ``c_D`` with the rules above and then applying the base family's ``pi_i`` to
-``y``.
+``y``.  The ``c_j`` act on ``D`` alone, so :func:`clifford_matrices` reads
+them off the labels; only the relation suite and the intertwiner check
+build them.
 
 The one-dimensional cyclic case (a single basis label whose descent label is
 a chosen subset) is also transcribed from the closed ribbon case table
@@ -47,10 +49,9 @@ from typing import Iterable
 from .exact_algebra import GaussianInteger, SparseMatrix
 from .hecke_engine import (
     CompositionSeries,
-    LabeledBasis,
     OperatorFamily,
-    build_from_labeled_basis,
     characteristic_by_composition_series,
+    family_from_action,
     verify_relations,
 )
 from .qsym_typeb import (
@@ -191,34 +192,14 @@ def pi_commute(
 # induced modules
 
 
-@dataclass
-class InducedModule(OperatorFamily):
-    """An operator family tensored with a free Clifford factor.
+def induce_labeled_basis(base: OperatorFamily) -> OperatorFamily:
+    """Adjoin a free Clifford factor to an operator family.
 
     The labels are the pairs ``(D, y)`` of a Clifford index set and a label
-    of ``base``; ``matrices`` are the ``pi_i`` and ``c_matrices[j]`` is
-    ``c_j`` for ``j = 1..rank``.
-    """
-
-    base: OperatorFamily
-    c_matrices: dict[int, SparseMatrix]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        size = len(self.labels)
-        if size != (1 << self.rank) * len(self.base.labels):
-            raise ValueError("induced basis has the wrong dimension")
-        for matrix in self.c_matrices.values():
-            if matrix.nrows != size or matrix.ncols != size:
-                raise ValueError("matrices must be square of basis size")
-
-
-def induce_labeled_basis(base: OperatorFamily) -> InducedModule:
-    """Adjoin the Clifford generators to an operator family.
-
-    ``pi_i c_D y`` expands by :func:`pi_commute` as ``sum_E c_E (gamma_E y +
-    delta_E pi_i y)``, with ``pi_i y`` read off column ``y`` of
-    ``base.matrices[i]``.
+    of ``base``; the matrices are the ``pi_i``.  ``pi_i c_D y`` expands by
+    :func:`pi_commute` as ``sum_E c_E (gamma_E y + delta_E pi_i y)``, with
+    ``pi_i y`` read off column ``y`` of ``base.matrices[i]``.  The ``c_j``
+    act on the labels alone (:func:`clifford_matrices`).
     """
     n = base.rank
     all_subsets = subsets(range(1, n + 1))
@@ -242,17 +223,25 @@ def induce_labeled_basis(base: OperatorFamily) -> InducedModule:
                         entries[key] = entries.get(key, _ZERO) + value
         # the constructor drops the entries that sum to zero
         pi_matrices.append(SparseMatrix(size, size, entries))
-    c_matrices = {}
-    for j in range(1, n + 1):
+    return OperatorFamily(labels, pi_matrices)
+
+
+def clifford_matrices(module: OperatorFamily) -> dict[int, SparseMatrix]:
+    """The Clifford generators ``c_1..c_rank`` of an induced module.
+
+    They act on the Clifford index alone: ``c_j (D, y) = sign * (E, y)`` where
+    ``c_j c_D = sign * c_E`` (:func:`clifford_normalize`).
+    """
+    size = len(module.labels)
+    generators = {}
+    for j in range(1, module.rank + 1):
         entries = {}
-        for label in base.labels:
-            for subset in all_subsets:
-                sign, product = clifford_normalize((j, *subset))
-                entries[
-                    (position[(product, label)], position[(subset, label)])
-                ] = sign
-        c_matrices[j] = SparseMatrix(size, size, entries)
-    return InducedModule(labels, pi_matrices, base, c_matrices)
+        for col, (subset, label) in enumerate(module.labels):
+            sign, product = clifford_normalize((j, *subset))
+            entries[(module.position[(product, label)], col)] = sign
+        # one unit per column, at a label of the module
+        generators[j] = SparseMatrix._trusted(size, size, entries)
+    return generators
 
 
 def _ribbon_table_column(
@@ -322,18 +311,18 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
     return SparseMatrix(len(all_subsets), len(all_subsets), entries)
 
 
-def build_MI(index_set, n: int) -> InducedModule:
+def build_MI(index_set, n: int) -> OperatorFamily:
     """Induced module of the one-dimensional module selected by a subset."""
     index_set = _checked_index_set(index_set, n)
-    basis = LabeledBasis((index_set,), {index_set: index_set}, {}, rank=n)
-    return induce_labeled_basis(build_from_labeled_basis(basis))
+    base = family_from_action((index_set,), lambda y: y, lambda y, i: None, n)
+    return induce_labeled_basis(base)
 
 
 # ---------------------------------------------------------------------------
 # relation suite
 
 
-def verify_hcl_relations(module: InducedModule) -> dict:
+def verify_hcl_relations(module: OperatorFamily) -> dict:
     """Check casewise, Clifford, and mixed relations as matrix identities.
 
     The casewise quadratic and braid relations are those of
@@ -345,7 +334,7 @@ def verify_hcl_relations(module: InducedModule) -> dict:
     n = module.rank
     identity = SparseMatrix.identity(len(module.labels))
     pi = module.matrices
-    cg = module.c_matrices
+    cg = clifford_matrices(module)
     for j in range(1, n + 1):
         if cg[j] @ cg[j] != identity.scale(_MINUS_ONE):
             return {"failed": {"kind": "clifford-square", "j": j}}
@@ -370,7 +359,7 @@ def verify_hcl_relations(module: InducedModule) -> dict:
     return {"relations": "ok"}
 
 
-def clifford_parity_matrix(module: InducedModule) -> SparseMatrix:
+def clifford_parity_matrix(module: OperatorFamily) -> SparseMatrix:
     """Diagonal sign matrix negating columns with odd Clifford index sets."""
     entries = {}
     for idx, (subset, _label) in enumerate(module.labels):
@@ -436,7 +425,7 @@ def cover_lower_targets(
 
 
 def restriction_characteristic(
-    module: InducedModule,
+    module: OperatorFamily,
 ) -> tuple[QSymElement, CompositionSeries]:
     """Composition-series characteristic of the casewise-operator restriction."""
     return characteristic_by_composition_series(module)
@@ -534,12 +523,12 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
         entries[(position[product], col)] = sign
         entries[(col, col)] = entries.get((col, col), _ZERO) + _MINUS_ONE
     matrix = SparseMatrix(size, size, entries)
+    smaller_c, larger_c = clifford_matrices(smaller), clifford_matrices(larger)
     commutes = all(
         matrix @ smaller.matrices[i] == larger.matrices[i] @ matrix
         for i in range(n)
     ) and all(
-        matrix @ smaller.c_matrices[j] == larger.c_matrices[j] @ matrix
-        for j in range(1, n + 1)
+        matrix @ smaller_c[j] == larger_c[j] @ matrix for j in range(1, n + 1)
     )
     return IntertwinerResult(matrix, commutes, matrix.is_invertible())
 

@@ -5,17 +5,13 @@ square matrix per generator index ``0..rank-1``.  The relation checker and
 the composition-series walk read nothing else, so families built by the
 casewise rule and induced Clifford modules (``hecke_clifford``) share them.
 
-A *labeled basis* is the combinatorial input of the casewise rule: each
-label carries a subset of generator indices (its descent label) and, for
-each index outside that subset, an optional transition to another label.
-Column ``y`` of the operator at index ``i`` is
+``family_from_action`` is the casewise rule.  It takes labels, a descent
+label per label (a subset of the generator indices) and a partial action
+``move(y, i)``.  Column ``y`` of the operator at index ``i`` is
 
 * ``-y`` when ``i`` lies in the descent label of ``y``;
-* a unit at the transition target when ``y`` has a transition at ``i``;
+* the label ``move(y, i)`` otherwise, when that move lands on a label;
 * zero otherwise.
-
-``basis_from_action`` derives a labeled basis from a partial action, keeping
-only the moves that land on a label.
 
 The composition-series walk orders the labels so that every operator maps
 each basis vector into the span of itself and *earlier* vectors, reads the
@@ -28,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable
 
 from .exact_algebra import GaussianInteger, SparseMatrix
 from .qsym_typeb import QSymElement
@@ -44,50 +40,6 @@ Label = Hashable
 
 _MINUS_ONE = GaussianInteger.integer(-1)
 _ONE = GaussianInteger.integer(1)
-
-
-@dataclass
-class LabeledBasis:
-    """Ordered labels with descent labels and partial transitions.
-
-    Generator indices are ``0..rank-1``; a transition at index ``i`` leads
-    from a label whose descent label omits ``i`` to a label.
-
-    >>> basis = LabeledBasis(("a", "b"), {"a": frozenset(), "b": frozenset({0})},
-    ...                      {(0, "a"): "b"}, rank=1)
-    >>> basis.position["b"]
-    1
-    """
-
-    labels: tuple[Label, ...]
-    descent_label: Mapping[Label, frozenset[int]]
-    transition: Mapping[tuple[int, Label], Label]
-    rank: int
-    position: dict[Label, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.labels = tuple(self.labels)
-        self.position = {label: k for k, label in enumerate(self.labels)}
-        if len(self.position) != len(self.labels):
-            raise ValueError("duplicate basis labels")
-        valid = range(self.rank)
-        for label in self.labels:
-            if label not in self.descent_label:
-                raise ValueError(f"missing descent label for {label!r}")
-            bad = set(self.descent_label[label]) - set(valid)
-            if bad:
-                raise ValueError(f"descent label of {label!r} out of range: {bad}")
-        for (i, label), target in self.transition.items():
-            if i not in valid:
-                raise ValueError(f"transition index {i} out of range")
-            if label not in self.position:
-                raise ValueError(f"transition source {label!r} not in basis")
-            if target not in self.position:
-                raise ValueError(f"transition target {target!r} not in basis")
-            if i in self.descent_label[label]:
-                raise ValueError(
-                    f"transition at {i} conflicts with descent label of {label!r}"
-                )
 
 
 @dataclass
@@ -126,78 +78,67 @@ class CompositionSeries:
     factors: tuple[frozenset[int], ...]
 
 
-def build_from_labeled_basis(basis: LabeledBasis) -> OperatorFamily:
-    """Materialize the casewise operators of a labeled basis as matrices.
-
-    >>> from tbhl.signed_permutations import all_elements
-    >>> fam = build_from_labeled_basis(basis_from_elements(all_elements(1)))
-    >>> sorted(fam.matrices[0].entries.items())
-    [((1, 0), GaussianInteger(re=1, im=0)), ((1, 1), GaussianInteger(re=-1, im=0))]
-    """
-    size = len(basis.labels)
-    matrices = []
-    for i in range(basis.rank):
-        entries = {}
-        for col, label in enumerate(basis.labels):
-            if i in basis.descent_label[label]:
-                entries[(col, col)] = _MINUS_ONE
-            elif (i, label) in basis.transition:
-                entries[(basis.position[basis.transition[(i, label)]], col)] = _ONE
-        matrices.append(SparseMatrix(size, size, entries))
-    return OperatorFamily(basis.labels, matrices)
-
-
-def basis_from_action(
+def family_from_action(
     labels: Iterable[Label],
     descent_label: Callable[[Label], Iterable[int]],
     move: Callable[[Label, int], Label | None],
     rank: int,
-) -> LabeledBasis:
-    """Labeled basis of ``labels`` under a partial action.
+) -> OperatorFamily:
+    """Casewise operators of ``labels`` under a partial action.
 
-    ``descent_label(y)`` gives the descent label of ``y``; at every other
-    index ``i``, ``move(y, i)`` is the transition of ``y``, kept only when it
-    is one of ``labels`` (``None`` or an outside value gives none).
+    At each index ``i`` in ``descent_label(y)`` column ``y`` is ``-y``; at
+    every other index it is ``move(y, i)`` when that is one of ``labels``
+    (``None`` or an outside value gives a zero column).
 
-    >>> basis = basis_from_action((1, 2), lambda y: {0} if y == 2 else (),
-    ...                           lambda y, i: y + 1, rank=1)
-    >>> basis.transition
-    {(0, 1): 2}
+    >>> fam = family_from_action((1, 2), lambda y: {0} if y == 2 else (),
+    ...                          lambda y, i: y + 1, rank=1)
+    >>> sorted((key, value.re) for key, value in fam.matrices[0].entries.items())
+    [((1, 0), 1), ((1, 1), -1)]
     """
     labels = tuple(labels)
-    inside = set(labels)
-    descents = {y: frozenset(descent_label(y)) for y in labels}
-    transition = {}
-    for y in labels:
-        for i in range(rank):
-            if i not in descents[y]:
-                target = move(y, i)
-                if target in inside:
-                    transition[(i, y)] = target
-    return LabeledBasis(labels, descents, transition, rank)
+    position = {label: k for k, label in enumerate(labels)}
+    descents = [frozenset(descent_label(y)) for y in labels]
+    valid = frozenset(range(rank))
+    for y, descent in zip(labels, descents):
+        if not descent <= valid:
+            bad = set(descent - valid)
+            raise ValueError(f"descent label of {y!r} out of range: {bad}")
+    size = len(labels)
+    matrices = []
+    for i in range(rank):
+        entries = {}
+        for col, y in enumerate(labels):
+            if i in descents[col]:
+                entries[(col, col)] = _MINUS_ONE
+            else:
+                row = position.get(move(y, i))
+                if row is not None:
+                    entries[(row, col)] = _ONE
+        # every position is a label's and every value a unit
+        matrices.append(SparseMatrix._trusted(size, size, entries))
+    return OperatorFamily(labels, matrices)
 
 
-def basis_from_elements(elements: Iterable[SignedPermutation]) -> LabeledBasis:
-    """Labeled basis for a set of signed permutations under left generator action.
+def family_from_elements(elements: Iterable[SignedPermutation]) -> OperatorFamily:
+    """Operator family of a signed-permutation set under left generator action.
 
-    The descent label is the left descent set; the transition at a non-descent
-    index is left multiplication by that simple reflection (kept only when the
-    product stays inside the set).  Elements are ordered by length, then
-    window, so shorter elements come first.
+    The descent label is the left descent set; the move at a non-descent
+    index is left multiplication by that simple reflection.  Elements are
+    ordered by length, then window, so shorter elements come first.
+
+    >>> from tbhl.signed_permutations import all_elements
+    >>> fam = family_from_elements(all_elements(1))
+    >>> sorted(fam.matrices[0].entries.items())
+    [((1, 0), GaussianInteger(re=1, im=0)), ((1, 1), GaussianInteger(re=-1, im=0))]
     """
     distinct = set(elements)
     if not distinct:
         raise ValueError("empty element set")
     ordered = sorted(distinct, key=lambda x: (length(x), x.window))
     n = len(ordered[0].window)
-    return basis_from_action(
+    return family_from_action(
         ordered, left_descents, lambda x, i: simple_reflection(i, n) * x, n
     )
-
-
-def family_from_elements(elements: Iterable[SignedPermutation]) -> OperatorFamily:
-    """Operator family of a signed-permutation set under the casewise action."""
-    return build_from_labeled_basis(basis_from_elements(elements))
 
 
 def alternating_product(

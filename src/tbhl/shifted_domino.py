@@ -50,7 +50,7 @@ from .domino_tableaux import (
     validate_partition,
 )
 from .exact_algebra import TruncatedPolynomial
-from .hecke_engine import OperatorFamily, basis_from_action, build_from_labeled_basis
+from .hecke_engine import OperatorFamily, family_from_action
 from .qsym_typeb import QSymElement, fb_monomials, peak_characteristic
 from .signed_permutations import subsets
 
@@ -288,9 +288,7 @@ def _iter_extensions(tiling: ShiftedTiling) -> Iterator[tuple[Domino, ...]]:
         if len(chosen) == len(filled):
             yield chosen
             return
-        ready = sorted(
-            d for d, deg in degrees.items() if deg == 0 and d not in set(chosen)
-        )
+        ready = sorted(d for d, deg in degrees.items() if deg == 0)
         if not ready:
             raise ValueError("cyclic precedence among filled dominoes")
         for pick in ready:
@@ -622,12 +620,20 @@ def h_lambda(
         )
         return TruncatedPolynomial.make(nvars, degree, weights)
     if mode == "peak":
-        total = QSymElement.zero(degree)
-        for standard in enumerate_shifted(shape, "standard"):
-            total = total + peak_characteristic(
-                standard.descent_set(), degree, variant
-            )
-        return total
+        counts = Counter(
+            standard.descent_set()
+            for standard in enumerate_shifted(shape, "standard")
+        )
+        return QSymElement.make(
+            degree,
+            (
+                (subset, count * coefficient)
+                for descents, count in counts.items()
+                for subset, coefficient in peak_characteristic(
+                    descents, degree, variant
+                ).coeffs
+            ),
+        )
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -700,13 +706,12 @@ def conjugate_family(shape) -> OperatorFamily:
     if not two_quotient(shape).valid:
         raise ValueError(f"shape {shape} has an invalid 2-quotient")
     rank = filled_count(shape)
-    basis = basis_from_action(
+    return family_from_action(
         enumerate_shifted(shape, "standard"),
         lambda tableau: frozenset(range(rank)) - tableau.descent_set(),
         swap_entries,
         rank,
     )
-    return build_from_labeled_basis(basis)
 
 
 # ---------------------------------------------------------------------------

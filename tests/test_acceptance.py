@@ -5,13 +5,15 @@ Every check is an audit case of ``tbhl verify all``.  One audit run at
 criterion asserts the exact set of ``(id, params)`` keys it owns and that
 each of those cases passes.  A case may be ``variant-dependent`` only on a
 ``theorem_literal`` row of the convention audit.  The few checks that have
-no audit case stay as direct assertions.
+no audit case stay as direct assertions.  The same run, rendered as JSON,
+must hash to the pinned digest of ``tbhl verify all --max-n 4 --json``.
 
 The conftest hook prints one ``acceptance criterion N: PASS/FAIL`` line
 per test in the terminal summary of every ``pytest -v`` run, using the
 one-line summaries below, plus any notes recorded in ``NOTES``.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -21,6 +23,7 @@ from tbhl.cli_verify import (
     _family_catalog,
     _shape_text,
     _valid_shapes,
+    render_report,
     run_audit,
 )
 from tbhl.domino_tableaux import enumerate_sdt, partitions_of
@@ -47,11 +50,26 @@ def _key(case_id: str, params: dict) -> tuple[str, str]:
     return case_id, json.dumps(params, sort_keys=True)
 
 
+# sha256 prefix of the output of ``tbhl verify all --max-n 4 --json``
+REPORT_DIGEST = "d546772f3804f88b"
+
+
 @pytest.fixture(scope="module")
-def audit():
-    """The cases of ``tbhl verify all --max-n 4 --max-partition 10 --seed 0``."""
-    cases = run_audit("all", max_n=4, max_partition=10, seed=0)
-    return {_key(case.id, case.params): case for case in cases}
+def audit_cases():
+    """The sorted cases of ``tbhl verify all --max-n 4 --max-partition 10
+    --seed 0``."""
+    return run_audit("all", max_n=4, max_partition=10, seed=0)
+
+
+@pytest.fixture(scope="module")
+def audit(audit_cases):
+    return {_key(case.id, case.params): case for case in audit_cases}
+
+
+def test_report_digest_pinned(audit_cases):
+    header = {"command": "verify all", "max_n": 4}
+    report = render_report(audit_cases, True, header) + "\n"
+    assert hashlib.sha256(report.encode()).hexdigest().startswith(REPORT_DIGEST)
 
 
 def _owned(audit, expected) -> dict:

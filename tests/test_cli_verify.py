@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line driver."""
 
 import json
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from tbhl.cli_verify import (
     run_audit,
     witness_cases,
 )
+from tbhl.exact_algebra import TruncatedPolynomial
 from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_function_type_b
 from tbhl.shifted_domino import enumerate_shifted
 
@@ -102,6 +104,89 @@ class TestQsymCommands:
         )
         assert code == 0
         assert out.strip() == str(peak_function_type_b(0, {1}, 2))
+
+
+class TestQsymBounds:
+    DEGREE_COMMANDS = [
+        ["qsym", "fb", "--set", "{}"],
+        ["qsym", "fb", "--set", "{}", "--monomials", "--nvars", "1"],
+        ["qsym", "delta", "--set", "{0,2,5}"],
+        ["qsym", "peakfn", "--bit", "1", "--peaks", "{3,7,11}"],
+    ]
+
+    @pytest.fixture
+    def refuse_to_compute(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computation started on a rejected input")
+
+        for name in ("fb_monomials", "peak_characteristic", "peak_function_type_b"):
+            monkeypatch.setattr(cli_verify, name, refuse)
+        monkeypatch.setattr(cli_verify.QSymElement, "fundamental", refuse)
+
+    @pytest.fixture
+    def stub_monomials(self, monkeypatch):
+        calls = []
+
+        def stub(subset, n, nvars):
+            calls.append((n, nvars))
+            return TruncatedPolynomial.zero(nvars, n)
+
+        monkeypatch.setattr(cli_verify, "fb_monomials", stub)
+        return calls
+
+    @pytest.mark.parametrize("command", DEGREE_COMMANDS)
+    def test_degree_above_its_bound_fails_before_computing(
+        self, capsys, refuse_to_compute, command
+    ):
+        bound = cli_verify.MAX_QSYM_DEGREE
+        code, out, err = run_cli(capsys, [*command, "--n", str(bound + 1)])
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be at most {bound}\n"
+
+    @pytest.mark.parametrize("command", DEGREE_COMMANDS)
+    def test_degree_at_its_bound_is_computed(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, [*command, "--n", str(cli_verify.MAX_QSYM_DEGREE)]
+        )
+        assert (code, err) == (0, "")
+        assert out.strip()
+
+    def test_nvars_at_and_above_its_bound(self, capsys, stub_monomials):
+        bound = cli_verify.MAX_QSYM_VARIABLES
+        argv = ["qsym", "fb", "--set", "{}", "--n", "1", "--monomials", "--nvars"]
+        assert run_cli(capsys, [*argv, str(bound)])[0] == 0
+        code, out, err = run_cli(capsys, [*argv, str(bound + 1)])
+        assert (code, out) == (2, "")
+        assert err == f"error: --nvars must be at most {bound}\n"
+        assert stub_monomials == [(1, bound)]
+
+    def test_chain_count_at_and_above_its_bound(self, capsys, stub_monomials):
+        # C(n+nvars-1, n) at n = 4 is 194,580 for 45 variables and 211,876
+        # for 46, the two sides of the bound
+        bound = cli_verify.MAX_MONOMIAL_CHAINS
+        assert math.comb(48, 4) <= bound < math.comb(49, 4)
+        argv = ["qsym", "fb", "--set", "{}", "--n", "4", "--monomials", "--nvars"]
+        assert run_cli(capsys, [*argv, "45"])[0] == 0
+        code, out, err = run_cli(capsys, [*argv, "46"])
+        assert (code, out) == (2, "")
+        assert err == f"error: --monomials needs C(n+nvars-1, n) at most {bound}\n"
+        assert stub_monomials == [(4, 45)]
+
+    def test_monomials_without_variables(self, capsys):
+        argv = ["qsym", "fb", "--set", "{}", "--monomials", "--nvars", "0"]
+        assert run_cli(capsys, [*argv, "--n", "0"]) == (0, "1\n", "")
+        assert run_cli(capsys, [*argv, "--n", "3"]) == (0, "0\n", "")
+
+    def test_bounds_are_stated_in_help(self, capsys):
+        texts = {}
+        for command in ("fb", "delta", "peakfn"):
+            with pytest.raises(SystemExit):
+                main(["qsym", command, "--help"])
+            texts[command] = " ".join(capsys.readouterr().out.split())
+            assert f"degree, at most {cli_verify.MAX_QSYM_DEGREE}" in texts[command]
+        assert f"at most {cli_verify.MAX_QSYM_VARIABLES}" in texts["fb"]
+        chains = f"C(n+nvars-1, n) at most {cli_verify.MAX_MONOMIAL_CHAINS}"
+        assert chains in texts["fb"]
 
 
 class TestEnumerateCommands:
@@ -528,7 +613,7 @@ class TestAuditLibrary:
         computed = []
 
         def counting(module):
-            computed.append((frozenset(module.base.labels[0]), module.rank))
+            computed.append((frozenset(module.labels[0][1]), module.rank))
             return hecke_clifford.restriction_characteristic(module)
 
         monkeypatch.setattr(

@@ -12,6 +12,7 @@ from tbhl.hecke_clifford import (
     build_intertwiner,
     centralizer_check,
     centralizer_valleys,
+    clifford_matrices,
     clifford_normalize,
     clifford_parity_matrix,
     cover_lower_targets,
@@ -27,12 +28,8 @@ from tbhl.hecke_clifford import (
     verify_hcl_relations,
 )
 from tbhl.cli_verify import clifford_audit_cases
-from tbhl.hecke_engine import (
-    LabeledBasis,
-    OperatorFamily,
-    build_from_labeled_basis,
-    verify_relations,
-)
+from tbhl import hecke_clifford
+from tbhl.hecke_engine import OperatorFamily, family_from_action, verify_relations
 from tbhl.domino_tableaux import sdt_operator_family
 from tbhl.qsym_typeb import QSymElement, peak_data
 from tbhl.signed_permutations import parse_index_set, subsets
@@ -166,7 +163,8 @@ class TestBuildMI:
         module = build_MI(frozenset(), 1)
         assert module.matrices[0] == SparseMatrix.zero(2, 2)
         assert [pair[0] for pair in module.labels] == [(), (1,)]
-        assert module.rank == 1 and module.base.labels == (frozenset(),)
+        assert module.rank == 1
+        assert {label for _, label in module.labels} == {frozenset()}
 
     def test_rank_one_full_set_pinned_action(self):
         module = build_MI({0}, 1)
@@ -221,7 +219,7 @@ class TestRelationSuite:
         # factor is what makes the suite pass.
         module = build_MI({0, 1}, 2)
         pi0 = module.matrices[0]
-        c1 = module.c_matrices[1]
+        c1 = clifford_matrices(module)[1]
         assert pi0 @ c1 != pi0.scale(SQRT)
         assert pi0 @ c1 == (clifford_parity_matrix(module) @ pi0).scale(SQRT)
 
@@ -256,23 +254,27 @@ class TestRelationSuite:
         assert verify_hcl_relations(module) == expected
         assert verify_relations(module) == expected
 
-    def test_clifford_fault_is_reported(self):
+    def test_clifford_fault_is_reported(self, monkeypatch):
         module = build_MI(frozenset(), 2)
-        module.c_matrices[1] = SparseMatrix.identity(4)
+        generators = clifford_matrices(module)
+        generators[1] = SparseMatrix.identity(4)
+        monkeypatch.setattr(hecke_clifford, "clifford_matrices", lambda m: generators)
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "clifford-square", "j": 1}}
 
-    def test_clifford_anticommute_fault_is_reported(self):
+    def test_clifford_anticommute_fault_is_reported(self, monkeypatch):
         # One entry of c_j alone always breaks c_j^2 = -1, so negate both
         # entries of one 2-cycle of c_1: it still squares to -1 but no longer
         # anticommutes with c_2.
         module = build_MI(frozenset(), 2)
         plain = module.position[((), frozenset())]
         barred = module.position[((1,), frozenset())]
-        corrupted = dict(module.c_matrices[1].entries)
+        generators = clifford_matrices(module)
+        corrupted = dict(generators[1].entries)
         for pos in ((barred, plain), (plain, barred)):
             corrupted[pos] = corrupted[pos] * MINUS_ONE
-        module.c_matrices[1] = SparseMatrix(4, 4, corrupted)
+        generators[1] = SparseMatrix(4, 4, corrupted)
+        monkeypatch.setattr(hecke_clifford, "clifford_matrices", lambda m: generators)
         report = verify_hcl_relations(module)
         assert report == {"failed": {"kind": "clifford-anticommute", "i": 1, "j": 2}}
 
@@ -467,6 +469,20 @@ class TestIntertwiner:
                     count += 1
         assert count == 4
 
+    def test_clifford_fault_breaks_commutation(self, monkeypatch):
+        # negate c_1 on the larger module only: every pi_i still commutes
+        original = hecke_clifford.clifford_matrices
+
+        def corrupted(module):
+            generators = original(module)
+            if module.labels[0][1] == frozenset({1}):
+                generators[1] = generators[1].scale(MINUS_ONE)
+            return generators
+
+        monkeypatch.setattr(hecke_clifford, "clifford_matrices", corrupted)
+        result = build_intertwiner(set(), 1, 2)
+        assert not result.commutes and result.invertible
+
     def test_rejected_cases(self):
         with pytest.raises(ValueError, match="between 1 and"):
             build_intertwiner(set(), 0, 2)
@@ -526,13 +542,8 @@ class TestInduceAndRestrict:
         # "e" moves to "s" at index 0, where "s" acts by -1; the same
         # family built by the casewise rule and from its matrices
         pi0 = SparseMatrix(2, 2, {(1, 0): ONE, (1, 1): MINUS_ONE})
-        built = build_from_labeled_basis(
-            LabeledBasis(
-                ("e", "s"),
-                {"e": frozenset(), "s": frozenset({0})},
-                {(0, "e"): "s"},
-                rank=1,
-            )
+        built = family_from_action(
+            ("e", "s"), lambda y: {0} if y == "s" else (), lambda y, i: "s", 1
         )
         assert built.matrices == (pi0,)
         for base in (built, OperatorFamily(("e", "s"), (pi0,))):
@@ -552,13 +563,15 @@ class TestInduceAndRestrict:
         ).scale(4)
 
     def test_cyclic_transitions_rejected(self):
-        base = build_from_labeled_basis(
-            LabeledBasis(
-                ("a", "b"),
-                {"a": frozenset(), "b": frozenset()},
-                {(0, "a"): "b", (0, "b"): "a"},
-                rank=1,
-            )
-        )
+        swap = {"a": "b", "b": "a"}
+        base = family_from_action(("a", "b"), lambda y: (), lambda y, i: swap[y], 1)
         with pytest.raises(ValueError):
+            induce_and_restrict(base)
+
+    def test_reads_no_clifford_generators(self, monkeypatch):
+        def unexpected(module):
+            raise AssertionError("induce_and_restrict read the c_j")
+
+        monkeypatch.setattr(hecke_clifford, "clifford_matrices", unexpected)
+        for base in (sdt_operator_family((2, 2)), build_MI({0}, 2)):
             induce_and_restrict(base)

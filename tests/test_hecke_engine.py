@@ -6,14 +6,11 @@ import pytest
 
 from tbhl.exact_algebra import GaussianInteger, SparseMatrix
 from tbhl.hecke_engine import (
-    LabeledBasis,
     OperatorFamily,
     alternating_product,
-    basis_from_action,
-    basis_from_elements,
-    build_from_labeled_basis,
     characteristic_by_composition_series,
     characteristic_by_descent_sum,
+    family_from_action,
     family_from_elements,
     verify_relations,
 )
@@ -45,7 +42,7 @@ def descent_classes(n):
     return classes
 
 
-class TestBuildFromLabeledBasis:
+class TestFamilyFromAction:
     def test_rank_one_group_family_pinned(self):
         fam = family_from_elements(all_elements(1))
         assert fam.matrices[0] == mat([[0, 0], [1, -1]])
@@ -57,33 +54,19 @@ class TestBuildFromLabeledBasis:
         assert fam.position[SignedPermutation((-1,))] == 1
 
     def test_singleton_full_descent_label(self):
-        basis = LabeledBasis(("x",), {"x": frozenset({0})}, {}, rank=1)
-        fam = build_from_labeled_basis(basis)
+        fam = family_from_action(("x",), lambda y: {0}, lambda y, i: None, 1)
         assert fam.matrices[0] == mat([[-1]])
 
-    def test_transition_out_of_basis_is_rejected(self):
-        with pytest.raises(ValueError, match="target"):
-            LabeledBasis(
-                ("a",), {"a": frozenset()}, {(0, "a"): "elsewhere"}, rank=1
-            )
-
-    def test_basis_from_action_keeps_moves_that_land_inside(self):
+    def test_keeps_moves_that_land_inside(self):
         # on 0..3 with index 0 adding one and index 1 adding two: the moves
-        # that leave the labels, and a None move, give no transition
-        basis = basis_from_action(
+        # that leave the labels, and a None move, give zero columns
+        fam = family_from_action(
             range(4),
             lambda y: {1} if y == 3 else (),
             lambda y, i: None if y == 0 and i == 1 else y + 1 + i,
             rank=2,
         )
-        assert basis.labels == (0, 1, 2, 3)
-        assert basis.descent_label == {
-            0: frozenset(), 1: frozenset(), 2: frozenset(), 3: frozenset({1})
-        }
-        assert basis.transition == {
-            (0, 0): 1, (0, 1): 2, (0, 2): 3, (1, 1): 3,
-        }
-        fam = build_from_labeled_basis(basis)
+        assert fam.labels == (0, 1, 2, 3)
         assert fam.matrices[0] == mat(
             [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
         )
@@ -91,17 +74,30 @@ class TestBuildFromLabeledBasis:
             [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, -1]]
         )
 
+    def test_descent_wins_over_move(self):
+        # a move at a descent index is never taken
+        fam = family_from_action(("a", "b"), lambda y: {0}, lambda y, i: "b", 1)
+        assert fam.matrices[0] == mat([[-1, 0], [0, -1]])
+
+    def test_cyclic_action_has_no_composition_series(self):
+        swap = {"a": "b", "b": "a"}
+        fam = family_from_action(("a", "b"), lambda y: (), lambda y, i: swap[y], 1)
+        assert fam.matrices[0] == mat([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="cyclic"):
+            characteristic_by_composition_series(fam)
+
+    def test_matrices_equal_checked_construction(self):
+        fam = family_from_elements(all_elements(3))
+        for matrix in fam.matrices:
+            assert matrix == SparseMatrix(matrix.nrows, matrix.ncols, matrix.entries)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LabeledBasis(("a", "a"), {"a": frozenset()}, {}, rank=1)
-        with pytest.raises(ValueError):
-            LabeledBasis(("a",), {}, {}, rank=1)
-        with pytest.raises(ValueError):
-            LabeledBasis(("a",), {"a": frozenset({5})}, {}, rank=1)
-        with pytest.raises(ValueError):
-            LabeledBasis(
-                ("a",), {"a": frozenset({0})}, {(0, "a"): "a"}, rank=1
-            )
+        with pytest.raises(ValueError, match="duplicate"):
+            family_from_action(("a", "a"), lambda y: (), lambda y, i: None, 1)
+        with pytest.raises(ValueError, match=r"out of range: \{5\}"):
+            family_from_action(("a",), lambda y: {0, 5}, lambda y, i: None, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            family_from_action(("a",), lambda y: {-1}, lambda y, i: None, 1)
 
     def test_operator_family_validation(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -204,10 +200,8 @@ class TestCompositionSeries:
         )
 
     def test_singleton_with_two_descents(self):
-        basis = LabeledBasis(("y",), {"y": frozenset({0, 2})}, {}, rank=3)
-        char, series = characteristic_by_composition_series(
-            build_from_labeled_basis(basis)
-        )
+        fam = family_from_action(("y",), lambda y: {0, 2}, lambda y, i: None, 3)
+        char, series = characteristic_by_composition_series(fam)
         assert char == QSymElement.fundamental({0, 2}, 3)
         assert series.factors == (frozenset({0, 2}),)
 
@@ -231,15 +225,15 @@ class TestCompositionSeries:
     def test_factors_invariant_under_tie_breaks(self):
         # ready labels are taken in basis order; reversing that order
         # changes the series but not its factors
-        basis = basis_from_elements(all_elements(2))
-        fam = build_from_labeled_basis(basis)
-        reversed_basis = LabeledBasis(
-            basis.labels[::-1], basis.descent_label, basis.transition, basis.rank
+        fam = family_from_elements(all_elements(2))
+        reversed_fam = family_from_action(
+            fam.labels[::-1],
+            left_descents,
+            lambda x, i: simple_reflection(i, 2) * x,
+            2,
         )
         char_a, series_a = characteristic_by_composition_series(fam)
-        char_b, series_b = characteristic_by_composition_series(
-            build_from_labeled_basis(reversed_basis)
-        )
+        char_b, series_b = characteristic_by_composition_series(reversed_fam)
         assert char_a == char_b
         assert sorted(map(sorted, series_a.factors)) == sorted(
             map(sorted, series_b.factors)

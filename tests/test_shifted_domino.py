@@ -387,6 +387,20 @@ class TestHLambda:
         assert poly.as_dict() == {(1, 1): 2, (0, 2): 2}
         assert h_lambda((2, 2), "peak") == peak_characteristic({1}, 2)
 
+    @pytest.mark.parametrize("variant", ["literal", "complemented"])
+    def test_peak_mode_equals_per_tableau_sum(self, variant):
+        # below size 12 no two standard tableaux of a shape share a descent set
+        repeated = [t.descent_set() for t in enumerate_shifted((6, 6), "standard")]
+        assert len(set(repeated)) < len(repeated)
+        for shape in [*valid_shapes(10), (6, 6), (6, 4, 4)]:
+            degree = filled_count(shape)
+            total = QSymElement.zero(degree)
+            for standard in enumerate_shifted(shape, "standard"):
+                total = total + peak_characteristic(
+                    standard.descent_set(), degree, variant
+                )
+            assert h_lambda(shape, "peak", variant=variant) == total, shape
+
     def test_column_pair_vanishes(self):
         assert h_lambda((1, 1), "peak").is_zero()
         assert h_lambda((1, 1), "monomial", nvars=3).is_zero()
