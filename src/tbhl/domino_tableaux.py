@@ -3,9 +3,11 @@
 A domino covers two adjacent cells of a Young diagram (matrix coordinates,
 1-indexed).  A standard domino tableau on a partition of ``2n`` places
 dominoes numbered ``1..n`` so that entries weakly increase along rows and
-down columns; equal neighbors can only belong to the same domino.
-Equivalently, the union of the first ``k`` dominoes is a partition shape for
-every ``k``, which is how the enumerator generates them.
+down columns; equal neighbors can only belong to the same domino.  So it is
+a tiling plus a linear extension of the cell-adjacency order on its dominoes
+(:func:`adjacent_pairs`), and :func:`standard_orders` enumerates those; the
+shifted standard tableaux of :mod:`tbhl.shifted_domino` are the same orders
+on the filled dominoes of a shifted tiling.
 
 Descents: ``0`` is a descent when domino 1 is vertical; ``i >= 1`` is a
 descent when every cell of domino ``i+1`` lies in a strictly greater row than
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import TypeVar
+from typing import Iterator, TypeVar
 
 from .hecke_engine import OperatorFamily, family_from_action
 from .qsym_typeb import QSymElement
@@ -188,6 +190,67 @@ def _weakly_increasing_grid(grid: dict[Cell, int]) -> bool:
     return True
 
 
+def adjacent_pairs(dominoes) -> tuple[tuple[int, int], ...]:
+    """Index pairs ``(i, j)`` where a cell of ``dominoes[j]`` lies just right
+    of or just below a cell of ``dominoes[i]``, once per such cell."""
+    owner = {cell: k for k, d in enumerate(dominoes) for cell in d.cells}
+    return tuple([
+        (k, other)
+        for (r, c), k in owner.items()
+        for other in (owner.get((r, c + 1)), owner.get((r + 1, c)))
+        if other is not None and other != k
+    ])
+
+
+def _require_tiling(shape: tuple[int, ...], dominoes) -> None:
+    """Raise unless ``dominoes`` cover each cell of ``shape`` exactly once."""
+    covered = [cell for d in dominoes for cell in d.cells]
+    if len(covered) != sum(shape) or set(covered) != diagram_cells(shape):
+        raise ValueError("dominoes do not tile the diagram exactly")
+
+
+def _require_increasing(entries, pairs) -> None:
+    """Raise unless ``entries[i] < entries[j]`` for every pair ``(i, j)``."""
+    if any(entries[i] >= entries[j] for i, j in pairs):
+        raise ValueError("entries do not increase along rows and columns")
+
+
+def standard_orders(dominoes) -> Iterator[tuple[Domino, ...]]:
+    """Every standard numbering of ``dominoes``, lexicographically.
+
+    Each domino comes after its predecessors in :func:`adjacent_pairs`.  The
+    search takes the ready dominoes (all predecessors placed) in domino order
+    and updates one indegree array in place, restoring it on the way back.
+
+    >>> [[d.nw_cell for d in order]
+    ...  for order in standard_orders(enumerate_tilings((4, 2))[0])]
+    [[(1, 1), (1, 3), (2, 1)], [(1, 1), (2, 1), (1, 3)]]
+    """
+    items = sorted(dominoes)
+    later: list[set[int]] = [set() for _ in items]
+    for i, j in adjacent_pairs(items):
+        later[i].add(j)
+    indegree = [sum(k in targets for targets in later) for k in range(len(items))]
+    order = list(items)
+
+    def extend(depth: int, ready: list[int]):
+        if depth == len(items):
+            yield tuple(order)
+            return
+        for pick in ready:
+            order[depth] = items[pick]
+            rest = [k for k in ready if k != pick]
+            for k in later[pick]:
+                indegree[k] -= 1
+                if not indegree[k]:
+                    rest.append(k)
+            yield from extend(depth + 1, sorted(rest))
+            for k in later[pick]:
+                indegree[k] += 1
+
+    yield from extend(0, [k for k, degree in enumerate(indegree) if not degree])
+
+
 @dataclass(frozen=True, order=True)
 class StandardDominoTableau:
     """A partition shape of even size tiled by dominoes numbered in order.
@@ -205,11 +268,9 @@ class StandardDominoTableau:
         shape = validate_partition(self.shape)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "dominoes", tuple(self.dominoes))
-        grid = _entry_grid(self.dominoes)
-        if set(grid) != diagram_cells(shape):
-            raise ValueError("dominoes do not tile the diagram exactly")
-        if not _weakly_increasing_grid(grid):
-            raise ValueError("entries do not weakly increase along rows/columns")
+        _require_tiling(shape, self.dominoes)
+        # dominoes[k] carries entry k + 1
+        _require_increasing(range(len(self.dominoes)), adjacent_pairs(self.dominoes))
 
     @property
     def size(self) -> int:
@@ -252,48 +313,19 @@ def enumerate_tilings(shape) -> tuple[tuple[Domino, ...], ...]:
 
 @_shape_cache
 def enumerate_sdt(shape) -> tuple[StandardDominoTableau, ...]:
-    """All standard domino tableaux, grown one domino at a time.
-
-    Each prefix of dominoes must occupy a partition sub-shape, which is
-    equivalent to the weak row/column increase of entries.
+    """All standard domino tableaux: each tiling times its standard orders.
 
     >>> [len(enumerate_sdt(s)) for s in ((2,), (1, 1), (2, 2))]
     [1, 1, 2]
     """
-    if sum(shape) % 2:
-        raise ValueError("shape size must be even")
-    rows = len(shape)
-    results: list[StandardDominoTableau] = []
-
-    def grow(profile: tuple[int, ...], placed: tuple[Domino, ...]) -> None:
-        if profile == shape:
-            results.append(
-                _trusted(StandardDominoTableau, shape=shape, dominoes=placed)
-            )
-            return
-        for r in range(rows):
-            width = profile[r]
-            above = profile[r - 1] if r else None
-            # horizontal domino extending row r+1 by two cells
-            if width + 2 <= shape[r] and (above is None or width + 2 <= above):
-                domino = Domino(((r + 1, width + 1), (r + 1, width + 2)))
-                profile_next = profile[:r] + (width + 2,) + profile[r + 1 :]
-                grow(profile_next, placed + (domino,))
-            # vertical domino extending rows r+1 and r+2 by one cell each
-            if (
-                r + 1 < rows
-                and profile[r + 1] == width
-                and width + 1 <= shape[r + 1]
-                and (above is None or width + 1 <= above)
-            ):
-                domino = Domino(((r + 1, width + 1), (r + 2, width + 1)))
-                profile_next = (
-                    profile[:r] + (width + 1, width + 1) + profile[r + 2 :]
-                )
-                grow(profile_next, placed + (domino,))
-
-    grow((0,) * rows, ())
-    return tuple(sorted(results))
+    tableaux = [
+        _trusted(StandardDominoTableau, shape=shape, dominoes=order)
+        for tiling in enumerate_tilings(shape)
+        for order in standard_orders(tiling)
+    ]
+    # the tableaux's own order, compared on plain tuples: about twice as fast
+    tableaux.sort(key=lambda t: [d.cells for d in t.dominoes])
+    return tuple(tableaux)
 
 
 def brute_force_sdt(shape) -> tuple[StandardDominoTableau, ...]:

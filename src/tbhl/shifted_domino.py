@@ -38,14 +38,16 @@ from functools import cached_property
 from typing import Iterator
 
 from .domino_tableaux import (
-    Cell,
     Domino,
     _descent_set,
     _layout_text,
+    _require_increasing,
+    _require_tiling,
     _shape_cache,
     _trusted,
-    diagram_cells,
+    adjacent_pairs,
     enumerate_tilings,
+    standard_orders,
     swap_entries,
     validate_partition,
 )
@@ -171,11 +173,7 @@ class ShiftedTiling:
         shape = validate_partition(self.shape)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "dominoes", tuple(sorted(self.dominoes)))
-        covered = [cell for d in self.dominoes for cell in d.cells]
-        if len(covered) != len(set(covered)) or set(covered) != diagram_cells(
-            shape
-        ):
-            raise ValueError("dominoes do not tile the diagram exactly")
+        _require_tiling(shape, self.dominoes)
         if not _is_shifted(self.dominoes):
             raise ValueError("tiling violates the shifted condition")
 
@@ -187,20 +185,9 @@ class ShiftedTiling:
         return tuple(d for d in self.dominoes if weakly_above_diagonal(d))
 
     @cached_property
-    def filled_owner(self) -> dict[Cell, Domino]:
-        """Map each cell of a filled domino to that domino (do not mutate)."""
-        return {cell: d for d in self.filled for cell in d.cells}
-
-    @cached_property
-    def adjacent_filled_pairs(self) -> tuple[tuple[Domino, Domino], ...]:
-        """(earlier, later) filled dominoes with row- or column-adjacent cells."""
-        owner = self.filled_owner
-        return tuple(
-            (domino, other)
-            for (r, c), domino in owner.items()
-            for other in (owner.get((r, c + 1)), owner.get((r + 1, c)))
-            if other is not None and other != domino
-        )
+    def adjacent_filled_pairs(self) -> tuple[tuple[int, int], ...]:
+        """:func:`~tbhl.domino_tableaux.adjacent_pairs` of ``filled``."""
+        return adjacent_pairs(self.filled)
 
     @property
     def unfilled(self) -> tuple[Domino, ...]:
@@ -214,12 +201,11 @@ def enumerate_shifted_tilings(shape) -> tuple[ShiftedTiling, ...]:
     >>> len(enumerate_shifted_tilings((2, 2))), len(enumerate_shifted_tilings((1, 1)))
     (1, 0)
     """
+    # enumerate_tilings lists sorted tilings of sorted dominoes already
     return tuple(
-        sorted(
-            _trusted(ShiftedTiling, shape=shape, dominoes=tuple(sorted(dominoes)))
-            for dominoes in enumerate_tilings(shape)
-            if _is_shifted(dominoes)
-        )
+        _trusted(ShiftedTiling, shape=shape, dominoes=dominoes)
+        for dominoes in enumerate_tilings(shape)
+        if _is_shifted(dominoes)
     )
 
 
@@ -257,12 +243,11 @@ class ShiftedStandardTableau:
         object.__setattr__(self, "dominoes", tuple(self.dominoes))
         if sorted(self.dominoes) != sorted(self.tiling.filled):
             raise ValueError("entries must cover the filled dominoes exactly")
-        entry_of = {d: k for k, d in enumerate(self.dominoes, 1)}
-        for earlier, later in self.tiling.adjacent_filled_pairs:
-            if entry_of[earlier] >= entry_of[later]:
-                raise ValueError(
-                    "entries do not strictly increase along rows/columns"
-                )
+        entry = {d.cells: k for k, d in enumerate(self.dominoes)}
+        _require_increasing(
+            [entry[d.cells] for d in self.tiling.filled],
+            self.tiling.adjacent_filled_pairs,
+        )
 
     @property
     def size(self) -> int:
@@ -275,37 +260,11 @@ class ShiftedStandardTableau:
         return _layout_text(enumerate(self.dominoes, 1), self.tiling.unfilled)
 
 
-def _iter_extensions(tiling: ShiftedTiling) -> Iterator[tuple[Domino, ...]]:
-    filled = tiling.filled
-    successors: dict[Domino, set[Domino]] = {d: set() for d in filled}
-    indegree: dict[Domino, int] = {d: 0 for d in filled}
-    for earlier, later in tiling.adjacent_filled_pairs:
-        if later not in successors[earlier]:
-            successors[earlier].add(later)
-            indegree[later] += 1
-
-    def step(chosen: tuple[Domino, ...], degrees: dict[Domino, int]):
-        if len(chosen) == len(filled):
-            yield chosen
-            return
-        ready = sorted(d for d, deg in degrees.items() if deg == 0)
-        if not ready:
-            raise ValueError("cyclic precedence among filled dominoes")
-        for pick in ready:
-            updated = dict(degrees)
-            del updated[pick]
-            for nxt in successors[pick]:
-                updated[nxt] -= 1
-            yield from step(chosen + (pick,), updated)
-
-    yield from step((), indegree)
-
-
 def iter_standard(shape) -> Iterator[ShiftedStandardTableau]:
     """Lazily yield every standard tableau over every shifted tiling."""
     shape = validate_partition(shape)
     for tiling in enumerate_shifted_tilings(shape):
-        for order in _iter_extensions(tiling):
+        for order in standard_orders(tiling.filled):
             yield _trusted(ShiftedStandardTableau, tiling=tiling, dominoes=order)
 
 
@@ -334,9 +293,9 @@ class ShiftedSemistandardTableau:
             raise ValueError("entries must cover the filled dominoes exactly")
         if any(code < 0 for code in code_of.values()):
             raise ValueError("entry codes must be nonnegative")
-        for earlier, later in self.tiling.adjacent_filled_pairs:
-            if code_of[earlier] > code_of[later]:
-                raise ValueError("entries do not weakly increase")
+        codes = [code_of[d] for d in self.tiling.filled]
+        if any(codes[i] > codes[j] for i, j in self.tiling.adjacent_filled_pairs):
+            raise ValueError("entries do not weakly increase")
         rows_with: dict[tuple[int, int], int] = {}
         cols_with: dict[tuple[int, int], int] = {}
         for domino, code in entries:
@@ -404,7 +363,7 @@ def _iter_fillings(
     cap cuts no branch that stays within the caps.
     """
     filled = sorted(tiling.filled, key=lambda d: d.nw_cell)
-    owner = tiling.filled_owner
+    owner = {cell: d for d in filled for cell in d.cells}
     max_code = 2 * maxval
     counts = [0] * (maxval + 1)
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line driver."""
 
+import hashlib
 import json
 import math
 
@@ -204,6 +205,21 @@ class TestEnumerateCommands:
         assert code == 0
         assert "descents={0}" in out
         assert "descents={1}" in out
+
+    # sha256 prefixes of the --json listings; the order of the tableaux is
+    # part of the report, so a change of enumeration order shows here
+    LISTING_DIGESTS = [
+        (["domino", "sdt", "--shape", "4,4,2,2"], "7a9396d23acc7a44"),
+        (["domino", "sdt", "--shape", "6,4,2"], "ee7877fc5974cec5"),
+        (["shifted", "sshdt", "--shape", "8,6,4"], "e4b38034ccdd12f2"),
+        (["shifted", "sshdt", "--shape", "6,6,4"], "f8ed8e890e93fd77"),
+    ]
+
+    @pytest.mark.parametrize("command, digest", LISTING_DIGESTS)
+    def test_json_listing_pinned(self, capsys, command, digest):
+        code, out, _ = run_cli(capsys, ["enumerate", *command, "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
     def test_quotient_text(self, capsys):
         code, out, _ = run_cli(

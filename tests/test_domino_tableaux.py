@@ -22,6 +22,7 @@ from tbhl.hecke_engine import (
     verify_relations,
 )
 from tbhl.qsym_typeb import QSymElement
+from tbhl.shifted_domino import ShiftedStandardTableau, ShiftedTiling
 
 
 def even_partitions(max_n):
@@ -139,6 +140,34 @@ class TestEnumerateSdt:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             enumerate_sdt((5,))
+
+
+TOP = Domino(((1, 1), (1, 2)))
+BOTTOM = Domino(((2, 1), (2, 2)))
+
+
+class TestSharedChecks:
+    # plain and shifted tableaux share the tiling check and the increase check
+    @pytest.mark.parametrize(
+        "dominoes",
+        [
+            (TOP, BOTTOM, Domino(((1, 1), (2, 1)))),  # covers every cell, twice
+            (TOP,),
+            (TOP, BOTTOM, Domino(((1, 3), (1, 4)))),
+        ],
+    )
+    def test_non_tilings_rejected(self, dominoes):
+        with pytest.raises(ValueError, match="tile the diagram exactly"):
+            StandardDominoTableau((2, 2), dominoes)
+        with pytest.raises(ValueError, match="tile the diagram exactly"):
+            ShiftedTiling((2, 2), dominoes)
+
+    def test_decrease_rejected(self):
+        with pytest.raises(ValueError, match="increase"):
+            StandardDominoTableau((2, 2), (BOTTOM, TOP))
+        tiling = ShiftedTiling((2, 2), (TOP, BOTTOM))
+        with pytest.raises(ValueError, match="increase"):
+            ShiftedStandardTableau(tiling, (BOTTOM, TOP))
 
 
 class TestDescentsAndG:

@@ -529,14 +529,22 @@ class TestCentralizer:
                 assert size & (size - 1) == 0
 
 
+def summed_form(descent_labels, n, form):
+    """A closed form of ``res_MI_formula`` summed label by label."""
+    total = QSymElement.zero(n)
+    for descent_label in descent_labels:
+        total = total + res_MI_formula(descent_label, n, form)
+    return total
+
+
 class TestInduceAndRestrict:
     def test_single_label_matches_direct_construction(self):
         base = OperatorFamily(("x",), (SparseMatrix.identity(1).scale(MINUS_ONE),))
-        direct, report = induce_and_restrict(base)
+        direct, expected = induce_and_restrict(base)
         assert direct == fb(set(), 1) + fb({0}, 1)
-        assert report["matches"]["proof_penultimate"] is True
-        assert report["matches"]["theorem_literal"] is True
-        assert report["matches"]["theorem_complemented"] is True
+        assert expected == direct
+        for form in ("theorem_literal", "theorem_complemented"):
+            assert summed_form([{0}], 1, form) == direct
 
     def test_two_labels_pinned(self):
         # "e" moves to "s" at index 0, where "s" acts by -1; the same
@@ -547,20 +555,32 @@ class TestInduceAndRestrict:
         )
         assert built.matrices == (pi0,)
         for base in (built, OperatorFamily(("e", "s"), (pi0,))):
-            direct, report = induce_and_restrict(base)
+            direct, expected = induce_and_restrict(base)
             assert direct == fb(set(), 1).scale(3) + fb({0}, 1)
-            assert report["matches"]["proof_penultimate"] is True
-            # a label without 0 separates the literal reading
-            assert report["matches"]["theorem_literal"] is False
-            assert report["matches"]["theorem_complemented"] is True
+            assert expected == direct
+        # a label without 0 separates the literal reading
+        labels = [set(), {0}]
+        assert summed_form(labels, 1, "theorem_literal") != direct
+        assert summed_form(labels, 1, "theorem_complemented") == direct
 
     def test_operator_family_accepted(self):
         fam = sdt_operator_family((2, 2))
-        direct, report = induce_and_restrict(fam)
-        assert report["matches"]["proof_penultimate"] is True
+        direct, expected = induce_and_restrict(fam)
+        assert expected == direct
         assert direct == fb(set(), 2).scale(2) + fb({0}, 2).scale(2) + fb(
             {1}, 2
         ).scale(4)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (3, 3, 1, 1), (5, 5)])
+    def test_closed_form_is_the_label_by_label_sum(self, shape):
+        # one closed form per distinct descent label, weighted by its count
+        fam = sdt_operator_family(shape)
+        descent_labels = [t.descent_set() for t in fam.labels]
+        assert len(set(descent_labels)) < len(descent_labels)
+        _, expected = induce_and_restrict(fam)
+        assert expected == summed_form(
+            descent_labels, fam.rank, "proof_penultimate"
+        )
 
     def test_cyclic_transitions_rejected(self):
         swap = {"a": "b", "b": "a"}

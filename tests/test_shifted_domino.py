@@ -7,8 +7,10 @@ import pytest
 from tbhl import shifted_domino
 from tbhl.domino_tableaux import (
     Domino,
+    brute_force_sdt,
     enumerate_tilings,
     partitions_of,
+    standard_orders,
     swap_entries,
 )
 from tbhl.exact_algebra import TruncatedPolynomial
@@ -94,6 +96,9 @@ class TestTrustedConstruction:
             assert accepted == enumerated, shape
 
     def test_standard_orders_are_all_the_valid_ones(self):
+        # every permutation of the filled dominoes of a shifted tiling that
+        # the public constructor accepts is enumerated; on plain tilings the
+        # orders are those of the permutation filter, in its (sorted) order
         for shape in valid_shapes(8):
             enumerated = set(iter_standard(shape))
             accepted = set()
@@ -104,6 +109,12 @@ class TestTrustedConstruction:
                     except ValueError:
                         pass
             assert accepted == enumerated, shape
+        for total in range(2, 11, 2):
+            for shape in partitions_of(total):
+                filtered = [t.dominoes for t in brute_force_sdt(shape)]
+                for tiling in enumerate_tilings(shape):
+                    expected = [order for order in filtered if set(order) == set(tiling)]
+                    assert list(standard_orders(tiling)) == expected, shape
 
 
 class TestTwoQuotient:
