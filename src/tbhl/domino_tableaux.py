@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Iterator, TypeVar
 
 from .hecke_engine import OperatorFamily, family_from_action
@@ -357,15 +357,17 @@ def swap_entries(tableau: _Tableau, i: int) -> _Tableau | None:
     """Exchange the dominoes numbered ``i`` and ``i+1``; None when invalid.
 
     Works on any tableau dataclass whose ``dominoes`` field is in entry order.
+    Only the order of those two entries changes, so the result is standard
+    exactly when the two dominoes form no :func:`adjacent_pairs` pair.
     """
     if not 1 <= i < len(tableau.dominoes):
         return None
     dominoes = list(tableau.dominoes)
-    dominoes[i - 1], dominoes[i] = dominoes[i], dominoes[i - 1]
-    try:
-        return replace(tableau, dominoes=tuple(dominoes))
-    except ValueError:
+    if adjacent_pairs(dominoes[i - 1 : i + 1]):
         return None
+    dominoes[i - 1], dominoes[i] = dominoes[i], dominoes[i - 1]
+    values = {field.name: getattr(tableau, field.name) for field in fields(tableau)}
+    return _trusted(type(tableau), **{**values, "dominoes": tuple(dominoes)})
 
 
 _NW_SQUARE = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})

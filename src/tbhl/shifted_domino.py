@@ -20,14 +20,16 @@ from the totally ordered alphabet ``0 < 1' < 1 < 2' < 2 < ...`` subject to:
 
 Entries are encoded as small integers (``0``; ``2k-1`` for ``k'``; ``2k`` for
 ``k``) so the alphabet order is integer order.  The weight vector counts
-dominoes per entry index, primed or not, with index 0 first.
+dominoes per entry index, primed or not, with index 0 first.  One walk
+enumerates fillings as code vectors over ``filled``, from constraints each
+tiling indexes once; tableau objects are built only where a caller needs one.
 
 Standardization replaces entries by ``1..m``: zeros left-to-right, then for
 each index the primed dominoes top-to-bottom followed by the unprimed ones
-left-to-right, keeping the primes.  Marked tableaux (a standard tableau plus
-a primed subset) have their own descent rule, and summing fundamental
-functions over all markings of one standard tableau yields the peak-function
-characteristic of its descent set.
+left-to-right, keeping the primes; it is one rule on code vectors.  Marked
+tableaux (a standard tableau plus a primed subset) have their own descent
+rule, and summing fundamental functions over all markings of one standard
+tableau yields the peak-function characteristic of its descent set.
 """
 
 from __future__ import annotations
@@ -193,6 +195,40 @@ class ShiftedTiling:
     def unfilled(self) -> tuple[Domino, ...]:
         return tuple(d for d in self.dominoes if not weakly_above_diagonal(d))
 
+    @cached_property
+    def _filling_plan(self) -> tuple[tuple, ...]:
+        """Per position of ``filled``, the earlier positions just above or left
+        of it, just below or right of it, sharing a row, and sharing a column;
+        then ``1`` when it may not carry ``0``."""
+        owner = {cell: p for p, d in enumerate(self.filled) for cell in d.cells}
+        plan = []
+        for p, domino in enumerate(self.filled):
+
+            def earlier(near) -> tuple[int, ...]:
+                return tuple({
+                    q for (r, c), q in owner.items()
+                    if q < p and any(near(r - s, c - t) for (s, t) in domino.cells)
+                })
+
+            plan.append((
+                earlier(lambda dr, dc: (dr, dc) in ((0, -1), (-1, 0))),
+                earlier(lambda dr, dc: (dr, dc) in ((0, 1), (1, 0))),
+                earlier(lambda dr, dc: dr == 0),
+                earlier(lambda dr, dc: dc == 0),
+                int((1, 1) in domino.cells and domino.orientation == "vertical"),
+            ))
+        return tuple(plan)
+
+    @cached_property
+    def _tie_keys(self) -> tuple[list, list]:
+        """Per position of ``filled``, its key among equal unprimed codes
+        (northwest column, then cell) and among equal primed ones (top row,
+        then cell)."""
+        return (
+            [(d.nw_cell[1], d.nw_cell) for d in self.filled],
+            [(d.min_row, d.nw_cell) for d in self.filled],
+        )
+
 
 @_shape_cache
 def enumerate_shifted_tilings(shape) -> tuple[ShiftedTiling, ...]:
@@ -296,34 +332,19 @@ class ShiftedSemistandardTableau:
         codes = [code_of[d] for d in self.tiling.filled]
         if any(codes[i] > codes[j] for i, j in self.tiling.adjacent_filled_pairs):
             raise ValueError("entries do not weakly increase")
-        rows_with: dict[tuple[int, int], int] = {}
-        cols_with: dict[tuple[int, int], int] = {}
+        seen: set[tuple[str, int, int]] = set()
         for domino, code in entries:
-            if entry_is_primed(code):
-                for row in {r for (r, _) in domino.cells}:
-                    key = (row, code)
-                    rows_with[key] = rows_with.get(key, 0) + 1
-                    if rows_with[key] > 1:
-                        raise ValueError(
-                            f"row {row} holds two dominoes with entry "
-                            f"{entry_text(code)}"
-                        )
-            else:
-                for col in {c for (_, c) in domino.cells}:
-                    key = (col, code)
-                    cols_with[key] = cols_with.get(key, 0) + 1
-                    if cols_with[key] > 1:
-                        raise ValueError(
-                            f"column {col} holds two dominoes with entry "
-                            f"{entry_text(code)}"
-                        )
-        northwest = next(
-            (d for d in self.tiling.filled if (1, 1) in d.cells), None
-        )
-        if (
-            northwest is not None
-            and code_of[northwest] == 0
-            and northwest.orientation != "horizontal"
+            # a primed entry may not repeat in a row, an unprimed one in a column
+            kind, axis = ("row", 0) if entry_is_primed(code) else ("column", 1)
+            for line in {cell[axis] for cell in domino.cells}:
+                if (kind, line, code) in seen:
+                    raise ValueError(
+                        f"{kind} {line} holds two dominoes with entry {entry_text(code)}"
+                    )
+                seen.add((kind, line, code))
+        if any(
+            code == 0 and (1, 1) in d.cells and d.orientation == "vertical"
+            for d, code in entries
         ):
             raise ValueError("a vertical northwest domino cannot carry 0")
 
@@ -333,13 +354,10 @@ class ShiftedSemistandardTableau:
 
     def weight(self, nvars: int) -> tuple[int, ...]:
         """Per-index domino counts ``(wt_0, ..., wt_{nvars-1})``."""
-        counts = [0] * nvars
-        for _, code in self.entries:
-            index = entry_index(code)
-            if index >= nvars:
-                raise ValueError(f"entry index {index} exceeds nvars-1")
-            counts[index] += 1
-        return tuple(counts)
+        top = max((entry_index(code) for _, code in self.entries), default=0)
+        if top >= nvars:
+            raise ValueError(f"entry index {top} exceeds nvars-1")
+        return _weight([code for _, code in self.entries], nvars)
 
     def monomial(self, nvars: int) -> TruncatedPolynomial:
         return TruncatedPolynomial.make(
@@ -353,76 +371,59 @@ class ShiftedSemistandardTableau:
         )
 
 
-def _iter_fillings(
+def _code_walk(
     tiling: ShiftedTiling, maxval: int, caps: tuple[int, ...] | None = None
-) -> Iterator[ShiftedSemistandardTableau]:
-    """Fill ``tiling`` with entry indices at most ``maxval``.
+) -> Iterator[list[int]]:
+    """Yield every filling of ``tiling`` with entry indices at most ``maxval``
+    as its codes in ``filled`` order, depth first with codes ascending.
 
-    ``caps[k]``, when given, bounds how many dominoes carry index ``k``.
-    Counts only grow along a branch, so skipping a code whose index is at its
-    cap cuts no branch that stays within the caps.
+    One list is reused, so a caller copies what it keeps.  ``caps[k]``, when
+    given, bounds how many dominoes carry index ``k``.  Counts only grow along
+    a branch, so skipping a code whose index is at its cap cuts no branch that
+    stays within the caps.
     """
-    filled = sorted(tiling.filled, key=lambda d: d.nw_cell)
-    owner = {cell: d for d in filled for cell in d.cells}
-    max_code = 2 * maxval
+    plan = tiling._filling_plan
+    codes = [0] * len(plan)
     counts = [0] * (maxval + 1)
+    top = 2 * maxval
 
-    def compatible(domino: Domino, code: int, assigned: dict[Domino, int]):
-        for (r, c) in domino.cells:
-            for neighbor_cell, direction in (
-                ((r, c - 1), "before"),
-                ((r - 1, c), "before"),
-                ((r, c + 1), "after"),
-                ((r + 1, c), "after"),
-            ):
-                other = owner.get(neighbor_cell)
-                if other is None or other == domino or other not in assigned:
-                    continue
-                if direction == "before" and assigned[other] > code:
-                    return False
-                if direction == "after" and assigned[other] < code:
-                    return False
-        if entry_is_primed(code):
-            rows = {r for (r, _) in domino.cells}
-            for other, other_code in assigned.items():
-                if other_code == code and rows & {
-                    r for (r, _) in other.cells
-                }:
-                    return False
-        else:
-            cols = {c for (_, c) in domino.cells}
-            for other, other_code in assigned.items():
-                if other_code == code and cols & {
-                    c for (_, c) in other.cells
-                }:
-                    return False
-        if code == 0 and (1, 1) in domino.cells and (
-            domino.orientation != "horizontal"
-        ):
-            return False
-        return True
-
-    def assign(position: int, assigned: dict[Domino, int]):
-        if position == len(filled):
-            yield _trusted(
-                ShiftedSemistandardTableau,
-                tiling=tiling,
-                entries=tuple(sorted(assigned.items())),
-            )
+    def fill(p: int):
+        if p == len(plan):
+            yield codes
             return
-        domino = filled[position]
-        for code in range(max_code + 1):
-            index = entry_index(code)
-            if caps is not None and counts[index] >= caps[index]:
-                continue
-            if compatible(domino, code, assigned):
-                assigned[domino] = code
-                counts[index] += 1
-                yield from assign(position + 1, assigned)
-                counts[index] -= 1
-                del assigned[domino]
+        before, after, rows, cols, floor = plan[p]
+        low = max([floor, *(codes[q] for q in before)])
+        high = min([top, *(codes[q] for q in after)])
+        # a primed code may not repeat in a row, an unprimed one in a column
+        taken = ({codes[q] for q in cols}, {codes[q] for q in rows})
+        options = [
+            code
+            for code in range(low, high + 1)
+            if code not in taken[code % 2]
+            and (caps is None or counts[(code + 1) // 2] < caps[(code + 1) // 2])
+        ]
+        for code in options:
+            codes[p] = code
+            counts[(code + 1) // 2] += 1
+            yield from fill(p + 1)
+            counts[(code + 1) // 2] -= 1
 
-    yield from assign(0, {})
+    yield from fill(0)
+
+
+def _weight(codes: list[int], nvars: int) -> tuple[int, ...]:
+    """Per-index counts of a code vector whose indices are below ``nvars``."""
+    counts = [0] * nvars
+    for code in codes:
+        counts[(code + 1) // 2] += 1
+    return tuple(counts)
+
+
+def _filling(tiling: ShiftedTiling, codes: list[int]) -> ShiftedSemistandardTableau:
+    # ``filled`` is sorted, so the entries come out in domino order
+    return _trusted(
+        ShiftedSemistandardTableau, tiling=tiling, entries=tuple(zip(tiling.filled, codes))
+    )
 
 
 def iter_semistandard(
@@ -431,7 +432,8 @@ def iter_semistandard(
     """Lazily yield semistandard tableaux with entry indices at most ``maxval``."""
     shape = validate_partition(shape)
     for tiling in enumerate_shifted_tilings(shape):
-        yield from _iter_fillings(tiling, maxval)
+        for codes in _code_walk(tiling, maxval):
+            yield _filling(tiling, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -486,29 +488,33 @@ def marked_descents(marked: MarkedStandardTableau) -> frozenset[int]:
     return frozenset(result)
 
 
+def _standardization(
+    tiling: ShiftedTiling, codes: list[int]
+) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The standardization rule on the codes of ``tiling.filled``.
+
+    Returns the positions of ``filled`` in entry order and the primed
+    entries.  Positions sort by code; equal primed codes go top-to-bottom,
+    equal unprimed ones (``0`` included) left-to-right.
+    """
+    ties = tiling._tie_keys
+    order = tuple(
+        sorted(range(len(codes)), key=lambda p: (codes[p], ties[codes[p] % 2][p]))
+    )
+    return order, frozenset(k for k, p in enumerate(order, 1) if codes[p] % 2)
+
+
 def standardize(tableau: ShiftedSemistandardTableau) -> MarkedStandardTableau:
     """Replace alphabet entries by ``1..m``, keeping the primes.
 
     Zeros are numbered left-to-right; then for each index the primed dominoes
     top-to-bottom, followed by the unprimed ones left-to-right.
     """
-    by_code: dict[int, list[Domino]] = {}
-    for domino, code in tableau.entries:
-        by_code.setdefault(code, []).append(domino)
-    order: list[Domino] = []
-    primed_positions: set[int] = set()
-    for code in sorted(by_code):
-        group = by_code[code]
-        if entry_is_primed(code):
-            group.sort(key=lambda d: (d.min_row, d.nw_cell))
-            for domino in group:
-                order.append(domino)
-                primed_positions.add(len(order))
-        else:
-            group.sort(key=lambda d: (d.nw_cell[1], d.nw_cell))
-            order.extend(group)
-    base = ShiftedStandardTableau(tableau.tiling, tuple(order))
-    return MarkedStandardTableau(base, frozenset(primed_positions))
+    tiling = tableau.tiling
+    # the entries are sorted by domino, as ``filled`` is
+    order, primed = _standardization(tiling, [code for _, code in tableau.entries])
+    base = ShiftedStandardTableau(tiling, tuple(tiling.filled[p] for p in order))
+    return MarkedStandardTableau(base, primed)
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +580,9 @@ def h_lambda(
         if nvars is None:
             raise ValueError("monomial mode needs nvars")
         weights = Counter(
-            tableau.weight(nvars)
-            for tableau in enumerate_shifted(shape, "semistandard", nvars - 1)
+            _weight(codes, nvars)
+            for tiling in enumerate_shifted_tilings(shape)
+            for codes in _code_walk(tiling, nvars - 1)
         )
         return TruncatedPolynomial.make(nvars, degree, weights)
     if mode == "peak":
@@ -618,21 +625,30 @@ def verify_stand_theorem(
 def stand_theorem_failures(shape, nvars: int) -> int:
     """Count the marked tableaux of ``shape`` whose fiber sum is wrong.
 
-    One pass standardizes each bounded semistandard tableau once and counts
+    Per tiling, one walk standardizes each bounded filling once and counts
     its weight in the fiber of its standardization; every marked tableau is
     then checked as in :func:`verify_stand_theorem`, an empty fiber summing
-    to zero.
+    to zero.  A fiber that no marked tableau matches is a failure too, so a
+    standardization that leaves the standard tableaux is reported.
     """
     shape = validate_partition(shape)
-    fibers: dict[MarkedStandardTableau, Counter] = {}
-    for tableau in enumerate_shifted(shape, "semistandard", nvars - 1):
-        fibers.setdefault(standardize(tableau), Counter())[tableau.weight(nvars)] += 1
-    failures = 0
+    marked_of: dict[ShiftedTiling, list[MarkedStandardTableau]] = {}
     for marked in enumerate_shifted(shape, "marked"):
-        degree = marked.base.size
-        total = TruncatedPolynomial.make(nvars, degree, fibers.get(marked, {}))
-        if total != fb_monomials(marked_descents(marked), degree, nvars):
-            failures += 1
+        marked_of.setdefault(marked.base.tiling, []).append(marked)
+    failures = 0
+    for tiling in enumerate_shifted_tilings(shape):
+        fibers: dict[tuple, Counter] = {}
+        for codes in _code_walk(tiling, nvars - 1):
+            key = _standardization(tiling, codes)
+            fibers.setdefault(key, Counter())[_weight(codes, nvars)] += 1
+        position = {d: p for p, d in enumerate(tiling.filled)}
+        for marked in marked_of.get(tiling, ()):
+            order = tuple(position[d] for d in marked.base.dominoes)
+            expected = fb_monomials(marked_descents(marked), marked.base.size, nvars)
+            # the counts are positive, as the stored coefficients are nonzero
+            if fibers.pop((order, marked.primed), {}) != expected.as_dict():
+                failures += 1
+        failures += len(fibers)
     return failures
 
 
@@ -704,7 +720,7 @@ def find_semistandard_with_weight(
     weight = tuple(weight)
     nvars = len(weight)
     for tiling in enumerate_shifted_tilings(validate_partition(shape)):
-        for tableau in _iter_fillings(tiling, nvars - 1, weight):
-            if tableau.weight(nvars) == weight:
-                return "found", tableau
+        for codes in _code_walk(tiling, nvars - 1, weight):
+            if _weight(codes, nvars) == weight:
+                return "found", _filling(tiling, codes)
     return "not-found", None

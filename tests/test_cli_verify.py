@@ -532,6 +532,13 @@ class TestVerifyCommands:
         assert out.strip().splitlines()[-1].startswith("summary:")
         assert " fail" in out.strip().splitlines()[-1]
 
+    def test_default_report_pinned(self, capsys):
+        # sha256 prefix of ``tbhl verify all --json`` at its defaults, the
+        # report the default-audit benchmark workload runs
+        code, out, _ = run_cli(capsys, ["verify", "all", "--json"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "ae62fa1bd042a3e7"
+
     def test_verify_all_deterministic(self, capsys):
         argv = ["verify", "all", "--max-n", "1", "--max-partition", "2"]
         _, first, _ = run_cli(capsys, argv)

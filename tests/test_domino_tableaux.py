@@ -1,7 +1,10 @@
 """Tests for domino tilings, tableaux, descents, and the operator family."""
 
+import dataclasses
+
 import pytest
 
+from tbhl import domino_tableaux, shifted_domino
 from tbhl.domino_tableaux import (
     Domino,
     StandardDominoTableau,
@@ -22,7 +25,12 @@ from tbhl.hecke_engine import (
     verify_relations,
 )
 from tbhl.qsym_typeb import QSymElement
-from tbhl.shifted_domino import ShiftedStandardTableau, ShiftedTiling
+from tbhl.shifted_domino import (
+    ShiftedStandardTableau,
+    ShiftedTiling,
+    conjugate_family,
+    two_quotient,
+)
 
 
 def even_partitions(max_n):
@@ -208,6 +216,43 @@ class TestGeneratorAction:
             and swap_entries(t, 4) is None
         ]
         assert witnesses
+
+    def test_trusted_swaps_match_the_validated_rebuild(self, monkeypatch):
+        # swap_entries decides a move from its two dominoes and skips the
+        # constructor; rebuilding every move through the public constructor
+        # must give the same labels and matrices on every family
+        def validated_swap(tableau, i):
+            if not 1 <= i < len(tableau.dominoes):
+                return None
+            dominoes = list(tableau.dominoes)
+            dominoes[i - 1], dominoes[i] = dominoes[i], dominoes[i - 1]
+            try:
+                return dataclasses.replace(tableau, dominoes=tuple(dominoes))
+            except ValueError:
+                return None
+
+        cases = [(sdt_operator_family, shape) for shape in even_partitions(5)]
+        cases += [
+            (conjugate_family, shape)
+            for shape in even_partitions(6)
+            if two_quotient(shape).valid
+        ]
+
+        def built():
+            return [
+                (
+                    [label.to_text() for label in fam.labels],
+                    [matrix.entries for matrix in fam.matrices],
+                )
+                for build, shape in cases
+                for fam in [build(shape)]
+            ]
+
+        trusted = built()
+        monkeypatch.setattr(domino_tableaux, "swap_entries", validated_swap)
+        monkeypatch.setattr(shifted_domino, "swap_entries", validated_swap)
+        assert len(cases) == 136
+        assert built() == trusted
 
     @pytest.mark.parametrize("shape", list(even_partitions(3)))
     def test_action_lands_in_descent(self, shape):

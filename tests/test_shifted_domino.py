@@ -433,18 +433,55 @@ class TestHLambda:
 
 
 class TestTheorems:
-    @pytest.mark.parametrize("shape", list(valid_shapes(6)))
+    @pytest.mark.parametrize("shape", list(valid_shapes(8)))
     def test_stand_theorem(self, shape):
+        # the one-pass check against the per-marked-tableau oracle
         nvars = filled_count(shape) + 1
         for marked in enumerate_shifted(shape, "marked"):
             assert verify_stand_theorem(shape, marked, nvars)
         assert stand_theorem_failures(shape, nvars) == 0
 
-    def test_one_pass_check_fails_on_a_wrong_standardization(self, monkeypatch):
-        def unprimed(tableau):
-            return MarkedStandardTableau(standardize(tableau).base, frozenset())
+    def test_unmatched_fiber_is_a_failure(self, monkeypatch):
+        # with one marked tableau hidden, its (nonempty) fiber matches no
+        # marked tableau and is the one failure
+        enumerate_all = shifted_domino.enumerate_shifted
 
-        monkeypatch.setattr("tbhl.shifted_domino.standardize", unprimed)
+        def all_but_last(shape, kind="standard", maxval=None):
+            found = enumerate_all(shape, kind, maxval)
+            return found[:-1] if kind == "marked" else found
+
+        monkeypatch.setattr(shifted_domino, "enumerate_shifted", all_but_last)
+        for shape in valid_shapes(8):
+            if enumerate_shifted_tilings(shape):
+                assert stand_theorem_failures(shape, filled_count(shape) + 1) == 1
+
+    def test_swapped_tie_breaks_are_reported(self, monkeypatch):
+        # ordering equal primed codes left-to-right and equal unprimed ones
+        # top-to-bottom leaves the standard tableaux on some fillings
+        def swapped(tiling, codes):
+            unprimed, primed = tiling._tie_keys
+            ties = (primed, unprimed)
+            order = tuple(
+                sorted(range(len(codes)), key=lambda p: (codes[p], ties[codes[p] % 2][p]))
+            )
+            return order, frozenset(k for k, p in enumerate(order, 1) if codes[p] % 2)
+
+        monkeypatch.setattr(shifted_domino, "_standardization", swapped)
+        failures = sum(
+            stand_theorem_failures(shape, filled_count(shape) + 1)
+            for shape in valid_shapes(8)
+        )
+        assert failures > 0
+
+    def test_one_pass_check_fails_on_a_wrong_standardization(self, monkeypatch):
+        # the one-pass check and the oracle's ``standardize`` share this rule
+        rule = shifted_domino._standardization
+
+        def unprimed(tiling, codes):
+            order, _ = rule(tiling, codes)
+            return order, frozenset()
+
+        monkeypatch.setattr(shifted_domino, "_standardization", unprimed)
         for shape in ((2,), (2, 2), (4,)):
             nvars = filled_count(shape) + 1
             oracle = sum(
@@ -549,10 +586,10 @@ class TestWitnessSearch:
             None,
         )
 
-    @pytest.mark.parametrize("shape", list(valid_shapes(6)))
+    @pytest.mark.parametrize("shape", list(valid_shapes(8)))
     def test_capped_search_agrees_with_unpruned_filter(self, shape):
         size = filled_count(shape)
-        for maxval in range(3):
+        for maxval in range(4):
             nvars = maxval + 1
             unpruned = list(iter_semistandard(shape, maxval))
             for weight in itertools.product(range(size + 1), repeat=nvars):
@@ -563,6 +600,18 @@ class TestWitnessSearch:
                 )
                 status, witness = find_semistandard_with_weight(shape, weight)
                 assert witness == first, (shape, weight)
+                assert status == ("not-found" if first is None else "found")
+
+    @pytest.mark.parametrize("shape", list(valid_shapes(8)))
+    def test_descent_search_agrees_with_filter(self, shape):
+        standards = list(iter_standard(shape))
+        for size in range(filled_count(shape) + 1):
+            for target in itertools.combinations(range(filled_count(shape)), size):
+                first = next(
+                    (t for t in standards if t.descent_set() == set(target)), None
+                )
+                status, witness = find_standard_with_descents(shape, target)
+                assert witness == first, (shape, target)
                 assert status == ("not-found" if first is None else "found")
 
 
