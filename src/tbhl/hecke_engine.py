@@ -30,10 +30,9 @@ from .exact_algebra import GaussianInteger, SparseMatrix
 from .qsym_typeb import QSymElement
 from .signed_permutations import (
     SignedPermutation,
+    _rank_table,
+    _same_rank,
     braid_exponent,
-    left_descents,
-    length,
-    simple_reflection,
 )
 
 Label = Hashable
@@ -124,21 +123,31 @@ def family_from_elements(elements: Iterable[SignedPermutation]) -> OperatorFamil
 
     The descent label is the left descent set; the move at a non-descent
     index is left multiplication by that simple reflection.  Elements are
-    ordered by length, then window, so shorter elements come first.
+    ordered by length, then window, so shorter elements come first.  The
+    operators are built on the ids of the rank's table, with its descent
+    sets and left action, and then labelled by the elements.
 
     >>> from tbhl.signed_permutations import all_elements
     >>> fam = family_from_elements(all_elements(1))
     >>> sorted(fam.matrices[0].entries.items())
     [((1, 0), GaussianInteger(re=1, im=0)), ((1, 1), GaussianInteger(re=-1, im=0))]
     """
-    distinct = set(elements)
-    if not distinct:
+    elements = list(elements)
+    if not elements:
         raise ValueError("empty element set")
-    ordered = sorted(distinct, key=lambda x: (length(x), x.window))
-    n = len(ordered[0].window)
-    return family_from_action(
-        ordered, left_descents, lambda x, i: simple_reflection(i, n) * x, n
+    table = _rank_table(_same_rank(*elements))
+    # ids follow window order, so a stable sort by length gives (length, window)
+    ids = sorted({table.ids[x.window] for x in elements})
+    ordered = sorted(ids, key=table.lengths.__getitem__)
+    descents, index_sets, left = table.descents, table.index_sets, table.left
+    fam = family_from_action(
+        ordered,
+        lambda k: index_sets[descents[k]],
+        lambda k, i: left[i][k],
+        table.n,
     )
+    labels = tuple(map(table.elements.__getitem__, ordered))
+    return OperatorFamily(labels, fam.matrices)
 
 
 def alternating_product(
@@ -192,8 +201,11 @@ def characteristic_by_descent_sum(
     elements = list(elements)
     if not elements:
         raise ValueError("empty element set")
-    n = len(elements[0].window)
-    return QSymElement.from_descent_sets((left_descents(x) for x in elements), n)
+    table = _rank_table(_same_rank(*elements))
+    ids, descents, index_sets = table.ids, table.descents, table.index_sets
+    return QSymElement.from_descent_sets(
+        (index_sets[descents[ids[x.window]]] for x in elements), table.n
+    )
 
 
 def characteristic_by_composition_series(

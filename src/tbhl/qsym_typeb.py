@@ -30,7 +30,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .exact_algebra import SparseMatrix, TruncatedPolynomial, all_exponent_vectors
+from .exact_algebra import (
+    GaussianInteger,
+    SparseMatrix,
+    TruncatedPolynomial,
+    all_exponent_vectors,
+)
 from .signed_permutations import format_index_set, subsets
 
 __all__ = [
@@ -127,11 +132,17 @@ class QSymElement:
         return not self.coeffs
 
     def to_monomials(self, nvars: int) -> TruncatedPolynomial:
-        """Expand into monomials in ``x_0 .. x_{nvars-1}``."""
-        total = TruncatedPolynomial.zero(nvars, self.n)
-        for key, coefficient in self.coeffs:
-            total = total + fb_monomials(key, self.n, nvars).scale(coefficient)
-        return total
+        """Expand into monomials in ``x_0 .. x_{nvars-1}``: the scaled terms
+        of every fundamental element, collected by one ``make``."""
+        return TruncatedPolynomial.make(
+            nvars,
+            self.n,
+            (
+                (exponents, coefficient * c)
+                for key, coefficient in self.coeffs
+                for exponents, c in fb_monomials(key, self.n, nvars).terms
+            ),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -178,7 +189,8 @@ def _chain_polynomial(
             exponents[value] -= 1
 
     walk(1, first_minimum)
-    return TruncatedPolynomial.make(nvars, n, terms)
+    # every chain gives one nonzero term of degree n, so the terms are valid
+    return TruncatedPolynomial(nvars, n, tuple(sorted(terms.items())))
 
 
 def fb_monomials(subset: Iterable[int], n: int, nvars: int) -> TruncatedPolynomial:
@@ -314,15 +326,16 @@ def fb_truncations_linearly_independent(n: int, nvars: int | None = None) -> boo
     column = {
         exponents: k for k, exponents in enumerate(all_exponent_vectors(nvars, n))
     }
-    # entries are streamed: a dict of them would double the peak memory
-    expansion = SparseMatrix(
+    # every position is in range and every coefficient a positive count
+    scalar = GaussianInteger.integer
+    expansion = SparseMatrix._trusted(
         len(index_sets),
         len(column),
-        (
-            ((row, column[exponents]), coefficient)
+        {
+            (row, column[exponents]): scalar(coefficient)
             for row, subset in enumerate(index_sets)
             for exponents, coefficient in fb_monomials(subset, n, nvars).terms
-        ),
+        },
     )
     return expansion.rank() == len(index_sets)
 

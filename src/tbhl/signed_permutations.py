@@ -10,6 +10,26 @@ Products compose as functions: ``(sigma * tau)(j) = sigma(tau(j))``, so
 ``simple_reflection(i, n) * sigma`` applies the generator on the left, which
 acts on the *values* in the window.
 
+The weak-order, descent and ascent-compatibility readers work on one integer
+table per rank, built on first use and cached.  Elements get integer ids in
+``all_elements(n)`` order (window order), and per id the table holds
+
+* the right-inversion set, as an int whose bit k stands for
+  ``reflections(n)[k]``, and the Coxeter length, its popcount;
+* the left descent set, as an int whose bit i stands for ``s_i``, computed in
+  one pass over the inverse windows;
+* the id of ``s_i * x`` for every i.
+
+Each column is built only when a reader first asks for it, so filtering by
+descents builds neither the window index nor the masks.  No reader of the
+table multiplies or inverts group elements: if s is a left ascent of u then
+``N(s*u) = N(u) + {u^-1 s u}`` (Björner–Brenti, *Combinatorics of Coxeter
+Groups*, GTM 231, §1.4), so the reflection an ascent conjugates to is the one
+bit in which the two masks differ.  ``SignedPermutation(...)`` validates its
+window, and the elements of :func:`all_elements` and inverses are built
+without the check; :func:`is_aligned` (by products), :func:`bfs_word_lengths`
+and :func:`right_inversions` stay as independent oracles for the table.
+
 >>> s0 = simple_reflection(0, 2)
 >>> s1 = simple_reflection(1, 2)
 >>> (s1 * s0 * s1).window
@@ -22,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 __all__ = [
@@ -33,6 +53,7 @@ __all__ = [
     "simple_reflection",
     "identity",
     "braid_exponent",
+    "MAX_RANK",
     "all_elements",
     "length",
     "bfs_word_lengths",
@@ -88,13 +109,26 @@ class SignedPermutation:
         >>> (x * x.inverse()).window
         (1, 2, 3)
         """
-        inv = [0] * self.n
-        for j, v in enumerate(self.window, start=1):
-            if v > 0:
-                inv[v - 1] = j
-            else:
-                inv[-v - 1] = -j
-        return SignedPermutation(tuple(inv))
+        return SignedPermutation._trusted(_inverse_window(self.window))
+
+    @staticmethod
+    def _trusted(window: tuple[int, ...]) -> "SignedPermutation":
+        """Wrap a window known to be valid, without the check."""
+        x = object.__new__(SignedPermutation)
+        object.__setattr__(x, "window", window)
+        return x
+
+
+def _inverse_window(window: tuple[int, ...]) -> tuple[int, ...]:
+    """The window of the inverse: value v at position j puts sign(v)*j at
+    position |v|."""
+    inv = [0] * len(window)
+    for j, v in enumerate(window, start=1):
+        if v > 0:
+            inv[v - 1] = j
+        else:
+            inv[-v - 1] = -j
+    return tuple(inv)
 
 
 def identity(n: int) -> SignedPermutation:
@@ -134,36 +168,145 @@ def braid_exponent(i: int, j: int) -> int:
     return 2
 
 
+# Largest rank a table is built for, and so the largest rank of the readers
+# that use one: B_6 has 46,080 elements, B_7 645,120 and B_8 ten million.
+MAX_RANK = 6
+
+
 @lru_cache(maxsize=None)
 def all_elements(n: int) -> tuple[SignedPermutation, ...]:
-    """All group elements in a fixed deterministic order.
+    """All group elements in a fixed deterministic order (by window).
 
     >>> len(all_elements(2)), len(all_elements(3))
     (8, 48)
     """
-    result = []
-    for positions in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            result.append(
-                SignedPermutation(tuple(s * p for s, p in zip(signs, positions)))
+    windows = sorted(
+        tuple(s * p for s, p in zip(signs, positions))
+        for positions in itertools.permutations(range(1, n + 1))
+        for signs in itertools.product((1, -1), repeat=n)
+    )
+    return tuple(map(SignedPermutation._trusted, windows))
+
+
+class _RankTable:
+    """Integer columns of B_n, indexed by position in ``all_elements(n)``.
+
+    Each column is a ``cached_property``, built on first read.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.elements = all_elements(n)
+
+    @cached_property
+    def ids(self) -> dict[tuple[int, ...], int]:
+        """Window -> id."""
+        return {x.window: k for k, x in enumerate(self.elements)}
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Right-inversion sets, bit k for ``reflections(n)[k]``.
+
+        Read from the window (Björner–Brenti, §8.1): the negation of
+        position k is an inversion iff ``w(k) < 0``, the swap of positions
+        a < b iff ``w(a) > w(b)``, and the signed swap iff
+        ``w(a) + w(b) < 0``.  Left weak order is containment of these sets
+        (cf. Prop. 3.1.3).
+        """
+        negations, swaps, signed_swaps = [], [], []
+        for k, r in enumerate(reflections(self.n)):
+            kind, *moved = Reflection(r).descriptor
+            if kind == "negation":
+                negations.append((moved[0] - 1, 1 << k))
+            elif moved[1] > 0:
+                swaps.append((moved[0] - 1, moved[1] - 1, 1 << k))
+            else:
+                signed_swaps.append((moved[0] - 1, -moved[1] - 1, 1 << k))
+        masks = []
+        for x in self.elements:
+            w = x.window
+            mask = 0
+            for k, bit in negations:
+                if w[k] < 0:
+                    mask |= bit
+            for a, b, bit in swaps:
+                if w[a] > w[b]:
+                    mask |= bit
+            for a, b, bit in signed_swaps:
+                if w[a] + w[b] < 0:
+                    mask |= bit
+            masks.append(mask)
+        return masks
+
+    @cached_property
+    def lengths(self) -> list[int]:
+        """Coxeter lengths: the number of right inversions."""
+        return [mask.bit_count() for mask in self.masks]
+
+    @cached_property
+    def descents(self) -> list[int]:
+        """Left descent sets, bit i for ``s_i``.  With ``x^-1(0) = 0``, i is
+        a descent iff ``x^-1(i) > x^-1(i+1)``."""
+        pairs = range(self.n)
+        result = []
+        for x in self.elements:
+            position = (0, *_inverse_window(x.window))
+            mask = 0
+            for i in pairs:
+                if position[i] > position[i + 1]:
+                    mask |= 1 << i
+            result.append(mask)
+        return result
+
+    @cached_property
+    def index_sets(self) -> tuple[frozenset[int], ...]:
+        """The subset of ``range(n)`` with bitmask m, at index m: one shared
+        frozenset per descent set."""
+        return tuple(
+            frozenset(i for i in range(self.n) if m >> i & 1)
+            for m in range(1 << self.n)
+        )
+
+    @cached_property
+    def left(self) -> tuple[list[int], ...]:
+        """``left[i][k]`` is the id of ``s_i * x`` for x of id k: s_0 negates
+        the value 1, s_i swaps the values i and i+1."""
+        ids = self.ids
+        columns = []
+        for i in range(self.n):
+            if i == 0:
+                swap = {1: -1, -1: 1}
+            else:
+                swap = {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
+            columns.append(
+                [ids[tuple(map(swap.get, x.window, x.window))] for x in self.elements]
             )
-    return tuple(sorted(result))
+        return tuple(columns)
+
+
+@lru_cache(maxsize=None)
+def _rank_table(n: int) -> _RankTable:
+    if not 0 <= n <= MAX_RANK:
+        raise ValueError(f"rank {n} is outside 0..{MAX_RANK}")
+    return _RankTable(n)
+
+
+def _same_rank(*elements: SignedPermutation) -> int:
+    """The rank shared by ``elements``; mixed ranks raise, as in products."""
+    ranks = {x.n for x in elements}
+    if len(ranks) > 1:
+        raise ValueError("ranks differ")
+    return ranks.pop()
 
 
 def length(x: SignedPermutation) -> int:
-    """Coxeter length: window inversions plus the negated values.
+    """Coxeter length, the size of the right-inversion set.
 
     >>> [length(SignedPermutation(w)) for w in [(-1, 2), (2, -1), (-2, 1), (-2, -1), (-1, -2)]]
     [1, 2, 2, 3, 4]
     """
-    window = x.window
-    inversions = sum(
-        1
-        for j in range(len(window))
-        for k in range(j + 1, len(window))
-        if window[j] > window[k]
-    )
-    return inversions + sum(-v for v in window if v < 0)
+    table = _rank_table(x.n)
+    return table.lengths[table.ids[x.window]]
 
 
 @lru_cache(maxsize=None)
@@ -193,16 +336,16 @@ def bfs_word_lengths(n: int) -> dict[SignedPermutation, int]:
 
 
 def left_descents(x: SignedPermutation) -> frozenset[int]:
-    """Indices i with ``length(s_i * x) < length(x)``, read from the inverse
-    window: with ``x^-1(0) = 0``, i is a descent iff ``x^-1(i) > x^-1(i+1)``.
+    """Indices i with ``length(s_i * x) < length(x)``: with ``x^-1(0) = 0``,
+    i is a descent iff ``x^-1(i) > x^-1(i+1)``.
 
     >>> sorted(left_descents(SignedPermutation((2, -1))))
     [0]
     >>> sorted(left_descents(SignedPermutation((-1, -2))))
     [0, 1]
     """
-    position = (0, *x.inverse().window)
-    return frozenset(i for i in range(x.n) if position[i] > position[i + 1])
+    table = _rank_table(x.n)
+    return table.index_sets[table.descents[table.ids[x.window]]]
 
 
 @lru_cache(maxsize=None)
@@ -258,67 +401,23 @@ class Reflection:
         raise ValueError(f"{self.element} is not a reflection")
 
 
-@lru_cache(maxsize=None)
-def _inversion_masks(n: int) -> dict[SignedPermutation, int]:
-    """Right-inversion set of every element of B_n, in ``all_elements(n)``
-    order, as an int whose bit k stands for ``reflections(n)[k]``.
-
-    Read from the window (Björner–Brenti, *Combinatorics of Coxeter
-    Groups*, GTM 231, §8.1): the negation of position k is an inversion iff
-    ``w(k) < 0``, the swap of positions a < b iff ``w(a) > w(b)``, and the
-    signed swap iff ``w(a) + w(b) < 0``.  Left weak order is containment of
-    these sets (cf. Prop. 3.1.3).
-    """
-    negations, swaps, signed_swaps = [], [], []
-    for k, r in enumerate(reflections(n)):
-        kind, *moved = Reflection(r).descriptor
-        if kind == "negation":
-            negations.append((moved[0] - 1, 1 << k))
-        elif moved[1] > 0:
-            swaps.append((moved[0] - 1, moved[1] - 1, 1 << k))
-        else:
-            signed_swaps.append((moved[0] - 1, -moved[1] - 1, 1 << k))
-    masks = {}
-    for x in all_elements(n):
-        w = x.window
-        mask = 0
-        for k, bit in negations:
-            if w[k] < 0:
-                mask |= bit
-        for a, b, bit in swaps:
-            if w[a] > w[b]:
-                mask |= bit
-        for a, b, bit in signed_swaps:
-            if w[a] + w[b] < 0:
-                mask |= bit
-        masks[x] = mask
-    return masks
-
-
-def _same_rank(*elements: SignedPermutation) -> int:
-    """The rank shared by ``elements``; mixed ranks raise, as in products."""
-    ranks = {x.n for x in elements}
-    if len(ranks) > 1:
-        raise ValueError("ranks differ")
-    return ranks.pop()
-
-
 def right_inversions(x: SignedPermutation) -> frozenset[SignedPermutation]:
-    """Reflections r with ``length(x * r) < length(x)``.
+    """Reflections r with ``length(x * r) < length(x)``, by products.
+
+    Independent oracle for the inversion masks of the table.
 
     >>> len(right_inversions(SignedPermutation((-2, -1)))) == length(SignedPermutation((-2, -1)))
     True
     """
-    mask = _inversion_masks(x.n)[x]
-    return frozenset(
-        r for k, r in enumerate(reflections(x.n)) if mask >> k & 1
-    )
+    base = length(x)
+    return frozenset(r for r in reflections(x.n) if length(x * r) < base)
 
 
 def leq_left_weak(x: SignedPermutation, y: SignedPermutation) -> bool:
     """Left weak order: containment of right-inversion sets."""
-    masks = _inversion_masks(_same_rank(x, y))
-    return masks[x] & ~masks[y] == 0
+    table = _rank_table(_same_rank(x, y))
+    masks, ids = table.masks, table.ids
+    return masks[ids[x.window]] & ~masks[ids[y.window]] == 0
 
 
 def weak_order_interval(
@@ -330,12 +429,15 @@ def weak_order_interval(
     >>> len(weak_order_interval(simple_reflection(1, 2), top))
     4
     """
-    masks = _inversion_masks(_same_rank(x, y))
-    low, high = masks[x], masks[y]
+    table = _rank_table(_same_rank(x, y))
+    masks, ids = table.masks, table.ids
+    low, high = masks[ids[x.window]], masks[ids[y.window]]
     if low & ~high:
         return ()
     return tuple(
-        z for z, mask in masks.items() if low & ~mask == 0 and mask & ~high == 0
+        z
+        for z, mask in zip(table.elements, masks)
+        if low & ~mask == 0 and mask & ~high == 0
     )
 
 
@@ -351,9 +453,12 @@ def convexity_witness(
     inside = set(elements)
     if not inside:
         return None
-    masks = _inversion_masks(_same_rank(*inside))
-    outside = [(z, mask) for z, mask in masks.items() if z not in inside]
-    ordered = sorted(inside, key=lambda m: m.window)
+    table = _rank_table(_same_rank(*inside))
+    masks, ids = table.masks, table.ids
+    # ids follow window order
+    ordered = sorted(ids[x.window] for x in inside)
+    members = set(ordered)
+    outside = [(z, mask) for z, mask in enumerate(masks) if z not in members]
     for x in ordered:
         low = masks[x]
         above = [(z, mask) for z, mask in outside if low & ~mask == 0]
@@ -363,7 +468,7 @@ def convexity_witness(
                 continue
             for z, mask in above:
                 if mask & ~high == 0:
-                    return x, y, z
+                    return tuple(table.elements[k] for k in (x, y, z))
     return None
 
 
@@ -383,7 +488,8 @@ def is_aligned(
     t: int,
 ) -> bool:
     """Whether (u, v, s, t) is aligned: s, t are ascents and the conjugated
-    reflections agree.
+    reflections agree.  Computed by products: the independent oracle for
+    :func:`ascent_compatibility_report`.
 
     >>> e = identity(2)
     >>> is_aligned(e, SignedPermutation((1, -2)), 0, 0)
@@ -427,19 +533,23 @@ def ascent_compatibility_report(
     members = list(set(elements))
     if not members:
         return AscentCompatibilityReport(True, None)
-    n = members[0].n
-    member_set = set(members)
-    # Group (element, ascent) pairs by the conjugated reflection; alignment
-    # is exactly "same group", so consistency is checked within groups.
-    by_reflection: dict[SignedPermutation, list[tuple[SignedPermutation, int, bool]]] = {}
-    for u in members:
-        descents = left_descents(u)
-        for s in range(n):
-            if s in descents:
+    table = _rank_table(_same_rank(*members))
+    ids, masks, descents, left = table.ids, table.masks, table.descents, table.left
+    member_ids = [ids[u.window] for u in members]
+    inside = set(member_ids)
+    # Group (element, ascent) pairs by the conjugated reflection u^-1 s u,
+    # the one bit of N(s*u) outside N(u); alignment is exactly "same group",
+    # so consistency is checked within groups.
+    by_reflection: dict[int, list[tuple[SignedPermutation, int, bool]]] = {}
+    for u, k in zip(members, member_ids):
+        descent = descents[k]
+        for s, column in enumerate(left):
+            if descent >> s & 1:
                 continue
-            conjugated = u.inverse() * simple_reflection(s, n) * u
-            inside = (simple_reflection(s, n) * u) in member_set
-            by_reflection.setdefault(conjugated, []).append((u, s, inside))
+            up = column[k]
+            by_reflection.setdefault(masks[up] ^ masks[k], []).append(
+                (u, s, up in inside)
+            )
     for group in by_reflection.values():
         for (u, s, in_u), (v, t, in_v) in itertools.combinations(group, 2):
             if in_u != in_v:

@@ -25,19 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .signed_permutations import (
+    MAX_RANK,
     SignedPermutation,
+    _rank_table,
     all_elements,
     convexity_witness,
     format_index_set,
-    left_descents,
     parse_index_set,
     weak_order_interval,
 )
 
 # Largest degree a family is built at, and the largest ``--max-n`` of the
-# audit: B_6 has 46,080 elements and ``verify all --max-n 6 --max-partition
-# 6`` takes 4-6 s on 2 vCPUs, while B_7 is fourteen times larger.
-MAX_DEGREE = 6
+# audit: the largest rank with a table.  ``verify all --max-n 6
+# --max-partition 6`` takes about 2 s on 2 vCPUs, while B_7 is fourteen times
+# larger than B_6.
+MAX_DEGREE = MAX_RANK
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,11 @@ class PermutationFamily:
 
 
 def is_left_unimodal(x: SignedPermutation, i: int) -> bool:
-    """Whether the inverse window decreases to position ``i`` then increases."""
+    """Whether the inverse window decreases to position ``i`` then increases.
+
+    Read from the inverse window; :func:`build_family` filters by the
+    equivalent descent condition instead, and this is its oracle.
+    """
     positions = x.inverse().window
     n = len(positions)
     if not 1 <= i <= n:
@@ -104,6 +110,10 @@ def is_signed_arc(x: SignedPermutation) -> bool:
 def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
     """Materialize a family by filtering the whole degree-``n`` group.
 
+    ``dclass`` and ``luni`` filter the table's left descent sets: the inverse
+    window decreases to position i and increases after it exactly when the
+    descents other than 0 are ``1..i-1``.
+
     >>> len(build_family("arc", (), 2))
     8
     >>> [x.window for x in build_family("dclass", (frozenset(),), 2).members]
@@ -118,19 +128,26 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
             raise ValueError(
                 f"descent set {sorted(index_set)} out of range for degree {n}"
             )
-        predicate = lambda x: left_descents(x) == index_set
+        wanted, free = sum(1 << i for i in index_set), 0
     elif name == "luni":
         (position,) = params
         if not 1 <= position <= n:
             raise ValueError(f"unimodal position {position} outside 1..{n}")
-        predicate = lambda x: is_left_unimodal(x, position)
+        # the descents 1..position-1, whatever 0 is
+        wanted, free = (1 << position) - 2, 1
     elif name == "arc":
         if params:
             raise ValueError("the arc family takes no parameters")
-        predicate = is_signed_arc
+        members = tuple(filter(is_signed_arc, all_elements(n)))
+        return PermutationFamily(name, params, n, members)
     else:
         raise ValueError(f"unknown family kind {name!r}")
-    members = tuple(x for x in all_elements(n) if predicate(x))
+    table = _rank_table(n)
+    members = tuple(
+        x
+        for x, descents in zip(table.elements, table.descents)
+        if descents & ~free == wanted
+    )
     return PermutationFamily(name, params, n, members)
 
 

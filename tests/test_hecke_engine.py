@@ -20,6 +20,7 @@ from tbhl.signed_permutations import (
     all_elements,
     identity,
     left_descents,
+    length,
     simple_reflection,
     weak_order_interval,
 )
@@ -164,6 +165,33 @@ class TestVerifyRelations:
             ("p", "q"), (mat([[-1, 1], [0, 0]]), mat([[0, 0], [1, -1]]))
         )
         assert verify_relations(fam) == {"failed": {"kind": "braid", "i": 0, "j": 1}}
+
+
+class TestFamilyFromElements:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_order_and_moves_match_products(self, n):
+        members = [x for k, x in enumerate(all_elements(n)) if k % 3 != 1]
+        fam = family_from_elements(reversed(members))
+        assert list(fam.labels) == sorted(members, key=lambda x: (length(x), x.window))
+        for i, matrix in enumerate(fam.matrices):
+            for col, x in enumerate(fam.labels):
+                moved = simple_reflection(i, n) * x
+                if i in left_descents(x):
+                    expected = {(col, col): GaussianInteger.integer(-1)}
+                elif moved in fam.position:
+                    expected = {(fam.position[moved], col): GaussianInteger.integer(1)}
+                else:
+                    expected = {}
+                assert {
+                    pos: value for pos, value in matrix.entries.items() if pos[1] == col
+                } == expected
+
+    def test_mixed_ranks_are_rejected(self):
+        mixed = [identity(1), identity(2)]
+        with pytest.raises(ValueError, match="ranks differ"):
+            family_from_elements(mixed)
+        with pytest.raises(ValueError, match="ranks differ"):
+            characteristic_by_descent_sum(mixed)
 
 
 class TestDescentSumCharacteristic:

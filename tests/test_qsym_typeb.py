@@ -1,6 +1,7 @@
 """Tests for type-B quasisymmetric functions and peak functions."""
 
 import itertools
+import random
 
 import pytest
 
@@ -193,6 +194,27 @@ class TestQSymElement:
             (0, 1, 0): 2,
             (0, 0, 1): 2,
         }
+
+    @pytest.mark.parametrize("n,nvars", [(1, 2), (2, 3), (3, 3)])
+    def test_to_monomials_is_the_sum_of_scaled_expansions(self, n, nvars):
+        index_sets = [
+            frozenset(c)
+            for size in range(n + 1)
+            for c in itertools.combinations(range(n), size)
+        ]
+        rng = random.Random(n)
+        for _ in range(100):
+            coefficients = [rng.randint(-2, 2) for _ in index_sets]
+            element = QSymElement.make(n, dict(zip(index_sets, coefficients)))
+            expected = TruncatedPolynomial.zero(nvars, n)
+            for subset, c in zip(index_sets, coefficients):
+                expected = expected + brute_force_fb(subset, n, nvars).scale(c)
+            assert element.to_monomials(nvars) == expected
+
+    def test_to_monomials_cancels(self):
+        element = QSymElement.make(1, {frozenset(): 1, frozenset({0}): -1})
+        assert element.to_monomials(2).as_dict() == {(1, 0): 1}
+        assert QSymElement.zero(2).to_monomials(3).is_zero()
 
     def test_json_pinned(self):
         element = QSymElement.make(4, {frozenset({0, 3}): 2})

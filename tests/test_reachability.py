@@ -42,6 +42,7 @@ ORACLES = (
     "signed_permutations.bfs_word_lengths",
     "signed_permutations.right_inversions",
     "signed_permutations.is_aligned",
+    "special_families.is_left_unimodal",
     "domino_tableaux.brute_force_sdt",
     "shifted_domino.verify_stand_theorem",
 )

@@ -1,16 +1,18 @@
 """Tests for signed permutations, weak order, and ascent-compatibility."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbhl.signed_permutations import (
+    MAX_RANK,
     AlignedWitness,
     Reflection,
     SignedPermutation,
-    _inversion_masks,
+    _rank_table,
     all_elements,
     ascent_compatibility_report,
     bfs_word_lengths,
@@ -89,7 +91,7 @@ class TestLengthAndDescents:
         for window, expected in values.items():
             assert length(SignedPermutation(window)) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_length_matches_bfs_oracle_type_b(self, n):
         oracle = bfs_word_lengths(n)
         assert len(oracle) == len(all_elements(n))
@@ -154,9 +156,9 @@ class TestReflectionsAndInversions:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_masks_match_the_length_definition(self, n):
-        masks = _inversion_masks(n)
-        assert tuple(masks) == all_elements(n)
-        for x, mask in masks.items():
+        table = _rank_table(n)
+        assert table.elements == all_elements(n)
+        for x, mask in zip(table.elements, table.masks):
             base = length(x)
             expected = frozenset(r for r in reflections(n) if length(x * r) < base)
             assert right_inversions(x) == expected
@@ -308,6 +310,96 @@ class TestAlignmentAndCompatibility:
             interval = weak_order_interval(x, y)
             if interval:
                 assert ascent_compatibility_report(interval).compatible
+
+
+def brute_force_compatible(subset, aligned):
+    """Compatibility by definition, over the aligned quadruples of the group."""
+    n = next(iter(subset)).n
+    return all(
+        (simple_reflection(s, n) * u in subset) == (simple_reflection(t, n) * v in subset)
+        for u, v, s, t in aligned
+        if u in subset and v in subset
+    )
+
+
+def aligned_quadruples(n):
+    """Every aligned (u, v, s, t) of B_n, found by ``is_aligned``."""
+    pairs = [(u, s) for u in all_elements(n) for s in range(n)]
+    return [
+        (u, v, s, t)
+        for u, s in pairs
+        for v, t in pairs
+        if is_aligned(u, v, s, t)
+    ]
+
+
+class TestRankTable:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_columns_match_products(self, n):
+        # the descents are checked against lengths in TestLengthAndDescents
+        table = _rank_table(n)
+        assert table.elements == all_elements(n)
+        assert table.ids == {x.window: k for k, x in enumerate(all_elements(n))}
+        for k, x in enumerate(table.elements):
+            for i in range(n):
+                assert table.elements[table.left[i][k]] == simple_reflection(i, n) * x
+
+    def test_columns_are_built_on_demand(self):
+        # the descent filter of a family reads only the elements and descents
+        table = _rank_table(3)
+        fresh = type(table)(3)
+        fresh.descents
+        assert set(vars(fresh)) == {"n", "elements", "descents"}
+
+    def test_ranks_above_the_table_bound_are_refused(self):
+        big = SignedPermutation(tuple(range(1, MAX_RANK + 2)))
+        with pytest.raises(ValueError, match="rank"):
+            length(big)
+        with pytest.raises(ValueError, match="rank"):
+            left_descents(big)
+
+    def test_compatibility_matches_brute_force_on_every_subset_of_b2(self):
+        aligned = aligned_quadruples(2)
+        group = all_elements(2)
+        for size in range(len(group) + 1):
+            for chosen in itertools.combinations(group, size):
+                self._check(set(chosen), aligned)
+
+    def test_compatibility_matches_brute_force_on_random_subsets_of_b3(self):
+        aligned = aligned_quadruples(3)
+        group = all_elements(3)
+        rng = random.Random(15)
+        verdicts = set()
+        for _ in range(300):
+            subset = set(rng.sample(group, rng.randint(1, len(group))))
+            verdicts.add(self._check(subset, aligned))
+        assert verdicts == {True, False}
+
+    @staticmethod
+    def _check(subset, aligned):
+        report = ascent_compatibility_report(subset)
+        if not subset:
+            assert report.compatible and report.witness is None
+            return True
+        assert report.compatible == brute_force_compatible(subset, aligned)
+        if report.compatible:
+            assert report.witness is None
+        else:
+            w = report.witness
+            n = w.u.n
+            assert w.u in subset and w.v in subset
+            assert is_aligned(w.u, w.v, w.s, w.t)
+            assert (simple_reflection(w.s, n) * w.u in subset) != (
+                simple_reflection(w.t, n) * w.v in subset
+            )
+        return report.compatible
+
+    def test_mixed_ranks_are_rejected(self):
+        mixed = [identity(1), identity(2)]
+        with pytest.raises(ValueError, match="ranks differ"):
+            ascent_compatibility_report(mixed)
+        with pytest.raises(ValueError, match="ranks differ"):
+            ascent_compatibility_report([identity(2), simple_reflection(0, 3)])
 
 
 class TestTextFormats:

@@ -150,6 +150,12 @@ class TestUnimodalFamily:
         assert is_left_unimodal(SignedPermutation((2, 1, 3)), 2)
         assert not is_left_unimodal(SignedPermutation((1, 2, 3)), 2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_descent_filter_matches_the_inverse_window_oracle(self, n):
+        for i in range(1, n + 1):
+            expected = tuple(x for x in all_elements(n) if is_left_unimodal(x, i))
+            assert build_family("luni", (i,), n).members == expected
+
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
             build_family("luni", (0,), 2)
@@ -240,6 +246,7 @@ class TestFamilySpecs:
             raise AssertionError(f"enumerated B_{n} for a rejected degree")
 
         monkeypatch.setattr(special_families, "all_elements", refuse)
+        monkeypatch.setattr(special_families, "_rank_table", refuse)
         for n in (0, special_families.MAX_DEGREE + 1):
             with pytest.raises(ValueError, match="outside"):
                 build_family(kind, params, n)
