@@ -49,6 +49,7 @@ from .hecke_clifford import (
     build_intertwiner,
     centralizer_check,
     centralizer_valleys,
+    clifford_basis,
     cover_lower_targets,
     induce_and_restrict,
     iso_predicate,
@@ -527,13 +528,13 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
             for i in range(n):
                 if ribbon_table_matrix(i, index_set, n) != module.matrices[i]:
                     diagonal_failures.append((index_set, "case table", i))
-            for subset in subsets(range(1, n + 1)):
+            # the base is one-dimensional: (D, y) sits at index(D)
+            for col, subset in enumerate(clifford_basis(n)[0]):
                 for valley in valleys:
                     if k_set(index_set, subset, n) != k_set(
                         index_set, frozenset(subset) | {valley}, n
                     ):
                         stability_failures.append((index_set, subset, valley))
-                col = module.position[(subset, index_set)]
                 for i in range(n):
                     diagonal = module.matrices[i].get(col, col)
                     expected = GaussianInteger.integer(

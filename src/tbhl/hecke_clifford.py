@@ -26,13 +26,14 @@ every induced module is ``pi_0 c_1 = sqrt(-1) * parity * pi_0`` where
 relation suite checks that graded form.
 
 Words in the ``c`` generators normalize to a sign times ``c_D`` with the
-index set ``D`` increasing.  Inducing an operator family adjoins a free
-Clifford factor: the induced module is a plain operator family on all pairs
-``(D, y)``, and its ``pi`` action is computed by commuting ``pi_i`` across
-``c_D`` with the rules above and then applying the base family's ``pi_i`` to
-``y``.  The ``c_j`` act on ``D`` alone, so :func:`clifford_matrices` reads
-them off the labels; only the relation suite and the intertwiner check
-build them.
+index set ``D`` increasing.  Inducing an operator family ``M`` of dimension
+``m`` adjoins a free Clifford factor: ``(D, y)`` sits at ``k * 2**n +
+index(D)`` for ``y`` the ``k``-th label of ``M`` (:func:`clifford_basis`).
+With ``pi_i c_D = sum_E c_E (gamma_E + delta_E pi_i)`` read as tables
+``Gamma_i`` and ``Delta_i`` on that basis, the induced ``pi_i`` is
+``identity(m).kron(Gamma_i) + M_i.kron(Delta_i)`` and ``c_j`` is
+``identity(m).kron(C_j)``; only the relation suite and the intertwiner
+check build the ``c_j``.
 
 The one-dimensional cyclic case (a single basis label whose descent label is
 a chosen subset) is also transcribed from the closed ribbon case table
@@ -193,61 +194,58 @@ def pi_commute(
 # induced modules
 
 
-def induce_labeled_basis(base: OperatorFamily) -> OperatorFamily:
-    """Adjoin a free Clifford factor to an operator family.
+@lru_cache(maxsize=None)
+def clifford_basis(n: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """The Clifford index sets of rank ``n`` in basis order, and the map
+    ``D -> index(D)``; cached and shared, so never mutate the map.
 
-    The labels are the pairs ``(D, y)`` of a Clifford index set and a label
-    of ``base``; the matrices are the ``pi_i``.  ``pi_i c_D y`` expands by
-    :func:`pi_commute` as ``sum_E c_E (gamma_E y + delta_E pi_i y)``, with
-    ``pi_i y`` read off column ``y`` of ``base.matrices[i]``.  The ``c_j``
-    act on the labels alone (:func:`clifford_matrices`).  ``(D, y)`` sits at
-    ``k * 2**n + index(D)`` for ``y`` the ``k``-th base label.
+    >>> clifford_basis(2)
+    (((), (1,), (2,), (1, 2)), {(): 0, (1,): 1, (2,): 2, (1, 2): 3})
     """
-    n = base.rank
-    all_subsets = subsets(range(1, n + 1))
-    width = len(all_subsets)
-    index = {subset: d for d, subset in enumerate(all_subsets)}
-    labels = tuple(
-        (subset, label) for label in base.labels for subset in all_subsets
-    )
-    size = len(labels)
+    basis = subsets(range(1, n + 1))
+    return basis, {subset: d for d, subset in enumerate(basis)}
+
+
+def induce_labeled_basis(base: OperatorFamily) -> OperatorFamily:
+    """Adjoin a free Clifford factor to an operator family: the labels are
+    the pairs ``(D, y)``, and ``pi_i`` is the Kronecker form of the module
+    docstring with ``Gamma_i`` and ``Delta_i`` read off :func:`pi_commute`."""
+    basis, index = clifford_basis(base.rank)
+    width = len(basis)
+    labels = tuple((subset, label) for label in base.labels for subset in basis)
+    identity = SparseMatrix.identity(len(base.labels))
     pi_matrices = []
     for i, base_matrix in enumerate(base.matrices):
-        expansions = [
-            [(index[e], const, with_pi) for e, const, with_pi in pi_commute(i, d)]
-            for d in all_subsets
-        ]
-        entries: dict[tuple[int, int], GaussianInteger] = {}
-        for k in range(len(base.labels)):
-            image = base_matrix.column(k).items()
-            for d, expansion in enumerate(expansions):
-                col = k * width + d
-                for e, const, with_pi in expansion:
-                    terms = [(k, const)]
-                    terms += [(row, with_pi * v) for row, v in image]
-                    for target, value in terms:
-                        key = (target * width + e, col)
-                        entries[key] = entries.get(key, _ZERO) + value
-        # the constructor drops the entries that sum to zero
-        pi_matrices.append(SparseMatrix(size, size, entries))
+        gamma, delta = {}, {}
+        for d, subset in enumerate(basis):
+            for e, const, with_pi in pi_commute(i, subset):
+                if not const.is_zero():
+                    gamma[(index[e], d)] = const
+                if not with_pi.is_zero():
+                    delta[(index[e], d)] = with_pi
+        # the kept coefficients are nonzero, at basis positions
+        pi_matrices.append(
+            identity.kron(SparseMatrix._trusted(width, width, gamma))
+            + base_matrix.kron(SparseMatrix._trusted(width, width, delta))
+        )
     return OperatorFamily(labels, pi_matrices)
 
 
 def clifford_matrices(module: OperatorFamily) -> dict[int, SparseMatrix]:
-    """The Clifford generators ``c_1..c_rank`` of an induced module.
-
-    They act on the Clifford index alone: ``c_j (D, y) = sign * (E, y)`` where
-    ``c_j c_D = sign * c_E`` (:func:`clifford_normalize`).
-    """
-    size = len(module.labels)
+    """The Clifford generators ``c_1..c_rank`` of an induced module: ``c_j``
+    is ``identity(m).kron(C_j)``, where ``C_j`` sends ``D`` to ``sign * E``
+    for ``c_j c_D = sign * c_E`` (:func:`clifford_normalize`)."""
+    basis, index = clifford_basis(module.rank)
+    width = len(basis)
+    identity = SparseMatrix.identity(len(module.labels) // width)
     generators = {}
     for j in range(1, module.rank + 1):
         entries = {}
-        for col, (subset, label) in enumerate(module.labels):
+        for d, subset in enumerate(basis):
             sign, product = clifford_normalize((j, *subset))
-            entries[(module.position[(product, label)], col)] = sign
-        # one unit per column, at a label of the module
-        generators[j] = SparseMatrix._trusted(size, size, entries)
+            entries[(index[product], d)] = sign
+        # one unit per column, at a basis position
+        generators[j] = identity.kron(SparseMatrix._trusted(width, width, entries))
     return generators
 
 
@@ -308,14 +306,13 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
     index_set = _checked_index_set(index_set, n)
     if not 0 <= i < n:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    all_subsets = subsets(range(1, n + 1))
-    position = {subset: k for k, subset in enumerate(all_subsets)}
+    basis, index = clifford_basis(n)
     entries = {
-        (position[target], position[subset]): coefficient
-        for subset in all_subsets
+        (index[target], d): coefficient
+        for d, subset in enumerate(basis)
         for target, coefficient in _ribbon_table_column(i, index_set, subset)
     }
-    return SparseMatrix(len(all_subsets), len(all_subsets), entries)
+    return SparseMatrix(len(basis), len(basis), entries)
 
 
 def build_MI(index_set, n: int) -> OperatorFamily:
@@ -340,10 +337,11 @@ def verify_hcl_relations(module: OperatorFamily) -> dict:
         return casewise
     n = module.rank
     identity = SparseMatrix.identity(len(module.labels))
+    minus_identity = identity.scale(_MINUS_ONE)
     pi = module.matrices
     cg = clifford_matrices(module)
     for j in range(1, n + 1):
-        if cg[j] @ cg[j] != identity.scale(_MINUS_ONE):
+        if cg[j] @ cg[j] != minus_identity:
             return {"failed": {"kind": "clifford-square", "j": j}}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
@@ -357,7 +355,8 @@ def verify_hcl_relations(module: OperatorFamily) -> dict:
                 return {"failed": {"kind": "mixed-commute", "i": i, "j": j}}
         if pi[i] @ cg[i + 1] != cg[i] @ pi[i]:
             return {"failed": {"kind": "mixed-swap", "i": i}}
-        if (pi[i] + identity) @ cg[i] != cg[i + 1] @ (pi[i] + identity):
+        shifted = pi[i] + identity
+        if shifted @ cg[i] != cg[i + 1] @ shifted:
             return {"failed": {"kind": "mixed-shift", "i": i}}
     if n >= 1:
         parity = clifford_parity_matrix(module)
@@ -367,11 +366,13 @@ def verify_hcl_relations(module: OperatorFamily) -> dict:
 
 
 def clifford_parity_matrix(module: OperatorFamily) -> SparseMatrix:
-    """Diagonal sign matrix negating columns with odd Clifford index sets."""
-    entries = {}
-    for idx, (subset, _label) in enumerate(module.labels):
-        entries[(idx, idx)] = _MINUS_ONE if len(subset) % 2 else _ONE
-    return SparseMatrix(len(module.labels), len(module.labels), entries)
+    """Diagonal sign matrix negating columns with odd Clifford index sets,
+    ``identity(m).kron(P)`` for ``P`` the signs on :func:`clifford_basis`."""
+    basis, _ = clifford_basis(module.rank)
+    width = len(basis)
+    signs = {(d, d): _MINUS_ONE if len(D) % 2 else _ONE for d, D in enumerate(basis)}
+    identity = SparseMatrix.identity(len(module.labels) // width)
+    return identity.kron(SparseMatrix._trusted(width, width, signs))
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +521,13 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
         )
     smaller = build_MI(index_set, n)
     larger = build_MI(enlarged, n)
-    all_subsets = subsets(range(1, n + 1))
-    position = {subset: idx for idx, subset in enumerate(all_subsets)}
-    size = len(all_subsets)
-    entries: dict[tuple[int, int], GaussianInteger] = {}
-    for subset in all_subsets:
-        col = position[subset]
+    basis, index = clifford_basis(n)
+    size = len(basis)
+    entries = {}
+    for col, subset in enumerate(basis):
         sign, product = clifford_normalize((*subset, k, k + 1))
-        entries[(position[product], col)] = sign
-        entries[(col, col)] = entries.get((col, col), _ZERO) + _MINUS_ONE
-    matrix = SparseMatrix(size, size, entries)
+        entries[(index[product], col)] = sign
+    matrix = SparseMatrix(size, size, entries) - SparseMatrix.identity(size)
     smaller_c, larger_c = clifford_matrices(smaller), clifford_matrices(larger)
     commutes = all(
         matrix @ smaller.matrices[i] == larger.matrices[i] @ matrix
@@ -553,25 +551,20 @@ def centralizer_check(index_set, n: int) -> tuple[tuple[int, ...], ...]:
     cyclic generator, so it intertwines the action exactly when the basis
     vector ``c_D e`` transforms under every ``pi_i`` the same way the
     generator does: scaled by -1 when ``i`` is selected, killed otherwise.
-    The check inspects the ``c_D`` column of every ``pi_i`` matrix.
+    The check inspects the ``c_D`` column of every ``pi_i`` matrix, at
+    ``index(D)`` since the base is one-dimensional.
     """
     index_set = frozenset(index_set)
     module = build_MI(index_set, n)
-    found = []
-    for subset in subsets(range(1, n + 1)):
-        col = module.position[(subset, index_set)]
-        ok = True
-        for i in range(n):
-            column = module.matrices[i].column(col)
-            expected = {}
-            if i in index_set:
-                expected = {col: _MINUS_ONE}
-            if column != expected:
-                ok = False
-                break
-        if ok:
-            found.append(subset)
-    return tuple(found)
+    return tuple(
+        subset
+        for col, subset in enumerate(clifford_basis(n)[0])
+        if all(
+            module.matrices[i].column(col)
+            == ({col: _MINUS_ONE} if i in index_set else {})
+            for i in range(n)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +575,15 @@ def induce_and_restrict(base: OperatorFamily) -> tuple[QSymElement, QSymElement]
     """Induce an operator family and restrict it to the casewise operators.
 
     Returns the direct characteristic and the ``proof_penultimate`` closed
-    form summed over the labels: once per distinct descent label (read off
-    the diagonals of the base operators), weighted by its label count.
+    form summed over the labels: once per distinct descent label (the
+    factors of the base's composition series), weighted by its label count.
+    The base operators are the ``D = ()`` blocks of the induced ones, so the
+    base series exists whenever the induced one does.
     """
-    module = induce_labeled_basis(base)
-    direct, _ = restriction_characteristic(module)
+    direct, _ = restriction_characteristic(induce_labeled_basis(base))
     n = base.rank
-    descent_labels = Counter(
-        frozenset(
-            i for i, matrix in enumerate(base.matrices)
-            if matrix.get(k, k) == _MINUS_ONE
-        )
-        for k in range(len(base.labels))
-    )
+    _, base_series = characteristic_by_composition_series(base)
+    descent_labels = Counter(base_series.factors)
     expected = sum(
         (res_MI_formula(label, n, "proof_penultimate").scale(count)
          for label, count in descent_labels.items()),

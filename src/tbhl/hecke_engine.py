@@ -23,7 +23,7 @@ generators acting by ``-1`` there.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 from .exact_algebra import GaussianInteger, SparseMatrix
@@ -46,18 +46,16 @@ class OperatorFamily:
     """Ordered labels and one exact square matrix per generator index.
 
     ``matrices[i]`` is the operator of index ``i``, so the rank is
-    ``len(matrices)``; ``position`` maps each label to its row and column.
+    ``len(matrices)``; label ``k`` is row and column ``k``.
     """
 
     labels: tuple[Label, ...]
     matrices: tuple[SparseMatrix, ...]
-    position: dict[Label, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.labels = tuple(self.labels)
         self.matrices = tuple(self.matrices)
-        self.position = {label: k for k, label in enumerate(self.labels)}
-        if len(self.position) != len(self.labels):
+        if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
         size = len(self.labels)
         for matrix in self.matrices:
@@ -216,9 +214,10 @@ def characteristic_by_composition_series(
     The support digraph has an edge from each basis label to every *other*
     label appearing in its image under some operator; the order puts image
     supports first, so every prefix span is operator-invariant.  Ties between
-    simultaneously ready labels go to the earlier basis position.  Raises
-    ``ValueError`` if that digraph has a cycle or a diagonal entry is neither
-    ``0`` nor ``-1``.
+    simultaneously ready labels go to the earlier basis position.  One pass
+    over the entries reads the edges and, per label, the bitmask of the
+    operators acting by ``-1``.  Raises ``ValueError`` if that digraph has a
+    cycle or a diagonal entry is neither ``0`` nor ``-1``.
 
     >>> from tbhl.signed_permutations import all_elements
     >>> char, series = characteristic_by_composition_series(
@@ -230,20 +229,30 @@ def characteristic_by_composition_series(
     """
     labels = fam.labels
     size = len(labels)
-    successors: dict[int, set[int]] = {k: set() for k in range(size)}
+    successors: list[set[int]] = [set() for _ in range(size)]
     indegree = [0] * size
-    for matrix in fam.matrices:
-        for (r, c) in matrix.entries:
-            if r != c and c not in successors[r]:
-                successors[r].add(c)
-                indegree[c] += 1
+    masks = [0] * size
+    for i, matrix in enumerate(fam.matrices):
+        for (r, c), value in matrix.entries.items():
+            if r != c:
+                if c not in successors[r]:
+                    successors[r].add(c)
+                    indegree[c] += 1
+            elif value == _MINUS_ONE:
+                masks[c] |= 1 << i
+            else:
+                raise ValueError(
+                    f"diagonal entry of operator {i} at {labels[c]!r} "
+                    f"is neither 0 nor -1"
+                )
     ready = [k for k in range(size) if indegree[k] == 0]
     heapq.heapify(ready)
     order_positions: list[int] = []
     while ready:
         k = heapq.heappop(ready)
         order_positions.append(k)
-        for c in sorted(successors[k]):
+        # pushed unsorted: the heap pops the earliest ready position
+        for c in successors[k]:
             indegree[c] -= 1
             if indegree[c] == 0:
                 heapq.heappush(ready, c)
@@ -251,25 +260,11 @@ def characteristic_by_composition_series(
         raise ValueError(
             "support digraph is cyclic; no triangular basis order exists"
         )
-    placed = {k: rank for rank, k in enumerate(order_positions)}
-    for matrix in fam.matrices:
-        for (r, c) in matrix.entries:
-            if r != c and placed[r] >= placed[c]:
-                raise ValueError("prefix spans are not invariant")
-    zero = GaussianInteger.integer(0)
-    factors = []
-    for k in order_positions:
-        subset = set()
-        for i, matrix in enumerate(fam.matrices):
-            diagonal = matrix.get(k, k)
-            if diagonal == _MINUS_ONE:
-                subset.add(i)
-            elif diagonal != zero:
-                raise ValueError(
-                    f"diagonal entry of operator {i} at {labels[k]!r} "
-                    f"is neither 0 nor -1"
-                )
-        factors.append(frozenset(subset))
+    acting = {
+        mask: frozenset(i for i in range(fam.rank) if mask >> i & 1)
+        for mask in set(masks)
+    }
+    factors = [acting[masks[k]] for k in order_positions]
     char = QSymElement.from_descent_sets(factors, fam.rank)
     series = CompositionSeries(
         tuple(labels[k] for k in order_positions), tuple(factors)

@@ -34,7 +34,7 @@ tableau yields the peak-function characteristic of its descent set.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -536,11 +536,11 @@ def enumerate_shifted(shape, kind: str = "standard", maxval: int | None = None):
     if not two_quotient(shape).valid:
         raise ValueError(f"shape {shape} has an invalid 2-quotient")
     if kind == "standard":
-        return tuple(sorted(iter_standard(shape)))
+        return tuple(iter_standard(shape))
     if kind == "semistandard":
         if maxval is None:
             raise ValueError("semistandard enumeration needs maxval")
-        return tuple(sorted(iter_semistandard(shape, maxval)))
+        return tuple(iter_semistandard(shape, maxval))
     if kind == "marked":
         return tuple(
             marked
@@ -637,10 +637,9 @@ def stand_theorem_failures(shape, nvars: int) -> int:
         marked_of.setdefault(marked.base.tiling, []).append(marked)
     failures = 0
     for tiling in enumerate_shifted_tilings(shape):
-        fibers: dict[tuple, Counter] = {}
+        fibers: defaultdict[tuple, Counter] = defaultdict(Counter)
         for codes in _code_walk(tiling, nvars - 1):
-            key = _standardization(tiling, codes)
-            fibers.setdefault(key, Counter())[_weight(codes, nvars)] += 1
+            fibers[_standardization(tiling, codes)][_weight(codes, nvars)] += 1
         position = {d: p for p, d in enumerate(tiling.filled)}
         for marked in marked_of.get(tiling, ()):
             order = tuple(position[d] for d in marked.base.dominoes)

@@ -72,7 +72,7 @@ __all__ = [
     "subsets",
 ]
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SignedPermutation:
     """A signed permutation stored by its window ``(sigma(1), ..., sigma(n))``."""
 

@@ -539,6 +539,14 @@ class TestVerifyCommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "ae62fa1bd042a3e7"
 
+    def test_rank5_report_pinned(self, capsys):
+        # sha256 prefix of the scaled audit the rank-5 benchmark workload
+        # runs; it builds every induced module of ranks 1-5
+        argv = ["verify", "all", "--max-n", "5", "--max-partition", "6", "--json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "09aa4a317e8d6bf3"
+
     def test_verify_all_deterministic(self, capsys):
         argv = ["verify", "all", "--max-n", "1", "--max-partition", "2"]
         _, first, _ = run_cli(capsys, argv)

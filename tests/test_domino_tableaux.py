@@ -269,8 +269,7 @@ class TestGeneratorAction:
 class TestOperatorFamily:
     def test_two_by_two_matrices(self):
         fam = sdt_operator_family((2, 2))
-        pos = fam.position
-        h, v = pos[HORIZONTAL_PAIR], pos[VERTICAL_PAIR]
+        h, v = fam.labels.index(HORIZONTAL_PAIR), fam.labels.index(VERTICAL_PAIR)
         pi0, pi1 = fam.matrices[0], fam.matrices[1]
         one = pi0.get(v, h)
         assert one.re == 1 and one.im == 0

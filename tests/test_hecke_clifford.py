@@ -12,6 +12,7 @@ from tbhl.hecke_clifford import (
     build_intertwiner,
     centralizer_check,
     centralizer_valleys,
+    clifford_basis,
     clifford_matrices,
     clifford_normalize,
     clifford_parity_matrix,
@@ -29,10 +30,22 @@ from tbhl.hecke_clifford import (
 )
 from tbhl.cli_verify import clifford_audit_cases
 from tbhl import hecke_clifford
-from tbhl.hecke_engine import OperatorFamily, family_from_action, verify_relations
-from tbhl.domino_tableaux import sdt_operator_family
+from tbhl.hecke_engine import (
+    OperatorFamily,
+    family_from_action,
+    family_from_elements,
+    verify_relations,
+)
+from tbhl.domino_tableaux import partitions_of, sdt_operator_family
 from tbhl.qsym_typeb import QSymElement, peak_data
-from tbhl.signed_permutations import parse_index_set, subsets
+from tbhl.shifted_domino import conjugate_family, two_quotient
+from tbhl.signed_permutations import (
+    all_elements,
+    ascent_compatibility_report,
+    parse_index_set,
+    subsets,
+    weak_order_interval,
+)
 
 ONE = GaussianInteger.integer(1)
 MINUS_ONE = GaussianInteger.integer(-1)
@@ -158,6 +171,92 @@ class TestPiCommute:
         assert pi_commute.cache_info().currsize == size
 
 
+def induced_oracle(base):
+    """The induced module label by label: ``pi_i c_D y`` expands by
+    ``pi_commute`` as ``sum_E c_E (gamma_E y + delta_E pi_i y)``, with
+    ``pi_i y`` read off column ``y`` of the base operator, and every term is
+    added into the entry of its ``(E, target)`` label."""
+    basis = subsets(range(1, base.rank + 1))
+    labels = tuple((subset, y) for y in base.labels for subset in basis)
+    at = {label: k for k, label in enumerate(labels)}
+    matrices = []
+    for i, matrix in enumerate(base.matrices):
+        entries = {}
+        for k, y in enumerate(base.labels):
+            image = [(base.labels[r], v) for (r, c), v in matrix.entries.items() if c == k]
+            for subset in basis:
+                col = at[(subset, y)]
+                for e, const, with_pi in pi_commute(i, subset):
+                    terms = [(y, const)] + [(target, with_pi * v) for target, v in image]
+                    for target, value in terms:
+                        key = (at[(e, target)], col)
+                        entries[key] = entries.get(key, GaussianInteger.integer(0)) + value
+        # the checked constructor drops the entries that sum to zero
+        matrices.append(SparseMatrix(len(labels), len(labels), entries))
+    return labels, tuple(matrices)
+
+
+def conjugate_shapes(max_total):
+    for total in range(2, max_total + 1, 2):
+        for shape in partitions_of(total):
+            if two_quotient(shape).valid:
+                yield shape
+
+
+def random_rank3_ascent_compatible(seed, count):
+    """Seeded random weak-order intervals of B3, which are ascent-compatible."""
+    rng = random.Random(seed)
+    group = all_elements(3)
+    found = []
+    while len(found) < count:
+        members = weak_order_interval(rng.choice(group), rng.choice(group))
+        if len(members) > 1:
+            assert ascent_compatibility_report(members).compatible
+            found.append(members)
+    return found
+
+
+class TestInducedKroneckerForm:
+    """``induce_labeled_basis`` equals the label-by-label expansion."""
+
+    def assert_matches_oracle(self, base):
+        module = induce_labeled_basis(base)
+        labels, matrices = induced_oracle(base)
+        assert module.labels == labels
+        assert module.matrices == matrices
+        for matrix in module.matrices:
+            assert all(not value.is_zero() for value in matrix.entries.values())
+
+    def test_one_dimensional_modules(self):
+        for n in range(1, 4):
+            for index_set in all_index_sets(n):
+                base = family_from_action((index_set,), lambda y: y, lambda y, i: None, n)
+                self.assert_matches_oracle(base)
+                assert build_MI(index_set, n).matrices == induced_oracle(base)[1]
+
+    def test_tableau_module(self):
+        self.assert_matches_oracle(sdt_operator_family((2, 2)))
+
+    @pytest.mark.parametrize("shape", list(conjugate_shapes(8)), ids=str)
+    def test_conjugate_families(self, shape):
+        self.assert_matches_oracle(conjugate_family(shape))
+
+    def test_random_rank_three_ascent_compatible_families(self):
+        for members in random_rank3_ascent_compatible(seed=16, count=6):
+            self.assert_matches_oracle(family_from_elements(members))
+
+    def test_clifford_basis_layout(self):
+        basis, index = clifford_basis(3)
+        assert basis == subsets(range(1, 4))
+        assert [index[subset] for subset in basis] == list(range(8))
+        assert clifford_basis(3) is clifford_basis(3)
+        base = sdt_operator_family((2, 2))
+        module = induce_labeled_basis(base)
+        for k, (subset, y) in enumerate(module.labels):
+            # (D, y_j) sits at j * 2**n + index(D)
+            assert (y, subset) == (base.labels[k // 4], clifford_basis(2)[0][k % 4])
+
+
 class TestBuildMI:
     def test_rank_one_empty_set_kills_everything(self):
         module = build_MI(frozenset(), 1)
@@ -168,9 +267,8 @@ class TestBuildMI:
 
     def test_rank_one_full_set_pinned_action(self):
         module = build_MI({0}, 1)
-        label = frozenset({0})
-        plain = module.position[((), label)]
-        barred = module.position[((1,), label)]
+        index = clifford_basis(1)[1]
+        plain, barred = index[()], index[(1,)]
         pi = module.matrices[0]
         assert pi.column(plain) == {plain: MINUS_ONE}
         assert pi.column(barred) == {plain: SQRT * MINUS_ONE}
@@ -227,9 +325,8 @@ class TestRelationSuite:
         # Replace the sqrt(-1) elimination coefficient with 1: the casewise
         # relations still hold but the mixed zero-index relation breaks.
         module = build_MI({0}, 1)
-        label = frozenset({0})
-        plain = module.position[((), label)]
-        barred = module.position[((1,), label)]
+        index = clifford_basis(1)[1]
+        plain, barred = index[()], index[(1,)]
         corrupted = dict(module.matrices[0].entries)
         corrupted[(plain, barred)] = MINUS_ONE
         module = with_pi(module, 0, SparseMatrix(2, 2, corrupted))
@@ -238,9 +335,8 @@ class TestRelationSuite:
 
     def test_fault_injection_broken_braid_is_reported(self):
         module = build_MI({0, 1}, 2)
-        label = frozenset({0, 1})
-        source = module.position[((1, 2), label)]
-        target = module.position[((2,), label)]
+        index = clifford_basis(2)[1]
+        source, target = index[(1, 2)], index[(2,)]
         corrupted = dict(module.matrices[0].entries)
         corrupted[(target, source)] = corrupted[(target, source)] * MINUS_ONE
         module = with_pi(module, 0, SparseMatrix(4, 4, corrupted))
@@ -267,8 +363,8 @@ class TestRelationSuite:
         # entries of one 2-cycle of c_1: it still squares to -1 but no longer
         # anticommutes with c_2.
         module = build_MI(frozenset(), 2)
-        plain = module.position[((), frozenset())]
-        barred = module.position[((1,), frozenset())]
+        index = clifford_basis(2)[1]
+        plain, barred = index[()], index[(1,)]
         generators = clifford_matrices(module)
         corrupted = dict(generators[1].entries)
         for pos in ((barred, plain), (plain, barred)):
@@ -280,9 +376,8 @@ class TestRelationSuite:
 
     def test_mixed_commute_fault_is_reported(self):
         module = build_MI({1}, 3)
-        label = frozenset({1})
-        row = module.position[((1,), label)]
-        col = module.position[((2,), label)]
+        index = clifford_basis(3)[1]
+        row, col = index[(1,)], index[(2,)]
         corrupted = dict(module.matrices[1].entries)
         corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
         size = len(module.labels)
@@ -292,8 +387,8 @@ class TestRelationSuite:
 
     def test_mixed_swap_fault_is_reported(self):
         module = build_MI(frozenset(), 2)
-        row = module.position[((2,), frozenset())]
-        col = module.position[((1,), frozenset())]
+        index = clifford_basis(2)[1]
+        row, col = index[(2,)], index[(1,)]
         corrupted = dict(module.matrices[1].entries)
         corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
         module = with_pi(module, 1, SparseMatrix(4, 4, corrupted))
@@ -335,7 +430,7 @@ class TestDiagonalData:
                 module = build_MI(index_set, n)
                 label = frozenset(index_set)
                 for subset in subsets(range(1, n + 1)):
-                    col = module.position[(subset, label)]
+                    col = module.labels.index((subset, label))
                     for i in range(n):
                         diag = module.matrices[i].get(col, col)
                         assert diag in (
@@ -364,7 +459,7 @@ class TestDiagonalData:
                 module = build_MI(index_set, n)
                 label = frozenset(index_set)
                 for subset in subsets(range(1, n + 1)):
-                    col = module.position[(subset, label)]
+                    col = module.labels.index((subset, label))
                     for i in range(n):
                         allowed = cover_lower_targets(i, index_set, subset)
                         for row, _value in module.matrices[i].column(

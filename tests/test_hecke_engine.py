@@ -52,7 +52,7 @@ class TestFamilyFromAction:
             SignedPermutation((-1,)),
         )
         assert fam.rank == 1
-        assert fam.position[SignedPermutation((-1,))] == 1
+        assert fam.labels.index(SignedPermutation((-1,))) == 1
 
     def test_singleton_full_descent_label(self):
         fam = family_from_action(("x",), lambda y: {0}, lambda y, i: None, 1)
@@ -148,11 +148,11 @@ class TestVerifyRelations:
 
     def test_quadratic_fault_reported(self):
         fam = family_from_elements(all_elements(2))
-        pos = fam.position
+        pos = fam.labels.index
         e = identity(2)
         bad = dict(fam.matrices[0].entries)
-        del bad[(pos[simple_reflection(0, 2)], pos[e])]
-        bad[(pos[simple_reflection(1, 2)], pos[e])] = GaussianInteger.integer(1)
+        del bad[(pos(simple_reflection(0, 2)), pos(e))]
+        bad[(pos(simple_reflection(1, 2)), pos(e))] = GaussianInteger.integer(1)
         fam = OperatorFamily(
             fam.labels, (SparseMatrix(8, 8, bad), fam.matrices[1])
         )
@@ -178,8 +178,8 @@ class TestFamilyFromElements:
                 moved = simple_reflection(i, n) * x
                 if i in left_descents(x):
                     expected = {(col, col): GaussianInteger.integer(-1)}
-                elif moved in fam.position:
-                    expected = {(fam.position[moved], col): GaussianInteger.integer(1)}
+                elif moved in fam.labels:
+                    expected = {(fam.labels.index(moved), col): GaussianInteger.integer(1)}
                 else:
                     expected = {}
                 assert {

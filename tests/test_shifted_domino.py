@@ -250,6 +250,15 @@ class TestStandardTableaux:
         for shape in valid_shapes(10):
             filled_count(shape)
 
+    def test_enumeration_order_is_sorted(self):
+        # enumerate_shifted returns iter_standard's order as is
+        shapes = list(valid_shapes(12))
+        assert len(shapes) == 54
+        for shape in shapes:
+            listed = list(iter_standard(shape))
+            assert listed == sorted(listed), shape
+            assert enumerate_shifted(shape) == tuple(listed)
+
 
 class TestSemistandardTableaux:
     def test_single_domino_fillings(self):
@@ -276,6 +285,14 @@ class TestSemistandardTableaux:
     def test_zero_pair_in_a_row_allowed(self):
         fillings = enumerate_shifted((4,), "semistandard", maxval=1)
         assert sum(1 for t in fillings if t.weight(2) == (2, 0)) == 1
+
+    def test_enumeration_order_is_sorted(self):
+        # enumerate_shifted returns iter_semistandard's order as is
+        for shape in valid_shapes(8):
+            for maxval in range(filled_count(shape) + 1):
+                listed = list(iter_semistandard(shape, maxval))
+                assert listed == sorted(listed), (shape, maxval)
+                assert enumerate_shifted(shape, "semistandard", maxval) == tuple(listed)
 
     def test_weight_totals(self):
         for shape in valid_shapes(6):

@@ -402,6 +402,39 @@ class TestRankTable:
             ascent_compatibility_report([identity(2), simple_reflection(0, 3)])
 
 
+class TestSlots:
+    """``SignedPermutation`` stores its window in a slot, with no
+    ``__dict__``; hashing, order and the witnesses read only the window."""
+
+    def test_no_instance_dict(self):
+        for x in (SignedPermutation((2, -3, 1)), identity(2).inverse(), all_elements(2)[3]):
+            assert not hasattr(x, "__dict__")
+            with pytest.raises(AttributeError):
+                x.window = (1,)
+
+    def test_trusted_and_inverse(self):
+        x = SignedPermutation._trusted((2, -3, 1))
+        assert x == SignedPermutation((2, -3, 1)) and type(x) is SignedPermutation
+        assert x.inverse() == SignedPermutation((3, 1, -2))
+        assert (x * x.inverse()).window == (1, 2, 3)
+        assert not hasattr(x.inverse(), "__dict__")
+
+    def test_hash_order_and_witnesses_unchanged(self):
+        group = all_elements(3)
+        assert all(hash(x) == hash((x.window,)) for x in group)
+        assert sorted(group) == sorted(group, key=lambda x: x.window)
+        assert len({*group, *all_elements(3)}) == 48
+        assert convexity_witness([identity(2), SignedPermutation((-1, -2))]) == (
+            SignedPermutation((1, 2)),
+            SignedPermutation((-1, -2)),
+            SignedPermutation((-2, -1)),
+        )
+        bad = [identity(2), simple_reflection(0, 2), SignedPermutation((1, -2))]
+        assert ascent_compatibility_report(bad).witness == AlignedWitness(
+            SignedPermutation((1, 2)), SignedPermutation((1, -2)), 0, 0
+        )
+
+
 class TestTextFormats:
     def test_window_round_trip(self):
         assert format_window(SignedPermutation((2, -3, 1))) == "2,-3,1"
