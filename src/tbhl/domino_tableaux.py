@@ -304,7 +304,8 @@ def enumerate_tilings(shape) -> tuple[tuple[Domino, ...], ...]:
         r, c = anchor
         for other in ((r, c + 1), (r + 1, c)):
             if other in uncovered:
-                domino = Domino((anchor, other))
+                # ``other`` is just right of or below ``anchor``
+                domino = _trusted(Domino, cells=(anchor, other))
                 fill(uncovered - {anchor, other}, placed + (domino,))
 
     fill(cells, ())
@@ -371,6 +372,8 @@ def swap_entries(tableau: _Tableau, i: int) -> _Tableau | None:
 
 
 _NW_SQUARE = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
+_NW_HORIZONTAL = (Domino(((1, 1), (1, 2))), Domino(((2, 1), (2, 2))))
+_NW_VERTICAL = (Domino(((1, 1), (2, 1))), Domino(((1, 2), (2, 2))))
 
 
 def flip_northwest_square(
@@ -379,28 +382,18 @@ def flip_northwest_square(
     """Flip dominoes 1,2 between tilings of the northwest 2x2 square.
 
     Defined only when those two dominoes exactly tile that square; the
-    horizontal pair becomes the vertical pair and vice versa.
+    horizontal pair becomes the vertical pair and vice versa.  No cell lies
+    above or left of the square and every other domino is numbered above
+    both, so either tiling gives a standard tableau.
     """
     if len(tableau.dominoes) < 2:
         return None
     first, second = tableau.dominoes[0], tableau.dominoes[1]
     if set(first.cells) | set(second.cells) != _NW_SQUARE:
         return None
-    if first.orientation == "horizontal":
-        replacement = (
-            Domino(((1, 1), (2, 1))),
-            Domino(((1, 2), (2, 2))),
-        )
-    else:
-        replacement = (
-            Domino(((1, 1), (1, 2))),
-            Domino(((2, 1), (2, 2))),
-        )
-    dominoes = replacement + tableau.dominoes[2:]
-    try:
-        return StandardDominoTableau(tableau.shape, dominoes)
-    except ValueError:
-        return None
+    flipped = _NW_VERTICAL if first.orientation == "horizontal" else _NW_HORIZONTAL
+    dominoes = flipped + tableau.dominoes[2:]
+    return _trusted(StandardDominoTableau, shape=tableau.shape, dominoes=dominoes)
 
 
 def generator_action(

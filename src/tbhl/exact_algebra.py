@@ -14,7 +14,10 @@ nonzero entry.
 
 Polynomials are multivariate polynomials with integer coefficients and a
 degree cap, used for monomial expansions of quasisymmetric functions; a term
-above the cap is an error, never silently dropped.
+above the cap is an error, never silently dropped.  Their normal form, shared
+with ``QSymElement``, is a key-sorted tuple of ``(key, coefficient)`` pairs
+with unique keys and nonzero ``int`` coefficients.  Only ``make`` checks a
+combination; every other one is put in normal form by :func:`_collect`.
 
 >>> i = GaussianInteger.sqrt_minus_one()
 >>> i * i == GaussianInteger.integer(-1)
@@ -29,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 __all__ = [
     "GaussianInteger",
@@ -352,6 +355,22 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
 
 
+def _collect(
+    items: Iterable[tuple[Hashable, int]],
+) -> tuple[tuple[Hashable, int], ...]:
+    """The normal form of ``(key, coefficient)`` pairs: equal keys summed,
+    zero sums dropped, sorted by key.  Nothing is checked: the keys must
+    already be canonical and the coefficients ``int``.
+
+    >>> _collect([((1,), 2), ((0,), 1), ((1,), -2)])
+    (((0,), 1),)
+    """
+    totals: dict[Hashable, int] = {}
+    for key, coefficient in items:
+        totals[key] = totals.get(key, 0) + coefficient
+    return tuple(sorted((key, c) for key, c in totals.items() if c))
+
+
 @dataclass(frozen=True)
 class TruncatedPolynomial:
     """A multivariate polynomial with integer coefficients, capped by degree.
@@ -359,7 +378,9 @@ class TruncatedPolynomial:
     ``terms`` maps exponent vectors (tuples of length ``nvars``) to nonzero
     integer coefficients, each of total degree at most ``degree_cap``; a
     term above the cap raises ``ValueError``, so the stored terms are always
-    the complete polynomial.
+    the complete polynomial.  :meth:`make` reads exponents and coefficients,
+    and :meth:`scale` its scalar, through ``operator.index``, so a float or
+    a string raises ``TypeError``.
 
     >>> p = TruncatedPolynomial.make(2, 2, {(0, 2): 1, (1, 1): 1})
     >>> sorted((p + p).as_dict().items())
@@ -380,28 +401,24 @@ class TruncatedPolynomial:
         degree_cap: int,
         terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = (),
     ) -> "TruncatedPolynomial":
-        collected: dict[tuple[int, ...], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exponents, coefficient in items:
-            exponents = tuple(exponents)
+        def checked(exponents, coefficient) -> tuple[tuple[int, ...], int]:
+            exponents = tuple(map(operator.index, exponents))
             if len(exponents) != nvars:
                 raise ValueError(f"exponent vector {exponents} is not length {nvars}")
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
             if sum(exponents) > degree_cap:
-                raise ValueError(
-                    f"term {exponents} exceeds the degree cap {degree_cap}"
-                )
-            total = collected.get(exponents, 0) + int(coefficient)
-            if total:
-                collected[exponents] = total
-            else:
-                collected.pop(exponents, None)
-        return TruncatedPolynomial(nvars, degree_cap, tuple(sorted(collected.items())))
+                raise ValueError(f"term {exponents} exceeds the degree cap {degree_cap}")
+            return exponents, operator.index(coefficient)
+
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        return TruncatedPolynomial(
+            nvars, degree_cap, _collect(checked(*item) for item in items)
+        )
 
     @staticmethod
     def zero(nvars: int, degree_cap: int) -> "TruncatedPolynomial":
-        return TruncatedPolynomial.make(nvars, degree_cap, {})
+        return TruncatedPolynomial(nvars, degree_cap)
 
     def _require_compatible(self, other: "TruncatedPolynomial") -> None:
         if self.nvars != other.nvars or self.degree_cap != other.degree_cap:
@@ -412,14 +429,9 @@ class TruncatedPolynomial:
 
     def __add__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
         self._require_compatible(other)
-        merged = self.as_dict()
-        for exponents, coefficient in other.terms:
-            total = merged.get(exponents, 0) + coefficient
-            if total:
-                merged[exponents] = total
-            else:
-                merged.pop(exponents, None)
-        return TruncatedPolynomial.make(self.nvars, self.degree_cap, merged)
+        return TruncatedPolynomial(
+            self.nvars, self.degree_cap, _collect(self.terms + other.terms)
+        )
 
     def __neg__(self) -> "TruncatedPolynomial":
         return self.scale(-1)
@@ -428,10 +440,9 @@ class TruncatedPolynomial:
         return self + (-other)
 
     def scale(self, scalar: int) -> "TruncatedPolynomial":
-        return TruncatedPolynomial.make(
-            self.nvars,
-            self.degree_cap,
-            {exponents: scalar * c for exponents, c in self.terms},
+        scalar = operator.index(scalar)
+        return TruncatedPolynomial(
+            self.nvars, self.degree_cap, _collect((e, scalar * c) for e, c in self.terms)
         )
 
     def is_zero(self) -> bool:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .exact_algebra import GaussianInteger, SparseMatrix
+from .exact_algebra import GaussianInteger, SparseMatrix, _collect
 from .hecke_engine import (
     CompositionSeries,
     OperatorFamily,
@@ -461,14 +461,16 @@ def res_MI_formula(index_set, n: int, form: str) -> QSymElement:
         raise ValueError(f"unknown form {form!r}")
     data = peak_data(complement, n)
     coefficient = 1 << len(data.valley)
-    total: dict[frozenset[int], int] = {}
-    for candidate in map(frozenset, subsets(range(n))):
-        if 0 not in index_set and 0 in candidate:
-            continue
-        if not symmetric_difference_condition(data.peak, candidate):
-            continue
-        total[candidate] = coefficient
-    return QSymElement.make(n, total)
+    # subsets are sorted tuples, each listed once
+    return QSymElement(
+        n,
+        _collect(
+            (candidate, coefficient)
+            for candidate in subsets(range(n))
+            if (0 in index_set or 0 not in candidate)
+            and symmetric_difference_condition(data.peak, candidate)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

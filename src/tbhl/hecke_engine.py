@@ -144,8 +144,9 @@ def family_from_elements(elements: Iterable[SignedPermutation]) -> OperatorFamil
         lambda k, i: left[i][k],
         table.n,
     )
-    labels = tuple(map(table.elements.__getitem__, ordered))
-    return OperatorFamily(labels, fam.matrices)
+    # distinct ids are distinct elements, so the labels stay unique
+    fam.labels = tuple(map(table.elements.__getitem__, ordered))
+    return fam
 
 
 def alternating_product(

@@ -26,14 +26,17 @@ sensitive to the choice.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .exact_algebra import (
     GaussianInteger,
     SparseMatrix,
     TruncatedPolynomial,
+    _collect,
     all_exponent_vectors,
 )
 from .signed_permutations import format_index_set, subsets
@@ -52,16 +55,16 @@ __all__ = [
 PEAK_VARIANTS = ("literal", "complemented")
 
 
-def _subset_key(indices: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(indices))
-
-
 @dataclass(frozen=True)
 class QSymElement:
     """An integer combination of degree-n fundamental elements.
 
     Fundamental elements are indexed by subsets of ``{0..n-1}``.  ``coeffs``
-    is stored sorted by subset for canonical hashing and serialization.
+    is in the normal form of :func:`~tbhl.exact_algebra._collect`, keyed by
+    subsets as sorted tuples.  Only :meth:`make` checks a combination; it
+    reads indices and coefficients through ``operator.index``, as
+    :meth:`scale` reads its scalar.  ``+``, :meth:`scale` and the package's
+    own combinations are built in normal form directly.
     """
 
     n: int
@@ -72,24 +75,18 @@ class QSymElement:
         n: int,
         coeffs: Mapping[frozenset[int], int] | Iterable[tuple[frozenset[int], int]] = (),
     ) -> "QSymElement":
-        valid = set(range(n))
-        collected: dict[tuple[int, ...], int] = {}
+        def checked(subset, coefficient) -> tuple[tuple[int, ...], int]:
+            key = tuple(sorted(set(map(operator.index, subset))))
+            if key and (key[0] < 0 or key[-1] >= n):
+                raise ValueError(f"subset {list(key)} outside [0, {n - 1}]")
+            return key, operator.index(coefficient)
+
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for subset, coefficient in items:
-            subset = frozenset(subset)
-            if not subset <= valid:
-                raise ValueError(f"subset {sorted(subset)} outside [0, {n - 1}]")
-            key = _subset_key(subset)
-            total = collected.get(key, 0) + int(coefficient)
-            if total:
-                collected[key] = total
-            else:
-                collected.pop(key, None)
-        return QSymElement(n, tuple(sorted(collected.items())))
+        return QSymElement(n, _collect(checked(*item) for item in items))
 
     @staticmethod
     def zero(n: int) -> "QSymElement":
-        return QSymElement.make(n, {})
+        return QSymElement(n, ())
 
     @staticmethod
     def fundamental(subset: Iterable[int], n: int) -> "QSymElement":
@@ -99,11 +96,7 @@ class QSymElement:
     def from_descent_sets(
         descent_sets: Iterable[Iterable[int]], n: int
     ) -> "QSymElement":
-        collected: dict[frozenset[int], int] = {}
-        for subset in descent_sets:
-            key = frozenset(subset)
-            collected[key] = collected.get(key, 0) + 1
-        return QSymElement.make(n, collected)
+        return QSymElement.make(n, Counter(map(frozenset, descent_sets)))
 
     def _require_compatible(self, other: "QSymElement") -> None:
         if self.n != other.n:
@@ -111,11 +104,7 @@ class QSymElement:
 
     def __add__(self, other: "QSymElement") -> "QSymElement":
         self._require_compatible(other)
-        merged = {frozenset(key): c for key, c in self.coeffs}
-        for key, coefficient in other.coeffs:
-            subset = frozenset(key)
-            merged[subset] = merged.get(subset, 0) + coefficient
-        return QSymElement.make(self.n, merged)
+        return QSymElement(self.n, _collect(self.coeffs + other.coeffs))
 
     def __neg__(self) -> "QSymElement":
         return self.scale(-1)
@@ -124,20 +113,19 @@ class QSymElement:
         return self + (-other)
 
     def scale(self, scalar: int) -> "QSymElement":
-        return QSymElement.make(
-            self.n, {frozenset(key): scalar * c for key, c in self.coeffs}
-        )
+        scalar = operator.index(scalar)
+        return QSymElement(self.n, _collect((k, scalar * c) for k, c in self.coeffs))
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def to_monomials(self, nvars: int) -> TruncatedPolynomial:
         """Expand into monomials in ``x_0 .. x_{nvars-1}``: the scaled terms
-        of every fundamental element, collected by one ``make``."""
-        return TruncatedPolynomial.make(
+        of every fundamental element, collected into one normal form."""
+        return TruncatedPolynomial(
             nvars,
             self.n,
-            (
+            _collect(
                 (exponents, coefficient * c)
                 for key, coefficient in self.coeffs
                 for exponents, c in fb_monomials(key, self.n, nvars).terms
@@ -172,7 +160,7 @@ def _chain_polynomial(
     i_{j+1}`` whenever ``j`` is a strict step; strict step 0 means ``i_1 >
     0``, relative to the fixed ``i_0 = 0``.
     """
-    terms: dict[tuple[int, ...], int] = {}
+    chains: list[tuple[tuple[int, ...], int]] = []
     exponents = [0] * nvars
     first_minimum = 1 if 0 in strict_steps else 0
 
@@ -180,8 +168,7 @@ def _chain_polynomial(
     # exactly when j lies in the strict-step set.
     def walk(j: int, minimum: int) -> None:
         if j > n:
-            key = tuple(exponents)
-            terms[key] = terms.get(key, 0) + 1
+            chains.append((tuple(exponents), 1))
             return
         for value in range(minimum, nvars):
             exponents[value] += 1
@@ -189,8 +176,8 @@ def _chain_polynomial(
             exponents[value] -= 1
 
     walk(1, first_minimum)
-    # every chain gives one nonzero term of degree n, so the terms are valid
-    return TruncatedPolynomial(nvars, n, tuple(sorted(terms.items())))
+    # every chain gives one term of degree n, so the terms are valid
+    return TruncatedPolynomial(nvars, n, _collect(chains))
 
 
 def fb_monomials(subset: Iterable[int], n: int, nvars: int) -> TruncatedPolynomial:
@@ -253,7 +240,7 @@ def _validate_peak_set(peaks: frozenset[int], n: int, bit: int) -> None:
         raise ValueError("bit 1 requires 1 outside the peak set")
 
 
-def symmetric_difference_condition(peaks: frozenset[int], subset: frozenset[int]) -> bool:
+def symmetric_difference_condition(peaks: frozenset[int], subset: Collection[int]) -> bool:
     """Whether every peak p satisfies ``(p in J) xor (p-1 in J)``."""
     return all((p in subset) != ((p - 1) in subset) for p in peaks)
 
@@ -283,18 +270,14 @@ def peak_function_type_b(
     peaks = frozenset(peaks)
     _validate_peak_set(peaks, n, bit)
     coefficient = 2 ** (len(peaks) + bit)
-    collected: dict[frozenset[int], int] = {}
-    for candidate in map(frozenset, subsets(range(n))):
-        if not symmetric_difference_condition(peaks, candidate):
-            continue
-        if bit == 1:
-            zero_in = 0 in candidate
-            if variant == "literal" and not zero_in:
-                continue
-            if variant == "complemented" and zero_in:
-                continue
-        collected[candidate] = coefficient
-    return QSymElement.make(n, collected)
+    # subsets are sorted tuples, each listed once
+    terms = (
+        (candidate, coefficient)
+        for candidate in subsets(range(n))
+        if symmetric_difference_condition(peaks, candidate)
+        and (bit == 0 or (0 in candidate) == (variant == "literal"))
+    )
+    return QSymElement(n, _collect(terms))
 
 
 def peak_characteristic(

@@ -53,7 +53,7 @@ from .domino_tableaux import (
     swap_entries,
     validate_partition,
 )
-from .exact_algebra import TruncatedPolynomial
+from .exact_algebra import TruncatedPolynomial, _collect
 from .hecke_engine import OperatorFamily, family_from_action
 from .qsym_typeb import QSymElement, fb_monomials, peak_characteristic
 from .signed_permutations import subsets
@@ -453,17 +453,11 @@ class MarkedStandardTableau:
         if not primed <= set(range(1, self.base.size + 1)):
             raise ValueError("primed entries out of range")
 
-    def __lt__(self, other) -> bool:
-        return (self.base, sorted(self.primed)) < (
-            other.base,
-            sorted(other.primed),
-        )
-
 
 def _markings(base: ShiftedStandardTableau) -> Iterator[MarkedStandardTableau]:
     """Every primed subset of ``base``, by size then lexicographically."""
     for subset in subsets(range(1, base.size + 1)):
-        yield MarkedStandardTableau(base, frozenset(subset))
+        yield _trusted(MarkedStandardTableau, base=base, primed=frozenset(subset))
 
 
 def marked_descents(marked: MarkedStandardTableau) -> frozenset[int]:
@@ -584,15 +578,16 @@ def h_lambda(
             for tiling in enumerate_shifted_tilings(shape)
             for codes in _code_walk(tiling, nvars - 1)
         )
-        return TruncatedPolynomial.make(nvars, degree, weights)
+        # each weight has nvars entries summing to the filled count
+        return TruncatedPolynomial(nvars, degree, _collect(weights.items()))
     if mode == "peak":
         counts = Counter(
             standard.descent_set()
             for standard in enumerate_shifted(shape, "standard")
         )
-        return QSymElement.make(
+        return QSymElement(
             degree,
-            (
+            _collect(
                 (subset, count * coefficient)
                 for descents, count in counts.items()
                 for subset, coefficient in peak_characteristic(

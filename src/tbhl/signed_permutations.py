@@ -47,7 +47,6 @@ from typing import Iterable
 
 __all__ = [
     "SignedPermutation",
-    "Reflection",
     "AlignedWitness",
     "AscentCompatibilityReport",
     "simple_reflection",
@@ -215,13 +214,15 @@ class _RankTable:
         """
         negations, swaps, signed_swaps = [], [], []
         for k, r in enumerate(reflections(self.n)):
-            kind, *moved = Reflection(r).descriptor
-            if kind == "negation":
-                negations.append((moved[0] - 1, 1 << k))
-            elif moved[1] > 0:
-                swaps.append((moved[0] - 1, moved[1] - 1, 1 << k))
+            # a reflection negates one position or swaps a pair a < b,
+            # with signs when it sends position a to -b
+            moved = [j for j, v in enumerate(r.window) if v != j + 1]
+            if len(moved) == 1:
+                negations.append((moved[0], 1 << k))
+            elif r.window[moved[0]] > 0:
+                swaps.append((*moved, 1 << k))
             else:
-                signed_swaps.append((moved[0] - 1, -moved[1] - 1, 1 << k))
+                signed_swaps.append((*moved, 1 << k))
         masks = []
         for x in self.elements:
             w = x.window
@@ -367,38 +368,6 @@ def reflections(n: int) -> tuple[SignedPermutation, ...]:
                 window[a - 1], window[b - 1] = left, right
                 result.append(SignedPermutation(tuple(window)))
     return tuple(sorted(result))
-
-
-@dataclass(frozen=True)
-class Reflection:
-    """A classified reflection: ``("negation", k)`` or ``("swap", a, b)``.
-
-    For swaps, ``a`` is positive, ``|b| > a``, and the sign of ``b`` records
-    whether the pair of values is exchanged without (+) or with (-) a sign
-    flip.
-    """
-
-    element: SignedPermutation
-
-    @property
-    def descriptor(self) -> tuple:
-        """
-        >>> Reflection(SignedPermutation((-1, 2))).descriptor
-        ('negation', 1)
-        >>> Reflection(SignedPermutation((-2, -1))).descriptor
-        ('swap', 1, -2)
-        """
-        window = self.element.window
-        moved = [j for j, v in enumerate(window, start=1) if v != j]
-        if len(moved) == 1 and window[moved[0] - 1] == -moved[0]:
-            return ("negation", moved[0])
-        if len(moved) == 2:
-            a, b = moved
-            if window[a - 1] == b and window[b - 1] == a:
-                return ("swap", a, b)
-            if window[a - 1] == -b and window[b - 1] == -a:
-                return ("swap", a, -b)
-        raise ValueError(f"{self.element} is not a reflection")
 
 
 def right_inversions(x: SignedPermutation) -> frozenset[SignedPermutation]:

@@ -159,11 +159,16 @@ def invert_family(fam: PermutationFamily) -> PermutationFamily:
     )
 
 
+# Per family kind, the readers of the parameters between kind and degree.
+_SPEC_READERS = {"arc": (), "dclass": (parse_index_set,), "luni": (int,)}
+
+
 def parse_family_spec(text: str) -> PermutationFamily:
     """Build a family from a compact string.
 
     Formats: ``arc:3``, ``dclass:{0,1}:3``, ``luni:2:4``; an optional
-    ``:inv`` suffix inverts the members.
+    ``:inv`` suffix inverts the members.  A malformed spec raises
+    ``ValueError``.
 
     >>> parse_family_spec("arc:3").name
     'arc:3'
@@ -171,32 +176,25 @@ def parse_family_spec(text: str) -> PermutationFamily:
     'luni:1:2:inv'
     """
     pieces = text.strip().split(":")
-    inverted = False
-    if pieces and pieces[-1] == "inv":
-        inverted = True
+    inverted = pieces[-1] == "inv"
+    if inverted:
         pieces = pieces[:-1]
     if len(pieces) < 2:
         raise ValueError(f"family spec {text!r} is too short")
-    kind = pieces[0]
+    kind, *middle, degree = pieces
+    readers = _SPEC_READERS.get(kind)
+    if readers is None:
+        raise ValueError(f"unknown family kind {kind!r}")
+    if len(middle) != len(readers):
+        raise ValueError(
+            f"family spec {text!r} needs {len(readers)} parameter(s) before the degree"
+        )
     try:
-        n = int(pieces[-1])
+        n = int(degree)
     except ValueError as exc:
         raise ValueError(f"family spec {text!r} must end with a degree") from exc
-    middle = pieces[1:-1]
-    if kind == "arc":
-        if middle:
-            raise ValueError(f"family spec {text!r} has extra parameters")
-        fam = build_family("arc", (), n)
-    elif kind == "dclass":
-        if len(middle) != 1:
-            raise ValueError(f"family spec {text!r} needs one index set")
-        fam = build_family("dclass", (parse_index_set(middle[0]),), n)
-    elif kind == "luni":
-        if len(middle) != 1:
-            raise ValueError(f"family spec {text!r} needs one position")
-        fam = build_family("luni", (int(middle[0]),), n)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
+    params = tuple(read(piece) for read, piece in zip(readers, middle))
+    fam = build_family(kind, params, n)
     return invert_family(fam) if inverted else fam
 
 

@@ -547,6 +547,19 @@ class TestVerifyCommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "09aa4a317e8d6bf3"
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["verify", "all"], "21d6a0ac5fd439c7"),
+            (["verify", "clifford-audit", "--max-n", "4", "--json"], "a7fdab5cb33d1db2"),
+        ],
+    )
+    def test_other_reports_pinned(self, capsys, argv, digest):
+        # sha256 prefixes of the text audit and of the rank-4 Clifford audit
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
     def test_verify_all_deterministic(self, capsys):
         argv = ["verify", "all", "--max-n", "1", "--max-partition", "2"]
         _, first, _ = run_cli(capsys, argv)

@@ -1,6 +1,7 @@
 """Tests for domino tilings, tableaux, descents, and the operator family."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -113,6 +114,52 @@ class TestTilings:
             assert set(covered) == cells
             assert tiling not in seen
             seen.add(tiling)
+            # the enumerator builds each domino without the constructor's checks
+            for domino in tiling:
+                rebuilt = Domino(tuple(reversed(domino.cells)))
+                assert rebuilt == domino and hash(rebuilt) == hash(domino)
+
+
+def hook_count(shape):
+    """The number of standard Young tableaux of ``shape``, by hook lengths."""
+    columns = [sum(part > c for part in shape) for c in range(shape[0] if shape else 0)]
+    hooks = math.prod(
+        part - c + columns[c] - r - 1 for r, part in enumerate(shape) for c in range(part)
+    )
+    return math.factorial(sum(shape)) // hooks
+
+
+def sdt_count(shape):
+    """C(m, |mu|) * f^mu * f^nu for a shape of m dominoes with 2-quotient
+    (mu, nu); a shape with a nonempty 2-core, where |mu| + |nu| < m, has no
+    tiling."""
+    m = sum(shape) // 2
+    q = two_quotient(shape)
+    if sum(q.mu) + sum(q.nu) != m:
+        return 0
+    return math.comb(m, sum(q.mu)) * hook_count(q.mu) * hook_count(q.nu)
+
+
+class TestCountOracle:
+    def test_hook_counts(self):
+        assert [hook_count(s) for s in ((), (1,), (2, 1), (3, 2), (2, 2, 1))] == [
+            1, 1, 2, 5, 5
+        ]
+
+    def test_every_shape_up_to_eight_dominoes(self):
+        tileable = 0
+        for shape in even_partitions(8):
+            expected = sdt_count(shape)
+            assert len(enumerate_sdt(shape)) == expected, shape
+            tileable += expected > 0
+        assert tileable == 433
+
+    @pytest.mark.parametrize(
+        "shape, count", [((6, 6, 6, 6), 23_100), ((6, 6, 4, 2, 2, 2), 44_352)]
+    )
+    def test_large_shapes(self, shape, count):
+        assert sdt_count(shape) == count
+        assert len(enumerate_sdt(shape)) == count
 
 
 class TestEnumerateSdt:
@@ -203,6 +250,21 @@ class TestGeneratorAction:
         assert flip_northwest_square(t) is None
         (t31,) = enumerate_sdt((3, 1))
         assert flip_northwest_square(t31) is None
+
+    def test_every_flip_passes_the_public_check(self):
+        # flips skip the constructor's checks; each one is a standard tableau
+        # of the same shape, and flipping twice gives the tableau back
+        flips = 0
+        for shape in even_partitions(6):
+            tableaux = set(enumerate_sdt(shape))
+            for t in tableaux:
+                flipped = flip_northwest_square(t)
+                if flipped is None:
+                    continue
+                flips += 1
+                assert StandardDominoTableau(flipped.shape, flipped.dominoes) == flipped
+                assert flipped in tableaux and flip_northwest_square(flipped) == t
+        assert flips == 794
 
     def test_swap_invalid_gives_none(self):
         assert swap_entries(VERTICAL_PAIR, 1) is None

@@ -514,6 +514,27 @@ class TestTruncatedPolynomial:
         x0 = TruncatedPolynomial.make(1, 4, {(1,): 1})
         assert (x0 - x0).is_zero()
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {(0.5, 0.5): 1},
+            {(1.0, 0): 1},
+            {(1, 0): 0.5},
+            {(1, 0): "3"},
+            {(1, 0): Fraction(3)},
+        ],
+    )
+    def test_non_integral_input_is_a_type_error(self, terms):
+        # exponents and coefficients are read through operator.index, so a
+        # half exponent is no longer accepted under the degree cap
+        with pytest.raises(TypeError):
+            TruncatedPolynomial.make(2, 1, terms)
+
+    @pytest.mark.parametrize("scalar", [0.5, 2.0, "2", Fraction(2)])
+    def test_non_integral_scalar_is_a_type_error(self, scalar):
+        with pytest.raises(TypeError):
+            TruncatedPolynomial.make(2, 1, {(1, 0): 1}).scale(scalar)
+
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=5))
     @settings(max_examples=40)
     def test_addition_commutes(self, pairs):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -229,6 +230,34 @@ class TestQSymElement:
             QSymElement.make(2, {frozenset({2}): 1})
         with pytest.raises(ValueError):
             QSymElement.make(2, {frozenset({-1}): 1})
+        with pytest.raises(TypeError):
+            QSymElement.from_descent_sets([{0.5}], 2)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {frozenset(): 0.5},
+            {frozenset({1}): "3"},
+            {frozenset({1.0}): 1},
+            {frozenset({1}): 1.0},
+            {frozenset({1}): Fraction(3)},
+        ],
+    )
+    def test_non_integral_input_is_a_type_error(self, coeffs):
+        # indices and coefficients are read through operator.index, so none
+        # is truncated or coerced: 0.5 is not zero, "3" is not 3
+        with pytest.raises(TypeError):
+            QSymElement.make(2, coeffs)
+
+    @pytest.mark.parametrize("scalar", [0.5, 2.0, "2", Fraction(2)])
+    def test_non_integral_scalar_is_a_type_error(self, scalar):
+        with pytest.raises(TypeError):
+            QSymElement.fundamental({0}, 2).scale(scalar)
+
+    def test_bools_are_read_as_ints(self):
+        element = QSymElement.make(2, {frozenset({True}): True})
+        assert element.coeffs == (((1,), 1),)
+        assert type(element.coeffs[0][0][0]) is type(element.coeffs[0][1]) is int
 
 
 class TestLinearIndependence:

@@ -78,6 +78,13 @@ class TestTrustedConstruction:
             for semi in iter_semistandard(shape, 2):
                 assert ShiftedSemistandardTableau(semi.tiling, semi.entries) == semi
 
+    def test_markings_equal_their_validated_rebuilds(self):
+        for shape in valid_shapes(8):
+            marked = enumerate_shifted(shape, "marked")
+            standard = enumerate_shifted(shape, "standard")
+            assert list(marked) == [m for t in standard for m in markings_of(t)]
+            assert all(type(m.primed) is frozenset for m in marked)
+
     def test_enumerated_fillings_are_all_the_valid_ones(self):
         # every filling with codes 0..2 that the public constructor accepts
         # is enumerated, so the enumerator's pruning rejects nothing valid

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tbhl.signed_permutations import (
     MAX_RANK,
     AlignedWitness,
-    Reflection,
     SignedPermutation,
     _rank_table,
     all_elements,
@@ -141,13 +140,6 @@ class TestReflectionsAndInversions:
             for i in range(n)
         }
         assert conjugates == set(reflections(n))
-
-    def test_reflection_classification(self):
-        assert Reflection(SignedPermutation((-1, 2))).descriptor == ("negation", 1)
-        assert Reflection(SignedPermutation((2, 1))).descriptor == ("swap", 1, 2)
-        assert Reflection(SignedPermutation((-2, -1))).descriptor == ("swap", 1, -2)
-        with pytest.raises(ValueError):
-            Reflection(SignedPermutation((2, -1))).descriptor
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_inversion_count_equals_length(self, n):
