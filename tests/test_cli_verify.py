@@ -296,6 +296,54 @@ class TestEnumerateCommands:
         assert len(payload["members"]) == 8
 
 
+class TestOutputPinned:
+    # sha256 prefixes of every command's output in every mode: text, --json,
+    # --monomials, --count and --count --json, and the empty listing
+    OUTPUT_DIGESTS = [
+        ("qsym fb --set {0,3} --n 4", "f5845edc08901a9b"),
+        ("qsym fb --set {0,3} --n 4 --json", "b1573dcbd0025ada"),
+        ("qsym fb --set {0,3} --n 4 --monomials", "2a85c66c0aea4fe4"),
+        ("qsym delta --set {1} --n 3", "a00c693a189f6c17"),
+        ("qsym delta --set {1} --n 3 --json", "25ab1b240a924ba7"),
+        ("qsym delta --set {0,2} --n 3 --variant complemented", "69992734caf2c1d0"),
+        ("qsym delta --set {0,2} --n 3 --variant complemented --json", "72a9bae7c9f55e6b"),
+        ("qsym peakfn --bit 1 --peaks {2} --n 3", "59de577e20e924e2"),
+        ("qsym peakfn --bit 1 --peaks {2} --n 3 --json", "046d27dc5a198937"),
+        ("qsym peakfn --bit 0 --peaks {2} --n 3 --variant complemented", "39885f8ab7645014"),
+        ("enumerate domino sdt --shape 4,2,2", "f08dd1d36935e38a"),
+        ("enumerate domino sdt --shape 4,2,2 --json", "0741bb93cb0a746f"),
+        ("enumerate domino sdt --shape 4,2,2 --count", "aa67a169b0bba217"),
+        ("enumerate domino sdt --shape 4,2,2 --count --json", "cb73c37bbc360b07"),
+        ("enumerate domino sdt --shape 3,2,1", "5dfecbf35de344dc"),
+        ("enumerate shifted sshdt --shape 6,4", "852aaa40a7f436b0"),
+        ("enumerate shifted sshdt --shape 6,4 --json", "a4bbf6ada6620fa2"),
+        ("enumerate shifted sshdt --shape 6,4 --count", "06e9d52c1720fca4"),
+        ("enumerate shifted sshdt --shape 6,4 --count --json", "fe59eef6031991ea"),
+        ("enumerate shifted sshdt --shape 4,2 --maxval 2", "6764b2e364a5dbb5"),
+        ("enumerate shifted sshdt --shape 4,2 --maxval 2 --json", "b90c4518b5d267d6"),
+        ("enumerate shifted sshdt --shape 4,2 --maxval 2 --count", "673650f936cb3b0a"),
+        (
+            "enumerate shifted sshdt --shape 4,2 --maxval 2 --count --json",
+            "0eb7a63c0bd907ce",
+        ),
+        ("enumerate shifted sshdt --shape 3,2,1", "5dfecbf35de344dc"),
+        ("enumerate shifted quotient --shape 7,7,6,5,1", "9e26a134c9d9dc6f"),
+        ("enumerate shifted quotient --shape 7,7,6,5,1 --json", "52a329aab4d0c045"),
+        ("enumerate family dclass:{0}:2", "f32feee5db02a4b7"),
+        ("enumerate family dclass:{0}:2 --json", "6ccecf2ad77a0452"),
+        ("enumerate family dclass:{0}:2 --count", "1121cfccd5913f0a"),
+        ("enumerate family dclass:{0}:2 --count --json", "d3f4db6a9ee4530c"),
+        ("enumerate family arc:1", "4a6fea88f1f4b219"),
+        ("enumerate family arc:1 --json", "5eed61f4e214f87c"),
+    ]
+
+    @pytest.mark.parametrize("command, digest", OUTPUT_DIGESTS)
+    def test_output_pinned(self, capsys, command, digest):
+        code, out, err = run_cli(capsys, command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 class TestUsageErrors:
     def test_malformed_index_set(self, capsys):
         code, _, err = run_cli(
@@ -552,10 +600,15 @@ class TestVerifyCommands:
         [
             (["verify", "all"], "21d6a0ac5fd439c7"),
             (["verify", "clifford-audit", "--max-n", "4", "--json"], "a7fdab5cb33d1db2"),
+            (
+                ["verify", "all", "--max-n", "6", "--max-partition", "6", "--json"],
+                "7c4ba26df620d3d9",
+            ),
         ],
     )
     def test_other_reports_pinned(self, capsys, argv, digest):
-        # sha256 prefixes of the text audit and of the rank-4 Clifford audit
+        # sha256 prefixes of the text audit, of the rank-4 Clifford audit and
+        # of the rank-6 audit
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
