@@ -27,20 +27,23 @@ one failure, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .exact_algebra import GaussianInteger
 from .domino_tableaux import (
     brute_force_sdt,
     enumerate_sdt,
+    enumerate_tilings,
     g_lambda,
     partitions_of,
     sdt_operator_family,
+    standard_orders,
     validate_partition,
 )
 from .hecke_clifford import (
@@ -53,7 +56,6 @@ from .hecke_clifford import (
     cover_lower_targets,
     induce_and_restrict,
     iso_predicate,
-    k_factor,
     k_set,
     res_MI_formula,
     restriction_characteristic,
@@ -68,6 +70,7 @@ from .hecke_engine import (
     verify_relations,
 )
 from .qsym_typeb import (
+    PEAK_VARIANTS,
     QSymElement,
     fb_monomials,
     fb_truncations_linearly_independent,
@@ -76,8 +79,10 @@ from .qsym_typeb import (
     peak_function_type_b,
 )
 from .shifted_domino import (
+    _code_walk,
     conjugate_family,
     enumerate_shifted,
+    enumerate_shifted_tilings,
     filled_count,
     find_semistandard_with_weight,
     find_standard_with_descents,
@@ -144,12 +149,7 @@ class AuditCase:
         return (self.id, json.dumps(self.params, sort_keys=True))
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "status": self.status,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _shape_text(shape) -> str:
@@ -392,16 +392,14 @@ def cases_domino(max_partition: int) -> list[AuditCase]:
 
 
 def cases_shifted(max_partition: int) -> list[AuditCase]:
+    quotient = two_quotient(WITNESS_SHAPE)
     cases = [
         AuditCase(
             "shifted.quotient",
             {"shape": _shape_text(WITNESS_SHAPE)},
-            _passfail(
-                two_quotient(WITNESS_SHAPE).mu == (3, 3, 3)
-                and two_quotient(WITNESS_SHAPE).nu == (4,)
-            ),
-            f"quotient pair mu={_shape_text(two_quotient(WITNESS_SHAPE).mu)} "
-            f"nu={_shape_text(two_quotient(WITNESS_SHAPE).nu)}",
+            _passfail(quotient.mu == (3, 3, 3) and quotient.nu == (4,)),
+            f"quotient pair mu={_shape_text(quotient.mu)} "
+            f"nu={_shape_text(quotient.nu)}",
         )
     ]
     for shape in _valid_shapes(min(max_partition, 8)):
@@ -530,17 +528,13 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
                     diagonal_failures.append((index_set, "case table", i))
             # the base is one-dimensional: (D, y) sits at index(D)
             for col, subset in enumerate(clifford_basis(n)[0]):
+                acting = k_set(index_set, subset, n)
                 for valley in valleys:
-                    if k_set(index_set, subset, n) != k_set(
-                        index_set, frozenset(subset) | {valley}, n
-                    ):
+                    if k_set(index_set, frozenset(subset) | {valley}, n) != acting:
                         stability_failures.append((index_set, subset, valley))
                 for i in range(n):
-                    diagonal = module.matrices[i].get(col, col)
-                    expected = GaussianInteger.integer(
-                        k_factor(i, index_set, subset)
-                    )
-                    if diagonal != expected:
+                    expected = GaussianInteger.integer(-1 if i in acting else 0)
+                    if module.matrices[i].get(col, col) != expected:
                         diagonal_failures.append((index_set, subset, i))
                     allowed = cover_lower_targets(i, index_set, subset)
                     for row in module.matrices[i].column(col):
@@ -598,13 +592,9 @@ def clifford_audit_cases(max_n: int) -> list[AuditCase]:
             for form in RES_FORMS:
                 formula = res_MI_formula(index_set, n, form)
                 if direct == formula:
-                    status = "pass"
-                    details = f"both equal {direct}"
-                elif form == "theorem_literal":
-                    status = "variant-dependent"
-                    details = f"direct={direct}; formula={formula}"
+                    status, details = "pass", f"both equal {direct}"
                 else:
-                    status = "fail"
+                    status = "variant-dependent" if form == "theorem_literal" else "fail"
                     details = f"direct={direct}; formula={formula}"
                 cases.append(
                     AuditCase(
@@ -814,14 +804,8 @@ def summarize(cases: list[AuditCase]) -> dict:
 def render_report(cases: list[AuditCase], as_json: bool, header: dict) -> str:
     summary = summarize(cases)
     if as_json:
-        return json.dumps(
-            {
-                **header,
-                "cases": [case.to_json() for case in cases],
-                "summary": summary,
-            },
-            sort_keys=True,
-            indent=2,
+        return _json_text(
+            {**header, "cases": [case.to_json() for case in cases], "summary": summary}
         )
     width = max((len(case.id) for case in cases), default=4)
     rendered = [
@@ -845,6 +829,33 @@ def render_report(cases: list[AuditCase], as_json: bool, header: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # object commands
+
+
+def _json_text(payload: dict) -> str:
+    """The JSON form of every command's output: indented, keys sorted."""
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _emit(args, payload: dict, text: str) -> None:
+    """Print ``payload`` as JSON under ``--json``, else ``text``."""
+    print(_json_text(payload) if args.json else text)
+
+
+def _emit_listing(
+    args, meta: dict, count, listing, key: str, entry, block, separator="\n\n"
+) -> None:
+    """Print the items of ``listing()``: under ``--json`` as ``meta``, their
+    count and ``entry(item)`` each under ``key``; else as ``block(item)``
+    each, joined by ``separator``, or ``(none)``.  Under ``--count`` only
+    ``count()`` runs, printed bare or with ``meta`` as one line of JSON."""
+    if args.count:
+        total = count()
+        print(json.dumps({**meta, "count": total}, sort_keys=True) if args.json else total)
+    elif args.json:
+        items = listing()
+        print(_json_text({**meta, "count": len(items), key: [entry(x) for x in items]}))
+    else:
+        print(separator.join(block(x) for x in listing()) or "(none)")
 
 
 def _prettify_polynomial(text: str) -> str:
@@ -888,13 +899,9 @@ def cmd_qsym(args) -> int:
     else:  # peakfn
         peaks = parse_index_set(args.peaks)
         element = peak_function_type_b(args.bit, peaks, args.n, args.variant)
-        payload = {
-            "bit": args.bit,
-            "variant": args.variant,
-            **element.to_json(),
-        }
+        payload = {"bit": args.bit, "variant": args.variant, **element.to_json()}
         text = str(element)
-    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else text)
+    _emit(args, payload, text)
     return 0
 
 
@@ -906,122 +913,84 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     return validate_partition(parts)
 
 
-def _emit_tableaux(tableaux, meta: dict, args) -> None:
-    if args.count:
-        if args.json:
-            print(json.dumps({**meta, "count": len(tableaux)}, sort_keys=True))
-        else:
-            print(len(tableaux))
-        return
-    if args.json:
-        payload = {
-            **meta,
-            "count": len(tableaux),
-            "tableaux": [
-                {
-                    "descents": format_index_set(t.descent_set())
-                    if hasattr(t, "descent_set")
-                    else None,
-                    "layout": t.to_text(),
-                }
-                for t in tableaux
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return
-    blocks = []
-    for t in tableaux:
-        lines = []
-        if hasattr(t, "descent_set"):
-            lines.append(f"descents={format_index_set(t.descent_set())}")
-        lines.append(t.to_text())
-        blocks.append("\n".join(lines))
-    print("\n\n".join(blocks) if blocks else "(none)")
+def _count_tableaux(shape, kind: str, maxval: int | None) -> int:
+    """``len(enumerate_sdt(shape))`` for ``kind`` ``"sdt"``, else
+    ``len(enumerate_shifted(shape, kind, maxval))``, counted over the tilings
+    without building a tableau."""
+    if kind == "sdt":
+        walks = (standard_orders(t) for t in enumerate_tilings(shape))
+    elif kind == "standard":
+        walks = (standard_orders(t.filled) for t in enumerate_shifted_tilings(shape))
+    else:
+        walks = (_code_walk(t, maxval) for t in enumerate_shifted_tilings(shape))
+    return sum(1 for walk in walks for _ in walk)
 
 
 def cmd_enumerate(args) -> int:
+    if args.enumerate_command == "family":
+        fam = parse_family_spec(args.spec)
+        _emit_listing(
+            args, {"name": fam.name}, lambda: len(fam.members),
+            lambda: fam.members, "members", format_window, format_window, "\n",
+        )
+        return 0
+    shape = _parse_shape(args.shape)
+    if args.enumerate_command == "shifted" and args.shifted_command == "quotient":
+        quotient = two_quotient(shape)
+        payload = {
+            "shape": _shape_text(shape),
+            "mu": list(quotient.mu),
+            "nu": list(quotient.nu),
+            "offsets": list(quotient.lambda_star),
+            "word": list(quotient.word),
+            "valid": quotient.valid,
+        }
+        _emit(
+            args,
+            payload,
+            f"mu={_shape_text(quotient.mu)} nu={_shape_text(quotient.nu)} "
+            f"valid={'yes' if quotient.valid else 'no'}",
+        )
+        return 0
+    maxval = getattr(args, "maxval", None)
     if args.enumerate_command == "domino":
-        shape = _parse_shape(args.shape)
-        if sum(shape) > 2 * MAX_STANDARD_DOMINOES:
-            raise ValueError(f"--shape has more than {MAX_STANDARD_DOMINOES} dominoes")
-        tableaux = enumerate_sdt(shape)
-        _emit_tableaux(
-            tableaux, {"shape": _shape_text(shape), "kind": "sdt"}, args
-        )
-        return 0
-    if args.enumerate_command == "shifted":
-        shape = _parse_shape(args.shape)
-        if args.shifted_command == "quotient":
-            quotient = two_quotient(shape)
-            if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "shape": _shape_text(shape),
-                            "mu": list(quotient.mu),
-                            "nu": list(quotient.nu),
-                            "offsets": list(quotient.lambda_star),
-                            "word": list(quotient.word),
-                            "valid": quotient.valid,
-                        },
-                        sort_keys=True,
-                        indent=2,
-                    )
-                )
-            else:
-                print(
-                    f"mu={_shape_text(quotient.mu)} "
-                    f"nu={_shape_text(quotient.nu)} "
-                    f"valid={'yes' if quotient.valid else 'no'}"
-                )
-            return 0
-        dominoes = sum(shape) // 2
-        bound = MAX_STANDARD_DOMINOES
-        if args.maxval is not None:
-            bound = MAX_SEMISTANDARD_DOMINOES
-        if dominoes > bound:
-            raise ValueError(f"--shape has more than {bound} dominoes")
-        if args.maxval is not None:
-            # a filling has at most one distinct value per domino, so larger
-            # bounds add only relabelings of the same fillings
-            if not 1 <= args.maxval <= dominoes:
-                raise ValueError(
-                    f"--maxval must lie in 1..{dominoes} for shape {_shape_text(shape)}"
-                )
-        kind = "semistandard" if args.maxval is not None else "standard"
-        tableaux = enumerate_shifted(shape, kind, args.maxval)
-        _emit_tableaux(
-            tableaux, {"shape": _shape_text(shape), "kind": kind}, args
-        )
-        return 0
-    # family
-    fam = parse_family_spec(args.spec)
-    if args.count:
-        if args.json:
-            print(
-                json.dumps(
-                    {"name": fam.name, "count": len(fam.members)},
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(len(fam.members))
-        return 0
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "name": fam.name,
-                    "count": len(fam.members),
-                    "members": [format_window(x) for x in fam.members],
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        kind, bound = "sdt", MAX_STANDARD_DOMINOES
+    elif maxval is None:
+        kind, bound = "standard", MAX_STANDARD_DOMINOES
     else:
-        for x in fam.members:
-            print(format_window(x))
+        kind, bound = "semistandard", MAX_SEMISTANDARD_DOMINOES
+    dominoes = sum(shape) // 2
+    if dominoes > bound:
+        raise ValueError(f"--shape has more than {bound} dominoes")
+    # a filling has at most one distinct value per domino, so larger bounds
+    # add only relabelings of the same fillings
+    if kind == "semistandard" and not 1 <= maxval <= dominoes:
+        raise ValueError(
+            f"--maxval must lie in 1..{dominoes} for shape {_shape_text(shape)}"
+        )
+    if kind != "sdt" and not two_quotient(shape).valid:
+        raise ValueError(f"shape {shape} has an invalid 2-quotient")
+    # only the standard kinds show descent sets
+    descents = kind != "semistandard"
+    if kind == "sdt":
+        listing = functools.partial(enumerate_sdt, shape)
+    else:
+        listing = functools.partial(enumerate_shifted, shape, kind, maxval)
+
+    def entry(t) -> dict:
+        shown = format_index_set(t.descent_set()) if descents else None
+        return {"descents": shown, "layout": t.to_text()}
+
+    def block(t) -> str:
+        if not descents:
+            return t.to_text()
+        return f"descents={format_index_set(t.descent_set())}\n{t.to_text()}"
+
+    _emit_listing(
+        args, {"shape": _shape_text(shape), "kind": kind},
+        lambda: _count_tableaux(shape, kind, maxval), listing, "tableaux",
+        entry, block,
+    )
     return 0
 
 
@@ -1094,18 +1063,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     delta.add_argument("--set", required=True)
     delta.add_argument("--n", type=int, required=True, help=degree_help)
-    delta.add_argument(
-        "--variant", choices=("literal", "complemented"), default="literal"
-    )
+    delta.add_argument("--variant", choices=PEAK_VARIANTS, default="literal")
     peakfn = qsub.add_parser(
         "peakfn", parents=[output], help="peak function from bit and peaks"
     )
     peakfn.add_argument("--bit", type=int, choices=(0, 1), required=True)
     peakfn.add_argument("--peaks", required=True)
     peakfn.add_argument("--n", type=int, required=True, help=degree_help)
-    peakfn.add_argument(
-        "--variant", choices=("literal", "complemented"), default="literal"
-    )
+    peakfn.add_argument("--variant", choices=PEAK_VARIANTS, default="literal")
 
     enum = top.add_parser("enumerate", help="enumerate objects")
     esub = enum.add_subparsers(dest="enumerate_command", required=True)

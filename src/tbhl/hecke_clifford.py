@@ -379,24 +379,14 @@ def clifford_parity_matrix(module: OperatorFamily) -> SparseMatrix:
 # diagonal eigenvalues and descent-set factors
 
 
-def k_factor(i: int, index_set, subset) -> int:
-    """Diagonal eigenvalue of ``pi_i`` at the ``c_D`` column: ``-1`` or ``0``."""
-    index_set = frozenset(index_set)
-    barred = frozenset(subset)
-    if i not in index_set and i in barred:
-        return -1
-    if i in index_set and (i + 1) not in barred:
-        return -1
-    return 0
-
-
 def k_set(index_set, subset, n: int) -> frozenset[int]:
-    """Indices acting by ``-1`` on the ``c_D`` column, in closed form.
+    """Indices acting by ``-1`` on the ``c_D`` column, in closed form; the
+    diagonal of every other ``pi_i`` there is ``0``.
 
     >>> sorted(k_set({0, 3, 4, 6}, {1, 2, 5}, 7))
     [1, 2, 3, 5, 6]
     """
-    index_set = frozenset(index_set)
+    index_set = _checked_index_set(index_set, n)
     barred = frozenset(subset)
     shifted_down = {d - 1 for d in barred}
     return frozenset(
@@ -451,7 +441,7 @@ def res_MI_formula(index_set, n: int, form: str) -> QSymElement:
     selecting subset omits 0.  The ``theorem_*`` forms evaluate the two
     readings of the peak-function characteristic of the complement.
     """
-    index_set = frozenset(index_set)
+    index_set = _checked_index_set(index_set, n)
     complement = frozenset(range(n)) - index_set
     if form == "theorem_literal":
         return peak_characteristic(complement, n, "literal")
@@ -485,8 +475,8 @@ def iso_predicate(first, second, n: int) -> bool:
     >>> iso_predicate(set(), {1}, 2)
     True
     """
-    first = frozenset(first)
-    second = frozenset(second)
+    first = _checked_index_set(first, n)
+    second = _checked_index_set(second, n)
     everything = frozenset(range(n))
     if 0 in first.symmetric_difference(second):
         return False
@@ -542,7 +532,7 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
 
 def centralizer_valleys(index_set, n: int) -> frozenset[int]:
     """Valley set of the complement: the expected endomorphism indices."""
-    complement = frozenset(range(n)) - frozenset(index_set)
+    complement = frozenset(range(n)) - _checked_index_set(index_set, n)
     return peak_data(complement, n).valley
 
 

@@ -514,7 +514,7 @@ class TestUsageErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration started on a rejected shape")
 
-        for name in ("enumerate_sdt", "enumerate_shifted", "run_audit"):
+        for name in ("enumerate_sdt", "enumerate_shifted", "_count_tableaux", "run_audit"):
             monkeypatch.setattr(cli_verify, name, refuse)
         dominoes = getattr(cli_verify, bound)
         argv = [*command, "--shape", str(2 * dominoes + 2)]
@@ -540,12 +540,14 @@ class TestUsageErrors:
                 f"{getattr(cli_verify, bound)} with --maxval" in text
             )
 
-    def test_semistandard_shape_with_bad_quotient(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["enumerate", "shifted", "sshdt", "--shape", "2,1,1"]
-        )
-        assert code == 2
-        assert "2-quotient" in err
+    @pytest.mark.parametrize(
+        "extra", [[], ["--count"], ["--maxval", "1"], ["--maxval", "1", "--count"]]
+    )
+    def test_shifted_shape_with_bad_quotient(self, capsys, extra):
+        argv = ["enumerate", "shifted", "sshdt", "--shape", "2,1,1", *extra]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: shape (2, 1, 1) has an invalid 2-quotient\n"
 
 
 class TestVerifyCommands:

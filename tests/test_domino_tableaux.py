@@ -6,6 +6,7 @@ import math
 import pytest
 
 from tbhl import domino_tableaux, shifted_domino
+from tbhl.cli_verify import _count_tableaux
 from tbhl.domino_tableaux import (
     Domino,
     StandardDominoTableau,
@@ -30,6 +31,7 @@ from tbhl.shifted_domino import (
     ShiftedStandardTableau,
     ShiftedTiling,
     conjugate_family,
+    enumerate_shifted,
     two_quotient,
 )
 
@@ -160,6 +162,25 @@ class TestCountOracle:
     def test_large_shapes(self, shape, count):
         assert sdt_count(shape) == count
         assert len(enumerate_sdt(shape)) == count
+        assert _count_tableaux(shape, "sdt", None) == count
+
+    def test_counts_without_tableaux_up_to_eight_dominoes(self):
+        # the ``--count`` path of ``tbhl enumerate`` walks standard orders and
+        # fillings without building a tableau
+        for shape in even_partitions(8):
+            assert _count_tableaux(shape, "sdt", None) == len(enumerate_sdt(shape))
+            if two_quotient(shape).valid:
+                expected = len(enumerate_shifted(shape, "standard"))
+                assert _count_tableaux(shape, "standard", None) == expected, shape
+
+    def test_semistandard_counts_without_tableaux(self):
+        # every shape up to the 6-domino bound of ``--maxval``, at values 1..3
+        for shape in even_partitions(6):
+            if not two_quotient(shape).valid:
+                continue
+            for maxval in range(1, min(3, sum(shape) // 2) + 1):
+                expected = len(enumerate_shifted(shape, "semistandard", maxval))
+                assert _count_tableaux(shape, "semistandard", maxval) == expected
 
 
 class TestEnumerateSdt:

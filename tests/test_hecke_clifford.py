@@ -20,7 +20,6 @@ from tbhl.hecke_clifford import (
     induce_and_restrict,
     induce_labeled_basis,
     iso_predicate,
-    k_factor,
     k_set,
     pi_commute,
     res_MI_formula,
@@ -287,6 +286,26 @@ class TestBuildMI:
         with pytest.raises(ValueError):
             ribbon_table_matrix(2, {0}, 2)
 
+    # each public function taking an index set I of M_I, called on (I, n)
+    INDEX_SET_CALLS = {
+        "res_MI_formula": lambda index_set, n: res_MI_formula(
+            index_set, n, "proof_penultimate"
+        ),
+        "iso_predicate-first": lambda index_set, n: iso_predicate(index_set, (), n),
+        "iso_predicate-second": lambda index_set, n: iso_predicate((), index_set, n),
+        "centralizer_valleys": centralizer_valleys,
+        "k_set": lambda index_set, n: k_set(index_set, (), n),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INDEX_SET_CALLS))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_index_set_bounds_at_both_edges(self, name, n):
+        call = self.INDEX_SET_CALLS[name]
+        call({n - 1}, n)
+        for outside in (n, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                call({0, outside}, n)
+
     def test_case_table_cross_check_runs_everywhere(self):
         # the transcribed table and the commutation engine agree; all ranks
         # up to 3 cover every case of the table
@@ -413,17 +432,6 @@ class TestDiagonalData:
         assert k_set(set(), {1}, 1) == frozenset()
         assert k_set(set(), {1}, 2) == frozenset({1})
 
-    def test_k_set_matches_k_factor(self):
-        for n in range(1, 5):
-            for index_set in all_index_sets(n):
-                for subset in subsets(range(1, n + 1)):
-                    expected = frozenset(
-                        i
-                        for i in range(n)
-                        if k_factor(i, index_set, subset) == -1
-                    )
-                    assert k_set(index_set, subset, n) == expected
-
     def test_k_set_matches_module_diagonal(self):
         for n in range(1, 4):
             for index_set in all_index_sets(n):
@@ -431,14 +439,11 @@ class TestDiagonalData:
                 label = frozenset(index_set)
                 for subset in subsets(range(1, n + 1)):
                     col = module.labels.index((subset, label))
+                    acting = k_set(index_set, subset, n)
                     for i in range(n):
                         diag = module.matrices[i].get(col, col)
-                        assert diag in (
-                            GaussianInteger.integer(0),
-                            MINUS_ONE,
-                        )
-                        expected = k_factor(i, index_set, subset)
-                        assert diag == GaussianInteger.integer(expected)
+                        expected = MINUS_ONE if i in acting else GaussianInteger.integer(0)
+                        assert diag == expected
 
     def test_valley_stability(self):
         # adding any valley of the complement to the barred set does not
