@@ -163,8 +163,18 @@ def _valid_shapes(max_total: int):
                 yield shape
 
 
-def _passfail(ok: bool) -> str:
-    return "pass" if ok else "fail"
+def _case(
+    case_id: str, params: dict, ok: bool, passed: str, failed: str | None = None
+) -> AuditCase:
+    """The one verdict rule: a case passes exactly when ``ok``.  Its details
+    are ``passed``, what was checked, or else ``failed``, what failed;
+    without ``failed`` they are ``passed`` either way."""
+    details = passed if ok or failed is None else failed
+    return AuditCase(case_id, params, "pass" if ok else "fail", details)
+
+
+def _failing_index_sets(index_sets) -> str:
+    return f"failing index sets: {sorted(map(sorted, index_sets))}"
 
 
 # -- criterion: operator families from distinguished permutation sets -------
@@ -195,21 +205,14 @@ def cases_family_relations(max_n: int) -> list[AuditCase]:
                 and relations == {"relations": "ok"}
                 and char == descent_sum
             )
-            details = (
-                f"{len(fam.members)} members; relations hold; "
-                "characteristic equals descent sum"
-                if ok
-                else f"{len(fam.members)} members; relations={relations}; "
-                f"characteristic={char}; descent sum={descent_sum}"
-            )
-            cases.append(
-                AuditCase(
-                    "families.relations",
-                    {"family": fam.name},
-                    _passfail(ok),
-                    details,
-                )
-            )
+            size = len(fam.members)
+            cases.append(_case(
+                "families.relations", {"family": fam.name}, ok,
+                f"{size} members; relations hold; "
+                "characteristic equals descent sum",
+                f"{size} members; relations={relations}; "
+                f"characteristic={char}; descent sum={descent_sum}",
+            ))
     return cases
 
 
@@ -232,15 +235,12 @@ def cases_random_convex(max_n: int, seed: int, samples: int) -> list[AuditCase]:
         )
         if not ok:
             failures += 1
-    return [
-        AuditCase(
-            "families.random-convex",
-            {"degree": degree, "samples": samples, "seed": seed},
-            _passfail(failures == 0),
-            f"weak-order intervals: ascent-compatible, relations hold, "
-            f"characteristic equals descent sum; failures={failures}",
-        )
-    ]
+    params = {"degree": degree, "samples": samples, "seed": seed}
+    return [_case(
+        "families.random-convex", params, failures == 0,
+        f"weak-order intervals: ascent-compatible, relations hold, "
+        f"characteristic equals descent sum; failures={failures}",
+    )]
 
 
 # -- criterion: arc families ------------------------------------------------
@@ -251,24 +251,16 @@ def cases_arc(max_n: int) -> list[AuditCase]:
     for n in range(2, min(max_n, 4) + 1):
         fam = build_family("arc", (), n)
         report = ascent_compatibility_report(fam.members)
-        cases.append(
-            AuditCase(
-                "arc.compatible",
-                {"degree": n},
-                _passfail(report.compatible),
-                f"{len(fam.members)} members scanned",
-            )
-        )
+        cases.append(_case(
+            "arc.compatible", {"degree": n}, report.compatible,
+            f"{len(fam.members)} members scanned",
+        ))
     if max_n >= 3:
         count = len(build_family("arc", (), 3))
-        cases.append(
-            AuditCase(
-                "arc.count",
-                {"degree": 3},
-                _passfail(count == 24),
-                f"expected 24 members, found {count}",
-            )
-        )
+        cases.append(_case(
+            "arc.count", {"degree": 3}, count == 24,
+            f"expected 24 members, found {count}",
+        ))
         found = smallest_non_convex_arc_degree(min(max_n, 4))
         ok = False
         details = "no non-convex degree found"
@@ -288,14 +280,8 @@ def cases_arc(max_n: int) -> list[AuditCase]:
                 f"{format_window(low)} <= {format_window(gap)} <= "
                 f"{format_window(high)} with the middle element outside"
             )
-        cases.append(
-            AuditCase(
-                "arc.non-convex",
-                {"max_degree": min(max_n, 4)},
-                _passfail(ok),
-                details,
-            )
-        )
+        params = {"max_degree": min(max_n, 4)}
+        cases.append(_case("arc.non-convex", params, ok, details))
     return cases
 
 
@@ -310,16 +296,11 @@ def cases_unimodal(max_n: int) -> list[AuditCase]:
             family = set(invert_family(build_family("luni", (i,), n)).members)
             if set(unimodal_interval(i, n, "corrected")) != family:
                 bad.append(i)
-        cases.append(
-            AuditCase(
-                "unimodal.interval",
-                {"degree": n},
-                _passfail(not bad),
-                f"all {n} positions match the corrected interval"
-                if not bad
-                else f"mismatching positions: {bad}",
-            )
-        )
+        cases.append(_case(
+            "unimodal.interval", {"degree": n}, not bad,
+            f"all {n} positions match the corrected interval",
+            f"mismatching positions: {bad}",
+        ))
     return cases
 
 
@@ -335,56 +316,37 @@ def cases_domino(max_partition: int) -> list[AuditCase]:
             slow = brute_force_sdt(shape)
             if set(fast) != set(slow) or len(fast) != len(slow):
                 mismatches.append(shape)
-        cases.append(
-            AuditCase(
-                "domino.counts",
-                {"total": total},
-                _passfail(not mismatches),
-                "enumerations agree with the brute-force oracle"
-                if not mismatches
-                else f"oracle mismatch at {mismatches}",
-            )
-        )
+        cases.append(_case(
+            "domino.counts", {"total": total}, not mismatches,
+            "enumerations agree with the brute-force oracle",
+            f"oracle mismatch at {mismatches}",
+        ))
         for shape in partitions_of(total):
             if not enumerate_sdt(shape):
                 continue
             ops = sdt_operator_family(shape)
             relations = verify_relations(ops)
             char, _ = characteristic_by_composition_series(ops)
-            ok = relations == {"relations": "ok"} and char == g_lambda(shape)
-            cases.append(
-                AuditCase(
-                    "domino.modules",
-                    {"shape": _shape_text(shape)},
-                    _passfail(ok),
-                    "relations hold; characteristic equals the descent "
-                    "generating function"
-                    if ok
-                    else f"relations={relations}; characteristic={char}",
-                )
-            )
+            cases.append(_case(
+                "domino.modules", {"shape": _shape_text(shape)},
+                relations == {"relations": "ok"} and char == g_lambda(shape),
+                "relations hold; characteristic equals the descent "
+                "generating function",
+                f"relations={relations}; characteristic={char}",
+            ))
     pinned = g_lambda((2, 2))
     expected = QSymElement.fundamental({0}, 2) + QSymElement.fundamental({1}, 2)
-    cases.append(
-        AuditCase(
-            "domino.pinned-g22",
-            {"shape": "2,2"},
-            _passfail(pinned == expected),
-            f"generating function {pinned}",
-        )
-    )
+    cases.append(_case(
+        "domino.pinned-g22", {"shape": "2,2"}, pinned == expected,
+        f"generating function {pinned}",
+    ))
     descent_sets = {t.descent_set() for t in enumerate_sdt((5, 4, 4, 1))}
-    ok = frozenset({0, 2, 5, 6}) in descent_sets
-    cases.append(
-        AuditCase(
-            "domino.pinned-descents",
-            {"shape": "5,4,4,1"},
-            _passfail(ok),
-            "a tableau with descents {0,2,5,6} exists"
-            if ok
-            else "no tableau with descents {0,2,5,6}",
-        )
-    )
+    cases.append(_case(
+        "domino.pinned-descents", {"shape": "5,4,4,1"},
+        frozenset({0, 2, 5, 6}) in descent_sets,
+        "a tableau with descents {0,2,5,6} exists",
+        "no tableau with descents {0,2,5,6}",
+    ))
     return cases
 
 
@@ -393,45 +355,34 @@ def cases_domino(max_partition: int) -> list[AuditCase]:
 
 def cases_shifted(max_partition: int) -> list[AuditCase]:
     quotient = two_quotient(WITNESS_SHAPE)
-    cases = [
-        AuditCase(
-            "shifted.quotient",
-            {"shape": _shape_text(WITNESS_SHAPE)},
-            _passfail(quotient.mu == (3, 3, 3) and quotient.nu == (4,)),
-            f"quotient pair mu={_shape_text(quotient.mu)} "
-            f"nu={_shape_text(quotient.nu)}",
-        )
-    ]
+    cases = [_case(
+        "shifted.quotient", {"shape": _shape_text(WITNESS_SHAPE)},
+        quotient.mu == (3, 3, 3) and quotient.nu == (4,),
+        f"quotient pair mu={_shape_text(quotient.mu)} "
+        f"nu={_shape_text(quotient.nu)}",
+    )]
     for shape in _valid_shapes(min(max_partition, 8)):
         nvars = filled_count(shape) + 1
         marked = enumerate_shifted(shape, "marked")
         bad = stand_theorem_failures(shape, nvars)
-        cases.append(
-            AuditCase(
-                "shifted.stand",
-                {"shape": _shape_text(shape)},
-                _passfail(bad == 0),
-                f"{len(marked)} marked tableaux; "
-                f"standardization fibers match fundamentals; failures={bad}",
-            )
-        )
+        cases.append(_case(
+            "shifted.stand", {"shape": _shape_text(shape)}, bad == 0,
+            f"{len(marked)} marked tableaux; "
+            f"standardization fibers match fundamentals; failures={bad}",
+        ))
         monomial = h_lambda(shape, "monomial", nvars=nvars)
         literal = h_lambda(shape, "peak", variant="literal")
         complemented = h_lambda(shape, "peak", variant="complemented")
-        ok = literal.to_monomials(nvars) == monomial
-        cases.append(
-            AuditCase(
-                "shifted.h-modes",
-                {"shape": _shape_text(shape)},
-                _passfail(ok),
-                "monomial and peak modes agree; "
-                + (
-                    "readings coincide (no index-0 descents)"
-                    if literal == complemented
-                    else "readings differ"
-                ),
-            )
-        )
+        cases.append(_case(
+            "shifted.h-modes", {"shape": _shape_text(shape)},
+            literal.to_monomials(nvars) == monomial,
+            "monomial and peak modes agree; "
+            + (
+                "readings coincide (no index-0 descents)"
+                if literal == complemented
+                else "readings differ"
+            ),
+        ))
     for shape in _valid_shapes(min(max_partition, 10)):
         cases.append(peak_theorem_case(shape))
     if max_partition >= 10:
@@ -446,44 +397,27 @@ def peak_theorem_case(shape) -> AuditCase:
         for standard in standards
         if not verify_peak_theorem(shape, standard, "literal")
     )
-    return AuditCase(
-        "shifted.peak",
-        {"shape": _shape_text(shape)},
-        _passfail(bad == 0),
+    return _case(
+        "shifted.peak", {"shape": _shape_text(shape)}, bad == 0,
         f"{len(standards)} standard tableaux; marking sums equal the "
         f"peak characteristic; failures={bad}",
     )
 
 
 def witness_cases() -> list[AuditCase]:
-    weight_status, _ = find_semistandard_with_weight(
-        WITNESS_SHAPE, WITNESS_WEIGHT
-    )
-    descents_status, _ = find_standard_with_descents(
-        WITNESS_SHAPE, WITNESS_DESCENTS
-    )
-    return [
-        _witness_case(
-            "shifted.witness-weight",
-            weight_status,
-            f"tableau with weight {WITNESS_WEIGHT}",
-        ),
-        _witness_case(
-            "shifted.witness-descents",
-            descents_status,
-            f"tableau with descents {format_index_set(WITNESS_DESCENTS)}",
-        ),
+    searches = [
+        ("shifted.witness-weight", find_semistandard_with_weight, WITNESS_WEIGHT,
+         f"tableau with weight {WITNESS_WEIGHT}"),
+        ("shifted.witness-descents", find_standard_with_descents, WITNESS_DESCENTS,
+         f"tableau with descents {format_index_set(WITNESS_DESCENTS)}"),
     ]
-
-
-def _witness_case(case_id: str, status: str, target: str) -> AuditCase:
-    found = status == "found"
-    return AuditCase(
-        case_id,
-        {"shape": _shape_text(WITNESS_SHAPE)},
-        _passfail(found),
-        f"{target} found" if found else f"no {target}",
-    )
+    return [
+        _case(
+            case_id, {"shape": _shape_text(WITNESS_SHAPE)},
+            find(WITNESS_SHAPE, goal)[0] == "found", f"{target} found", f"no {target}",
+        )
+        for case_id, find, goal, target in searches
+    ]
 
 
 # -- criterion: Clifford-extended modules -----------------------------------
@@ -536,51 +470,33 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
                     expected = GaussianInteger.integer(-1 if i in acting else 0)
                     if module.matrices[i].get(col, col) != expected:
                         diagonal_failures.append((index_set, subset, i))
-                    allowed = cover_lower_targets(i, index_set, subset)
+                    allowed = cover_lower_targets(i, index_set, subset, n)
                     for row in module.matrices[i].column(col):
                         if row != col and module.labels[row][0] not in allowed:
                             diagonal_failures.append((index_set, subset, i))
-        cases.append(
-            AuditCase(
-                "clifford.relations",
-                {"degree": n},
-                _passfail(not relation_failures),
-                f"all {2 ** n} index sets satisfy the relation suite"
-                if not relation_failures
-                else f"failing index sets: {sorted(map(sorted, relation_failures))}",
-            )
-        )
-        cases.append(
-            AuditCase(
-                "clifford.restriction",
-                {"degree": n},
-                _passfail(not restriction_failures),
-                "restriction characteristics match the independent sum form"
-                if not restriction_failures
-                else f"failing index sets: {sorted(map(sorted, restriction_failures))}",
-            )
-        )
-        cases.append(
-            AuditCase(
-                "clifford.valley-stability",
-                {"degree": n},
-                _passfail(not stability_failures),
-                "adding complement valleys never changes the acting set"
-                if not stability_failures
-                else f"{len(stability_failures)} unstable triples",
-            )
-        )
-        cases.append(
-            AuditCase(
-                "clifford.diagonal",
-                {"degree": n},
-                _passfail(not diagonal_failures),
+        cases += [
+            _case(
+                "clifford.relations", {"degree": n}, not relation_failures,
+                f"all {2 ** n} index sets satisfy the relation suite",
+                _failing_index_sets(relation_failures),
+            ),
+            _case(
+                "clifford.restriction", {"degree": n}, not restriction_failures,
+                "restriction characteristics match the independent sum form",
+                _failing_index_sets(restriction_failures),
+            ),
+            _case(
+                "clifford.valley-stability", {"degree": n}, not stability_failures,
+                "adding complement valleys never changes the acting set",
+                f"{len(stability_failures)} unstable triples",
+            ),
+            _case(
+                "clifford.diagonal", {"degree": n}, not diagonal_failures,
                 "diagonals match the closed form; off-diagonal support "
-                "stays on lower covers"
-                if not diagonal_failures
-                else f"{len(diagonal_failures)} inconsistencies",
-            )
-        )
+                "stays on lower covers",
+                f"{len(diagonal_failures)} inconsistencies",
+            ),
+        ]
     return cases
 
 
@@ -627,16 +543,11 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
             for second in chars
             if iso_predicate(first, second, n) != (chars[first] == chars[second])
         ]
-        cases.append(
-            AuditCase(
-                "morphisms.iso",
-                {"degree": n},
-                _passfail(not mismatches),
-                "predicate agrees with characteristic equality on all pairs"
-                if not mismatches
-                else f"{len(mismatches)} disagreeing pairs",
-            )
-        )
+        cases.append(_case(
+            "morphisms.iso", {"degree": n}, not mismatches,
+            "predicate agrees with characteristic equality on all pairs",
+            f"{len(mismatches)} disagreeing pairs",
+        ))
     for n in range(1, min(max_n, 3) + 1):
         built = 0
         broken = 0
@@ -650,31 +561,21 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
                 built += 1
                 if not (result.commutes and result.invertible):
                     broken += 1
-        cases.append(
-            AuditCase(
-                "morphisms.intertwiner",
-                {"degree": n},
-                _passfail(broken == 0),
-                f"{built} admissible maps; all commute and are invertible"
-                if broken == 0
-                else f"{broken} of {built} maps fail",
-            )
-        )
+        cases.append(_case(
+            "morphisms.intertwiner", {"degree": n}, broken == 0,
+            f"{built} admissible maps; all commute and are invertible",
+            f"{broken} of {built} maps fail",
+        ))
         bad = []
         for index_set in map(frozenset, subsets(range(n))):
             expected = subsets(sorted(centralizer_valleys(index_set, n)))
             if centralizer_check(index_set, n) != expected:
                 bad.append(index_set)
-        cases.append(
-            AuditCase(
-                "morphisms.centralizer",
-                {"degree": n},
-                _passfail(not bad),
-                "commutant bases equal the valley powersets"
-                if not bad
-                else f"failing index sets: {sorted(map(sorted, bad))}",
-            )
-        )
+        cases.append(_case(
+            "morphisms.centralizer", {"degree": n}, not bad,
+            "commutant bases equal the valley powersets",
+            _failing_index_sets(bad),
+        ))
     return cases
 
 
@@ -686,18 +587,13 @@ def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
     for shape in _valid_shapes(min(max_partition, 8)):
         direct, closed_form = induce_and_restrict(conjugate_family(shape))
         expected = h_lambda(shape, "peak", variant="literal")
-        ok = direct == closed_form and direct == expected
-        cases.append(
-            AuditCase(
-                "induction.conjugate",
-                {"shape": _shape_text(shape)},
-                _passfail(ok),
-                "induced characteristic equals the shape's peak "
-                "generating function"
-                if ok
-                else f"direct={direct}; expected={expected}",
-            )
-        )
+        cases.append(_case(
+            "induction.conjugate", {"shape": _shape_text(shape)},
+            direct == closed_form and direct == expected,
+            "induced characteristic equals the shape's peak "
+            "generating function",
+            f"direct={direct}; expected={expected}",
+        ))
     for n in range(1, min(max_n, 3) + 1):
         for fam in _ascent_compatible_catalog(n):
             compatible = ascent_compatibility_report(fam.members).compatible
@@ -705,18 +601,12 @@ def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
                 family_from_elements(fam.members)
             )
             agrees = direct == closed_form
-            ok = compatible and agrees
-            cases.append(
-                AuditCase(
-                    "induction.family",
-                    {"family": fam.name},
-                    _passfail(ok),
-                    "induced characteristic equals the per-member sum form"
-                    if ok
-                    else f"ascent-compatible={compatible}; direct={direct}; "
-                    f"per-member sum agrees={agrees}",
-                )
-            )
+            cases.append(_case(
+                "induction.family", {"family": fam.name}, compatible and agrees,
+                "induced characteristic equals the per-member sum form",
+                f"ascent-compatible={compatible}; direct={direct}; "
+                f"per-member sum agrees={agrees}",
+            ))
     return cases
 
 
@@ -734,30 +624,21 @@ def cases_qsym() -> list[AuditCase]:
             data = peak_data(index_set, n)
             if len(data.valley) != len(data.peak) + data.zeta:
                 bad.append((n, index_set))
-    cases = [
-        AuditCase(
-            "qsym.peak-valley",
-            {"max_degree": 8},
-            _passfail(not bad),
-            "valley count equals peak count plus the zero indicator"
-            if not bad
-            else f"{len(bad)} failing subsets",
-        )
-    ]
     dependent = [
         n for n in range(1, 7) if not fb_truncations_linearly_independent(n, n + 1)
     ]
-    cases.append(
-        AuditCase(
-            "qsym.truncations",
-            {"max_degree": 6},
-            _passfail(not dependent),
-            "bounded monomial truncations are linearly independent"
-            if not dependent
-            else f"dependent at degrees {dependent}",
-        )
-    )
-    return cases
+    return [
+        _case(
+            "qsym.peak-valley", {"max_degree": 8}, not bad,
+            "valley count equals peak count plus the zero indicator",
+            f"{len(bad)} failing subsets",
+        ),
+        _case(
+            "qsym.truncations", {"max_degree": 6}, not dependent,
+            "bounded monomial truncations are linearly independent",
+            f"dependent at degrees {dependent}",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -395,13 +395,13 @@ def k_set(index_set, subset, n: int) -> frozenset[int]:
 
 
 def cover_lower_targets(
-    i: int, index_set, subset
+    i: int, index_set, subset, n: int
 ) -> frozenset[tuple[int, ...]]:
     """Strictly smaller neighbors of the ``c_D`` column under index ``i``.
 
     These are the only rows where ``pi_i`` may have off-diagonal support.
     """
-    index_set = frozenset(index_set)
+    index_set = _checked_index_set(index_set, n)
     barred = frozenset(subset)
     out = []
     if i == 0:

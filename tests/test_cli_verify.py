@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line driver."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -747,3 +748,64 @@ class TestAuditLibrary:
         weight, descents = witness_cases()
         assert (weight.status, descents.status) == ("fail", "pass")
         assert weight.details.startswith("no tableau with weight")
+
+    def test_failing_report_pinned(self, monkeypatch):
+        # every check is faked to fail, so each case builds its failing
+        # details; the sha256 prefix pins those texts as the passing
+        # reports' prefixes pin theirs
+        enumerate_sdt = cli_verify.enumerate_sdt
+        peak_data = cli_verify.peak_data
+        iso_predicate = cli_verify.iso_predicate
+        faked = {
+            "verify_relations": lambda ops: {"failed": {"kind": "quadratic", "i": 0}},
+            "verify_hcl_relations": lambda module: {"failed": {"kind": "braid"}},
+            "brute_force_sdt": lambda shape: (),
+            "unimodal_interval": lambda i, n, variant: (),
+            # no tableau of (5,4,4,1), the pinned-descents shape, and only there
+            "enumerate_sdt": lambda shape: (
+                () if shape == (5, 4, 4, 1) else enumerate_sdt(shape)
+            ),
+            "smallest_non_convex_arc_degree": lambda max_degree: None,
+            "stand_theorem_failures": lambda shape, nvars: 1,
+            "verify_peak_theorem": lambda shape, standard, variant: False,
+            "find_semistandard_with_weight": lambda shape, weight: ("not-found", None),
+            "find_standard_with_descents": lambda shape, descents: ("not-found", None),
+            "res_MI_formula": lambda index_set, n, form: QSymElement.zero(n),
+            # depends on the barred set, so adding a valley changes it
+            "k_set": lambda index_set, subset, n: frozenset(subset),
+            # one zero indicator too many, so no valley count matches
+            "peak_data": lambda subset, n: dataclasses.replace(
+                peak_data(subset, n), zeta=peak_data(subset, n).zeta + 1
+            ),
+            "iso_predicate": lambda first, second, n: not iso_predicate(
+                first, second, n
+            ),
+            # never commutes
+            "build_intertwiner": lambda index_set, k, n: (
+                hecke_clifford.IntertwinerResult(None, False, True)
+            ),
+            "centralizer_check": lambda index_set, n: (),
+            "induce_and_restrict": lambda base: (
+                QSymElement.fundamental((), base.rank),
+                QSymElement.zero(base.rank),
+            ),
+            "fb_truncations_linearly_independent": lambda n, nvars: False,
+        }
+        for name, fake in faked.items():
+            monkeypatch.setattr(cli_verify, name, fake)
+        monkeypatch.setattr(cli_verify, "_mi_characteristics", {})
+        cases = run_audit("all", 3, 10, 0)
+        header = {"command": "verify all", "max_n": 3}
+        out = cli_verify.render_report(cases, True, header)
+        failing = {case.id for case in cases if case.status == "fail"}
+        assert failing >= {
+            "arc.non-convex", "clifford.diagonal", "clifford.relations",
+            "clifford.restriction", "clifford.valley-stability", "domino.counts",
+            "domino.modules", "domino.pinned-descents", "families.random-convex",
+            "families.relations", "induction.conjugate", "induction.family",
+            "morphisms.centralizer", "morphisms.intertwiner", "morphisms.iso",
+            "qsym.peak-valley", "qsym.truncations", "shifted.peak",
+            "shifted.stand", "shifted.witness-descents", "shifted.witness-weight",
+            "unimodal.interval",
+        }
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "1e27fb2289f2455c"

@@ -295,6 +295,9 @@ class TestBuildMI:
         "iso_predicate-second": lambda index_set, n: iso_predicate((), index_set, n),
         "centralizer_valleys": centralizer_valleys,
         "k_set": lambda index_set, n: k_set(index_set, (), n),
+        "cover_lower_targets": lambda index_set, n: cover_lower_targets(
+            0, index_set, (), n
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(INDEX_SET_CALLS))
@@ -466,7 +469,7 @@ class TestDiagonalData:
                 for subset in subsets(range(1, n + 1)):
                     col = module.labels.index((subset, label))
                     for i in range(n):
-                        allowed = cover_lower_targets(i, index_set, subset)
+                        allowed = cover_lower_targets(i, index_set, subset, n)
                         for row, _value in module.matrices[i].column(
                             col
                         ).items():
