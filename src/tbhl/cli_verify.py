@@ -63,7 +63,6 @@ from .hecke_clifford import (
     verify_hcl_relations,
 )
 from .hecke_engine import (
-    OperatorFamily,
     characteristic_by_composition_series,
     characteristic_by_descent_sum,
     family_from_elements,
@@ -80,6 +79,7 @@ from .qsym_typeb import (
 )
 from .shifted_domino import (
     _code_walk,
+    _valid_quotient_shape,
     conjugate_family,
     enumerate_shifted,
     enumerate_shifted_tilings,
@@ -423,22 +423,10 @@ def witness_cases() -> list[AuditCase]:
 # -- criterion: Clifford-extended modules -----------------------------------
 
 
-_mi_characteristics: dict[tuple[frozenset[int], int], QSymElement] = {}
-
-
-def _mi_characteristic(
-    index_set: frozenset[int], n: int, module: OperatorFamily | None = None
-) -> QSymElement:
-    """Restriction characteristic of ``build_MI(index_set, n)``, computed once
-    per ``(I, n)`` for the three Clifford sections.  Only the immutable
-    characteristic is kept; a section that already holds the module passes
-    it, so no module is built twice."""
-    key = (index_set, n)
-    if key not in _mi_characteristics:
-        if module is None:
-            module = build_MI(index_set, n)
-        _mi_characteristics[key] = restriction_characteristic(module)[0]
-    return _mi_characteristics[key]
+@functools.lru_cache(maxsize=None)
+def _mi_characteristic(index_set: frozenset[int], n: int) -> QSymElement:
+    """Restriction characteristic of ``build_MI``, shared by the Clifford sections."""
+    return restriction_characteristic(build_MI(index_set, n))[0]
 
 
 def cases_clifford(max_n: int) -> list[AuditCase]:
@@ -452,7 +440,7 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
             module = build_MI(index_set, n)
             if verify_hcl_relations(module) != {"relations": "ok"}:
                 relation_failures.append(index_set)
-            direct = _mi_characteristic(index_set, n, module)
+            direct = _mi_characteristic(index_set, n)
             if direct != res_MI_formula(index_set, n, "proof_penultimate"):
                 restriction_failures.append(index_set)
             complement = frozenset(range(n)) - index_set
@@ -849,8 +837,8 @@ def cmd_enumerate(args) -> int:
         raise ValueError(
             f"--maxval must lie in 1..{dominoes} for shape {_shape_text(shape)}"
         )
-    if kind != "sdt" and not two_quotient(shape).valid:
-        raise ValueError(f"shape {shape} has an invalid 2-quotient")
+    if kind != "sdt":
+        _valid_quotient_shape(shape)
     # only the standard kinds show descent sets
     descents = kind != "semistandard"
     if kind == "sdt":

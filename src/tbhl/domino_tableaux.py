@@ -54,7 +54,7 @@ def _shape_cache(func):
 
     The shape is checked and made a tuple before the cache lookup, so a list
     shape hits the same entry as its tuple and a non-partition raises
-    ``ValueError``.  The wrapper keeps ``cache_info``.
+    ``ValueError``.  The wrapper keeps ``cache_info`` and ``cache_clear``.
     """
     cached = functools.lru_cache(maxsize=None)(func)
 
@@ -63,6 +63,7 @@ def _shape_cache(func):
         return cached(validate_partition(shape), *args, **kwargs)
 
     wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
     return wrapper
 
 

@@ -32,8 +32,8 @@ index(D)`` for ``y`` the ``k``-th label of ``M`` (:func:`clifford_basis`).
 With ``pi_i c_D = sum_E c_E (gamma_E + delta_E pi_i)`` read as tables
 ``Gamma_i`` and ``Delta_i`` on that basis, the induced ``pi_i`` is
 ``identity(m).kron(Gamma_i) + M_i.kron(Delta_i)`` and ``c_j`` is
-``identity(m).kron(C_j)``; only the relation suite and the intertwiner
-check build the ``c_j``.
+``identity(m).kron(C_j)``.  The tables are built once per rank
+(:func:`clifford_tables`), and :func:`build_MI` once per ``(I, n)``.
 
 The one-dimensional cyclic case (a single basis label whose descent label is
 a chosen subset) is also transcribed from the closed ribbon case table
@@ -43,7 +43,7 @@ a chosen subset) is also transcribed from the closed ribbon case table
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -206,47 +206,54 @@ def clifford_basis(n: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
     return basis, {subset: d for d, subset in enumerate(basis)}
 
 
+CliffordTables = namedtuple("CliffordTables", "gamma delta c parity")
+
+
+@lru_cache(maxsize=None)
+def clifford_tables(n: int) -> CliffordTables:
+    """The shared tables of rank ``n``: ``Gamma_i`` and ``Delta_i`` from
+    :func:`pi_commute`, ``C_j`` sending ``D`` to ``sign * E`` for ``c_j c_D =
+    sign * c_E`` (at ``j - 1``), and the parity signs ``(-1)^|D|``."""
+    basis, index = clifford_basis(n)
+    gamma, delta, c = ([{} for _ in range(n)] for _ in range(3))
+    for d, subset in enumerate(basis):
+        for i in range(n):
+            for e, *coefficients in pi_commute(i, subset):
+                for part, value in zip((gamma, delta), coefficients):
+                    if not value.is_zero():
+                        part[i][(index[e], d)] = value
+            sign, product = clifford_normalize((i + 1, *subset))
+            c[i][(index[product], d)] = sign
+    parity = {(d, d): _MINUS_ONE if len(D) % 2 else _ONE for d, D in enumerate(basis)}
+
+    def table(entries) -> SparseMatrix:
+        # nonzero coefficients and units, at basis positions
+        return SparseMatrix._trusted(len(basis), len(basis), entries)
+
+    gamma, delta, c = (tuple(map(table, part)) for part in (gamma, delta, c))
+    return CliffordTables(gamma, delta, c, table(parity))
+
+
 def induce_labeled_basis(base: OperatorFamily) -> OperatorFamily:
     """Adjoin a free Clifford factor to an operator family: the labels are
     the pairs ``(D, y)``, and ``pi_i`` is the Kronecker form of the module
-    docstring with ``Gamma_i`` and ``Delta_i`` read off :func:`pi_commute`."""
-    basis, index = clifford_basis(base.rank)
-    width = len(basis)
+    docstring with the tables of :func:`clifford_tables`."""
+    tables = clifford_tables(base.rank)
+    basis = clifford_basis(base.rank)[0]
     labels = tuple((subset, label) for label in base.labels for subset in basis)
     identity = SparseMatrix.identity(len(base.labels))
-    pi_matrices = []
-    for i, base_matrix in enumerate(base.matrices):
-        gamma, delta = {}, {}
-        for d, subset in enumerate(basis):
-            for e, const, with_pi in pi_commute(i, subset):
-                if not const.is_zero():
-                    gamma[(index[e], d)] = const
-                if not with_pi.is_zero():
-                    delta[(index[e], d)] = with_pi
-        # the kept coefficients are nonzero, at basis positions
-        pi_matrices.append(
-            identity.kron(SparseMatrix._trusted(width, width, gamma))
-            + base_matrix.kron(SparseMatrix._trusted(width, width, delta))
-        )
-    return OperatorFamily(labels, pi_matrices)
+    return OperatorFamily(labels, [
+        identity.kron(gamma) + matrix.kron(delta)
+        for matrix, gamma, delta in zip(base.matrices, tables.gamma, tables.delta)
+    ])
 
 
 def clifford_matrices(module: OperatorFamily) -> dict[int, SparseMatrix]:
     """The Clifford generators ``c_1..c_rank`` of an induced module: ``c_j``
-    is ``identity(m).kron(C_j)``, where ``C_j`` sends ``D`` to ``sign * E``
-    for ``c_j c_D = sign * c_E`` (:func:`clifford_normalize`)."""
-    basis, index = clifford_basis(module.rank)
-    width = len(basis)
-    identity = SparseMatrix.identity(len(module.labels) // width)
-    generators = {}
-    for j in range(1, module.rank + 1):
-        entries = {}
-        for d, subset in enumerate(basis):
-            sign, product = clifford_normalize((j, *subset))
-            entries[(index[product], d)] = sign
-        # one unit per column, at a basis position
-        generators[j] = identity.kron(SparseMatrix._trusted(width, width, entries))
-    return generators
+    is ``identity(m).kron(C_j)``."""
+    identity = SparseMatrix.identity(len(module.labels) >> module.rank)
+    tables = clifford_tables(module.rank).c
+    return {j: identity.kron(table) for j, table in enumerate(tables, 1)}
 
 
 def _ribbon_table_column(
@@ -287,9 +294,10 @@ def _ribbon_table_column(
     return ((subset, _MINUS_ONE),)
 
 
-def _checked_index_set(index_set, n: int) -> frozenset[int]:
+def _checked_index_set(index_set, n: int, start: int = 0) -> frozenset[int]:
+    # index sets lie in 0..n-1, Clifford (barred) sets in 1..n
     index_set = frozenset(index_set)
-    if not index_set <= set(range(n)):
+    if not index_set <= set(range(start, start + n)):
         raise ValueError(f"subset {sorted(index_set)} out of range for n={n}")
     return index_set
 
@@ -316,8 +324,12 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
 
 
 def build_MI(index_set, n: int) -> OperatorFamily:
-    """Induced module of the one-dimensional module selected by a subset."""
-    index_set = _checked_index_set(index_set, n)
+    """Induced module of a subset's one-dimensional module, once per ``(I, n)``."""
+    return _induced_module(_checked_index_set(index_set, n), n)
+
+
+@lru_cache(maxsize=None)
+def _induced_module(index_set: frozenset[int], n: int) -> OperatorFamily:
     base = family_from_action((index_set,), lambda y: y, lambda y, i: None, n)
     return induce_labeled_basis(base)
 
@@ -359,8 +371,7 @@ def verify_hcl_relations(module: OperatorFamily) -> dict:
         if shifted @ cg[i] != cg[i + 1] @ shifted:
             return {"failed": {"kind": "mixed-shift", "i": i}}
     if n >= 1:
-        parity = clifford_parity_matrix(module)
-        if pi[0] @ cg[1] != (parity @ pi[0]).scale(_SQRT):
+        if pi[0] @ cg[1] != (clifford_parity_matrix(module) @ pi[0]).scale(_SQRT):
             return {"failed": {"kind": "mixed-zero", "j": 1}}
     return {"relations": "ok"}
 
@@ -368,11 +379,8 @@ def verify_hcl_relations(module: OperatorFamily) -> dict:
 def clifford_parity_matrix(module: OperatorFamily) -> SparseMatrix:
     """Diagonal sign matrix negating columns with odd Clifford index sets,
     ``identity(m).kron(P)`` for ``P`` the signs on :func:`clifford_basis`."""
-    basis, _ = clifford_basis(module.rank)
-    width = len(basis)
-    signs = {(d, d): _MINUS_ONE if len(D) % 2 else _ONE for d, D in enumerate(basis)}
-    identity = SparseMatrix.identity(len(module.labels) // width)
-    return identity.kron(SparseMatrix._trusted(width, width, signs))
+    identity = SparseMatrix.identity(len(module.labels) >> module.rank)
+    return identity.kron(clifford_tables(module.rank).parity)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +395,7 @@ def k_set(index_set, subset, n: int) -> frozenset[int]:
     [1, 2, 3, 5, 6]
     """
     index_set = _checked_index_set(index_set, n)
-    barred = frozenset(subset)
+    barred = _checked_index_set(subset, n, 1)
     shifted_down = {d - 1 for d in barred}
     return frozenset(
         ((barred - index_set) | (index_set - shifted_down)) & set(range(n))
@@ -402,7 +410,7 @@ def cover_lower_targets(
     These are the only rows where ``pi_i`` may have off-diagonal support.
     """
     index_set = _checked_index_set(index_set, n)
-    barred = frozenset(subset)
+    barred = _checked_index_set(subset, n, 1)
     out = []
     if i == 0:
         if 0 in index_set and 1 in barred:
@@ -567,18 +575,17 @@ def induce_and_restrict(base: OperatorFamily) -> tuple[QSymElement, QSymElement]
     """Induce an operator family and restrict it to the casewise operators.
 
     Returns the direct characteristic and the ``proof_penultimate`` closed
-    form summed over the labels: once per distinct descent label (the
-    factors of the base's composition series), weighted by its label count.
-    The base operators are the ``D = ()`` blocks of the induced ones, so the
-    base series exists whenever the induced one does.
+    form summed over the labels: once per fundamental of the base's own
+    characteristic (a descent label), weighted by its label count.  The base
+    operators are the ``D = ()`` blocks of the induced ones, so the base
+    series exists whenever the induced one does.
     """
     direct, _ = restriction_characteristic(induce_labeled_basis(base))
     n = base.rank
-    _, base_series = characteristic_by_composition_series(base)
-    descent_labels = Counter(base_series.factors)
+    base_characteristic, _ = characteristic_by_composition_series(base)
     expected = sum(
         (res_MI_formula(label, n, "proof_penultimate").scale(count)
-         for label, count in descent_labels.items()),
+         for label, count in base_characteristic.coeffs),
         QSymElement.zero(n),
     )
     return direct, expected

@@ -41,20 +41,21 @@ _MINUS_ONE = GaussianInteger.integer(-1)
 _ONE = GaussianInteger.integer(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorFamily:
     """Ordered labels and one exact square matrix per generator index.
 
     ``matrices[i]`` is the operator of index ``i``, so the rank is
-    ``len(matrices)``; label ``k`` is row and column ``k``.
+    ``len(matrices)``; label ``k`` is row and column ``k``.  Frozen: cached
+    families (``hecke_clifford.build_MI``) are shared.
     """
 
     labels: tuple[Label, ...]
     matrices: tuple[SparseMatrix, ...]
 
     def __post_init__(self) -> None:
-        self.labels = tuple(self.labels)
-        self.matrices = tuple(self.matrices)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "matrices", tuple(self.matrices))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
         size = len(self.labels)
@@ -138,15 +139,10 @@ def family_from_elements(elements: Iterable[SignedPermutation]) -> OperatorFamil
     ids = sorted({table.ids[x.window] for x in elements})
     ordered = sorted(ids, key=table.lengths.__getitem__)
     descents, index_sets, left = table.descents, table.index_sets, table.left
-    fam = family_from_action(
-        ordered,
-        lambda k: index_sets[descents[k]],
-        lambda k, i: left[i][k],
-        table.n,
-    )
-    # distinct ids are distinct elements, so the labels stay unique
-    fam.labels = tuple(map(table.elements.__getitem__, ordered))
-    return fam
+    matrices = family_from_action(
+        ordered, lambda k: index_sets[descents[k]], lambda k, i: left[i][k], table.n
+    ).matrices
+    return OperatorFamily(tuple(map(table.elements.__getitem__, ordered)), matrices)
 
 
 def alternating_product(
@@ -230,16 +226,16 @@ def characteristic_by_composition_series(
     """
     labels = fam.labels
     size = len(labels)
-    successors: list[set[int]] = [set() for _ in range(size)]
+    # an edge is listed once per operator having it, and counted as often
+    successors: list[list[int]] = [[] for _ in range(size)]
     indegree = [0] * size
     masks = [0] * size
     for i, matrix in enumerate(fam.matrices):
         for (r, c), value in matrix.entries.items():
             if r != c:
-                if c not in successors[r]:
-                    successors[r].add(c)
-                    indegree[c] += 1
-            elif value == _MINUS_ONE:
+                successors[r].append(c)
+                indegree[c] += 1
+            elif value.re == -1 and not value.im:
                 masks[c] |= 1 << i
             else:
                 raise ValueError(

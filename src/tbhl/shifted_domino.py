@@ -138,6 +138,14 @@ def two_quotient(shape) -> TwoQuotient:
     return TwoQuotient(star, tuple(word), validate_partition(mu), validate_partition(nu))
 
 
+def _valid_quotient_shape(shape) -> tuple[int, ...]:
+    """``shape`` as a checked partition; raises if its 2-quotient is invalid."""
+    shape = validate_partition(shape)
+    if not two_quotient(shape).valid:
+        raise ValueError(f"shape {shape} has an invalid 2-quotient")
+    return shape
+
+
 # ---------------------------------------------------------------------------
 # shifted tilings
 
@@ -527,8 +535,7 @@ def enumerate_shifted(shape, kind: str = "standard", maxval: int | None = None):
     >>> enumerate_shifted((2, 2))[0].descent_set()
     frozenset({1})
     """
-    if not two_quotient(shape).valid:
-        raise ValueError(f"shape {shape} has an invalid 2-quotient")
+    _valid_quotient_shape(shape)
     if kind == "standard":
         return tuple(iter_standard(shape))
     if kind == "semistandard":
@@ -566,9 +573,7 @@ def h_lambda(
     >>> print(h_lambda((2,), "peak"))
     1*FB{} + 1*FB{0}
     """
-    shape = validate_partition(shape)
-    if not two_quotient(shape).valid:
-        raise ValueError(f"shape {shape} has an invalid 2-quotient")
+    shape = _valid_quotient_shape(shape)
     degree = filled_count(shape)
     if mode == "monomial":
         if nvars is None:
@@ -671,9 +676,7 @@ def conjugate_family(shape) -> OperatorFamily:
     available exactly when ``i`` is a descent of the tableau; it swaps the
     entries ``i`` and ``i+1`` when that stays standard (index 0 never moves).
     """
-    shape = validate_partition(shape)
-    if not two_quotient(shape).valid:
-        raise ValueError(f"shape {shape} has an invalid 2-quotient")
+    shape = _valid_quotient_shape(shape)
     rank = filled_count(shape)
     return family_from_action(
         enumerate_shifted(shape, "standard"),

@@ -707,7 +707,9 @@ class TestAuditLibrary:
         cases = run_audit("all", 2, 4, 0)
         assert all(case.status != "fail" for case in cases)
 
-    def test_one_restriction_characteristic_per_index_set(self, monkeypatch):
+    def test_one_restriction_characteristic_per_index_set(
+        self, monkeypatch, cleared_caches
+    ):
         # the three Clifford sections share one characteristic per (I, n);
         # induce_and_restrict calls hecke_clifford's own binding, not this one
         computed = []
@@ -719,25 +721,50 @@ class TestAuditLibrary:
         monkeypatch.setattr(
             "tbhl.cli_verify.restriction_characteristic", counting
         )
-        monkeypatch.setattr(cli_verify, "_mi_characteristics", {})
         run_audit("all", max_n=3, max_partition=6, seed=0)
         assert len(computed) == 2 + 4 + 8
         assert len(set(computed)) == len(computed)
+        assert cli_verify._mi_characteristic.cache_info().misses == 2 + 4 + 8
 
-    def test_one_module_per_index_set(self, monkeypatch):
-        # cases_clifford hands its module to the shared characteristic;
-        # intertwiners and centralizers use hecke_clifford's own binding
-        built = []
+    def test_one_module_per_index_set(self, monkeypatch, cleared_caches):
+        # every section reads build_MI's one module per (I, n), and the
+        # relation suite runs once on each
+        checked = []
 
-        def counting(index_set, n):
-            built.append((frozenset(index_set), n))
-            return hecke_clifford.build_MI(index_set, n)
+        def counting(module):
+            checked.append((frozenset(module.labels[0][1]), module.rank))
+            return hecke_clifford.verify_hcl_relations(module)
 
-        monkeypatch.setattr("tbhl.cli_verify.build_MI", counting)
-        monkeypatch.setattr(cli_verify, "_mi_characteristics", {})
+        monkeypatch.setattr("tbhl.cli_verify.verify_hcl_relations", counting)
         run_audit("all", max_n=3, max_partition=6, seed=0)
-        assert len(built) == 2 + 4 + 8
-        assert len(set(built)) == len(built)
+        assert hecke_clifford._induced_module.cache_info().misses == 2 + 4 + 8
+        assert len(checked) == 2 + 4 + 8
+        assert len(set(checked)) == len(checked)
+
+    def test_cache_sweep_leaves_no_stale_result(self, monkeypatch, cleared_caches):
+        # a fault injected after a full run and a sweep reaches every case
+        # that reads the faulted tables; a cache the sweep misses would serve
+        # the clean run's results instead
+        run_audit("all", 3, 6, 0)
+        cleared_caches()
+        pi_commute = hecke_clifford.pi_commute
+
+        def dropped_term(i, word):
+            # pi_1 c_1 c_2 loses its c_1 c_2 term
+            terms = pi_commute(i, word)
+            if (i, word) != (1, (1, 2)):
+                return terms
+            return tuple(term for term in terms if term[0] != word)
+
+        monkeypatch.setattr(hecke_clifford, "pi_commute", dropped_term)
+        failing = {
+            case.id for case in run_audit("all", 3, 6, 0) if case.status == "fail"
+        }
+        assert failing == {
+            "clifford.audit", "clifford.diagonal", "clifford.relations",
+            "clifford.restriction", "induction.conjugate", "induction.family",
+            "morphisms.intertwiner", "morphisms.iso",
+        }
 
     def test_witness_cases_pass_only_on_a_found_verdict(self, monkeypatch):
         assert [case.status for case in witness_cases()] == ["pass", "pass"]
@@ -749,7 +776,7 @@ class TestAuditLibrary:
         assert (weight.status, descents.status) == ("fail", "pass")
         assert weight.details.startswith("no tableau with weight")
 
-    def test_failing_report_pinned(self, monkeypatch):
+    def test_failing_report_pinned(self, monkeypatch, cleared_caches):
         # every check is faked to fail, so each case builds its failing
         # details; the sha256 prefix pins those texts as the passing
         # reports' prefixes pin theirs
@@ -793,7 +820,6 @@ class TestAuditLibrary:
         }
         for name, fake in faked.items():
             monkeypatch.setattr(cli_verify, name, fake)
-        monkeypatch.setattr(cli_verify, "_mi_characteristics", {})
         cases = run_audit("all", 3, 10, 0)
         header = {"command": "verify all", "max_n": 3}
         out = cli_verify.render_report(cases, True, header)

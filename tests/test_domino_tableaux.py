@@ -73,6 +73,9 @@ class TestPartitions:
         with pytest.raises(ValueError):
             enumerate_shape([2, 4])
         assert enumerate_shape.cache_info().currsize >= 2
+        # the public name clears its cache, as a sweep over caches needs
+        enumerate_shape.cache_clear()
+        assert enumerate_shape.cache_info().currsize == 0
 
 
 class TestDomino:

@@ -309,6 +309,23 @@ class TestBuildMI:
             with pytest.raises(ValueError, match="out of range"):
                 call({0, outside}, n)
 
+    # each public function taking a barred set D of c_D, called on (D, n)
+    BARRED_SET_CALLS = {
+        "k_set": lambda subset, n: k_set((), subset, n),
+        "cover_lower_targets": lambda subset, n: cover_lower_targets(
+            0, (), subset, n
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BARRED_SET_CALLS))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_barred_set_bounds_at_both_edges(self, name, n):
+        call = self.BARRED_SET_CALLS[name]
+        call({1, n}, n)
+        for outside in (0, n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                call({1, outside}, n)
+
     def test_case_table_cross_check_runs_everywhere(self):
         # the transcribed table and the commutation engine agree; all ranks
         # up to 3 cover every case of the table

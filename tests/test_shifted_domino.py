@@ -170,6 +170,9 @@ class TestShiftedTilings:
         with pytest.raises(ValueError):
             enumerate_shape([2, 4])
         assert enumerate_shape.cache_info().currsize >= 2
+        # the public name clears its cache, as a sweep over caches needs
+        enumerate_shape.cache_clear()
+        assert enumerate_shape.cache_info().currsize == 0
 
     def test_list_shape_keeps_the_enumeration_kind(self):
         assert enumerate_shifted([4, 4], "marked") is enumerate_shifted((4, 4), "marked")
