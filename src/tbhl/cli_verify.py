@@ -87,7 +87,7 @@ from .shifted_domino import (
     find_semistandard_with_weight,
     find_standard_with_descents,
     h_lambda,
-    stand_theorem_failures,
+    stand_theorem_check,
     two_quotient,
     verify_peak_theorem,
 )
@@ -364,13 +364,12 @@ def cases_shifted(max_partition: int) -> list[AuditCase]:
     for shape in _valid_shapes(min(max_partition, 8)):
         nvars = filled_count(shape) + 1
         marked = enumerate_shifted(shape, "marked")
-        bad = stand_theorem_failures(shape, nvars)
+        bad, monomial = stand_theorem_check(shape, nvars)
         cases.append(_case(
             "shifted.stand", {"shape": _shape_text(shape)}, bad == 0,
             f"{len(marked)} marked tableaux; "
             f"standardization fibers match fundamentals; failures={bad}",
         ))
-        monomial = h_lambda(shape, "monomial", nvars=nvars)
         literal = h_lambda(shape, "peak", variant="literal")
         complemented = h_lambda(shape, "peak", variant="complemented")
         cases.append(_case(

@@ -195,6 +195,8 @@ def fb_monomials(subset: Iterable[int], n: int, nvars: int) -> TruncatedPolynomi
     subset = frozenset(subset)
     if not subset <= set(range(n)):
         raise ValueError(f"subset {sorted(subset)} outside [0, {n - 1}]")
+    if nvars < 0:
+        raise ValueError(f"nvars must be nonnegative, not {nvars}")
     return _chain_polynomial(subset, n, nvars)
 
 

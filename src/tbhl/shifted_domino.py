@@ -20,9 +20,10 @@ from the totally ordered alphabet ``0 < 1' < 1 < 2' < 2 < ...`` subject to:
 
 Entries are encoded as small integers (``0``; ``2k-1`` for ``k'``; ``2k`` for
 ``k``) so the alphabet order is integer order.  The weight vector counts
-dominoes per entry index, primed or not, with index 0 first.  One walk
-enumerates fillings as code vectors over ``filled``, from constraints each
-tiling indexes once; tableau objects are built only where a caller needs one.
+dominoes per entry index, primed or not, with index 0 first.  One walk per
+tiling enumerates fillings as code vectors over ``filled`` with their weights,
+and feeds both the standardization fibers and H_lambda's monomial sum;
+tableau objects are built only where a caller needs one.
 
 Standardization replaces entries by ``1..m``: zeros left-to-right, then for
 each index the primed dominoes top-to-bottom followed by the unprimed ones
@@ -55,7 +56,7 @@ from .domino_tableaux import (
 )
 from .exact_algebra import TruncatedPolynomial, _collect
 from .hecke_engine import OperatorFamily, family_from_action
-from .qsym_typeb import QSymElement, fb_monomials, peak_characteristic
+from .qsym_typeb import PEAK_VARIANTS, QSymElement, fb_monomials, peak_characteristic
 from .signed_permutations import subsets
 
 
@@ -228,14 +229,16 @@ class ShiftedTiling:
         return tuple(plan)
 
     @cached_property
-    def _tie_keys(self) -> tuple[list, list]:
-        """Per position of ``filled``, its key among equal unprimed codes
-        (northwest column, then cell) and among equal primed ones (top row,
+    def _tie_ranks(self) -> tuple[list[int], ...]:
+        """Per position of ``filled``, its rank in the order of equal unprimed
+        codes (northwest column, then cell) and of equal primed ones (top row,
         then cell)."""
-        return (
+        rules = (
             [(d.nw_cell[1], d.nw_cell) for d in self.filled],
             [(d.min_row, d.nw_cell) for d in self.filled],
         )
+        # the keys of one rule are distinct, so a rank counts the smaller keys
+        return tuple([sum(k < key for k in keys) for key in keys] for keys in rules)
 
 
 @_shape_cache
@@ -362,10 +365,11 @@ class ShiftedSemistandardTableau:
 
     def weight(self, nvars: int) -> tuple[int, ...]:
         """Per-index domino counts ``(wt_0, ..., wt_{nvars-1})``."""
-        top = max((entry_index(code) for _, code in self.entries), default=0)
+        counts = Counter(entry_index(code) for _, code in self.entries)
+        top = max(counts, default=0)
         if top >= nvars:
             raise ValueError(f"entry index {top} exceeds nvars-1")
-        return _weight([code for _, code in self.entries], nvars)
+        return tuple(counts[k] for k in range(nvars))
 
     def monomial(self, nvars: int) -> TruncatedPolynomial:
         return TruncatedPolynomial.make(
@@ -381,11 +385,11 @@ class ShiftedSemistandardTableau:
 
 def _code_walk(
     tiling: ShiftedTiling, maxval: int, caps: tuple[int, ...] | None = None
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[list[int], list[int]]]:
     """Yield every filling of ``tiling`` with entry indices at most ``maxval``
-    as its codes in ``filled`` order, depth first with codes ascending.
+    as its codes in ``filled`` order and its weight, depth first, codes ascending.
 
-    One list is reused, so a caller copies what it keeps.  ``caps[k]``, when
+    Both lists are reused, so a caller copies what it keeps.  ``caps[k]``, when
     given, bounds how many dominoes carry index ``k``.  Counts only grow along
     a branch, so skipping a code whose index is at its cap cuts no branch that
     stays within the caps.
@@ -394,10 +398,11 @@ def _code_walk(
     codes = [0] * len(plan)
     counts = [0] * (maxval + 1)
     top = 2 * maxval
+    filling = (codes, counts)
 
     def fill(p: int):
         if p == len(plan):
-            yield codes
+            yield filling
             return
         before, after, rows, cols, floor = plan[p]
         low = max([floor, *(codes[q] for q in before)])
@@ -419,14 +424,6 @@ def _code_walk(
     yield from fill(0)
 
 
-def _weight(codes: list[int], nvars: int) -> tuple[int, ...]:
-    """Per-index counts of a code vector whose indices are below ``nvars``."""
-    counts = [0] * nvars
-    for code in codes:
-        counts[(code + 1) // 2] += 1
-    return tuple(counts)
-
-
 def _filling(tiling: ShiftedTiling, codes: list[int]) -> ShiftedSemistandardTableau:
     # ``filled`` is sorted, so the entries come out in domino order
     return _trusted(
@@ -440,7 +437,7 @@ def iter_semistandard(
     """Lazily yield semistandard tableaux with entry indices at most ``maxval``."""
     shape = validate_partition(shape)
     for tiling in enumerate_shifted_tilings(shape):
-        for codes in _code_walk(tiling, maxval):
+        for codes, _ in _code_walk(tiling, maxval):
             yield _filling(tiling, codes)
 
 
@@ -475,19 +472,14 @@ def marked_descents(marked: MarkedStandardTableau) -> frozenset[int]:
     ``i >= 1`` is a descent when either ``i`` is unprimed and is a descent of
     the underlying standard tableau, or ``i+1`` is primed and ``i`` is not.
     """
-    base = marked.base
-    primed = marked.primed
-    base_descents = base.descent_set()
-    result = set()
-    if 1 in primed or 0 in base_descents:
-        result.add(0)
-    for i in range(1, base.size):
-        in_base = i in base_descents
-        if i not in primed and in_base:
-            result.add(i)
-        if (i + 1) in primed and not in_base:
-            result.add(i)
-    return frozenset(result)
+    primed, base_descents = marked.primed, marked.base.descent_set()
+    # no entry is 0, so 0 is unprimed and the rule for i = 0 is the general one
+    return frozenset(
+        i
+        for i in range(marked.base.size)
+        if (i in base_descents and i not in primed)
+        or (i not in base_descents and i + 1 in primed)
+    )
 
 
 def _standardization(
@@ -499,10 +491,10 @@ def _standardization(
     entries.  Positions sort by code; equal primed codes go top-to-bottom,
     equal unprimed ones (``0`` included) left-to-right.
     """
-    ties = tiling._tie_keys
-    order = tuple(
-        sorted(range(len(codes)), key=lambda p: (codes[p], ties[codes[p] % 2][p]))
-    )
+    ranks = tiling._tie_ranks
+    m = len(codes)
+    keys = [code * m + ranks[code & 1][p] for p, code in enumerate(codes)]
+    order = tuple(sorted(range(m), key=keys.__getitem__))
     return order, frozenset(k for k, p in enumerate(order, 1) if codes[p] % 2)
 
 
@@ -575,13 +567,15 @@ def h_lambda(
     """
     shape = _valid_quotient_shape(shape)
     degree = filled_count(shape)
+    if variant not in PEAK_VARIANTS:
+        raise ValueError(f"variant must be one of {PEAK_VARIANTS}")
     if mode == "monomial":
-        if nvars is None:
-            raise ValueError("monomial mode needs nvars")
+        if nvars is None or nvars < 0:
+            raise ValueError("monomial mode needs nvars >= 0")
         weights = Counter(
-            _weight(codes, nvars)
+            tuple(counts)
             for tiling in enumerate_shifted_tilings(shape)
-            for codes in _code_walk(tiling, nvars - 1)
+            for _, counts in _code_walk(tiling, nvars - 1)
         )
         # each weight has nvars entries summing to the filled count
         return TruncatedPolynomial(nvars, degree, _collect(weights.items()))
@@ -613,6 +607,8 @@ def verify_stand_theorem(
     to ``nvars`` variables.
     """
     shape = validate_partition(shape)
+    if nvars < 1:
+        raise ValueError(f"the stand check needs nvars >= 1, not {nvars}")
     degree = marked.base.size
     total = TruncatedPolynomial.zero(nvars, degree)
     for tableau in enumerate_shifted(shape, "semistandard", nvars - 1):
@@ -622,8 +618,9 @@ def verify_stand_theorem(
     return total == expected
 
 
-def stand_theorem_failures(shape, nvars: int) -> int:
-    """Count the marked tableaux of ``shape`` whose fiber sum is wrong.
+def stand_theorem_check(shape, nvars: int) -> tuple[int, TruncatedPolynomial]:
+    """Count the marked tableaux of ``shape`` whose fiber sum is wrong, and
+    sum the fibers into ``h_lambda(shape, "monomial", nvars=nvars)``.
 
     Per tiling, one walk standardizes each bounded filling once and counts
     its weight in the fiber of its standardization; every marked tableau is
@@ -632,23 +629,25 @@ def stand_theorem_failures(shape, nvars: int) -> int:
     standardization that leaves the standard tableaux is reported.
     """
     shape = validate_partition(shape)
-    marked_of: dict[ShiftedTiling, list[MarkedStandardTableau]] = {}
-    for marked in enumerate_shifted(shape, "marked"):
-        marked_of.setdefault(marked.base.tiling, []).append(marked)
+    if nvars < 1:
+        raise ValueError(f"the stand check needs nvars >= 1, not {nvars}")
+    tilings = enumerate_shifted_tilings(shape)
+    fibers: defaultdict[tuple, Counter] = defaultdict(Counter)
+    for t, tiling in enumerate(tilings):
+        for codes, counts in _code_walk(tiling, nvars - 1):
+            fibers[t, _standardization(tiling, codes)][tuple(counts)] += 1
+    # each weight has nvars entries summing to the filled count
+    tally = (item for fiber in fibers.values() for item in fiber.items())
+    monomial = TruncatedPolynomial(nvars, filled_count(shape), _collect(tally))
     failures = 0
-    for tiling in enumerate_shifted_tilings(shape):
-        fibers: defaultdict[tuple, Counter] = defaultdict(Counter)
-        for codes in _code_walk(tiling, nvars - 1):
-            fibers[_standardization(tiling, codes)][_weight(codes, nvars)] += 1
-        position = {d: p for p, d in enumerate(tiling.filled)}
-        for marked in marked_of.get(tiling, ()):
-            order = tuple(position[d] for d in marked.base.dominoes)
-            expected = fb_monomials(marked_descents(marked), marked.base.size, nvars)
-            # the counts are positive, as the stored coefficients are nonzero
-            if fibers.pop((order, marked.primed), {}) != expected.as_dict():
-                failures += 1
-        failures += len(fibers)
-    return failures
+    for marked in enumerate_shifted(shape, "marked"):
+        tiling = marked.base.tiling
+        order = tuple(map(tiling.filled.index, marked.base.dominoes))
+        expected = fb_monomials(marked_descents(marked), marked.base.size, nvars)
+        # the counts are positive, as the stored coefficients are nonzero
+        fiber = fibers.pop((tilings.index(tiling), (order, marked.primed)), {})
+        failures += fiber != expected.as_dict()
+    return failures + len(fibers), monomial
 
 
 def verify_peak_theorem(
@@ -717,7 +716,7 @@ def find_semistandard_with_weight(
     weight = tuple(weight)
     nvars = len(weight)
     for tiling in enumerate_shifted_tilings(validate_partition(shape)):
-        for codes in _code_walk(tiling, nvars - 1, weight):
-            if _weight(codes, nvars) == weight:
+        for codes, counts in _code_walk(tiling, nvars - 1, weight):
+            if tuple(counts) == weight:
                 return "found", _filling(tiling, codes)
     return "not-found", None

@@ -7,18 +7,20 @@ import math
 
 import pytest
 
-from tbhl import cli_verify, hecke_clifford, special_families
+from tbhl import cli_verify, hecke_clifford, shifted_domino, special_families
 from tbhl.cli_verify import (
     AuditCase,
     _prettify_polynomial,
+    _valid_shapes,
     cases_clifford,
+    cases_shifted,
     main,
     run_audit,
     witness_cases,
 )
 from tbhl.exact_algebra import TruncatedPolynomial
 from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_function_type_b
-from tbhl.shifted_domino import enumerate_shifted
+from tbhl.shifted_domino import enumerate_shifted, enumerate_shifted_tilings, h_lambda
 
 
 def run_cli(capsys, argv):
@@ -741,6 +743,26 @@ class TestAuditLibrary:
         assert len(checked) == 2 + 4 + 8
         assert len(set(checked)) == len(checked)
 
+    def test_one_walk_per_shifted_tiling(self, monkeypatch, cleared_caches):
+        # the stand check's walk also gives H_lambda's monomial sum, so each
+        # tiling of a checked shape is walked once; the weight witness adds one
+        walks = []
+        code_walk = shifted_domino._code_walk
+
+        def counting(tiling, *args):
+            walks.append(tiling)
+            return code_walk(tiling, *args)
+
+        monkeypatch.setattr(shifted_domino, "_code_walk", counting)
+        cases_shifted(10)
+        tilings = [
+            tiling
+            for shape in _valid_shapes(8)
+            for tiling in enumerate_shifted_tilings(shape)
+        ]
+        assert len(tilings) == 12
+        assert len(walks) == len(tilings) + 1
+
     def test_cache_sweep_leaves_no_stale_result(self, monkeypatch, cleared_caches):
         # a fault injected after a full run and a sweep reaches every case
         # that reads the faulted tables; a cache the sweep misses would serve
@@ -793,7 +815,10 @@ class TestAuditLibrary:
                 () if shape == (5, 4, 4, 1) else enumerate_sdt(shape)
             ),
             "smallest_non_convex_arc_degree": lambda max_degree: None,
-            "stand_theorem_failures": lambda shape, nvars: 1,
+            # one failure, with the true monomial sum, so h-modes still passes
+            "stand_theorem_check": lambda shape, nvars: (
+                1, h_lambda(shape, "monomial", nvars=nvars)
+            ),
             "verify_peak_theorem": lambda shape, standard, variant: False,
             "find_semistandard_with_weight": lambda shape, weight: ("not-found", None),
             "find_standard_with_descents": lambda shape, descents: ("not-found", None),

@@ -62,6 +62,13 @@ class TestFundamentalMonomials:
         terms = fb_monomials({0, 2}, 3, 5).as_dict()
         assert terms and all(sum(exponents) == 3 for exponents in terms)
 
+    def test_nvars_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="nvars"):
+            fb_monomials(set(), 2, -1)
+        # no variable carries no chain of positive length
+        assert fb_monomials(set(), 2, 0).is_zero()
+        assert fb_monomials(set(), 2, 0).nvars == 0
+
 
 class TestPeakData:
     def test_pinned_example(self):

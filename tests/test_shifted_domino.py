@@ -1,6 +1,7 @@
 """Tests for shifted tilings, shifted tableaux, and their generating functions."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,7 +38,7 @@ from tbhl.shifted_domino import (
     iter_semistandard,
     iter_standard,
     marked_descents,
-    stand_theorem_failures,
+    stand_theorem_check,
     standardize,
     two_quotient,
     verify_peak_theorem,
@@ -439,6 +440,18 @@ class TestHLambda:
                 )
             assert h_lambda(shape, "peak", variant=variant) == total, shape
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
+    def test_unknown_variant_is_rejected(self, shape):
+        # (1, 1) has no standard tableau, so no peak characteristic reads it
+        with pytest.raises(ValueError, match="variant must be one of"):
+            h_lambda(shape, "peak", variant="bogus")
+
+    def test_monomial_mode_needs_nonnegative_nvars(self):
+        with pytest.raises(ValueError, match="nvars >= 0"):
+            h_lambda((2, 2), "monomial", nvars=-1)
+        # no variable admits no filling of a nonempty shape
+        assert h_lambda((2, 2), "monomial", nvars=0) == TruncatedPolynomial.zero(0, 2)
+
     def test_column_pair_vanishes(self):
         assert h_lambda((1, 1), "peak").is_zero()
         assert h_lambda((1, 1), "monomial", nvars=3).is_zero()
@@ -466,7 +479,28 @@ class TestTheorems:
         nvars = filled_count(shape) + 1
         for marked in enumerate_shifted(shape, "marked"):
             assert verify_stand_theorem(shape, marked, nvars)
-        assert stand_theorem_failures(shape, nvars) == 0
+        failures, monomial = stand_theorem_check(shape, nvars)
+        assert failures == 0
+        # the fibers' weights sum to the monomial mode's own walk
+        assert monomial == h_lambda(shape, "monomial", nvars=nvars)
+
+    @pytest.mark.parametrize("nvars", [0, -3])
+    def test_stand_checks_need_a_variable(self, nvars):
+        (marked, *_) = enumerate_shifted((2, 2), "marked")
+        with pytest.raises(ValueError, match="nvars >= 1"):
+            stand_theorem_check((2, 2), nvars)
+        with pytest.raises(ValueError, match="nvars >= 1"):
+            verify_stand_theorem((2, 2), marked, nvars)
+
+    def test_stand_checks_accept_one_variable(self):
+        # one variable holds only fillings by 0, so the check still compares
+        failures, monomial = stand_theorem_check((2,), 1)
+        assert failures == 0
+        assert monomial.as_dict() == {(1,): 1}
+        assert all(
+            verify_stand_theorem((2,), marked, 1)
+            for marked in enumerate_shifted((2,), "marked")
+        )
 
     def test_unmatched_fiber_is_a_failure(self, monkeypatch):
         # with one marked tableau hidden, its (nonempty) fiber matches no
@@ -480,22 +514,22 @@ class TestTheorems:
         monkeypatch.setattr(shifted_domino, "enumerate_shifted", all_but_last)
         for shape in valid_shapes(8):
             if enumerate_shifted_tilings(shape):
-                assert stand_theorem_failures(shape, filled_count(shape) + 1) == 1
+                failures, _ = stand_theorem_check(shape, filled_count(shape) + 1)
+                assert failures == 1
 
     def test_swapped_tie_breaks_are_reported(self, monkeypatch):
         # ordering equal primed codes left-to-right and equal unprimed ones
         # top-to-bottom leaves the standard tableaux on some fillings
+        rule = shifted_domino._standardization
+
         def swapped(tiling, codes):
-            unprimed, primed = tiling._tie_keys
-            ties = (primed, unprimed)
-            order = tuple(
-                sorted(range(len(codes)), key=lambda p: (codes[p], ties[codes[p] % 2][p]))
-            )
-            return order, frozenset(k for k, p in enumerate(order, 1) if codes[p] % 2)
+            # the rule reads only the tiling's tie ranks
+            unprimed, primed = tiling._tie_ranks
+            return rule(SimpleNamespace(_tie_ranks=(primed, unprimed)), codes)
 
         monkeypatch.setattr(shifted_domino, "_standardization", swapped)
         failures = sum(
-            stand_theorem_failures(shape, filled_count(shape) + 1)
+            stand_theorem_check(shape, filled_count(shape) + 1)[0]
             for shape in valid_shapes(8)
         )
         assert failures > 0
@@ -515,7 +549,7 @@ class TestTheorems:
                 not verify_stand_theorem(shape, marked, nvars)
                 for marked in enumerate_shifted(shape, "marked")
             )
-            assert stand_theorem_failures(shape, nvars) == oracle > 0
+            assert stand_theorem_check(shape, nvars)[0] == oracle > 0
 
     @pytest.mark.parametrize("shape", list(valid_shapes(8)))
     def test_peak_theorem_both_variants(self, shape):
