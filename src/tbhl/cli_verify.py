@@ -27,6 +27,7 @@ one failure, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -63,6 +64,7 @@ from .hecke_clifford import (
     verify_hcl_relations,
 )
 from .hecke_engine import (
+    NoCompositionSeries,
     characteristic_by_composition_series,
     characteristic_by_descent_sum,
     family_from_elements,
@@ -87,6 +89,7 @@ from .shifted_domino import (
     find_semistandard_with_weight,
     find_standard_with_descents,
     h_lambda,
+    iter_semistandard,
     stand_theorem_check,
     two_quotient,
     verify_peak_theorem,
@@ -177,6 +180,18 @@ def _failing_index_sets(index_sets) -> str:
     return f"failing index sets: {sorted(map(sorted, index_sets))}"
 
 
+@contextlib.contextmanager
+def _series_case(cases: list, case_id: str, params: dict):
+    """Guard a block that reads composition-series characteristics and adds
+    one case to ``cases``, through the yielded ``_case(case_id, params, ...)``
+    builder.  Where a module has no composition series, the case fails with
+    the reason."""
+    try:
+        yield lambda *verdict: cases.append(_case(case_id, params, *verdict))
+    except NoCompositionSeries as exc:
+        cases.append(_case(case_id, params, False, str(exc)))
+
+
 # -- criterion: operator families from distinguished permutation sets -------
 
 
@@ -196,23 +211,25 @@ def cases_family_relations(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, min(max_n, 3) + 1):
         for fam in _family_catalog(n):
-            ops = family_from_elements(fam.members)
-            relations = verify_relations(ops)
-            char, _ = characteristic_by_composition_series(ops)
-            descent_sum = characteristic_by_descent_sum(fam.members)
-            ok = (
-                bool(fam.members)
-                and relations == {"relations": "ok"}
-                and char == descent_sum
-            )
-            size = len(fam.members)
-            cases.append(_case(
-                "families.relations", {"family": fam.name}, ok,
-                f"{size} members; relations hold; "
-                "characteristic equals descent sum",
-                f"{size} members; relations={relations}; "
-                f"characteristic={char}; descent sum={descent_sum}",
-            ))
+            params = {"family": fam.name}
+            with _series_case(cases, "families.relations", params) as case:
+                ops = family_from_elements(fam.members)
+                relations = verify_relations(ops)
+                char, _ = characteristic_by_composition_series(ops)
+                descent_sum = characteristic_by_descent_sum(fam.members)
+                ok = (
+                    bool(fam.members)
+                    and relations == {"relations": "ok"}
+                    and char == descent_sum
+                )
+                size = len(fam.members)
+                case(
+                    ok,
+                    f"{size} members; relations hold; "
+                    "characteristic equals descent sum",
+                    f"{size} members; relations={relations}; "
+                    f"characteristic={char}; descent sum={descent_sum}",
+                )
     return cases
 
 
@@ -220,27 +237,30 @@ def cases_random_convex(max_n: int, seed: int, samples: int) -> list[AuditCase]:
     degree = min(max_n, 3)
     rng = random.Random(seed)
     group = all_elements(degree)
-    failures = 0
-    for _ in range(samples):
-        top = rng.choice(group)
-        bottom = rng.choice(weak_order_interval(identity(degree), top))
-        members = weak_order_interval(bottom, top)
-        report = ascent_compatibility_report(members)
-        ops = family_from_elements(members)
-        ok = (
-            report.compatible
-            and verify_relations(ops) == {"relations": "ok"}
-            and characteristic_by_composition_series(ops)[0]
-            == characteristic_by_descent_sum(members)
-        )
-        if not ok:
-            failures += 1
     params = {"degree": degree, "samples": samples, "seed": seed}
-    return [_case(
-        "families.random-convex", params, failures == 0,
-        f"weak-order intervals: ascent-compatible, relations hold, "
-        f"characteristic equals descent sum; failures={failures}",
-    )]
+    cases = []
+    with _series_case(cases, "families.random-convex", params) as case:
+        failures = 0
+        for _ in range(samples):
+            top = rng.choice(group)
+            bottom = rng.choice(weak_order_interval(identity(degree), top))
+            members = weak_order_interval(bottom, top)
+            report = ascent_compatibility_report(members)
+            ops = family_from_elements(members)
+            ok = (
+                report.compatible
+                and verify_relations(ops) == {"relations": "ok"}
+                and characteristic_by_composition_series(ops)[0]
+                == characteristic_by_descent_sum(members)
+            )
+            if not ok:
+                failures += 1
+        case(
+            failures == 0,
+            f"weak-order intervals: ascent-compatible, relations hold, "
+            f"characteristic equals descent sum; failures={failures}",
+        )
+    return cases
 
 
 # -- criterion: arc families ------------------------------------------------
@@ -324,16 +344,17 @@ def cases_domino(max_partition: int) -> list[AuditCase]:
         for shape in partitions_of(total):
             if not enumerate_sdt(shape):
                 continue
-            ops = sdt_operator_family(shape)
-            relations = verify_relations(ops)
-            char, _ = characteristic_by_composition_series(ops)
-            cases.append(_case(
-                "domino.modules", {"shape": _shape_text(shape)},
-                relations == {"relations": "ok"} and char == g_lambda(shape),
-                "relations hold; characteristic equals the descent "
-                "generating function",
-                f"relations={relations}; characteristic={char}",
-            ))
+            params = {"shape": _shape_text(shape)}
+            with _series_case(cases, "domino.modules", params) as case:
+                ops = sdt_operator_family(shape)
+                relations = verify_relations(ops)
+                char, _ = characteristic_by_composition_series(ops)
+                case(
+                    relations == {"relations": "ok"} and char == g_lambda(shape),
+                    "relations hold; characteristic equals the descent "
+                    "generating function",
+                    f"relations={relations}; characteristic={char}",
+                )
     pinned = g_lambda((2, 2))
     expected = QSymElement.fundamental({0}, 2) + QSymElement.fundamental({1}, 2)
     cases.append(_case(
@@ -363,15 +384,14 @@ def cases_shifted(max_partition: int) -> list[AuditCase]:
     )]
     for shape in _valid_shapes(min(max_partition, 8)):
         nvars = filled_count(shape) + 1
-        marked = enumerate_shifted(shape, "marked")
-        bad, monomial = stand_theorem_check(shape, nvars)
+        bad, compared, monomial = stand_theorem_check(shape, nvars)
         cases.append(_case(
             "shifted.stand", {"shape": _shape_text(shape)}, bad == 0,
-            f"{len(marked)} marked tableaux; "
+            f"{compared} marked tableaux; "
             f"standardization fibers match fundamentals; failures={bad}",
         ))
-        literal = h_lambda(shape, "peak", variant="literal")
-        complemented = h_lambda(shape, "peak", variant="complemented")
+        literal = h_lambda(shape, "literal")
+        complemented = h_lambda(shape, "complemented")
         cases.append(_case(
             "shifted.h-modes", {"shape": _shape_text(shape)},
             literal.to_monomials(nvars) == monomial,
@@ -390,12 +410,8 @@ def cases_shifted(max_partition: int) -> list[AuditCase]:
 
 
 def peak_theorem_case(shape) -> AuditCase:
-    standards = enumerate_shifted(shape, "standard")
-    bad = sum(
-        1
-        for standard in standards
-        if not verify_peak_theorem(shape, standard, "literal")
-    )
+    standards = enumerate_shifted(shape)
+    bad = sum(not verify_peak_theorem(standard, "literal") for standard in standards)
     return _case(
         "shifted.peak", {"shape": _shape_text(shape)}, bad == 0,
         f"{len(standards)} standard tableaux; marking sums equal the "
@@ -432,16 +448,12 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, max_n + 1):
         relation_failures = []
-        restriction_failures = []
         stability_failures = []
         diagonal_failures = []
         for index_set in map(frozenset, subsets(range(n))):
             module = build_MI(index_set, n)
             if verify_hcl_relations(module) != {"relations": "ok"}:
                 relation_failures.append(index_set)
-            direct = _mi_characteristic(index_set, n)
-            if direct != res_MI_formula(index_set, n, "proof_penultimate"):
-                restriction_failures.append(index_set)
             complement = frozenset(range(n)) - index_set
             valleys = peak_data(complement, n).valley
             for i in range(n):
@@ -461,16 +473,23 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
                     for row in module.matrices[i].column(col):
                         if row != col and module.labels[row][0] not in allowed:
                             diagonal_failures.append((index_set, subset, i))
+        with _series_case(cases, "clifford.restriction", {"degree": n}) as case:
+            restriction_failures = [
+                index_set
+                for index_set in map(frozenset, subsets(range(n)))
+                if _mi_characteristic(index_set, n)
+                != res_MI_formula(index_set, n, "proof_penultimate")
+            ]
+            case(
+                not restriction_failures,
+                "restriction characteristics match the independent sum form",
+                _failing_index_sets(restriction_failures),
+            )
         cases += [
             _case(
                 "clifford.relations", {"degree": n}, not relation_failures,
                 f"all {2 ** n} index sets satisfy the relation suite",
                 _failing_index_sets(relation_failures),
-            ),
-            _case(
-                "clifford.restriction", {"degree": n}, not restriction_failures,
-                "restriction characteristics match the independent sum form",
-                _failing_index_sets(restriction_failures),
             ),
             _case(
                 "clifford.valley-stability", {"degree": n}, not stability_failures,
@@ -491,26 +510,19 @@ def clifford_audit_cases(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, max_n + 1):
         for index_set in map(frozenset, subsets(range(n))):
-            direct = _mi_characteristic(index_set, n)
             for form in RES_FORMS:
-                formula = res_MI_formula(index_set, n, form)
-                if direct == formula:
-                    status, details = "pass", f"both equal {direct}"
-                else:
-                    status = "variant-dependent" if form == "theorem_literal" else "fail"
-                    details = f"direct={direct}; formula={formula}"
-                cases.append(
-                    AuditCase(
-                        "clifford.audit",
-                        {
-                            "degree": n,
-                            "indices": format_index_set(index_set),
-                            "form": form,
-                        },
-                        status,
-                        details,
-                    )
-                )
+                params = {
+                    "degree": n, "indices": format_index_set(index_set), "form": form
+                }
+                miss = "variant-dependent" if form == "theorem_literal" else "fail"
+                with _series_case(cases, "clifford.audit", params):
+                    direct = _mi_characteristic(index_set, n)
+                    formula = res_MI_formula(index_set, n, form)
+                    if direct == formula:
+                        status, details = "pass", f"both equal {direct}"
+                    else:
+                        status, details = miss, f"direct={direct}; formula={formula}"
+                    cases.append(AuditCase("clifford.audit", params, status, details))
     return cases
 
 
@@ -520,21 +532,22 @@ def clifford_audit_cases(max_n: int) -> list[AuditCase]:
 def cases_morphisms(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, max_n + 1):
-        chars = {
-            index_set: _mi_characteristic(index_set, n)
-            for index_set in map(frozenset, subsets(range(n)))
-        }
-        mismatches = [
-            (first, second)
-            for first in chars
-            for second in chars
-            if iso_predicate(first, second, n) != (chars[first] == chars[second])
-        ]
-        cases.append(_case(
-            "morphisms.iso", {"degree": n}, not mismatches,
-            "predicate agrees with characteristic equality on all pairs",
-            f"{len(mismatches)} disagreeing pairs",
-        ))
+        with _series_case(cases, "morphisms.iso", {"degree": n}) as case:
+            chars = {
+                index_set: _mi_characteristic(index_set, n)
+                for index_set in map(frozenset, subsets(range(n)))
+            }
+            mismatches = [
+                (first, second)
+                for first in chars
+                for second in chars
+                if iso_predicate(first, second, n) != (chars[first] == chars[second])
+            ]
+            case(
+                not mismatches,
+                "predicate agrees with characteristic equality on all pairs",
+                f"{len(mismatches)} disagreeing pairs",
+            )
     for n in range(1, min(max_n, 3) + 1):
         built = 0
         broken = 0
@@ -572,28 +585,30 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
 def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
     cases = []
     for shape in _valid_shapes(min(max_partition, 8)):
-        direct, closed_form = induce_and_restrict(conjugate_family(shape))
-        expected = h_lambda(shape, "peak", variant="literal")
-        cases.append(_case(
-            "induction.conjugate", {"shape": _shape_text(shape)},
-            direct == closed_form and direct == expected,
-            "induced characteristic equals the shape's peak "
-            "generating function",
-            f"direct={direct}; expected={expected}",
-        ))
+        params = {"shape": _shape_text(shape)}
+        with _series_case(cases, "induction.conjugate", params) as case:
+            direct, closed_form = induce_and_restrict(conjugate_family(shape))
+            expected = h_lambda(shape, "literal")
+            case(
+                direct == closed_form and direct == expected,
+                "induced characteristic equals the shape's peak "
+                "generating function",
+                f"direct={direct}; expected={expected}",
+            )
     for n in range(1, min(max_n, 3) + 1):
         for fam in _ascent_compatible_catalog(n):
-            compatible = ascent_compatibility_report(fam.members).compatible
-            direct, closed_form = induce_and_restrict(
-                family_from_elements(fam.members)
-            )
-            agrees = direct == closed_form
-            cases.append(_case(
-                "induction.family", {"family": fam.name}, compatible and agrees,
-                "induced characteristic equals the per-member sum form",
-                f"ascent-compatible={compatible}; direct={direct}; "
-                f"per-member sum agrees={agrees}",
-            ))
+            with _series_case(cases, "induction.family", {"family": fam.name}) as case:
+                compatible = ascent_compatibility_report(fam.members).compatible
+                direct, closed_form = induce_and_restrict(
+                    family_from_elements(fam.members)
+                )
+                agrees = direct == closed_form
+                case(
+                    compatible and agrees,
+                    "induced characteristic equals the per-member sum form",
+                    f"ascent-compatible={compatible}; direct={direct}; "
+                    f"per-member sum agrees={agrees}",
+                )
     return cases
 
 
@@ -720,7 +735,7 @@ def _emit_listing(
         total = count()
         print(json.dumps({**meta, "count": total}, sort_keys=True) if args.json else total)
     elif args.json:
-        items = listing()
+        items = tuple(listing())
         print(_json_text({**meta, "count": len(items), key: [entry(x) for x in items]}))
     else:
         print(separator.join(block(x) for x in listing()) or "(none)")
@@ -782,9 +797,8 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 
 def _count_tableaux(shape, kind: str, maxval: int | None) -> int:
-    """``len(enumerate_sdt(shape))`` for ``kind`` ``"sdt"``, else
-    ``len(enumerate_shifted(shape, kind, maxval))``, counted over the tilings
-    without building a tableau."""
+    """The number of tableaux the ``kind`` listing of ``cmd_enumerate`` shows,
+    counted over the tilings without building a tableau."""
     if kind == "sdt":
         walks = (standard_orders(t) for t in enumerate_tilings(shape))
     elif kind == "standard":
@@ -842,8 +856,10 @@ def cmd_enumerate(args) -> int:
     descents = kind != "semistandard"
     if kind == "sdt":
         listing = functools.partial(enumerate_sdt, shape)
+    elif kind == "standard":
+        listing = functools.partial(enumerate_shifted, shape)
     else:
-        listing = functools.partial(enumerate_shifted, shape, kind, maxval)
+        listing = functools.partial(iter_semistandard, shape, maxval)
 
     def entry(t) -> dict:
         shown = format_index_set(t.descent_set()) if descents else None

@@ -467,21 +467,6 @@ class TruncatedPolynomial:
         return " + ".join(pieces)
 
 
-def all_exponent_vectors(nvars: int, total: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of the given total degree, in lex order.
-
-    >>> all_exponent_vectors(2, 2)
-    [(0, 2), (1, 1), (2, 0)]
-    """
-    if nvars == 0:
-        return [()] if total == 0 else []
-    result = []
-    for first in range(total + 1):
-        for rest in all_exponent_vectors(nvars - 1, total - first):
-            result.append((first, *rest))
-    return sorted(result)
-
-
 if __name__ == "__main__":
     import doctest
 

@@ -203,6 +203,10 @@ def characteristic_by_descent_sum(
     )
 
 
+class NoCompositionSeries(ValueError):
+    """An operator family with no triangular basis order of 0/-1 diagonals."""
+
+
 def characteristic_by_composition_series(
     fam: OperatorFamily,
 ) -> tuple[QSymElement, CompositionSeries]:
@@ -213,8 +217,8 @@ def characteristic_by_composition_series(
     supports first, so every prefix span is operator-invariant.  Ties between
     simultaneously ready labels go to the earlier basis position.  One pass
     over the entries reads the edges and, per label, the bitmask of the
-    operators acting by ``-1``.  Raises ``ValueError`` if that digraph has a
-    cycle or a diagonal entry is neither ``0`` nor ``-1``.
+    operators acting by ``-1``.  Raises :class:`NoCompositionSeries` if that
+    digraph has a cycle or a diagonal entry is neither ``0`` nor ``-1``.
 
     >>> from tbhl.signed_permutations import all_elements
     >>> char, series = characteristic_by_composition_series(
@@ -238,7 +242,7 @@ def characteristic_by_composition_series(
             elif value.re == -1 and not value.im:
                 masks[c] |= 1 << i
             else:
-                raise ValueError(
+                raise NoCompositionSeries(
                     f"diagonal entry of operator {i} at {labels[c]!r} "
                     f"is neither 0 nor -1"
                 )
@@ -254,7 +258,7 @@ def characteristic_by_composition_series(
             if indegree[c] == 0:
                 heapq.heappush(ready, c)
     if len(order_positions) != size:
-        raise ValueError(
+        raise NoCompositionSeries(
             "support digraph is cyclic; no triangular basis order exists"
         )
     acting = {

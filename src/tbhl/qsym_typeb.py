@@ -37,7 +37,6 @@ from .exact_algebra import (
     SparseMatrix,
     TruncatedPolynomial,
     _collect,
-    all_exponent_vectors,
 )
 from .signed_permutations import format_index_set, subsets
 
@@ -240,6 +239,8 @@ def _validate_peak_set(peaks: frozenset[int], n: int, bit: int) -> None:
             raise ValueError(f"peak set {ordered} has adjacent elements")
     if bit == 1 and 1 in peaks:
         raise ValueError("bit 1 requires 1 outside the peak set")
+    if bit == 1 and n == 0:
+        raise ValueError("bit 1 puts 0 in the set, so it needs n >= 1")
 
 
 def symmetric_difference_condition(peaks: frozenset[int], subset: Collection[int]) -> bool:
@@ -308,20 +309,16 @@ def fb_truncations_linearly_independent(n: int, nvars: int | None = None) -> boo
     if nvars is None:
         nvars = n + 1
     index_sets = [frozenset(c) for c in subsets(range(n))]
-    column = {
-        exponents: k for k, exponents in enumerate(all_exponent_vectors(nvars, n))
+    # the columns number the monomials in the order met; F_{} meets them all
+    column: dict[tuple[int, ...], int] = {}
+    scalar = GaussianInteger.integer
+    entries = {
+        (row, column.setdefault(exponents, len(column))): scalar(coefficient)
+        for row, subset in enumerate(index_sets)
+        for exponents, coefficient in fb_monomials(subset, n, nvars).terms
     }
     # every position is in range and every coefficient a positive count
-    scalar = GaussianInteger.integer
-    expansion = SparseMatrix._trusted(
-        len(index_sets),
-        len(column),
-        {
-            (row, column[exponents]): scalar(coefficient)
-            for row, subset in enumerate(index_sets)
-            for exponents, coefficient in fb_monomials(subset, n, nvars).terms
-        },
-    )
+    expansion = SparseMatrix._trusted(len(index_sets), len(column), entries)
     return expansion.rank() == len(index_sets)
 
 

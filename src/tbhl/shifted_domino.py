@@ -315,6 +315,21 @@ def iter_standard(shape) -> Iterator[ShiftedStandardTableau]:
             yield _trusted(ShiftedStandardTableau, tiling=tiling, dominoes=order)
 
 
+@_shape_cache
+def enumerate_shifted(shape) -> tuple[ShiftedStandardTableau, ...]:
+    """The standard tableaux of a shape, in :func:`iter_standard` order.
+
+    Raises for shapes whose 2-quotient is invalid.
+
+    >>> len(enumerate_shifted((2, 2)))
+    1
+    >>> enumerate_shifted((2, 2))[0].descent_set()
+    frozenset({1})
+    """
+    _valid_quotient_shape(shape)
+    return tuple(iter_standard(shape))
+
+
 # ---------------------------------------------------------------------------
 # semistandard tableaux
 
@@ -512,115 +527,76 @@ def standardize(tableau: ShiftedSemistandardTableau) -> MarkedStandardTableau:
 
 
 # ---------------------------------------------------------------------------
-# enumeration facade
-
-
-@_shape_cache
-def enumerate_shifted(shape, kind: str = "standard", maxval: int | None = None):
-    """Enumerate shifted tableaux of a shape.
-
-    ``kind`` is ``"standard"``, ``"semistandard"`` (requires ``maxval``), or
-    ``"marked"``.  Raises for shapes whose 2-quotient is invalid.
-
-    >>> len(enumerate_shifted((2, 2)))
-    1
-    >>> enumerate_shifted((2, 2))[0].descent_set()
-    frozenset({1})
-    """
-    _valid_quotient_shape(shape)
-    if kind == "standard":
-        return tuple(iter_standard(shape))
-    if kind == "semistandard":
-        if maxval is None:
-            raise ValueError("semistandard enumeration needs maxval")
-        return tuple(iter_semistandard(shape, maxval))
-    if kind == "marked":
-        return tuple(
-            marked
-            for base in enumerate_shifted(shape, "standard")
-            for marked in _markings(base)
-        )
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # generating functions and theorem checks
 
 
-def h_lambda(
-    shape,
-    mode: str = "peak",
-    nvars: int | None = None,
-    variant: str = "literal",
-):
-    """Generating function of a shape's shifted tableaux.
+def h_lambda(shape, variant: str = "literal") -> QSymElement:
+    """H_lambda as the sum of the peak-function characteristics of ``Des(Q)``
+    over the standard tableaux ``Q`` of a shape.
 
-    ``mode="monomial"`` sums ``x^{wt(T)}`` over semistandard tableaux with
-    entry indices below ``nvars``; the result is exact for monomials in
-    ``x_0..x_{nvars-1}``.  ``mode="peak"`` sums the peak-function
-    characteristic of ``Des(Q)`` over standard tableaux ``Q``.
-
-    >>> print(h_lambda((2,), "monomial", nvars=3))
-    1*x0 + 2*x1 + 2*x2
-    >>> print(h_lambda((2,), "peak"))
+    >>> print(h_lambda((2,)))
     1*FB{} + 1*FB{0}
     """
     shape = _valid_quotient_shape(shape)
-    degree = filled_count(shape)
     if variant not in PEAK_VARIANTS:
         raise ValueError(f"variant must be one of {PEAK_VARIANTS}")
-    if mode == "monomial":
-        if nvars is None or nvars < 0:
-            raise ValueError("monomial mode needs nvars >= 0")
-        weights = Counter(
-            tuple(counts)
-            for tiling in enumerate_shifted_tilings(shape)
-            for _, counts in _code_walk(tiling, nvars - 1)
-        )
-        # each weight has nvars entries summing to the filled count
-        return TruncatedPolynomial(nvars, degree, _collect(weights.items()))
-    if mode == "peak":
-        counts = Counter(
-            standard.descent_set()
-            for standard in enumerate_shifted(shape, "standard")
-        )
-        return QSymElement(
-            degree,
-            _collect(
-                (subset, count * coefficient)
-                for descents, count in counts.items()
-                for subset, coefficient in peak_characteristic(
-                    descents, degree, variant
-                ).coeffs
-            ),
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    degree = filled_count(shape)
+    counts = Counter(standard.descent_set() for standard in enumerate_shifted(shape))
+    return QSymElement(
+        degree,
+        _collect(
+            (subset, count * coefficient)
+            for descents, count in counts.items()
+            for subset, coefficient in peak_characteristic(
+                descents, degree, variant
+            ).coeffs
+        ),
+    )
 
 
-def verify_stand_theorem(
-    shape, marked: MarkedStandardTableau, nvars: int
-) -> bool:
+def h_lambda_monomials(shape, nvars: int) -> TruncatedPolynomial:
+    """H_lambda by its definition: ``x^{wt(T)}`` summed over the semistandard
+    tableaux ``T`` with entry indices below ``nvars``, exact for monomials in
+    ``x_0..x_{nvars-1}``; the oracle for :func:`stand_theorem_check`'s sum.
+
+    >>> print(h_lambda_monomials((2,), 3))
+    1*x0 + 2*x1 + 2*x2
+    """
+    shape = _valid_quotient_shape(shape)
+    if nvars < 0:
+        raise ValueError(f"the monomial sum needs nvars >= 0, not {nvars}")
+    weights = Counter(
+        tuple(counts)
+        for tiling in enumerate_shifted_tilings(shape)
+        for _, counts in _code_walk(tiling, nvars - 1)
+    )
+    # each weight has nvars entries summing to the filled count
+    return TruncatedPolynomial(nvars, filled_count(shape), _collect(weights.items()))
+
+
+def verify_stand_theorem(marked: MarkedStandardTableau, nvars: int) -> bool:
     """Check that tableaux standardizing to ``marked`` sum to one fundamental.
 
     The bounded semistandard generating sum over ``{T : std(T) = marked}``
     must equal the fundamental function of the marked descent set, truncated
-    to ``nvars`` variables.
+    to ``nvars`` variables.  Standardization keeps the tiling, so every such
+    ``T`` fills the tiling of ``marked``.
     """
-    shape = validate_partition(shape)
     if nvars < 1:
         raise ValueError(f"the stand check needs nvars >= 1, not {nvars}")
-    degree = marked.base.size
+    tiling, degree = marked.base.tiling, marked.base.size
     total = TruncatedPolynomial.zero(nvars, degree)
-    for tableau in enumerate_shifted(shape, "semistandard", nvars - 1):
+    for codes, _ in _code_walk(tiling, nvars - 1):
+        tableau = _filling(tiling, codes)
         if standardize(tableau) == marked:
             total = total + tableau.monomial(nvars)
-    expected = fb_monomials(marked_descents(marked), degree, nvars)
-    return total == expected
+    return total == fb_monomials(marked_descents(marked), degree, nvars)
 
 
-def stand_theorem_check(shape, nvars: int) -> tuple[int, TruncatedPolynomial]:
-    """Count the marked tableaux of ``shape`` whose fiber sum is wrong, and
-    sum the fibers into ``h_lambda(shape, "monomial", nvars=nvars)``.
+def stand_theorem_check(shape, nvars: int) -> tuple[int, int, TruncatedPolynomial]:
+    """Check every marked tableau of ``shape``: return the failures, the
+    number of marked tableaux compared, and the fibers summed into
+    ``h_lambda_monomials(shape, nvars)``.
 
     Per tiling, one walk standardizes each bounded filling once and counts
     its weight in the fiber of its standardization; every marked tableau is
@@ -628,10 +604,9 @@ def stand_theorem_check(shape, nvars: int) -> tuple[int, TruncatedPolynomial]:
     to zero.  A fiber that no marked tableau matches is a failure too, so a
     standardization that leaves the standard tableaux is reported.
     """
-    shape = validate_partition(shape)
     if nvars < 1:
         raise ValueError(f"the stand check needs nvars >= 1, not {nvars}")
-    tilings = enumerate_shifted_tilings(shape)
+    tilings = enumerate_shifted_tilings(_valid_quotient_shape(shape))
     fibers: defaultdict[tuple, Counter] = defaultdict(Counter)
     for t, tiling in enumerate(tilings):
         for codes, counts in _code_walk(tiling, nvars - 1):
@@ -639,28 +614,28 @@ def stand_theorem_check(shape, nvars: int) -> tuple[int, TruncatedPolynomial]:
     # each weight has nvars entries summing to the filled count
     tally = (item for fiber in fibers.values() for item in fiber.items())
     monomial = TruncatedPolynomial(nvars, filled_count(shape), _collect(tally))
-    failures = 0
-    for marked in enumerate_shifted(shape, "marked"):
-        tiling = marked.base.tiling
-        order = tuple(map(tiling.filled.index, marked.base.dominoes))
-        expected = fb_monomials(marked_descents(marked), marked.base.size, nvars)
-        # the counts are positive, as the stored coefficients are nonzero
-        fiber = fibers.pop((tilings.index(tiling), (order, marked.primed)), {})
-        failures += fiber != expected.as_dict()
-    return failures + len(fibers), monomial
+    failures = compared = 0
+    for base in enumerate_shifted(shape):
+        t = tilings.index(base.tiling)
+        order = tuple(map(base.tiling.filled.index, base.dominoes))
+        for marked in _markings(base):
+            expected = fb_monomials(marked_descents(marked), base.size, nvars)
+            # the counts are positive, as the stored coefficients are nonzero
+            fiber = fibers.pop((t, (order, marked.primed)), {})
+            failures += fiber != expected.as_dict()
+            compared += 1
+    return failures + len(fibers), compared, monomial
 
 
 def verify_peak_theorem(
-    shape, standard: ShiftedStandardTableau, variant: str = "literal"
+    standard: ShiftedStandardTableau, variant: str = "literal"
 ) -> bool:
     """Check that all markings of one standard tableau sum to its peak function."""
-    shape = validate_partition(shape)
     degree = standard.size
     total = QSymElement.from_descent_sets(
         (marked_descents(marked) for marked in _markings(standard)), degree
     )
-    expected = peak_characteristic(standard.descent_set(), degree, variant)
-    return total == expected
+    return total == peak_characteristic(standard.descent_set(), degree, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +653,7 @@ def conjugate_family(shape) -> OperatorFamily:
     shape = _valid_quotient_shape(shape)
     rank = filled_count(shape)
     return family_from_action(
-        enumerate_shifted(shape, "standard"),
+        enumerate_shifted(shape),
         lambda tableau: frozenset(range(rank)) - tableau.descent_set(),
         swap_entries,
         rank,

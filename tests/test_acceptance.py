@@ -28,7 +28,7 @@ from tbhl.cli_verify import (
 )
 from tbhl.domino_tableaux import enumerate_sdt, partitions_of
 from tbhl.hecke_clifford import RES_FORMS
-from tbhl.shifted_domino import h_lambda
+from tbhl.shifted_domino import h_lambda, h_lambda_monomials
 from tbhl.signed_permutations import format_index_set, subsets
 
 CRITERION_SUMMARIES = {
@@ -163,12 +163,10 @@ def test_criterion_5_shifted_tableaux(audit):
         if case.id == "shifted.h-modes" and case.details.endswith("readings differ")
     ]
     for shape in [shape for shape in large if sum(shape) == 10]:
-        n = h_lambda(shape, "peak").n
-        literal = h_lambda(shape, "peak", variant="literal")
-        assert literal.to_monomials(n + 1) == h_lambda(
-            shape, "monomial", nvars=n + 1
-        ), shape
-        if literal != h_lambda(shape, "peak", variant="complemented"):
+        literal = h_lambda(shape, "literal")
+        n = literal.n
+        assert literal.to_monomials(n + 1) == h_lambda_monomials(shape, n + 1), shape
+        if literal != h_lambda(shape, "complemented"):
             sensitive.append(shape)
     NOTES.append(
         "criterion 5: variant-sensitive shapes up to size 10: "

@@ -9,9 +9,12 @@ They only read ``perfbench/``.
 import importlib
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from tbhl import cli_verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -70,3 +73,22 @@ def test_traced_methods_exist():
         for class_name, methods in classes.items():
             for method in methods:
                 traced(f"{module}.{class_name}.{method}")
+
+
+def test_audit_sections_are_the_audits_own(monkeypatch):
+    # ``spans.AUDIT_SECTIONS`` lists ``run_audit``'s sections by hand: with
+    # each listed section replaced by a recorder that returns no case, the
+    # audit returns none and has run each listed section once
+    calls = Counter()
+
+    def recorder(section):
+        def record(*args):
+            calls[section] += 1
+            return []
+
+        return record
+
+    for section in spans.AUDIT_SECTIONS:
+        monkeypatch.setattr(cli_verify, section, recorder(section))
+    assert cli_verify.run_audit("all", 1, 2, 0) == []
+    assert calls == Counter(spans.AUDIT_SECTIONS)

@@ -19,8 +19,9 @@ from tbhl.cli_verify import (
     witness_cases,
 )
 from tbhl.exact_algebra import TruncatedPolynomial
+from tbhl.hecke_engine import NoCompositionSeries
 from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_function_type_b
-from tbhl.shifted_domino import enumerate_shifted, enumerate_shifted_tilings, h_lambda
+from tbhl.shifted_domino import enumerate_shifted_tilings, iter_semistandard
 
 
 def run_cli(capsys, argv):
@@ -108,6 +109,15 @@ class TestQsymCommands:
         )
         assert code == 0
         assert out.strip() == str(peak_function_type_b(0, {1}, 2))
+
+    @pytest.mark.parametrize("variant", ["literal", "complemented"])
+    def test_peakfn_bit_one_at_degree_zero_is_a_usage_error(self, capsys, variant):
+        argv = ["qsym", "peakfn", "--peaks", "{}", "--variant", variant]
+        code, out, err = run_cli(capsys, [*argv, "--bit", "1", "--n", "0"])
+        assert (code, out) == (2, "")
+        assert err == "error: bit 1 puts 0 in the set, so it needs n >= 1\n"
+        assert run_cli(capsys, [*argv, "--bit", "1", "--n", "1"])[0] == 0
+        assert run_cli(capsys, [*argv, "--bit", "0", "--n", "0"]) == (0, "1*FB{}\n", "")
 
 
 class TestQsymBounds:
@@ -259,7 +269,7 @@ class TestEnumerateCommands:
         assert out.strip() == "1"
 
     def test_shifted_semistandard_count(self, capsys):
-        expected = len(enumerate_shifted((2, 2), "semistandard", 2))
+        expected = sum(1 for _ in iter_semistandard((2, 2), 2))
         code, out, _ = run_cli(
             capsys,
             [
@@ -499,7 +509,7 @@ class TestUsageErrors:
         argv = ["enumerate", "shifted", "sshdt", "--shape", shape]
         code, out, _ = run_cli(capsys, [*argv, "--maxval", str(maxval), "--count"])
         parts = tuple(int(part) for part in shape.split(","))
-        expected = len(enumerate_shifted(parts, "semistandard", maxval))
+        expected = sum(1 for _ in iter_semistandard(parts, maxval))
         assert (code, out) == (0, f"{expected}\n")
         assert expected > 0
 
@@ -517,7 +527,11 @@ class TestUsageErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("enumeration started on a rejected shape")
 
-        for name in ("enumerate_sdt", "enumerate_shifted", "_count_tableaux", "run_audit"):
+        refused = (
+            "enumerate_sdt", "enumerate_shifted", "iter_semistandard",
+            "_count_tableaux", "run_audit",
+        )
+        for name in refused:
             monkeypatch.setattr(cli_verify, name, refuse)
         dominoes = getattr(cli_verify, bound)
         argv = [*command, "--shape", str(2 * dominoes + 2)]
@@ -788,6 +802,39 @@ class TestAuditLibrary:
             "morphisms.intertwiner", "morphisms.iso",
         }
 
+    def test_no_composition_series_fails_the_cases_that_read_one(
+        self, capsys, monkeypatch, cleared_caches
+    ):
+        # every module the audit reads a characteristic of has no series: the
+        # report keeps every case, and each reading case fails with the reason
+        _, out, _ = run_cli(capsys, ["verify", "all", "--json"])
+        clean = json.loads(out)["cases"]
+        cleared_caches()
+
+        def no_series(*args):
+            raise NoCompositionSeries("support digraph is cyclic")
+
+        for name in (
+            "characteristic_by_composition_series",
+            "restriction_characteristic",
+            "induce_and_restrict",
+        ):
+            monkeypatch.setattr(cli_verify, name, no_series)
+        code, out, err = run_cli(capsys, ["verify", "all", "--json"])
+        assert (code, err) == (1, "")
+        cases = json.loads(out)["cases"]
+        assert [(c["id"], c["params"]) for c in cases] == [
+            (c["id"], c["params"]) for c in clean
+        ]
+        failing = [c for c in cases if c["status"] == "fail"]
+        assert {c["id"] for c in failing} == {
+            "clifford.audit", "clifford.restriction", "domino.modules",
+            "families.random-convex", "families.relations", "induction.conjugate",
+            "induction.family", "morphisms.iso",
+        }
+        assert {c["details"] for c in failing} == {"support digraph is cyclic"}
+        assert all(c["status"] != "variant-dependent" for c in cases)
+
     def test_witness_cases_pass_only_on_a_found_verdict(self, monkeypatch):
         assert [case.status for case in witness_cases()] == ["pass", "pass"]
         monkeypatch.setattr(
@@ -815,11 +862,12 @@ class TestAuditLibrary:
                 () if shape == (5, 4, 4, 1) else enumerate_sdt(shape)
             ),
             "smallest_non_convex_arc_degree": lambda max_degree: None,
-            # one failure, with the true monomial sum, so h-modes still passes
+            # one failure, with the true compared count and monomial sum, so
+            # the details are unchanged and h-modes still passes
             "stand_theorem_check": lambda shape, nvars: (
-                1, h_lambda(shape, "monomial", nvars=nvars)
+                1, *shifted_domino.stand_theorem_check(shape, nvars)[1:]
             ),
-            "verify_peak_theorem": lambda shape, standard, variant: False,
+            "verify_peak_theorem": lambda standard, variant: False,
             "find_semistandard_with_weight": lambda shape, weight: ("not-found", None),
             "find_standard_with_descents": lambda shape, descents: ("not-found", None),
             "res_MI_formula": lambda index_set, n, form: QSymElement.zero(n),

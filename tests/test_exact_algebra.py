@@ -11,7 +11,6 @@ from tbhl.exact_algebra import (
     GaussianInteger,
     SparseMatrix,
     TruncatedPolynomial,
-    all_exponent_vectors,
 )
 
 integers = st.integers(-30, 30)
@@ -553,7 +552,3 @@ class TestTruncatedPolynomial:
     def test_json_is_lex_sorted(self):
         p = TruncatedPolynomial.make(2, 3, {(1, 0): 2, (0, 2): 5, (0, 1): -1})
         assert p.to_json() == [[[0, 1], -1], [[0, 2], 5], [[1, 0], 2]]
-
-    def test_all_exponent_vectors(self):
-        assert all_exponent_vectors(2, 2) == [(0, 2), (1, 1), (2, 0)]
-        assert all_exponent_vectors(3, 1) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]

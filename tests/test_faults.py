@@ -7,7 +7,7 @@ again after its fault is undone, so no result built without the fault
 answers for it and none built under it outlives it.  A row lists each case
 id it fails with the number of failing cases of that id; a row that fails
 nothing fails the test.  Each row costs one cold default audit, about 0.3 s
-on 2 vCPUs.
+on 2 vCPUs, so the eight rows cost about 2.5 s.
 """
 
 from collections import Counter
@@ -15,8 +15,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from tbhl import cli_verify, domino_tableaux, shifted_domino
+from tbhl import (
+    cli_verify,
+    domino_tableaux,
+    hecke_clifford,
+    qsym_typeb,
+    shifted_domino,
+    signed_permutations,
+    special_families,
+)
 from tbhl.cli_verify import run_audit
+from tbhl.exact_algebra import GaussianInteger, SparseMatrix
 
 
 def dropped_last_filling(monkeypatch):
@@ -58,6 +67,69 @@ def dropped_standard_order(monkeypatch):
         monkeypatch.setattr(module, "standard_orders", faulty)
 
 
+def dropped_adjacent_pair(monkeypatch):
+    # two or more adjacent pairs lose the first one, so some numberings that
+    # break it pass as standard and some modules have no composition series
+    adjacent_pairs = domino_tableaux.adjacent_pairs
+
+    def faulty(dominoes):
+        pairs = adjacent_pairs(dominoes)
+        return pairs[1:] if len(pairs) > 1 else pairs
+
+    for module in (domino_tableaux, shifted_domino):
+        monkeypatch.setattr(module, "adjacent_pairs", faulty)
+
+
+def conjugated_kron_entries(monkeypatch):
+    # every Kronecker entry with an imaginary part comes out conjugated
+    kron = SparseMatrix.kron
+
+    def faulty(self, other):
+        product = kron(self, other)
+        entries = {
+            key: GaussianInteger(value.re, -value.im)
+            for key, value in product.entries.items()
+        }
+        return SparseMatrix._trusted(product.nrows, product.ncols, entries)
+
+    monkeypatch.setattr(SparseMatrix, "kron", faulty)
+
+
+def swapped_peak_variants(monkeypatch):
+    # the literal and complemented readings of a zeta bit trade places
+    peak_function_type_b = qsym_typeb.peak_function_type_b
+    other = {"literal": "complemented", "complemented": "literal"}
+
+    def faulty(bit, peaks, n, variant="literal"):
+        return peak_function_type_b(bit, peaks, n, other[variant])
+
+    for module in (qsym_typeb, cli_verify):
+        monkeypatch.setattr(module, "peak_function_type_b", faulty)
+
+
+def dropped_interval_top(monkeypatch):
+    # an interval of two or more elements loses its top one
+    weak_order_interval = signed_permutations.weak_order_interval
+
+    def faulty(bottom, top):
+        members = weak_order_interval(bottom, top)
+        return tuple(w for w in members if w != top) if len(members) > 1 else members
+
+    for module in (signed_permutations, special_families, cli_verify):
+        monkeypatch.setattr(module, "weak_order_interval", faulty)
+
+
+def dropped_k_set_zero(monkeypatch):
+    # the acting set never holds index 0
+    k_set = hecke_clifford.k_set
+
+    def faulty(index_set, subset, n):
+        return k_set(index_set, subset, n) - {0}
+
+    for module in (hecke_clifford, cli_verify):
+        monkeypatch.setattr(module, "k_set", faulty)
+
+
 FAULTS = {
     "code-walk-drops-a-filling": (
         dropped_last_filling, {"shifted.h-modes": 11, "shifted.stand": 11}
@@ -67,6 +139,19 @@ FAULTS = {
         dropped_standard_order,
         {"domino.counts": 2, "shifted.h-modes": 3, "shifted.stand": 3},
     ),
+    "adjacent-pairs-drops-a-pair": (
+        dropped_adjacent_pair,
+        {"domino.counts": 2, "domino.modules": 6, "shifted.h-modes": 3,
+         "shifted.stand": 3},
+    ),
+    "kron-conjugates-imaginary-entries": (
+        conjugated_kron_entries, {"clifford.diagonal": 3, "clifford.relations": 3}
+    ),
+    "peak-function-swaps-variants": (swapped_peak_variants, {"clifford.audit": 7}),
+    "weak-order-interval-drops-its-top": (
+        dropped_interval_top, {"families.random-convex": 1, "unimodal.interval": 3}
+    ),
+    "k-set-drops-index-zero": (dropped_k_set_zero, {"clifford.diagonal": 3}),
 }
 
 

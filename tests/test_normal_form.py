@@ -25,7 +25,13 @@ from tbhl.qsym_typeb import (
     peak_data,
     peak_function_type_b,
 )
-from tbhl.shifted_domino import enumerate_shifted, h_lambda, two_quotient
+from tbhl.shifted_domino import (
+    enumerate_shifted,
+    h_lambda,
+    h_lambda_monomials,
+    iter_semistandard,
+    two_quotient,
+)
 
 
 def assert_normal(pairs):
@@ -209,9 +215,9 @@ VALID_SHAPES = [
 
 @pytest.mark.parametrize("shape", VALID_SHAPES)
 def test_generating_functions_equal_make_over_the_tableaux(shape):
-    standard = enumerate_shifted(shape, "standard")
+    standard = enumerate_shifted(shape)
     for variant in PEAK_VARIANTS:
-        peak = h_lambda(shape, "peak", variant=variant)
+        peak = h_lambda(shape, variant)
         assert_qsym_normal(peak)
         assert peak == qsym_by_make(
             peak.n,
@@ -222,9 +228,9 @@ def test_generating_functions_equal_make_over_the_tableaux(shape):
             ],
         )
     for nvars in (1, 2, 3):
-        monomial = h_lambda(shape, "monomial", nvars=nvars)
+        monomial = h_lambda_monomials(shape, nvars)
         assert_polynomial_normal(monomial)
-        fillings = enumerate_shifted(shape, "semistandard", nvars - 1)
+        fillings = iter_semistandard(shape, nvars - 1)
         assert monomial == TruncatedPolynomial.make(
             nvars, monomial.degree_cap, [(t.weight(nvars), 1) for t in fillings]
         )

@@ -176,6 +176,14 @@ class TestPeakFunctions:
         with pytest.raises(ValueError):
             peak_function_type_b(0, set(), 3, variant="other")
 
+    @pytest.mark.parametrize("variant", ["literal", "complemented"])
+    def test_bit_one_needs_index_zero_in_range(self, variant):
+        # no subset of an empty index range holds 0
+        with pytest.raises(ValueError, match="n >= 1"):
+            peak_function_type_b(1, set(), 0, variant)
+        assert peak_function_type_b(1, set(), 1, variant).n == 1
+        assert str(peak_function_type_b(0, set(), 0, variant)) == "1*FB{}"
+
 
 class TestQSymElement:
     def test_arithmetic(self):

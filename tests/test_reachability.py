@@ -45,6 +45,7 @@ ORACLES = (
     "special_families.is_left_unimodal",
     "domino_tableaux.brute_force_sdt",
     "shifted_domino.verify_stand_theorem",
+    "shifted_domino.h_lambda_monomials",
 )
 
 Name = tuple[str, str]  # (module, top-level name)

@@ -35,6 +35,7 @@ from tbhl.shifted_domino import (
     find_semistandard_with_weight,
     find_standard_with_descents,
     h_lambda,
+    h_lambda_monomials,
     iter_semistandard,
     iter_standard,
     marked_descents,
@@ -59,6 +60,10 @@ def markings_of(base):
             yield MarkedStandardTableau(base, frozenset(subset))
 
 
+def marked_tableaux(shape):
+    return [marked for base in enumerate_shifted(shape) for marked in markings_of(base)]
+
+
 class TestEntryAlphabet:
     def test_order_and_round_trip(self):
         # codes 0 < 1' < 1 < 2' < 2 < 3' < 3 are the integers 0..6
@@ -81,10 +86,10 @@ class TestTrustedConstruction:
 
     def test_markings_equal_their_validated_rebuilds(self):
         for shape in valid_shapes(8):
-            marked = enumerate_shifted(shape, "marked")
-            standard = enumerate_shifted(shape, "standard")
-            assert list(marked) == [m for t in standard for m in markings_of(t)]
-            assert all(type(m.primed) is frozenset for m in marked)
+            for base in enumerate_shifted(shape):
+                marked = list(shifted_domino._markings(base))
+                assert marked == list(markings_of(base))
+                assert all(type(m.primed) is frozenset for m in marked)
 
     def test_enumerated_fillings_are_all_the_valid_ones(self):
         # every filling with codes 0..2 that the public constructor accepts
@@ -156,7 +161,9 @@ class TestTwoQuotient:
         with pytest.raises(ValueError):
             enumerate_shifted((2, 2, 1, 1))
         with pytest.raises(ValueError):
-            h_lambda((2, 2, 1, 1), "peak")
+            h_lambda((2, 2, 1, 1))
+        with pytest.raises(ValueError):
+            h_lambda_monomials((2, 2, 1, 1), 3)
 
 
 class TestShiftedTilings:
@@ -175,11 +182,9 @@ class TestShiftedTilings:
         enumerate_shape.cache_clear()
         assert enumerate_shape.cache_info().currsize == 0
 
-    def test_list_shape_keeps_the_enumeration_kind(self):
-        assert enumerate_shifted([4, 4], "marked") is enumerate_shifted((4, 4), "marked")
-        assert enumerate_shifted([2, 2], "semistandard", 2) == enumerate_shifted(
-            (2, 2), "semistandard", 2
-        )
+    def test_list_shape_gives_the_tuple_listing(self):
+        assert list(iter_standard([4, 4])) == list(enumerate_shifted((4, 4)))
+        assert list(iter_semistandard([2, 2], 2)) == list(iter_semistandard((2, 2), 2))
 
     def test_pinned_counts(self):
         assert len(enumerate_shifted_tilings((2,))) == 1
@@ -273,12 +278,12 @@ class TestStandardTableaux:
 
 class TestSemistandardTableaux:
     def test_single_domino_fillings(self):
-        fillings = enumerate_shifted((2,), "semistandard", maxval=2)
+        fillings = iter_semistandard((2,), 2)
         codes = sorted(code for t in fillings for (_, code) in t.entries)
         assert codes == [0, 1, 2, 3, 4]
 
     def test_two_by_two_weights(self):
-        fillings = enumerate_shifted((2, 2), "semistandard", maxval=1)
+        fillings = list(iter_semistandard((2, 2), 1))
         weights = sorted(t.weight(2) for t in fillings)
         assert weights == [(0, 2), (0, 2), (1, 1), (1, 1)]
         total = TruncatedPolynomial.zero(2, 2)
@@ -294,21 +299,19 @@ class TestSemistandardTableaux:
             )
 
     def test_zero_pair_in_a_row_allowed(self):
-        fillings = enumerate_shifted((4,), "semistandard", maxval=1)
+        fillings = iter_semistandard((4,), 1)
         assert sum(1 for t in fillings if t.weight(2) == (2, 0)) == 1
 
     def test_enumeration_order_is_sorted(self):
-        # enumerate_shifted returns iter_semistandard's order as is
         for shape in valid_shapes(8):
             for maxval in range(filled_count(shape) + 1):
                 listed = list(iter_semistandard(shape, maxval))
                 assert listed == sorted(listed), (shape, maxval)
-                assert enumerate_shifted(shape, "semistandard", maxval) == tuple(listed)
 
     def test_weight_totals(self):
         for shape in valid_shapes(6):
             m = filled_count(shape)
-            for t in enumerate_shifted(shape, "semistandard", maxval=2):
+            for t in iter_semistandard(shape, 2):
                 assert sum(t.weight(3)) == m
 
 
@@ -316,7 +319,7 @@ class TestStandardizeAndMarkedDescents:
     def test_single_domino(self):
         (zero_fill,) = [
             t
-            for t in enumerate_shifted((2,), "semistandard", maxval=2)
+            for t in iter_semistandard((2,), 2)
             if t.entries[0][1] == 0
         ]
         marked = standardize(zero_fill)
@@ -325,7 +328,7 @@ class TestStandardizeAndMarkedDescents:
 
         primed_fills = [
             t
-            for t in enumerate_shifted((2,), "semistandard", maxval=2)
+            for t in iter_semistandard((2,), 2)
             if entry_is_primed(t.entries[0][1])
         ]
         assert len(primed_fills) == 2
@@ -366,7 +369,7 @@ class TestStandardizeAndMarkedDescents:
 
     def test_standardization_respects_value_order(self):
         for shape in valid_shapes(6):
-            for t in enumerate_shifted(shape, "semistandard", maxval=3):
+            for t in iter_semistandard(shape, 3):
                 marked = standardize(t)
                 assert marked.base in enumerate_shifted(shape)
                 code_of = dict(t.entries)
@@ -414,62 +417,60 @@ class TestStandardizeAndMarkedDescents:
 
 class TestHLambda:
     def test_single_row_pinned(self):
-        poly = h_lambda((2,), "monomial", nvars=3)
+        poly = h_lambda_monomials((2,), 3)
         assert poly.as_dict() == {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 2}
-        char = h_lambda((2,), "peak")
+        char = h_lambda((2,))
         assert char == QSymElement.make(
             1, {frozenset(): 1, frozenset({0}): 1}
         )
 
     def test_two_by_two_pinned(self):
-        poly = h_lambda((2, 2), "monomial", nvars=2)
+        poly = h_lambda_monomials((2, 2), 2)
         assert poly.as_dict() == {(1, 1): 2, (0, 2): 2}
-        assert h_lambda((2, 2), "peak") == peak_characteristic({1}, 2)
+        assert h_lambda((2, 2)) == peak_characteristic({1}, 2)
 
     @pytest.mark.parametrize("variant", ["literal", "complemented"])
-    def test_peak_mode_equals_per_tableau_sum(self, variant):
+    def test_peak_form_equals_per_tableau_sum(self, variant):
         # below size 12 no two standard tableaux of a shape share a descent set
-        repeated = [t.descent_set() for t in enumerate_shifted((6, 6), "standard")]
+        repeated = [t.descent_set() for t in enumerate_shifted((6, 6))]
         assert len(set(repeated)) < len(repeated)
         for shape in [*valid_shapes(10), (6, 6), (6, 4, 4)]:
             degree = filled_count(shape)
             total = QSymElement.zero(degree)
-            for standard in enumerate_shifted(shape, "standard"):
+            for standard in enumerate_shifted(shape):
                 total = total + peak_characteristic(
                     standard.descent_set(), degree, variant
                 )
-            assert h_lambda(shape, "peak", variant=variant) == total, shape
+            assert h_lambda(shape, variant) == total, shape
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
     def test_unknown_variant_is_rejected(self, shape):
         # (1, 1) has no standard tableau, so no peak characteristic reads it
         with pytest.raises(ValueError, match="variant must be one of"):
-            h_lambda(shape, "peak", variant="bogus")
+            h_lambda(shape, "bogus")
 
-    def test_monomial_mode_needs_nonnegative_nvars(self):
+    def test_monomial_sum_needs_nonnegative_nvars(self):
         with pytest.raises(ValueError, match="nvars >= 0"):
-            h_lambda((2, 2), "monomial", nvars=-1)
+            h_lambda_monomials((2, 2), -1)
         # no variable admits no filling of a nonempty shape
-        assert h_lambda((2, 2), "monomial", nvars=0) == TruncatedPolynomial.zero(0, 2)
+        assert h_lambda_monomials((2, 2), 0) == TruncatedPolynomial.zero(0, 2)
 
     def test_column_pair_vanishes(self):
-        assert h_lambda((1, 1), "peak").is_zero()
-        assert h_lambda((1, 1), "monomial", nvars=3).is_zero()
+        assert h_lambda((1, 1)).is_zero()
+        assert h_lambda_monomials((1, 1), 3).is_zero()
 
     def test_row_of_four_has_zero_square(self):
-        poly = h_lambda((4,), "monomial", nvars=3)
+        poly = h_lambda_monomials((4,), 3)
         assert poly.as_dict()[(2, 0, 0)] == 1
 
     def test_two_by_two_lacks_zero_square(self):
-        poly = h_lambda((2, 2), "monomial", nvars=3)
+        poly = h_lambda_monomials((2, 2), 3)
         assert (2, 0, 0) not in poly.as_dict()
 
     @pytest.mark.parametrize("shape", list(valid_shapes(8)))
-    def test_modes_agree(self, shape):
+    def test_monomial_and_peak_forms_agree(self, shape):
         nvars = filled_count(shape) + 1
-        assert h_lambda(shape, "monomial", nvars=nvars) == h_lambda(
-            shape, "peak"
-        ).to_monomials(nvars)
+        assert h_lambda_monomials(shape, nvars) == h_lambda(shape).to_monomials(nvars)
 
 
 class TestTheorems:
@@ -477,45 +478,47 @@ class TestTheorems:
     def test_stand_theorem(self, shape):
         # the one-pass check against the per-marked-tableau oracle
         nvars = filled_count(shape) + 1
-        for marked in enumerate_shifted(shape, "marked"):
-            assert verify_stand_theorem(shape, marked, nvars)
-        failures, monomial = stand_theorem_check(shape, nvars)
-        assert failures == 0
-        # the fibers' weights sum to the monomial mode's own walk
-        assert monomial == h_lambda(shape, "monomial", nvars=nvars)
+        marked = marked_tableaux(shape)
+        for one in marked:
+            assert verify_stand_theorem(one, nvars)
+        failures, compared, monomial = stand_theorem_check(shape, nvars)
+        assert (failures, compared) == (0, len(marked))
+        # the fibers' weights sum to H_lambda's definition
+        assert monomial == h_lambda_monomials(shape, nvars)
 
     @pytest.mark.parametrize("nvars", [0, -3])
     def test_stand_checks_need_a_variable(self, nvars):
-        (marked, *_) = enumerate_shifted((2, 2), "marked")
+        (marked, *_) = marked_tableaux((2, 2))
         with pytest.raises(ValueError, match="nvars >= 1"):
             stand_theorem_check((2, 2), nvars)
         with pytest.raises(ValueError, match="nvars >= 1"):
-            verify_stand_theorem((2, 2), marked, nvars)
+            verify_stand_theorem(marked, nvars)
 
     def test_stand_checks_accept_one_variable(self):
         # one variable holds only fillings by 0, so the check still compares
-        failures, monomial = stand_theorem_check((2,), 1)
-        assert failures == 0
+        failures, compared, monomial = stand_theorem_check((2,), 1)
+        assert (failures, compared) == (0, 2)
         assert monomial.as_dict() == {(1,): 1}
-        assert all(
-            verify_stand_theorem((2,), marked, 1)
-            for marked in enumerate_shifted((2,), "marked")
-        )
+        assert all(verify_stand_theorem(marked, 1) for marked in marked_tableaux((2,)))
+
+    def test_standardization_keeps_the_tiling(self):
+        # so the oracle walks only the fillings of its marked tableau's tiling
+        for shape in valid_shapes(8):
+            for t in iter_semistandard(shape, 2):
+                assert standardize(t).base.tiling == t.tiling
 
     def test_unmatched_fiber_is_a_failure(self, monkeypatch):
-        # with one marked tableau hidden, its (nonempty) fiber matches no
-        # marked tableau and is the one failure
-        enumerate_all = shifted_domino.enumerate_shifted
-
-        def all_but_last(shape, kind="standard", maxval=None):
-            found = enumerate_all(shape, kind, maxval)
-            return found[:-1] if kind == "marked" else found
-
-        monkeypatch.setattr(shifted_domino, "enumerate_shifted", all_but_last)
+        # with the last marking of each standard tableau hidden, each of
+        # those (nonempty) fibers matches no marked tableau and is a failure
+        markings = shifted_domino._markings
+        monkeypatch.setattr(
+            shifted_domino, "_markings", lambda base: list(markings(base))[:-1]
+        )
         for shape in valid_shapes(8):
-            if enumerate_shifted_tilings(shape):
-                failures, _ = stand_theorem_check(shape, filled_count(shape) + 1)
-                assert failures == 1
+            standards = enumerate_shifted(shape)
+            failures, compared, _ = stand_theorem_check(shape, filled_count(shape) + 1)
+            assert failures == len(standards)
+            assert compared == sum(2 ** t.size - 1 for t in standards)
 
     def test_swapped_tie_breaks_are_reported(self, monkeypatch):
         # ordering equal primed codes left-to-right and equal unprimed ones
@@ -546,21 +549,21 @@ class TestTheorems:
         for shape in ((2,), (2, 2), (4,)):
             nvars = filled_count(shape) + 1
             oracle = sum(
-                not verify_stand_theorem(shape, marked, nvars)
-                for marked in enumerate_shifted(shape, "marked")
+                not verify_stand_theorem(marked, nvars)
+                for marked in marked_tableaux(shape)
             )
             assert stand_theorem_check(shape, nvars)[0] == oracle > 0
 
     @pytest.mark.parametrize("shape", list(valid_shapes(8)))
     def test_peak_theorem_both_variants(self, shape):
         for standard in enumerate_shifted(shape):
-            assert verify_peak_theorem(shape, standard, "literal")
-            assert verify_peak_theorem(shape, standard, "complemented")
+            assert verify_peak_theorem(standard, "literal")
+            assert verify_peak_theorem(standard, "complemented")
 
     def test_peak_theorem_row_of_four(self):
         (standard,) = enumerate_shifted((4,))
         assert standard.descent_set() == frozenset()
-        assert verify_peak_theorem((4,), standard)
+        assert verify_peak_theorem(standard)
 
     @pytest.mark.parametrize("dropped", [0, -1])
     def test_peak_theorem_fails_on_a_missing_marking(self, monkeypatch, dropped):
@@ -574,8 +577,8 @@ class TestTheorems:
         monkeypatch.setattr(shifted_domino, "_markings", all_but_one)
         for shape in ((2,), (4,), (4, 2)):
             for standard in enumerate_shifted(shape):
-                assert not verify_peak_theorem(shape, standard, "literal")
-                assert not verify_peak_theorem(shape, standard, "complemented")
+                assert not verify_peak_theorem(standard, "literal")
+                assert not verify_peak_theorem(standard, "complemented")
 
 
 class TestConjugateFamily:
