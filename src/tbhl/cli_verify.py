@@ -95,6 +95,7 @@ from .shifted_domino import (
     verify_peak_theorem,
 )
 from .signed_permutations import (
+    MAX_RANK,
     all_elements,
     ascent_compatibility_report,
     format_index_set,
@@ -106,7 +107,6 @@ from .signed_permutations import (
     weak_order_interval,
 )
 from .special_families import (
-    MAX_DEGREE,
     build_family,
     invert_family,
     parse_family_spec,
@@ -243,8 +243,12 @@ def cases_random_convex(max_n: int, seed: int, samples: int) -> list[AuditCase]:
         failures = 0
         for _ in range(samples):
             top = rng.choice(group)
-            bottom = rng.choice(weak_order_interval(identity(degree), top))
-            members = weak_order_interval(bottom, top)
+            below = weak_order_interval(identity(degree), top)
+            if not below:
+                # the identity lies below every element: an empty interval is a fault
+                failures += 1
+                continue
+            members = weak_order_interval(rng.choice(below), top)
             report = ascent_compatibility_report(members)
             ops = family_from_elements(members)
             ok = (
@@ -879,8 +883,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.max_n <= MAX_DEGREE:
-        raise ValueError(f"--max-n must lie in 1..{MAX_DEGREE}")
+    if not 1 <= args.max_n <= MAX_RANK:
+        raise ValueError(f"--max-n must lie in 1..{MAX_RANK}")
     max_partition = getattr(args, "max_partition", DEFAULT_MAX_PARTITION)
     if max_partition < 2:
         raise ValueError("--max-partition must be at least 2")

@@ -4,7 +4,10 @@ Scalars are Gaussian integers: complex numbers with ``int`` real and
 imaginary parts.  Every operator entry is ``0``, ``±1`` or ``±i``, and sums
 and products of Gaussian integers are Gaussian integers, so no computation
 leaves them.  The scalars are interned: values come from one bounded cache,
-so the few values the operators produce are shared instances.
+so the few values the operators produce are shared instances.  An ``int``
+becomes a scalar in two places only, :meth:`GaussianInteger.integer` and the
+public ``SparseMatrix`` constructor; ``+``, ``*`` and ``SparseMatrix.scale``
+take scalars only.
 
 Matrices are sparse dicts keyed by ``(row, col)`` that never store a zero
 entry.  The public constructor checks every position and value; sums,
@@ -17,7 +20,9 @@ degree cap, used for monomial expansions of quasisymmetric functions; a term
 above the cap is an error, never silently dropped.  Their normal form, shared
 with ``QSymElement``, is a key-sorted tuple of ``(key, coefficient)`` pairs
 with unique keys and nonzero ``int`` coefficients.  Only ``make`` checks a
-combination; every other one is put in normal form by :func:`_collect`.
+combination, given as a mapping; every other one is put in normal form by
+:func:`_collect`.  Combinations have ``+`` and, for ``QSymElement``,
+``scale``; nothing subtracts them.
 
 >>> i = GaussianInteger.sqrt_minus_one()
 >>> i * i == GaussianInteger.integer(-1)
@@ -82,37 +87,16 @@ class GaussianInteger:
         """
         return GaussianInteger._gaussian_integer(0, 1)
 
-    @staticmethod
-    def coerce(value: "GaussianInteger | int") -> "GaussianInteger":
-        if isinstance(value, GaussianInteger):
-            return value
-        return GaussianInteger.integer(value)
-
-    def __add__(self, other: "GaussianInteger | int") -> "GaussianInteger":
-        other = GaussianInteger.coerce(other)
+    def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
         return GaussianInteger._gaussian_integer(
             self.re + other.re, self.im + other.im
         )
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianInteger":
-        return GaussianInteger._gaussian_integer(-self.re, -self.im)
-
-    def __sub__(self, other: "GaussianInteger | int") -> "GaussianInteger":
-        return self + (-GaussianInteger.coerce(other))
-
-    def __rsub__(self, other: "GaussianInteger | int") -> "GaussianInteger":
-        return GaussianInteger.coerce(other) + (-self)
-
-    def __mul__(self, other: "GaussianInteger | int") -> "GaussianInteger":
-        other = GaussianInteger.coerce(other)
+    def __mul__(self, other: "GaussianInteger") -> "GaussianInteger":
         return GaussianInteger._gaussian_integer(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -135,8 +119,8 @@ class SparseMatrix:
 
     Entries are stored in a dict keyed by ``(row, col)``; zero entries are
     never stored, so equal matrices have equal entry dicts.  They are given
-    as a mapping or as an iterable of ``((row, col), value)`` pairs, and the
-    public constructor checks every position and coerces every value.
+    as a mapping, and the public constructor checks every position and turns
+    every ``int`` value into a scalar through :meth:`GaussianInteger.integer`.
     Results of ``@``, ``+``, :meth:`scale` and :meth:`kron` come from the
     trusted constructor :meth:`_trusted`, which skips those checks: their
     entries are computed from already-checked matrices, and entries that
@@ -154,17 +138,16 @@ class SparseMatrix:
         self,
         nrows: int,
         ncols: int,
-        entries: Mapping[tuple[int, int], GaussianInteger]
-        | Iterable[tuple[tuple[int, int], GaussianInteger]] = (),
+        entries: Mapping[tuple[int, int], "GaussianInteger | int"],
     ) -> None:
         self.nrows = nrows
         self.ncols = ncols
         stored: dict[tuple[int, int], GaussianInteger] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for (r, c), value in items:
+        for (r, c), value in entries.items():
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry {(r, c)} outside {nrows}x{ncols} matrix")
-            value = GaussianInteger.coerce(value)
+            if not isinstance(value, GaussianInteger):
+                value = GaussianInteger.integer(value)
             if not value.is_zero():
                 stored[(r, c)] = value
         self.entries = stored
@@ -215,8 +198,7 @@ class SparseMatrix:
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + other.scale(GaussianInteger.integer(-1))
 
-    def scale(self, scalar: "GaussianInteger | int") -> "SparseMatrix":
-        scalar = GaussianInteger.coerce(scalar)
+    def scale(self, scalar: GaussianInteger) -> "SparseMatrix":
         if scalar.is_zero():
             return SparseMatrix.zero(self.nrows, self.ncols)
         # a product of nonzero Gaussian integers is nonzero
@@ -280,9 +262,6 @@ class SparseMatrix:
 
     def __hash__(self) -> int:
         return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def column(self, col: int) -> dict[int, GaussianInteger]:
         return {r: v for (r, c), v in self.entries.items() if c == col}
@@ -378,9 +357,8 @@ class TruncatedPolynomial:
     ``terms`` maps exponent vectors (tuples of length ``nvars``) to nonzero
     integer coefficients, each of total degree at most ``degree_cap``; a
     term above the cap raises ``ValueError``, so the stored terms are always
-    the complete polynomial.  :meth:`make` reads exponents and coefficients,
-    and :meth:`scale` its scalar, through ``operator.index``, so a float or
-    a string raises ``TypeError``.
+    the complete polynomial.  :meth:`make` reads exponents and coefficients
+    through ``operator.index``, so a float or a string raises ``TypeError``.
 
     >>> p = TruncatedPolynomial.make(2, 2, {(0, 2): 1, (1, 1): 1})
     >>> sorted((p + p).as_dict().items())
@@ -399,7 +377,7 @@ class TruncatedPolynomial:
     def make(
         nvars: int,
         degree_cap: int,
-        terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = (),
+        terms: Mapping[tuple[int, ...], int],
     ) -> "TruncatedPolynomial":
         def checked(exponents, coefficient) -> tuple[tuple[int, ...], int]:
             exponents = tuple(map(operator.index, exponents))
@@ -411,9 +389,8 @@ class TruncatedPolynomial:
                 raise ValueError(f"term {exponents} exceeds the degree cap {degree_cap}")
             return exponents, operator.index(coefficient)
 
-        items = terms.items() if isinstance(terms, Mapping) else terms
         return TruncatedPolynomial(
-            nvars, degree_cap, _collect(checked(*item) for item in items)
+            nvars, degree_cap, _collect(checked(*item) for item in terms.items())
         )
 
     @staticmethod
@@ -432,21 +409,6 @@ class TruncatedPolynomial:
         return TruncatedPolynomial(
             self.nvars, self.degree_cap, _collect(self.terms + other.terms)
         )
-
-    def __neg__(self) -> "TruncatedPolynomial":
-        return self.scale(-1)
-
-    def __sub__(self, other: "TruncatedPolynomial") -> "TruncatedPolynomial":
-        return self + (-other)
-
-    def scale(self, scalar: int) -> "TruncatedPolynomial":
-        scalar = operator.index(scalar)
-        return TruncatedPolynomial(
-            self.nvars, self.degree_cap, _collect((e, scalar * c) for e, c in self.terms)
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def to_json(self) -> list:
         """Serialize as ``[[exponent_vector, coefficient], ...]`` in lex order."""

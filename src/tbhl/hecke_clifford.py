@@ -62,7 +62,7 @@ from .qsym_typeb import (
     peak_data,
     symmetric_difference_condition,
 )
-from .signed_permutations import subsets
+from .signed_permutations import checked_index_set, subsets
 
 _ZERO = GaussianInteger.integer(0)
 _ONE = GaussianInteger.integer(1)
@@ -125,7 +125,6 @@ def _single_rules(i: int, j: int):
     return (((j,), _ZERO, _ONE),)
 
 
-@lru_cache(maxsize=None)
 def pi_commute(
     i: int, word: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], GaussianInteger, GaussianInteger], ...]:
@@ -135,9 +134,9 @@ def pi_commute(
     Returns ``(E, gamma_E, delta_E)`` triples sorted by ``E``.  For ``i = 0``
     the expansion follows the graded convention from the module docstring:
     the letter 1 is anticommuted to the right end and absorbed, so its
-    coefficient carries the parity of the rest of the monomial.  Cached, and
-    validated once per distinct key, since every induced module of rank
-    ``n`` needs the same ``n * 2**n`` expansions.
+    coefficient carries the parity of the rest of the monomial.  Not cached:
+    :func:`clifford_tables` reads the ``n * 2**n`` expansions of rank ``n``
+    once and is cached itself.
 
     >>> [(e, (g.re, d.re)) for e, g, d in pi_commute(1, (2,))]
     [((1,), (0, 1))]
@@ -294,14 +293,6 @@ def _ribbon_table_column(
     return ((subset, _MINUS_ONE),)
 
 
-def _checked_index_set(index_set, n: int, start: int = 0) -> frozenset[int]:
-    # index sets lie in 0..n-1, Clifford (barred) sets in 1..n
-    index_set = frozenset(index_set)
-    if not index_set <= set(range(start, start + n)):
-        raise ValueError(f"subset {sorted(index_set)} out of range for n={n}")
-    return index_set
-
-
 def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
     """Matrix of ``pi_i`` on ``build_MI(index_set, n)`` per the case table.
 
@@ -311,7 +302,7 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
     >>> {row: str(value) for row, value in table.column(1).items()}
     {0: '-1*i'}
     """
-    index_set = _checked_index_set(index_set, n)
+    index_set = checked_index_set(index_set, n)
     if not 0 <= i < n:
         raise ValueError(f"generator index {i} out of range for n={n}")
     basis, index = clifford_basis(n)
@@ -325,7 +316,7 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
 
 def build_MI(index_set, n: int) -> OperatorFamily:
     """Induced module of a subset's one-dimensional module, once per ``(I, n)``."""
-    return _induced_module(_checked_index_set(index_set, n), n)
+    return _induced_module(checked_index_set(index_set, n), n)
 
 
 @lru_cache(maxsize=None)
@@ -394,8 +385,8 @@ def k_set(index_set, subset, n: int) -> frozenset[int]:
     >>> sorted(k_set({0, 3, 4, 6}, {1, 2, 5}, 7))
     [1, 2, 3, 5, 6]
     """
-    index_set = _checked_index_set(index_set, n)
-    barred = _checked_index_set(subset, n, 1)
+    index_set = checked_index_set(index_set, n)
+    barred = checked_index_set(subset, n, 1)
     shifted_down = {d - 1 for d in barred}
     return frozenset(
         ((barred - index_set) | (index_set - shifted_down)) & set(range(n))
@@ -409,8 +400,8 @@ def cover_lower_targets(
 
     These are the only rows where ``pi_i`` may have off-diagonal support.
     """
-    index_set = _checked_index_set(index_set, n)
-    barred = _checked_index_set(subset, n, 1)
+    index_set = checked_index_set(index_set, n)
+    barred = checked_index_set(subset, n, 1)
     out = []
     if i == 0:
         if 0 in index_set and 1 in barred:
@@ -449,7 +440,7 @@ def res_MI_formula(index_set, n: int, form: str) -> QSymElement:
     selecting subset omits 0.  The ``theorem_*`` forms evaluate the two
     readings of the peak-function characteristic of the complement.
     """
-    index_set = _checked_index_set(index_set, n)
+    index_set = checked_index_set(index_set, n)
     complement = frozenset(range(n)) - index_set
     if form == "theorem_literal":
         return peak_characteristic(complement, n, "literal")
@@ -483,8 +474,8 @@ def iso_predicate(first, second, n: int) -> bool:
     >>> iso_predicate(set(), {1}, 2)
     True
     """
-    first = _checked_index_set(first, n)
-    second = _checked_index_set(second, n)
+    first = checked_index_set(first, n)
+    second = checked_index_set(second, n)
     everything = frozenset(range(n))
     if 0 in first.symmetric_difference(second):
         return False
@@ -540,7 +531,7 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
 
 def centralizer_valleys(index_set, n: int) -> frozenset[int]:
     """Valley set of the complement: the expected endomorphism indices."""
-    complement = frozenset(range(n)) - _checked_index_set(index_set, n)
+    complement = frozenset(range(n)) - checked_index_set(index_set, n)
     return peak_data(complement, n).valley
 
 

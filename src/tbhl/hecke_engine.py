@@ -33,6 +33,7 @@ from .signed_permutations import (
     _rank_table,
     _same_rank,
     braid_exponent,
+    checked_index_set,
 )
 
 Label = Hashable
@@ -96,11 +97,7 @@ def family_from_action(
     labels = tuple(labels)
     position = {label: k for k, label in enumerate(labels)}
     descents = [frozenset(descent_label(y)) for y in labels]
-    valid = frozenset(range(rank))
-    for y, descent in zip(labels, descents):
-        if not descent <= valid:
-            bad = set(descent - valid)
-            raise ValueError(f"descent label of {y!r} out of range: {bad}")
+    checked_index_set(frozenset().union(*descents), rank)
     size = len(labels)
     matrices = []
     for i in range(rank):

@@ -38,7 +38,7 @@ from .exact_algebra import (
     TruncatedPolynomial,
     _collect,
 )
-from .signed_permutations import format_index_set, subsets
+from .signed_permutations import checked_index_set, format_index_set, subsets
 
 __all__ = [
     "QSymElement",
@@ -60,28 +60,25 @@ class QSymElement:
 
     Fundamental elements are indexed by subsets of ``{0..n-1}``.  ``coeffs``
     is in the normal form of :func:`~tbhl.exact_algebra._collect`, keyed by
-    subsets as sorted tuples.  Only :meth:`make` checks a combination; it
-    reads indices and coefficients through ``operator.index``, as
-    :meth:`scale` reads its scalar.  ``+``, :meth:`scale` and the package's
-    own combinations are built in normal form directly.
+    subsets as sorted tuples.  Only :meth:`make` checks a combination: each
+    subset through :func:`~tbhl.signed_permutations.checked_index_set`, and
+    each coefficient through ``operator.index``, as :meth:`scale` reads its
+    scalar.  ``+``, :meth:`scale` and the package's own combinations are
+    built in normal form directly; there is no ``-``.
     """
 
     n: int
     coeffs: tuple[tuple[tuple[int, ...], int], ...]
 
     @staticmethod
-    def make(
-        n: int,
-        coeffs: Mapping[frozenset[int], int] | Iterable[tuple[frozenset[int], int]] = (),
-    ) -> "QSymElement":
-        def checked(subset, coefficient) -> tuple[tuple[int, ...], int]:
-            key = tuple(sorted(set(map(operator.index, subset))))
-            if key and (key[0] < 0 or key[-1] >= n):
-                raise ValueError(f"subset {list(key)} outside [0, {n - 1}]")
-            return key, operator.index(coefficient)
-
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        return QSymElement(n, _collect(checked(*item) for item in items))
+    def make(n: int, coeffs: Mapping[Iterable[int], int]) -> "QSymElement":
+        return QSymElement(
+            n,
+            _collect(
+                (tuple(sorted(checked_index_set(subset, n))), operator.index(c))
+                for subset, c in coeffs.items()
+            ),
+        )
 
     @staticmethod
     def zero(n: int) -> "QSymElement":
@@ -105,18 +102,9 @@ class QSymElement:
         self._require_compatible(other)
         return QSymElement(self.n, _collect(self.coeffs + other.coeffs))
 
-    def __neg__(self) -> "QSymElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "QSymElement") -> "QSymElement":
-        return self + (-other)
-
     def scale(self, scalar: int) -> "QSymElement":
         scalar = operator.index(scalar)
         return QSymElement(self.n, _collect((k, scalar * c) for k, c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def to_monomials(self, nvars: int) -> TruncatedPolynomial:
         """Expand into monomials in ``x_0 .. x_{nvars-1}``: the scaled terms
@@ -191,9 +179,7 @@ def fb_monomials(subset: Iterable[int], n: int, nvars: int) -> TruncatedPolynomi
     >>> fb_monomials(set(), 2, 2).as_dict()
     {(0, 2): 1, (1, 1): 1, (2, 0): 1}
     """
-    subset = frozenset(subset)
-    if not subset <= set(range(n)):
-        raise ValueError(f"subset {sorted(subset)} outside [0, {n - 1}]")
+    subset = checked_index_set(subset, n)
     if nvars < 0:
         raise ValueError(f"nvars must be nonnegative, not {nvars}")
     return _chain_polynomial(subset, n, nvars)
@@ -216,9 +202,7 @@ def peak_data(subset: Iterable[int], n: int) -> PeakDataB:
     >>> (sorted(data.peak), sorted(data.valley), data.zeta)
     ([3, 6], [1, 5, 7], 1)
     """
-    subset = frozenset(subset)
-    if not subset <= set(range(n)):
-        raise ValueError(f"subset {sorted(subset)} outside [0, {n - 1}]")
+    subset = checked_index_set(subset, n)
     peaks = frozenset(
         p for p in range(1, n) if p in subset and (p - 1) not in subset
     )
@@ -231,8 +215,7 @@ def peak_data(subset: Iterable[int], n: int) -> PeakDataB:
 def _validate_peak_set(peaks: frozenset[int], n: int, bit: int) -> None:
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if not peaks <= set(range(1, n)):
-        raise ValueError(f"peak set {sorted(peaks)} outside [1, {n - 1}]")
+    checked_index_set(peaks, n - 1, start=1)
     ordered = sorted(peaks)
     for a, b in zip(ordered, ordered[1:]):
         if b - a == 1:

@@ -57,7 +57,7 @@ from .domino_tableaux import (
 from .exact_algebra import TruncatedPolynomial, _collect
 from .hecke_engine import OperatorFamily, family_from_action
 from .qsym_typeb import PEAK_VARIANTS, QSymElement, fb_monomials, peak_characteristic
-from .signed_permutations import subsets
+from .signed_permutations import checked_index_set, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +468,8 @@ class MarkedStandardTableau:
     primed: frozenset[int]
 
     def __post_init__(self) -> None:
-        primed = frozenset(self.primed)
+        primed = checked_index_set(self.primed, self.base.size, start=1)
         object.__setattr__(self, "primed", primed)
-        if not primed <= set(range(1, self.base.size + 1)):
-            raise ValueError("primed entries out of range")
 
 
 def _markings(base: ShiftedStandardTableau) -> Iterator[MarkedStandardTableau]:

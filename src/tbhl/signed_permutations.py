@@ -41,6 +41,7 @@ and :func:`right_inversions` stay as independent oracles for the table.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -68,6 +69,7 @@ __all__ = [
     "format_window",
     "parse_index_set",
     "format_index_set",
+    "checked_index_set",
     "subsets",
 ]
 
@@ -168,7 +170,8 @@ def braid_exponent(i: int, j: int) -> int:
 
 
 # Largest rank a table is built for, and so the largest rank of the readers
-# that use one: B_6 has 46,080 elements, B_7 645,120 and B_8 ten million.
+# that use one, the largest degree of a family and the largest ``--max-n`` of
+# the audit: B_6 has 46,080 elements, B_7 645,120 and B_8 ten million.
 MAX_RANK = 6
 
 
@@ -559,6 +562,32 @@ def format_index_set(indices: Iterable[int]) -> str:
     '{0,3}'
     """
     return "{" + ",".join(str(i) for i in sorted(indices)) + "}"
+
+
+def checked_index_set(subset: Iterable[int], n: int, start: int = 0) -> frozenset[int]:
+    """``subset`` as a frozenset, checked to lie in ``start..start+n-1``.
+
+    This is the one range check of an index set: fundamentals, descent
+    labels and the index sets of induced modules lie in ``0..n-1``, peak sets
+    in ``1..n-1``, Clifford index sets and primed entries in ``1..n``.  Each
+    element is read through ``operator.index``, so a float raises
+    ``TypeError``.
+
+    >>> sorted(checked_index_set((3, 0), 4))
+    [0, 3]
+    >>> checked_index_set({0, 4}, 4, start=1)
+    Traceback (most recent call last):
+    ...
+    ValueError: index set {0,4} is outside 1..4
+    """
+    index_set = frozenset(map(operator.index, subset))
+    for i in index_set:
+        if not start <= i < start + n:
+            raise ValueError(
+                f"index set {format_index_set(index_set)} is outside "
+                f"{start}..{start + n - 1}"
+            )
+    return index_set
 
 
 def subsets(items: Iterable) -> tuple[tuple, ...]:

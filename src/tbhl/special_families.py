@@ -29,17 +29,12 @@ from .signed_permutations import (
     SignedPermutation,
     _rank_table,
     all_elements,
+    checked_index_set,
     convexity_witness,
     format_index_set,
     parse_index_set,
     weak_order_interval,
 )
-
-# Largest degree a family is built at, and the largest ``--max-n`` of the
-# audit: the largest rank with a table.  ``verify all --max-n 6
-# --max-partition 6`` takes about 2 s on 2 vCPUs, while B_7 is fourteen times
-# larger than B_6.
-MAX_DEGREE = MAX_RANK
 
 
 @dataclass(frozen=True)
@@ -119,15 +114,11 @@ def build_family(name: str, params: tuple, n: int) -> PermutationFamily:
     >>> [x.window for x in build_family("dclass", (frozenset(),), 2).members]
     [(1, 2)]
     """
-    if not 1 <= n <= MAX_DEGREE:
-        raise ValueError(f"the degree {n} is outside 1..{MAX_DEGREE}")
+    if not 1 <= n <= MAX_RANK:
+        raise ValueError(f"the degree {n} is outside 1..{MAX_RANK}")
     if name == "dclass":
         (index_set,) = params
-        index_set = frozenset(index_set)
-        if not index_set <= set(range(n)):
-            raise ValueError(
-                f"descent set {sorted(index_set)} out of range for degree {n}"
-            )
+        index_set = checked_index_set(index_set, n)
         wanted, free = sum(1 << i for i in index_set), 0
     elif name == "luni":
         (position,) = params

@@ -18,10 +18,11 @@ from tbhl.cli_verify import (
     run_audit,
     witness_cases,
 )
-from tbhl.exact_algebra import TruncatedPolynomial
+from tbhl.exact_algebra import GaussianInteger, TruncatedPolynomial
 from tbhl.hecke_engine import NoCompositionSeries
 from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_function_type_b
 from tbhl.shifted_domino import enumerate_shifted_tilings, iter_semistandard
+from tbhl.signed_permutations import MAX_RANK
 
 
 def run_cli(capsys, argv):
@@ -468,7 +469,7 @@ class TestUsageErrors:
         monkeypatch.setattr(special_families, "all_elements", record)
         code, out, err = run_cli(capsys, ["enumerate", "family", "arc:6", "--count"])
         assert (code, out, err) == (0, "0\n", "")
-        assert seen == [special_families.MAX_DEGREE] == [6]
+        assert seen == [MAX_RANK] == [6]
 
     def test_zero_sizes_are_accepted(self, capsys):
         code, out, err = run_cli(capsys, ["qsym", "fb", "--set", "{}", "--n", "0"])
@@ -663,7 +664,8 @@ class TestVerifyCommands:
             column = table_column(i, index_set, subset)
             if (i, index_set, subset) != (0, frozenset({0}), ()):
                 return column
-            return tuple((target, -value) for target, value in column)
+            minus_one = GaussianInteger.integer(-1)
+            return tuple((target, value * minus_one) for target, value in column)
 
         monkeypatch.setattr(
             hecke_clifford, "_ribbon_table_column", one_sign_flipped

@@ -6,8 +6,8 @@ Each row injects one fault into one library function and runs
 again after its fault is undone, so no result built without the fault
 answers for it and none built under it outlives it.  A row lists each case
 id it fails with the number of failing cases of that id; a row that fails
-nothing fails the test.  Each row costs one cold default audit, about 0.3 s
-on 2 vCPUs, so the eight rows cost about 2.5 s.
+nothing fails the test.  Each row costs one cold default audit, 0.2-0.3 s
+on 2 vCPUs, so the ten rows cost about 2.5 s of the tier-1 run.
 """
 
 from collections import Counter
@@ -119,6 +119,15 @@ def dropped_interval_top(monkeypatch):
         monkeypatch.setattr(module, "weak_order_interval", faulty)
 
 
+def empty_intervals(monkeypatch):
+    # every weak-order interval comes out empty, even from an element to itself
+    def faulty(bottom, top):
+        return ()
+
+    for module in (signed_permutations, special_families, cli_verify):
+        monkeypatch.setattr(module, "weak_order_interval", faulty)
+
+
 def dropped_k_set_zero(monkeypatch):
     # the acting set never holds index 0
     k_set = hecke_clifford.k_set
@@ -128,6 +137,19 @@ def dropped_k_set_zero(monkeypatch):
 
     for module in (hecke_clifford, cli_verify):
         monkeypatch.setattr(module, "k_set", faulty)
+
+
+def dropped_commutation_term(monkeypatch):
+    # pi_1 c_1 c_2 loses its c_1 c_2 term
+    pi_commute = hecke_clifford.pi_commute
+
+    def faulty(i, word):
+        terms = pi_commute(i, word)
+        if (i, word) != (1, (1, 2)):
+            return terms
+        return tuple(term for term in terms if term[0] != word)
+
+    monkeypatch.setattr(hecke_clifford, "pi_commute", faulty)
 
 
 FAULTS = {
@@ -151,7 +173,16 @@ FAULTS = {
     "weak-order-interval-drops-its-top": (
         dropped_interval_top, {"families.random-convex": 1, "unimodal.interval": 3}
     ),
+    "weak-order-intervals-are-empty": (
+        empty_intervals, {"families.random-convex": 1, "unimodal.interval": 3}
+    ),
     "k-set-drops-index-zero": (dropped_k_set_zero, {"clifford.diagonal": 3}),
+    "pi-commute-drops-a-term": (
+        dropped_commutation_term,
+        {"clifford.audit": 12, "clifford.diagonal": 2, "clifford.relations": 2,
+         "clifford.restriction": 2, "induction.conjugate": 6,
+         "induction.family": 17, "morphisms.intertwiner": 2, "morphisms.iso": 2},
+    ),
 }
 
 

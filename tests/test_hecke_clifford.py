@@ -159,16 +159,6 @@ class TestPiCommute:
             with pytest.raises(ValueError):
                 pi_commute(i, word)
 
-    def test_expansions_are_cached_per_key(self):
-        expansion = pi_commute(1, (1, 2))
-        assert pi_commute(1, (1, 2)) is expansion
-        # a rejected key raises every time and leaves nothing in the cache
-        size = pi_commute.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                pi_commute(1, (2, 1))
-        assert pi_commute.cache_info().currsize == size
-
 
 def induced_oracle(base):
     """The induced module label by label: ``pi_i c_D y`` expands by
@@ -278,53 +268,9 @@ class TestBuildMI:
                 module = build_MI(index_set, n)
                 assert len(module.labels) == 1 << n
 
-    def test_rejects_out_of_range_subsets(self):
-        with pytest.raises(ValueError):
-            build_MI({2}, 2)
-        with pytest.raises(ValueError):
-            ribbon_table_matrix(0, {2}, 2)
-        with pytest.raises(ValueError):
+    def test_rejects_out_of_range_generator_index(self):
+        with pytest.raises(ValueError, match="generator index 2 out of range"):
             ribbon_table_matrix(2, {0}, 2)
-
-    # each public function taking an index set I of M_I, called on (I, n)
-    INDEX_SET_CALLS = {
-        "res_MI_formula": lambda index_set, n: res_MI_formula(
-            index_set, n, "proof_penultimate"
-        ),
-        "iso_predicate-first": lambda index_set, n: iso_predicate(index_set, (), n),
-        "iso_predicate-second": lambda index_set, n: iso_predicate((), index_set, n),
-        "centralizer_valleys": centralizer_valleys,
-        "k_set": lambda index_set, n: k_set(index_set, (), n),
-        "cover_lower_targets": lambda index_set, n: cover_lower_targets(
-            0, index_set, (), n
-        ),
-    }
-
-    @pytest.mark.parametrize("name", sorted(INDEX_SET_CALLS))
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_index_set_bounds_at_both_edges(self, name, n):
-        call = self.INDEX_SET_CALLS[name]
-        call({n - 1}, n)
-        for outside in (n, -1):
-            with pytest.raises(ValueError, match="out of range"):
-                call({0, outside}, n)
-
-    # each public function taking a barred set D of c_D, called on (D, n)
-    BARRED_SET_CALLS = {
-        "k_set": lambda subset, n: k_set((), subset, n),
-        "cover_lower_targets": lambda subset, n: cover_lower_targets(
-            0, (), subset, n
-        ),
-    }
-
-    @pytest.mark.parametrize("name", sorted(BARRED_SET_CALLS))
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_barred_set_bounds_at_both_edges(self, name, n):
-        call = self.BARRED_SET_CALLS[name]
-        call({1, n}, n)
-        for outside in (0, n + 1):
-            with pytest.raises(ValueError, match="out of range"):
-                call({1, outside}, n)
 
     def test_case_table_cross_check_runs_everywhere(self):
         # the transcribed table and the commutation engine agree; all ranks

@@ -95,10 +95,6 @@ class TestFamilyFromAction:
     def test_validation(self):
         with pytest.raises(ValueError, match="duplicate"):
             family_from_action(("a", "a"), lambda y: (), lambda y, i: None, 1)
-        with pytest.raises(ValueError, match=r"out of range: \{5\}"):
-            family_from_action(("a",), lambda y: {0, 5}, lambda y, i: None, 1)
-        with pytest.raises(ValueError, match="out of range"):
-            family_from_action(("a",), lambda y: {-1}, lambda y, i: None, 1)
 
     def test_operator_family_validation(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,0 +1,102 @@
+"""Every public entry point that takes an index set checks it one way.
+
+Fundamentals, peak sets, descent labels, primed entries, and the index sets
+and Clifford index sets of induced modules all pass through
+``checked_index_set``.  Each entry point accepts the empty set at its
+smallest size and its top index, and rejects the top index together with an
+element one past either end, with the one message.
+"""
+
+import re
+
+import pytest
+
+from tbhl.hecke_clifford import (
+    build_MI,
+    centralizer_valleys,
+    cover_lower_targets,
+    iso_predicate,
+    k_set,
+    res_MI_formula,
+    ribbon_table_matrix,
+)
+from tbhl.hecke_engine import family_from_action
+from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_data, peak_function_type_b
+from tbhl.shifted_domino import MarkedStandardTableau, enumerate_shifted
+from tbhl.signed_permutations import checked_index_set, format_index_set
+from tbhl.special_families import build_family
+
+
+def zero_to_top(n):
+    return 0, n - 1
+
+
+def one_to_top(n):
+    return 1, n
+
+
+def marked(primed, n):
+    # the one standard tableau of a row of n dominoes
+    (base,) = enumerate_shifted((2 * n,) if n else ())
+    return MarkedStandardTableau(base, primed)
+
+
+# name -> (call on (index_set, n), the allowed range at n, the smallest n)
+ENTRY_POINTS = {
+    "checked_index_set": (checked_index_set, zero_to_top, 0),
+    "QSymElement.make": (lambda s, n: QSymElement.make(n, {s: 1}), zero_to_top, 0),
+    "fb_monomials": (lambda s, n: fb_monomials(s, n, 2), zero_to_top, 0),
+    "peak_data": (peak_data, zero_to_top, 0),
+    "peak_function_type_b": (
+        lambda s, n: peak_function_type_b(0, s, n), lambda n: (1, n - 1), 0
+    ),
+    "family_from_action": (
+        lambda s, n: family_from_action(("y",), lambda y: s, lambda y, i: None, n),
+        zero_to_top,
+        0,
+    ),
+    "build_family-dclass": (
+        lambda s, n: build_family("dclass", (s,), n), zero_to_top, 1
+    ),
+    "MarkedStandardTableau": (marked, one_to_top, 0),
+    "k_set": (lambda s, n: k_set(s, (), n), zero_to_top, 0),
+    "k_set-barred": (lambda s, n: k_set((), s, n), one_to_top, 0),
+    "cover_lower_targets": (
+        lambda s, n: cover_lower_targets(0, s, (), n), zero_to_top, 0
+    ),
+    "cover_lower_targets-barred": (
+        lambda s, n: cover_lower_targets(0, (), s, n), one_to_top, 0
+    ),
+    "res_MI_formula": (
+        lambda s, n: res_MI_formula(s, n, "proof_penultimate"), zero_to_top, 0
+    ),
+    "iso_predicate-first": (lambda s, n: iso_predicate(s, (), n), zero_to_top, 0),
+    "iso_predicate-second": (lambda s, n: iso_predicate((), s, n), zero_to_top, 0),
+    "ribbon_table_matrix": (
+        lambda s, n: ribbon_table_matrix(0, s, n), zero_to_top, 1
+    ),
+    "centralizer_valleys": (centralizer_valleys, zero_to_top, 0),
+    "build_MI": (build_MI, zero_to_top, 0),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_index_set_is_checked_at_both_edges(name, n):
+    call, bounds, smallest = ENTRY_POINTS[name]
+    call(frozenset(), smallest)
+    low, top = bounds(n)
+    inside = frozenset({top} if low <= top else ())
+    call(inside, n)
+    for outside in (low - 1, top + 1):
+        rejected = inside | {outside}
+        message = f"index set {format_index_set(rejected)} is outside {low}..{top}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(rejected, n)
+
+
+def test_elements_are_read_as_ints():
+    assert checked_index_set([True, 2], 3) == {1, 2}
+    assert all(type(i) is int for i in checked_index_set([True], 3))
+    with pytest.raises(TypeError):
+        checked_index_set([1.0], 3)

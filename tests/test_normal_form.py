@@ -2,15 +2,16 @@
 
 ``QSymElement`` and ``TruncatedPolynomial`` share one normal form: pairs
 sorted by key, each key once, every coefficient a nonzero ``int``.  Only
-``make`` checks a combination; sums, scalings and the combinations the
-package computes are put in normal form directly.  Each test rebuilds such a
-result through ``make``, from the same terms or from an independent
-transcription, and checks the normal form itself, so a collector that keeps
-a zero sum or skips the sort fails here.
+``make`` checks a combination, given as a mapping; sums, scalings and the
+combinations the package computes are put in normal form directly.  Each
+test rebuilds such a result through ``make``, from the same terms or from an
+independent transcription, and checks the normal form itself, so a collector
+that keeps a zero sum or skips the sort fails here.
 """
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -55,9 +56,17 @@ def assert_polynomial_normal(polynomial):
         assert sum(exponents) <= polynomial.degree_cap
 
 
+def summed(pairs):
+    """The mapping ``make`` takes: coefficients of equal keys added up."""
+    totals = Counter()
+    for key, c in pairs:
+        totals[key] += c
+    return totals
+
+
 def qsym_by_make(n, pairs):
-    """``make`` over ``(key, coefficient)`` pairs with frozenset keys."""
-    return QSymElement.make(n, [(frozenset(key), c) for key, c in pairs])
+    """``make`` over ``(key, coefficient)`` pairs, keys made frozensets."""
+    return QSymElement.make(n, summed((frozenset(key), c) for key, c in pairs))
 
 
 def index_sets(n):
@@ -94,7 +103,6 @@ class TestQSymArithmetic:
         b = QSymElement.make(3, {frozenset({0, 1}): 2, frozenset(): 5})
         assert (a + a.scale(-1)).coeffs == ()
         assert (a + b).coeffs == (((), 5), ((2,), 1))
-        assert (a - a).is_zero()
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("scalar", [0, -1, 1, 3])
@@ -104,7 +112,7 @@ class TestQSymArithmetic:
             assert_qsym_normal(scaled)
             assert scaled == qsym_by_make(n, [(k, scalar * c) for k, c in element.coeffs])
         assert QSymElement.fundamental({0}, 1).scale(0).coeffs == ()
-        assert QSymElement.zero(n) == QSymElement.make(n)
+        assert QSymElement.zero(n) == QSymElement.make(n, {})
 
     @pytest.mark.parametrize("n,nvars", [(1, 2), (2, 2), (2, 3), (3, 3)])
     def test_monomials_equal_make_over_the_scaled_expansions(self, n, nvars):
@@ -116,7 +124,7 @@ class TestQSymArithmetic:
                 for key, c in element.coeffs
                 for exponents, d in fb_monomials(key, n, nvars).terms
             ]
-            assert expanded == TruncatedPolynomial.make(nvars, n, terms)
+            assert expanded == TruncatedPolynomial.make(nvars, n, summed(terms))
 
     def test_cancelling_monomials_are_dropped(self):
         element = QSymElement.make(1, {frozenset(): 1, frozenset({0}): -1})
@@ -131,25 +139,22 @@ class TestPolynomialArithmetic:
         vectors = [v for v in vectors if sum(v) <= 4]
         result = []
         for _ in range(6):
-            p = TruncatedPolynomial.make(3, 4, {v: rng.randint(-2, 2) for v in vectors})
-            result += [p, p.scale(-1)]
+            coefficients = {v: rng.randint(-2, 2) for v in vectors}
+            negated = {v: -c for v, c in coefficients.items()}
+            result += [
+                TruncatedPolynomial.make(3, 4, terms)
+                for terms in (coefficients, negated)
+            ]
             result.append(TruncatedPolynomial.make(3, 4, {rng.choice(vectors): 1}))
         return result
 
-    def test_sums_and_scalings_equal_make(self):
+    def test_sums_equal_make(self):
         polys = self.polynomials(0)
         for p, q in itertools.product(polys, repeat=2):
             total = p + q
             assert_polynomial_normal(total)
-            assert total == TruncatedPolynomial.make(3, 4, p.terms + q.terms)
-        for p in polys:
-            for scalar in (0, -1, 1, 3):
-                scaled = p.scale(scalar)
-                assert_polynomial_normal(scaled)
-                assert scaled == TruncatedPolynomial.make(
-                    3, 4, [(e, scalar * c) for e, c in p.terms]
-                )
-        assert TruncatedPolynomial.zero(3, 4) == TruncatedPolynomial.make(3, 4)
+            assert total == TruncatedPolynomial.make(3, 4, summed(p.terms + q.terms))
+        assert TruncatedPolynomial.zero(3, 4) == TruncatedPolynomial.make(3, 4, {})
 
 
 def peak_sets(n, bit):
@@ -232,5 +237,5 @@ def test_generating_functions_equal_make_over_the_tableaux(shape):
         assert_polynomial_normal(monomial)
         fillings = iter_semistandard(shape, nvars - 1)
         assert monomial == TruncatedPolynomial.make(
-            nvars, monomial.degree_cap, [(t.weight(nvars), 1) for t in fillings]
+            nvars, monomial.degree_cap, Counter(t.weight(nvars) for t in fillings)
         )

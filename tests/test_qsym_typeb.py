@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -66,7 +67,7 @@ class TestFundamentalMonomials:
         with pytest.raises(ValueError, match="nvars"):
             fb_monomials(set(), 2, -1)
         # no variable carries no chain of positive length
-        assert fb_monomials(set(), 2, 0).is_zero()
+        assert fb_monomials(set(), 2, 0).terms == ()
         assert fb_monomials(set(), 2, 0).nvars == 0
 
 
@@ -192,7 +193,7 @@ class TestQSymElement:
         total = a + a + b.scale(3)
         assert coefficient(total, {0}) == 2
         assert coefficient(total, {1}) == 3
-        assert (total - total).is_zero()
+        assert (total + total.scale(-1)).coeffs == ()
         with pytest.raises(ValueError):
             a + QSymElement.fundamental(set(), 3)
 
@@ -222,15 +223,18 @@ class TestQSymElement:
         for _ in range(100):
             coefficients = [rng.randint(-2, 2) for _ in index_sets]
             element = QSymElement.make(n, dict(zip(index_sets, coefficients)))
-            expected = TruncatedPolynomial.zero(nvars, n)
+            expected = Counter()
             for subset, c in zip(index_sets, coefficients):
-                expected = expected + brute_force_fb(subset, n, nvars).scale(c)
-            assert element.to_monomials(nvars) == expected
+                for exponents, d in brute_force_fb(subset, n, nvars).terms:
+                    expected[exponents] += c * d
+            assert element.to_monomials(nvars) == TruncatedPolynomial.make(
+                nvars, n, expected
+            )
 
     def test_to_monomials_cancels(self):
         element = QSymElement.make(1, {frozenset(): 1, frozenset({0}): -1})
         assert element.to_monomials(2).as_dict() == {(1, 0): 1}
-        assert QSymElement.zero(2).to_monomials(3).is_zero()
+        assert QSymElement.zero(2).to_monomials(3).terms == ()
 
     def test_json_pinned(self):
         element = QSymElement.make(4, {frozenset({0, 3}): 2})

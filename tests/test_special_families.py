@@ -13,6 +13,7 @@ from tbhl.hecke_engine import (
 )
 from tbhl.qsym_typeb import QSymElement
 from tbhl.signed_permutations import (
+    MAX_RANK,
     SignedPermutation,
     all_elements,
     ascent_compatibility_report,
@@ -247,7 +248,7 @@ class TestFamilySpecs:
 
         monkeypatch.setattr(special_families, "all_elements", refuse)
         monkeypatch.setattr(special_families, "_rank_table", refuse)
-        for n in (0, special_families.MAX_DEGREE + 1):
+        for n in (0, MAX_RANK + 1):
             with pytest.raises(ValueError, match="outside"):
                 build_family(kind, params, n)
 
