@@ -442,46 +442,41 @@ def witness_cases() -> list[AuditCase]:
 # -- criterion: Clifford-extended modules -----------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _mi_characteristic(index_set: frozenset[int], n: int) -> QSymElement:
-    """Restriction characteristic of ``build_MI``, shared by the Clifford sections."""
-    return restriction_characteristic(build_MI(index_set, n))[0]
-
-
 def cases_clifford(max_n: int) -> list[AuditCase]:
     cases = []
     for n in range(1, max_n + 1):
         relation_failures = []
         stability_failures = []
         diagonal_failures = []
+        # the base is one-dimensional: (D, y) sits at index(D)
+        basis = clifford_basis(n)[0]
         for index_set in map(frozenset, subsets(range(n))):
             module = build_MI(index_set, n)
             if verify_hcl_relations(module) != {"relations": "ok"}:
                 relation_failures.append(index_set)
-            complement = frozenset(range(n)) - index_set
-            valleys = peak_data(complement, n).valley
-            for i in range(n):
-                if ribbon_table_matrix(i, index_set, n) != module.matrices[i]:
-                    diagonal_failures.append((index_set, "case table", i))
-            # the base is one-dimensional: (D, y) sits at index(D)
-            for col, subset in enumerate(clifford_basis(n)[0]):
+            valleys = centralizer_valleys(index_set, n)
+            for col, subset in enumerate(basis):
                 acting = k_set(index_set, subset, n)
                 for valley in valleys:
                     if k_set(index_set, frozenset(subset) | {valley}, n) != acting:
                         stability_failures.append((index_set, subset, valley))
-                for i in range(n):
+                for i, matrix in enumerate(module.matrices):
                     expected = GaussianInteger.integer(-1 if i in acting else 0)
-                    if module.matrices[i].get(col, col) != expected:
+                    if matrix.get(col, col) != expected:
                         diagonal_failures.append((index_set, subset, i))
-                    allowed = cover_lower_targets(i, index_set, subset, n)
-                    for row in module.matrices[i].column(col):
-                        if row != col and module.labels[row][0] not in allowed:
-                            diagonal_failures.append((index_set, subset, i))
+            for i, matrix in enumerate(module.matrices):
+                if ribbon_table_matrix(i, index_set, n) != matrix:
+                    diagonal_failures.append((index_set, "case table", i))
+                off_diagonal = ((row, col) for row, col in matrix.entries if row != col)
+                for row, col in off_diagonal:
+                    lower = cover_lower_targets(i, index_set, basis[col], n)
+                    if module.labels[row][0] not in lower:
+                        diagonal_failures.append((index_set, basis[col], i))
         with _series_case(cases, "clifford.restriction", {"degree": n}) as case:
             restriction_failures = [
                 index_set
                 for index_set in map(frozenset, subsets(range(n)))
-                if _mi_characteristic(index_set, n)
+                if restriction_characteristic(index_set, n)
                 != res_MI_formula(index_set, n, "proof_penultimate")
             ]
             case(
@@ -520,7 +515,7 @@ def clifford_audit_cases(max_n: int) -> list[AuditCase]:
                 }
                 miss = "variant-dependent" if form == "theorem_literal" else "fail"
                 with _series_case(cases, "clifford.audit", params):
-                    direct = _mi_characteristic(index_set, n)
+                    direct = restriction_characteristic(index_set, n)
                     formula = res_MI_formula(index_set, n, form)
                     if direct == formula:
                         status, details = "pass", f"both equal {direct}"
@@ -538,7 +533,7 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
     for n in range(1, max_n + 1):
         with _series_case(cases, "morphisms.iso", {"degree": n}) as case:
             chars = {
-                index_set: _mi_characteristic(index_set, n)
+                index_set: restriction_characteristic(index_set, n)
                 for index_set in map(frozenset, subsets(range(n)))
             }
             mismatches = [
@@ -883,8 +878,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.max_n <= MAX_RANK:
-        raise ValueError(f"--max-n must lie in 1..{MAX_RANK}")
+    header = {"command": f"verify {args.verify_command}"}
+    max_n = getattr(args, "max_n", None)  # peak-theorem takes no --max-n
+    if max_n is not None:
+        if not 1 <= max_n <= MAX_RANK:
+            raise ValueError(f"--max-n must lie in 1..{MAX_RANK}")
+        header["max_n"] = max_n
     max_partition = getattr(args, "max_partition", DEFAULT_MAX_PARTITION)
     if max_partition < 2:
         raise ValueError("--max-partition must be at least 2")
@@ -893,12 +892,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--shape has more than {MAX_PEAK_THEOREM_DOMINOES} dominoes")
     cases = run_audit(
         args.verify_command,
-        args.max_n,
+        max_n,
         max_partition,
         getattr(args, "seed", DEFAULT_SEED),
         shape=shape,
     )
-    header = {"command": f"verify {args.verify_command}", "max_n": args.max_n}
     print(render_report(cases, args.json, header))
     return 1 if any(case.status == "fail" for case in cases) else 0
 
@@ -1008,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     allcmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vsub.add_parser("clifford-audit", parents=[output, common_verify])
-    peak = vsub.add_parser("peak-theorem", parents=[output, common_verify])
+    peak = vsub.add_parser("peak-theorem", parents=[output])
     peak.add_argument(
         "--shape", required=True, help=f"at most {MAX_PEAK_THEOREM_DOMINOES} dominoes"
     )

@@ -263,9 +263,6 @@ class SparseMatrix:
     def __hash__(self) -> int:
         return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
 
-    def column(self, col: int) -> dict[int, GaussianInteger]:
-        return {r: v for (r, c), v in self.entries.items() if c == col}
-
     def rank(self) -> int:
         """Exact rank by fraction-free Gaussian elimination.
 

@@ -33,7 +33,8 @@ With ``pi_i c_D = sum_E c_E (gamma_E + delta_E pi_i)`` read as tables
 ``Gamma_i`` and ``Delta_i`` on that basis, the induced ``pi_i`` is
 ``identity(m).kron(Gamma_i) + M_i.kron(Delta_i)`` and ``c_j`` is
 ``identity(m).kron(C_j)``.  The tables are built once per rank
-(:func:`clifford_tables`), and :func:`build_MI` once per ``(I, n)``.
+(:func:`clifford_tables`); :func:`build_MI` and its casewise characteristic,
+:func:`restriction_characteristic`, are each computed once per ``(I, n)``.
 
 The one-dimensional cyclic case (a single basis label whose descent label is
 a chosen subset) is also transcribed from the closed ribbon case table
@@ -50,7 +51,6 @@ from typing import Iterable
 
 from .exact_algebra import GaussianInteger, SparseMatrix, _collect
 from .hecke_engine import (
-    CompositionSeries,
     OperatorFamily,
     characteristic_by_composition_series,
     family_from_action,
@@ -299,8 +299,8 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
     Rows and columns follow the module's basis order.
 
     >>> table = ribbon_table_matrix(0, {0}, 1)
-    >>> {row: str(value) for row, value in table.column(1).items()}
-    {0: '-1*i'}
+    >>> {key: str(value) for key, value in table.entries.items()}
+    {(0, 0): '-1', (0, 1): '-1*i'}
     """
     index_set = checked_index_set(index_set, n)
     if not 0 <= i < n:
@@ -362,16 +362,13 @@ def verify_hcl_relations(module: OperatorFamily) -> dict:
         if shifted @ cg[i] != cg[i + 1] @ shifted:
             return {"failed": {"kind": "mixed-shift", "i": i}}
     if n >= 1:
-        if pi[0] @ cg[1] != (clifford_parity_matrix(module) @ pi[0]).scale(_SQRT):
+        # the graded pi_0 c_1 rule: parity negates odd Clifford index sets
+        parity = SparseMatrix.identity(len(module.labels) >> n).kron(
+            clifford_tables(n).parity
+        )
+        if pi[0] @ cg[1] != (parity @ pi[0]).scale(_SQRT):
             return {"failed": {"kind": "mixed-zero", "j": 1}}
     return {"relations": "ok"}
-
-
-def clifford_parity_matrix(module: OperatorFamily) -> SparseMatrix:
-    """Diagonal sign matrix negating columns with odd Clifford index sets,
-    ``identity(m).kron(P)`` for ``P`` the signs on :func:`clifford_basis`."""
-    identity = SparseMatrix.identity(len(module.labels) >> module.rank)
-    return identity.kron(clifford_tables(module.rank).parity)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +418,15 @@ def cover_lower_targets(
 # restriction characteristics and the convention audit
 
 
-def restriction_characteristic(
-    module: OperatorFamily,
-) -> tuple[QSymElement, CompositionSeries]:
-    """Composition-series characteristic of the casewise-operator restriction."""
-    return characteristic_by_composition_series(module)
+def restriction_characteristic(index_set, n: int) -> QSymElement:
+    """Composition-series characteristic of ``build_MI(index_set, n)``
+    restricted to the casewise operators, once per ``(I, n)``."""
+    return _restriction_characteristic(checked_index_set(index_set, n), n)
+
+
+@lru_cache(maxsize=None)
+def _restriction_characteristic(index_set: frozenset[int], n: int) -> QSymElement:
+    return characteristic_by_composition_series(_induced_module(index_set, n))[0]
 
 
 RES_FORMS = ("proof_penultimate", "theorem_literal", "theorem_complemented")
@@ -542,20 +543,20 @@ def centralizer_check(index_set, n: int) -> tuple[tuple[int, ...], ...]:
     cyclic generator, so it intertwines the action exactly when the basis
     vector ``c_D e`` transforms under every ``pi_i`` the same way the
     generator does: scaled by -1 when ``i`` is selected, killed otherwise.
-    The check inspects the ``c_D`` column of every ``pi_i`` matrix, at
-    ``index(D)`` since the base is one-dimensional.
+    The ``c_D`` column sits at ``index(D)``, as the base is one-dimensional;
+    each ``pi_i`` is read once for columns with off-diagonal or wrong entries.
     """
     index_set = frozenset(index_set)
     module = build_MI(index_set, n)
-    return tuple(
-        subset
-        for col, subset in enumerate(clifford_basis(n)[0])
-        if all(
-            module.matrices[i].column(col)
-            == ({col: _MINUS_ONE} if i in index_set else {})
-            for i in range(n)
+    basis = clifford_basis(n)[0]
+    moving = set()
+    for i, matrix in enumerate(module.matrices):
+        moving.update(col for row, col in matrix.entries if row != col)
+        expected = _MINUS_ONE if i in index_set else _ZERO
+        moving.update(
+            col for col in range(len(basis)) if matrix.get(col, col) != expected
         )
-    )
+    return tuple(subset for col, subset in enumerate(basis) if col not in moving)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +572,7 @@ def induce_and_restrict(base: OperatorFamily) -> tuple[QSymElement, QSymElement]
     operators are the ``D = ()`` blocks of the induced ones, so the base
     series exists whenever the induced one does.
     """
-    direct, _ = restriction_characteristic(induce_labeled_basis(base))
+    direct, _ = characteristic_by_composition_series(induce_labeled_basis(base))
     n = base.rank
     base_characteristic, _ = characteristic_by_composition_series(base)
     expected = sum(

@@ -19,6 +19,7 @@ from tbhl.cli_verify import (
     witness_cases,
 )
 from tbhl.exact_algebra import GaussianInteger, TruncatedPolynomial
+from tbhl.hecke_clifford import RES_FORMS
 from tbhl.hecke_engine import NoCompositionSeries
 from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_function_type_b
 from tbhl.shifted_domino import enumerate_shifted_tilings, iter_semistandard
@@ -648,6 +649,18 @@ class TestVerifyCommands:
         assert lines[0].startswith("PASS")
         assert "shifted.peak" in lines[0]
 
+    def test_peak_theorem_takes_no_max_n(self, capsys):
+        # one shape is checked, so a rank bound would change nothing
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "peak-theorem", "--shape", "2,2", "--max-n", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-n 3" in capsys.readouterr().err
+        code, out, _ = run_cli(
+            capsys, ["verify", "peak-theorem", "--shape", "2,2", "--json"]
+        )
+        assert code == 0
+        assert set(json.loads(out)) == {"cases", "command", "summary"}
+
     def test_failing_case_sets_exit_one(self, capsys, monkeypatch):
         def fake_run_audit(*args, **kwargs):
             return [AuditCase("fake.case", {"k": 1}, "fail", "boom")]
@@ -725,24 +738,14 @@ class TestAuditLibrary:
         cases = run_audit("all", 2, 4, 0)
         assert all(case.status != "fail" for case in cases)
 
-    def test_one_restriction_characteristic_per_index_set(
-        self, monkeypatch, cleared_caches
-    ):
-        # the three Clifford sections share one characteristic per (I, n);
-        # induce_and_restrict calls hecke_clifford's own binding, not this one
-        computed = []
-
-        def counting(module):
-            computed.append((frozenset(module.labels[0][1]), module.rank))
-            return hecke_clifford.restriction_characteristic(module)
-
-        monkeypatch.setattr(
-            "tbhl.cli_verify.restriction_characteristic", counting
-        )
+    def test_one_restriction_characteristic_per_index_set(self, cleared_caches):
+        # the three Clifford sections read hecke_clifford's one characteristic
+        # per (I, n): clifford.restriction and morphisms.iso once each, and
+        # clifford.audit once per closed form
         run_audit("all", max_n=3, max_partition=6, seed=0)
-        assert len(computed) == 2 + 4 + 8
-        assert len(set(computed)) == len(computed)
-        assert cli_verify._mi_characteristic.cache_info().misses == 2 + 4 + 8
+        info = hecke_clifford._restriction_characteristic.cache_info()
+        assert info.misses == 2 + 4 + 8
+        assert info.hits == (1 + len(RES_FORMS)) * (2 + 4 + 8)
 
     def test_one_module_per_index_set(self, monkeypatch, cleared_caches):
         # every section reads build_MI's one module per (I, n), and the

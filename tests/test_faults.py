@@ -7,7 +7,7 @@ again after its fault is undone, so no result built without the fault
 answers for it and none built under it outlives it.  A row lists each case
 id it fails with the number of failing cases of that id; a row that fails
 nothing fails the test.  Each row costs one cold default audit, 0.2-0.3 s
-on 2 vCPUs, so the ten rows cost about 2.5 s of the tier-1 run.
+on 2 vCPUs, so the twelve rows cost 2.1-2.9 s of the tier-1 run.
 """
 
 from collections import Counter
@@ -139,6 +139,28 @@ def dropped_k_set_zero(monkeypatch):
         monkeypatch.setattr(module, "k_set", faulty)
 
 
+def complement_peaks_as_valleys(monkeypatch):
+    # the expected endomorphism indices are the complement's peaks
+    def faulty(index_set, n):
+        complement = frozenset(range(n)) - frozenset(index_set)
+        return qsym_typeb.peak_data(complement, n).peak
+
+    for module in (hecke_clifford, cli_verify):
+        monkeypatch.setattr(module, "centralizer_valleys", faulty)
+
+
+def dropped_cover_pair(monkeypatch):
+    # D - {i, i+1}, the one lower cover two smaller than D, is never allowed
+    cover_lower_targets = hecke_clifford.cover_lower_targets
+
+    def faulty(i, index_set, subset, n):
+        targets = cover_lower_targets(i, index_set, subset, n)
+        return frozenset(t for t in targets if len(t) != len(subset) - 2)
+
+    for module in (hecke_clifford, cli_verify):
+        monkeypatch.setattr(module, "cover_lower_targets", faulty)
+
+
 def dropped_commutation_term(monkeypatch):
     # pi_1 c_1 c_2 loses its c_1 c_2 term
     pi_commute = hecke_clifford.pi_commute
@@ -177,6 +199,13 @@ FAULTS = {
         empty_intervals, {"families.random-convex": 1, "unimodal.interval": 3}
     ),
     "k-set-drops-index-zero": (dropped_k_set_zero, {"clifford.diagonal": 3}),
+    "centralizer-valleys-are-complement-peaks": (
+        complement_peaks_as_valleys,
+        {"clifford.valley-stability": 2, "morphisms.centralizer": 3},
+    ),
+    "cover-lower-targets-drops-the-pair": (
+        dropped_cover_pair, {"clifford.diagonal": 2}
+    ),
     "pi-commute-drops-a-term": (
         dropped_commutation_term,
         {"clifford.audit": 12, "clifford.diagonal": 2, "clifford.relations": 2,

@@ -18,6 +18,7 @@ from tbhl.hecke_clifford import (
     iso_predicate,
     k_set,
     res_MI_formula,
+    restriction_characteristic,
     ribbon_table_matrix,
 )
 from tbhl.hecke_engine import family_from_action
@@ -77,6 +78,7 @@ ENTRY_POINTS = {
     ),
     "centralizer_valleys": (centralizer_valleys, zero_to_top, 0),
     "build_MI": (build_MI, zero_to_top, 0),
+    "restriction_characteristic": (restriction_characteristic, zero_to_top, 0),
 }
 
 
@@ -93,6 +95,12 @@ def test_index_set_is_checked_at_both_edges(name, n):
         message = f"index set {format_index_set(rejected)} is outside {low}..{top}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(rejected, n)
+
+
+@pytest.mark.parametrize("call", [build_MI, restriction_characteristic])
+def test_sets_and_lists_share_one_cached_value(call):
+    # the index set is checked before the cache, so any iterable reaches it
+    assert call({0, 2}, 3) is call([2, 0], 3) is call(frozenset({0, 2}), 3)
 
 
 def test_elements_are_read_as_ints():

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from tbhl import cli_verify
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "tbhl").glob("*.py"))
 MUTATING = frozenset(
@@ -143,3 +145,14 @@ def test_scanner_on_a_sample():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_function_writes_module_state(path):
     assert module_state_writes(path.read_text()) == []
+
+
+def test_cli_defines_no_cache():
+    # each cache lives with the layer that computes its values; the CLI
+    # only reads them, so clearing the library's caches leaves none behind
+    assert [
+        name
+        for name, value in vars(cli_verify).items()
+        if hasattr(value, "cache_info")
+        and getattr(value, "__module__", None) == cli_verify.__name__
+    ] == []
