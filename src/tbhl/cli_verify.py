@@ -53,7 +53,6 @@ from .hecke_clifford import (
     build_intertwiner,
     centralizer_check,
     centralizer_valleys,
-    clifford_basis,
     cover_lower_targets,
     induce_and_restrict,
     iso_predicate,
@@ -448,14 +447,12 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
         relation_failures = []
         stability_failures = []
         diagonal_failures = []
-        # the base is one-dimensional: (D, y) sits at index(D)
-        basis = clifford_basis(n)[0]
         for index_set in map(frozenset, subsets(range(n))):
             module = build_MI(index_set, n)
             if verify_hcl_relations(module) != {"relations": "ok"}:
                 relation_failures.append(index_set)
             valleys = centralizer_valleys(index_set, n)
-            for col, subset in enumerate(basis):
+            for col, (subset, _) in enumerate(module.labels):
                 acting = k_set(index_set, subset, n)
                 for valley in valleys:
                     if k_set(index_set, frozenset(subset) | {valley}, n) != acting:
@@ -469,9 +466,10 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
                     diagonal_failures.append((index_set, "case table", i))
                 off_diagonal = ((row, col) for row, col in matrix.entries if row != col)
                 for row, col in off_diagonal:
-                    lower = cover_lower_targets(i, index_set, basis[col], n)
+                    subset = module.labels[col][0]
+                    lower = cover_lower_targets(i, index_set, subset, n)
                     if module.labels[row][0] not in lower:
-                        diagonal_failures.append((index_set, basis[col], i))
+                        diagonal_failures.append((index_set, subset, i))
         with _series_case(cases, "clifford.restriction", {"degree": n}) as case:
             restriction_failures = [
                 index_set

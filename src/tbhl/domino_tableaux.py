@@ -23,25 +23,27 @@ square, and flips that square between its horizontal and vertical tilings.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterator, TypeVar
 
 from .hecke_engine import OperatorFamily, family_from_action
 from .qsym_typeb import QSymElement
+from .signed_permutations import _cached_on
 
 Cell = tuple[int, int]
 _Tableau = TypeVar("_Tableau")
 
 
 def validate_partition(parts) -> tuple[int, ...]:
-    """Return ``parts`` as a tuple after checking weak decrease and positivity.
+    """Return ``parts`` as a tuple of ints read through ``operator.index``,
+    after checking weak decrease and positivity.
 
     >>> validate_partition([5, 4, 4, 1])
     (5, 4, 4, 1)
     """
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(map(operator.index, parts))
     if any(p <= 0 for p in parts):
         raise ValueError("partition parts must be positive")
     if any(a < b for a, b in zip(parts, parts[1:])):
@@ -49,22 +51,9 @@ def validate_partition(parts) -> tuple[int, ...]:
     return parts
 
 
-def _shape_cache(func):
-    """Cache ``func(shape, ...)`` on the validated shape tuple.
-
-    The shape is checked and made a tuple before the cache lookup, so a list
-    shape hits the same entry as its tuple and a non-partition raises
-    ``ValueError``.  The wrapper keeps ``cache_info`` and ``cache_clear``.
-    """
-    cached = functools.lru_cache(maxsize=None)(func)
-
-    @functools.wraps(func)
-    def wrapper(shape, *args, **kwargs):
-        return cached(validate_partition(shape), *args, **kwargs)
-
-    wrapper.cache_info = cached.cache_info
-    wrapper.cache_clear = cached.cache_clear
-    return wrapper
+def _shape_args(shape) -> tuple[tuple[int, ...]]:
+    # a list shape shares its tuple's cache entry; a non-partition never gets one
+    return (validate_partition(shape),)
 
 
 def _trusted(cls, **fields):
@@ -285,7 +274,7 @@ class StandardDominoTableau:
         return _layout_text(enumerate(self.dominoes, 1))
 
 
-@_shape_cache
+@_cached_on(_shape_args)
 def enumerate_tilings(shape) -> tuple[tuple[Domino, ...], ...]:
     """All domino tilings of a partition shape, in deterministic order.
 
@@ -313,7 +302,7 @@ def enumerate_tilings(shape) -> tuple[tuple[Domino, ...], ...]:
     return tuple(sorted(results))
 
 
-@_shape_cache
+@_cached_on(_shape_args)
 def enumerate_sdt(shape) -> tuple[StandardDominoTableau, ...]:
     """All standard domino tableaux: each tiling times its standard orders.
 

@@ -28,13 +28,13 @@ relation suite checks that graded form.
 Words in the ``c`` generators normalize to a sign times ``c_D`` with the
 index set ``D`` increasing.  Inducing an operator family ``M`` of dimension
 ``m`` adjoins a free Clifford factor: ``(D, y)`` sits at ``k * 2**n +
-index(D)`` for ``y`` the ``k``-th label of ``M`` (:func:`clifford_basis`).
-With ``pi_i c_D = sum_E c_E (gamma_E + delta_E pi_i)`` read as tables
-``Gamma_i`` and ``Delta_i`` on that basis, the induced ``pi_i`` is
-``identity(m).kron(Gamma_i) + M_i.kron(Delta_i)`` and ``c_j`` is
-``identity(m).kron(C_j)``.  The tables are built once per rank
-(:func:`clifford_tables`); :func:`build_MI` and its casewise characteristic,
-:func:`restriction_characteristic`, are each computed once per ``(I, n)``.
+index(D)`` for ``y`` the ``k``-th label of ``M``.  With ``pi_i c_D = sum_E
+c_E (gamma_E + delta_E pi_i)`` read as tables ``Gamma_i`` and ``Delta_i`` on
+that basis, the induced ``pi_i`` is ``identity(m).kron(Gamma_i) +
+M_i.kron(Delta_i)`` and ``c_j`` is ``identity(m).kron(C_j)``.  The basis and
+the tables are cached per rank (:func:`clifford_tables`) and each module's
+characteristic per ``(I, n)`` (:func:`restriction_characteristic`); no
+module is kept, :func:`build_MI` builds a new one on every call.
 
 The one-dimensional cyclic case (a single basis label whose descent label is
 a chosen subset) is also transcribed from the closed ribbon case table
@@ -62,7 +62,7 @@ from .qsym_typeb import (
     peak_data,
     symmetric_difference_condition,
 )
-from .signed_permutations import checked_index_set, subsets
+from .signed_permutations import _cached_on, checked_index_set, subsets
 
 _ZERO = GaussianInteger.integer(0)
 _ONE = GaussianInteger.integer(1)
@@ -193,27 +193,21 @@ def pi_commute(
 # induced modules
 
 
-@lru_cache(maxsize=None)
-def clifford_basis(n: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
-    """The Clifford index sets of rank ``n`` in basis order, and the map
-    ``D -> index(D)``; cached and shared, so never mutate the map.
-
-    >>> clifford_basis(2)
-    (((), (1,), (2,), (1, 2)), {(): 0, (1,): 1, (2,): 2, (1, 2): 3})
-    """
-    basis = subsets(range(1, n + 1))
-    return basis, {subset: d for d, subset in enumerate(basis)}
-
-
-CliffordTables = namedtuple("CliffordTables", "gamma delta c parity")
+CliffordTables = namedtuple("CliffordTables", "basis index gamma delta c parity")
 
 
 @lru_cache(maxsize=None)
 def clifford_tables(n: int) -> CliffordTables:
-    """The shared tables of rank ``n``: ``Gamma_i`` and ``Delta_i`` from
-    :func:`pi_commute`, ``C_j`` sending ``D`` to ``sign * E`` for ``c_j c_D =
-    sign * c_E`` (at ``j - 1``), and the parity signs ``(-1)^|D|``."""
-    basis, index = clifford_basis(n)
+    """The shared record of rank ``n``: the Clifford index sets in basis
+    order, the map ``D -> index(D)`` (never mutate it), ``Gamma_i`` and
+    ``Delta_i`` from :func:`pi_commute`, ``C_j`` sending ``D`` to ``sign * E``
+    for ``c_j c_D = sign * c_E`` (at ``j - 1``), and the parity signs.
+
+    >>> clifford_tables(2)[:2]
+    (((), (1,), (2,), (1, 2)), {(): 0, (1,): 1, (2,): 2, (1, 2): 3})
+    """
+    basis = subsets(range(1, n + 1))
+    index = {subset: d for d, subset in enumerate(basis)}
     gamma, delta, c = ([{} for _ in range(n)] for _ in range(3))
     for d, subset in enumerate(basis):
         for i in range(n):
@@ -230,7 +224,7 @@ def clifford_tables(n: int) -> CliffordTables:
         return SparseMatrix._trusted(len(basis), len(basis), entries)
 
     gamma, delta, c = (tuple(map(table, part)) for part in (gamma, delta, c))
-    return CliffordTables(gamma, delta, c, table(parity))
+    return CliffordTables(basis, index, gamma, delta, c, table(parity))
 
 
 def induce_labeled_basis(base: OperatorFamily) -> OperatorFamily:
@@ -238,8 +232,7 @@ def induce_labeled_basis(base: OperatorFamily) -> OperatorFamily:
     the pairs ``(D, y)``, and ``pi_i`` is the Kronecker form of the module
     docstring with the tables of :func:`clifford_tables`."""
     tables = clifford_tables(base.rank)
-    basis = clifford_basis(base.rank)[0]
-    labels = tuple((subset, label) for label in base.labels for subset in basis)
+    labels = tuple((subset, label) for label in base.labels for subset in tables.basis)
     identity = SparseMatrix.identity(len(base.labels))
     return OperatorFamily(labels, [
         identity.kron(gamma) + matrix.kron(delta)
@@ -305,7 +298,7 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
     index_set = checked_index_set(index_set, n)
     if not 0 <= i < n:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    basis, index = clifford_basis(n)
+    basis, index = clifford_tables(n)[:2]
     entries = {
         (index[target], d): coefficient
         for d, subset in enumerate(basis)
@@ -315,12 +308,8 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
 
 
 def build_MI(index_set, n: int) -> OperatorFamily:
-    """Induced module of a subset's one-dimensional module, once per ``(I, n)``."""
-    return _induced_module(checked_index_set(index_set, n), n)
-
-
-@lru_cache(maxsize=None)
-def _induced_module(index_set: frozenset[int], n: int) -> OperatorFamily:
+    """Induced module of a subset's one-dimensional module, built anew."""
+    index_set = checked_index_set(index_set, n)
     base = family_from_action((index_set,), lambda y: y, lambda y, i: None, n)
     return induce_labeled_basis(base)
 
@@ -418,15 +407,15 @@ def cover_lower_targets(
 # restriction characteristics and the convention audit
 
 
+def _index_set_args(index_set, n: int) -> tuple[frozenset[int], int]:
+    return checked_index_set(index_set, n), n
+
+
+@_cached_on(_index_set_args)
 def restriction_characteristic(index_set, n: int) -> QSymElement:
     """Composition-series characteristic of ``build_MI(index_set, n)``
     restricted to the casewise operators, once per ``(I, n)``."""
-    return _restriction_characteristic(checked_index_set(index_set, n), n)
-
-
-@lru_cache(maxsize=None)
-def _restriction_characteristic(index_set: frozenset[int], n: int) -> QSymElement:
-    return characteristic_by_composition_series(_induced_module(index_set, n))[0]
+    return characteristic_by_composition_series(build_MI(index_set, n))[0]
 
 
 RES_FORMS = ("proof_penultimate", "theorem_literal", "theorem_complemented")
@@ -513,7 +502,7 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
         )
     smaller = build_MI(index_set, n)
     larger = build_MI(enlarged, n)
-    basis, index = clifford_basis(n)
+    basis, index = clifford_tables(n)[:2]
     size = len(basis)
     entries = {}
     for col, subset in enumerate(basis):
@@ -548,7 +537,7 @@ def centralizer_check(index_set, n: int) -> tuple[tuple[int, ...], ...]:
     """
     index_set = frozenset(index_set)
     module = build_MI(index_set, n)
-    basis = clifford_basis(n)[0]
+    basis = clifford_tables(n).basis
     moving = set()
     for i, matrix in enumerate(module.matrices):
         moving.update(col for row, col in matrix.entries if row != col)

@@ -47,8 +47,8 @@ class OperatorFamily:
     """Ordered labels and one exact square matrix per generator index.
 
     ``matrices[i]`` is the operator of index ``i``, so the rank is
-    ``len(matrices)``; label ``k`` is row and column ``k``.  Frozen: cached
-    families (``hecke_clifford.build_MI``) are shared.
+    ``len(matrices)``; label ``k`` is row and column ``k``.  No cache keeps
+    a family: each builder returns a new one.
     """
 
     labels: tuple[Label, ...]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Collection, Iterable, Mapping
 
 from .exact_algebra import (
@@ -38,7 +37,12 @@ from .exact_algebra import (
     TruncatedPolynomial,
     _collect,
 )
-from .signed_permutations import checked_index_set, format_index_set, subsets
+from .signed_permutations import (
+    _cached_on,
+    checked_index_set,
+    format_index_set,
+    subsets,
+)
 
 __all__ = [
     "QSymElement",
@@ -137,36 +141,13 @@ class QSymElement:
         )
 
 
-@lru_cache(maxsize=None)
-def _chain_polynomial(
-    strict_steps: frozenset[int], n: int, nvars: int
-) -> TruncatedPolynomial:
-    """Sum of x_{i_1} ... x_{i_n} over chains with prescribed strictness.
-
-    Chains satisfy ``0 <= i_1 <= ... <= i_n <= nvars - 1`` with ``i_j <
-    i_{j+1}`` whenever ``j`` is a strict step; strict step 0 means ``i_1 >
-    0``, relative to the fixed ``i_0 = 0``.
-    """
-    chains: list[tuple[tuple[int, ...], int]] = []
-    exponents = [0] * nvars
-    first_minimum = 1 if 0 in strict_steps else 0
-
-    # j indexes i_1 .. i_n; the step between i_j and i_{j+1} is strict
-    # exactly when j lies in the strict-step set.
-    def walk(j: int, minimum: int) -> None:
-        if j > n:
-            chains.append((tuple(exponents), 1))
-            return
-        for value in range(minimum, nvars):
-            exponents[value] += 1
-            walk(j + 1, value + 1 if j in strict_steps else value)
-            exponents[value] -= 1
-
-    walk(1, first_minimum)
-    # every chain gives one term of degree n, so the terms are valid
-    return TruncatedPolynomial(nvars, n, _collect(chains))
+def _fb_args(subset: Iterable[int], n: int, nvars: int) -> tuple:
+    if nvars < 0:
+        raise ValueError(f"nvars must be nonnegative, not {nvars}")
+    return checked_index_set(subset, n), n, nvars
 
 
+@_cached_on(_fb_args)
 def fb_monomials(subset: Iterable[int], n: int, nvars: int) -> TruncatedPolynomial:
     """Monomial expansion of the degree-n type-B fundamental element.
 
@@ -179,10 +160,23 @@ def fb_monomials(subset: Iterable[int], n: int, nvars: int) -> TruncatedPolynomi
     >>> fb_monomials(set(), 2, 2).as_dict()
     {(0, 2): 1, (1, 1): 1, (2, 0): 1}
     """
-    subset = checked_index_set(subset, n)
-    if nvars < 0:
-        raise ValueError(f"nvars must be nonnegative, not {nvars}")
-    return _chain_polynomial(subset, n, nvars)
+    chains: list[tuple[tuple[int, ...], int]] = []
+    exponents = [0] * nvars
+
+    # j indexes i_1 .. i_n; the step between i_j and i_{j+1} is strict
+    # exactly when j lies in the subset.
+    def walk(j: int, minimum: int) -> None:
+        if j > n:
+            chains.append((tuple(exponents), 1))
+            return
+        for value in range(minimum, nvars):
+            exponents[value] += 1
+            walk(j + 1, value + 1 if j in subset else value)
+            exponents[value] -= 1
+
+    walk(1, 1 if 0 in subset else 0)
+    # every chain gives one term of degree n, so the terms are valid
+    return TruncatedPolynomial(nvars, n, _collect(chains))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .domino_tableaux import (
     _layout_text,
     _require_increasing,
     _require_tiling,
-    _shape_cache,
+    _shape_args,
     _trusted,
     adjacent_pairs,
     enumerate_tilings,
@@ -57,7 +57,7 @@ from .domino_tableaux import (
 from .exact_algebra import TruncatedPolynomial, _collect
 from .hecke_engine import OperatorFamily, family_from_action
 from .qsym_typeb import PEAK_VARIANTS, QSymElement, fb_monomials, peak_characteristic
-from .signed_permutations import checked_index_set, subsets
+from .signed_permutations import _cached_on, checked_index_set, subsets
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ class ShiftedTiling:
         return tuple([sum(k < key for k in keys) for key in keys] for keys in rules)
 
 
-@_shape_cache
+@_cached_on(_shape_args)
 def enumerate_shifted_tilings(shape) -> tuple[ShiftedTiling, ...]:
     """The domino tilings of a shape that are shifted, in deterministic order.
 
@@ -315,7 +315,7 @@ def iter_standard(shape) -> Iterator[ShiftedStandardTableau]:
             yield _trusted(ShiftedStandardTableau, tiling=tiling, dominoes=order)
 
 
-@_shape_cache
+@_cached_on(_shape_args)
 def enumerate_shifted(shape) -> tuple[ShiftedStandardTableau, ...]:
     """The standard tableaux of a shape, in :func:`iter_standard` order.
 

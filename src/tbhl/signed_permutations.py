@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable
 
 __all__ = [
@@ -588,6 +588,26 @@ def checked_index_set(subset: Iterable[int], n: int, start: int = 0) -> frozense
                 f"{start}..{start + n - 1}"
             )
     return index_set
+
+
+def _cached_on(canonical):
+    """Cache a function on the positional tuple ``canonical(*args, **kwargs)``
+    that checks its arguments: equal inputs of any spelling share one entry,
+    and a rejected input never reaches the cache.  The wrapper keeps
+    ``cache_info`` and ``cache_clear``."""
+
+    def decorate(func):
+        cached = lru_cache(maxsize=None)(func)
+
+        @wraps(func)
+        def wrapper(*args, **kwargs):
+            return cached(*canonical(*args, **kwargs))
+
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+
+    return decorate
 
 
 def subsets(items: Iterable) -> tuple[tuple, ...]:

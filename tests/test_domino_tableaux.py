@@ -58,6 +58,25 @@ class TestPartitions:
         with pytest.raises(ValueError):
             validate_partition([2, 0])
 
+    def test_parts_are_read_as_ints(self, cleared_caches):
+        # a float or a string part is rejected, not truncated to a real shape
+        # that would share its cache entry
+        assert validate_partition([True, True]) == (1, 1)
+        enumerators = (
+            enumerate_tilings, enumerate_sdt,
+            shifted_domino.enumerate_shifted_tilings, shifted_domino.enumerate_shifted,
+        )
+        for enumerate_shape in enumerators:
+            enumerate_shape((2, 2))
+        sizes = [e.cache_info().currsize for e in enumerators]
+        for bad in ([2.5, 1.9], "21", [2.7, 2.2], "22"):
+            with pytest.raises(TypeError):
+                validate_partition(bad)
+            for enumerate_shape in enumerators:
+                with pytest.raises(TypeError):
+                    enumerate_shape(bad)
+        assert [e.cache_info().currsize for e in enumerators] == sizes
+
     def test_counts(self):
         assert [len(partitions_of(m)) for m in range(9)] == [
             1, 1, 2, 3, 5, 7, 11, 15, 22,

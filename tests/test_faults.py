@@ -7,9 +7,11 @@ again after its fault is undone, so no result built without the fault
 answers for it and none built under it outlives it.  A row lists each case
 id it fails with the number of failing cases of that id; a row that fails
 nothing fails the test.  Each row costs one cold default audit, 0.2-0.3 s
-on 2 vCPUs, so the twelve rows cost 2.1-2.9 s of the tier-1 run.
+on 2 vCPUs, so the twenty-one rows cost 4.9-5.2 s of the tier-1 run.
+Together they fail every case id of the default audit.
 """
 
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from tbhl import (
     cli_verify,
     domino_tableaux,
     hecke_clifford,
+    hecke_engine,
     qsym_typeb,
     shifted_domino,
     signed_permutations,
@@ -26,6 +29,8 @@ from tbhl import (
 )
 from tbhl.cli_verify import run_audit
 from tbhl.exact_algebra import GaussianInteger, SparseMatrix
+from tbhl.qsym_typeb import QSymElement
+from tbhl.signed_permutations import left_descents
 
 
 def dropped_last_filling(monkeypatch):
@@ -174,6 +179,108 @@ def dropped_commutation_term(monkeypatch):
     monkeypatch.setattr(hecke_clifford, "pi_commute", faulty)
 
 
+def dropped_primed_descent(monkeypatch):
+    # i+1 primed over an unprimed i is no longer a descent
+    def faulty(marked):
+        descents = marked.base.descent_set()
+        return frozenset(i for i in descents if i not in marked.primed)
+
+    monkeypatch.setattr(shifted_domino, "marked_descents", faulty)
+
+
+def arc_without_wrap(monkeypatch):
+    # the letters of each word must increase by exactly one: n no longer
+    # wraps to 1 there, though the starting letters still compare cyclically
+    def faulty(x):
+        positives = [v for v in x.window if v > 0]
+        negatives = [v for v in x.window if v < 0]
+        for word in (positives, negatives):
+            if any(later - earlier != 1 for earlier, later in zip(word, word[1:])):
+                return False
+        starts = positives[:1] + negatives[:1]
+        return len(starts) < 2 or (sum(starts) - 1) % x.n == 0
+
+    monkeypatch.setattr(special_families, "is_signed_arc", faulty)
+
+
+def vertical_first_domino_ignored(monkeypatch):
+    # 0 is never a descent
+    descent_set = domino_tableaux._descent_set
+
+    def faulty(dominoes):
+        return descent_set(dominoes) - {0}
+
+    for module in (domino_tableaux, shifted_domino):
+        monkeypatch.setattr(module, "_descent_set", faulty)
+
+
+def dropped_valley_at_n(monkeypatch):
+    # n is never a valley, even when n-1 is in the set
+    peak_data = qsym_typeb.peak_data
+
+    def faulty(subset, n):
+        data = peak_data(subset, n)
+        return dataclasses.replace(data, valley=data.valley - {n})
+
+    for module in (qsym_typeb, hecke_clifford, cli_verify):
+        monkeypatch.setattr(module, "peak_data", faulty)
+
+
+def swapped_quotient(monkeypatch):
+    # the even and odd offsets give each other's quotient partition
+    two_quotient = shifted_domino.two_quotient
+
+    def faulty(shape):
+        quotient = two_quotient(shape)
+        return dataclasses.replace(quotient, mu=quotient.nu, nu=quotient.mu)
+
+    for module in (shifted_domino, cli_verify):
+        monkeypatch.setattr(module, "two_quotient", faulty)
+
+
+def index_zero_cap_one_too_low(monkeypatch):
+    # a capped walk allows one entry of index 0 fewer than its weight asks
+    code_walk = shifted_domino._code_walk
+
+    def faulty(tiling, maxval, caps=None):
+        if caps is not None:
+            caps = (caps[0] - 1, *caps[1:])
+        return code_walk(tiling, maxval, caps)
+
+    for module in (shifted_domino, cli_verify):
+        monkeypatch.setattr(module, "_code_walk", faulty)
+
+
+def right_descent_sum(monkeypatch):
+    # each element contributes its right descents instead of its left ones
+    def faulty(elements):
+        elements = list(elements)
+        descent_sets = [left_descents(x.inverse()) for x in elements]
+        return QSymElement.from_descent_sets(descent_sets, elements[0].n)
+
+    for module in (hecke_engine, cli_verify):
+        monkeypatch.setattr(module, "characteristic_by_descent_sum", faulty)
+
+
+def diagonal_dominoes_unfilled(monkeypatch):
+    # a domino is filled only with a cell strictly above the diagonal
+    def faulty(domino):
+        return any(c > r for (r, c) in domino.cells)
+
+    monkeypatch.setattr(shifted_domino, "weakly_above_diagonal", faulty)
+
+
+def ignored_last_strict_step(monkeypatch):
+    # the step between i_{n-1} and i_n is never strict
+    fb_monomials = qsym_typeb.fb_monomials
+
+    def faulty(subset, n, nvars):
+        return fb_monomials(frozenset(subset) - {n - 1}, n, nvars)
+
+    for module in (qsym_typeb, shifted_domino, cli_verify):
+        monkeypatch.setattr(module, "fb_monomials", faulty)
+
+
 FAULTS = {
     "code-walk-drops-a-filling": (
         dropped_last_filling, {"shifted.h-modes": 11, "shifted.stand": 11}
@@ -212,6 +319,38 @@ FAULTS = {
          "clifford.restriction": 2, "induction.conjugate": 6,
          "induction.family": 17, "morphisms.intertwiner": 2, "morphisms.iso": 2},
     ),
+    "marked-descents-drops-the-primed-clause": (
+        dropped_primed_descent, {"shifted.peak": 19, "shifted.stand": 11}
+    ),
+    "signed-arc-loses-the-wrap": (
+        arc_without_wrap,
+        {"arc.compatible": 2, "arc.count": 1, "arc.non-convex": 1,
+         "induction.family": 2},
+    ),
+    "descent-set-ignores-a-vertical-first-domino": (
+        vertical_first_domino_ignored,
+        {"domino.modules": 15, "domino.pinned-descents": 1, "domino.pinned-g22": 1},
+    ),
+    "peak-data-drops-the-valley-at-n": (
+        dropped_valley_at_n,
+        {"clifford.audit": 7, "clifford.restriction": 3, "induction.conjugate": 5,
+         "induction.family": 20, "morphisms.centralizer": 3, "qsym.peak-valley": 1},
+    ),
+    "two-quotient-swaps-mu-and-nu": (swapped_quotient, {"shifted.quotient": 1}),
+    "code-walk-caps-index-zero-one-too-low": (
+        index_zero_cap_one_too_low, {"shifted.witness-weight": 1}
+    ),
+    "descent-sum-reads-right-descents": (
+        right_descent_sum, {"families.random-convex": 1, "families.relations": 27}
+    ),
+    "diagonal-dominoes-are-unfilled": (
+        diagonal_dominoes_unfilled,
+        {"shifted.witness-descents": 1, "shifted.witness-weight": 1},
+    ),
+    "fb-monomials-ignores-the-last-strict-step": (
+        ignored_last_strict_step,
+        {"qsym.truncations": 1, "shifted.h-modes": 11, "shifted.stand": 11},
+    ),
 }
 
 
@@ -222,3 +361,8 @@ def test_fault_fails_exactly_its_cases(monkeypatch, cleared_caches, inject, expe
     failing = Counter(case.id for case in cases if case.status == "fail")
     assert failing, "the fault reached no verdict"
     assert failing == expected
+
+
+def test_every_default_case_id_has_a_row():
+    ids = {case.id for case in run_audit("all", 3, 10, 0)}
+    assert ids == set().union(*(expected for _, expected in FAULTS.values()))

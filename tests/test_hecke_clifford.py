@@ -12,8 +12,8 @@ from tbhl.hecke_clifford import (
     build_intertwiner,
     centralizer_check,
     centralizer_valleys,
-    clifford_basis,
     clifford_matrices,
+    clifford_tables,
     clifford_normalize,
     cover_lower_targets,
     induce_and_restrict,
@@ -235,15 +235,16 @@ class TestInducedKroneckerForm:
             self.assert_matches_oracle(family_from_elements(members))
 
     def test_clifford_basis_layout(self):
-        basis, index = clifford_basis(3)
-        assert basis == subsets(range(1, 4))
-        assert [index[subset] for subset in basis] == list(range(8))
-        assert clifford_basis(3) is clifford_basis(3)
+        tables = clifford_tables(3)
+        assert tables.basis == subsets(range(1, 4))
+        assert [tables.index[subset] for subset in tables.basis] == list(range(8))
+        assert clifford_tables(3) is tables
         base = sdt_operator_family((2, 2))
         module = induce_labeled_basis(base)
         for k, (subset, y) in enumerate(module.labels):
             # (D, y_j) sits at j * 2**n + index(D)
-            assert (y, subset) == (base.labels[k // 4], clifford_basis(2)[0][k % 4])
+            expected = (base.labels[k // 4], clifford_tables(2).basis[k % 4])
+            assert (y, subset) == expected
 
 
 class TestBuildMI:
@@ -256,12 +257,17 @@ class TestBuildMI:
 
     def test_rank_one_full_set_pinned_action(self):
         module = build_MI({0}, 1)
-        index = clifford_basis(1)[1]
+        index = clifford_tables(1).index
         plain, barred = index[()], index[(1,)]
         assert module.matrices[0].entries == {
             (plain, plain): MINUS_ONE,
             (plain, barred): SQRT * MINUS_ONE,
         }
+
+    def test_each_call_builds_a_new_module(self):
+        # no cache keeps a module: equal index sets give equal, distinct ones
+        first, second = build_MI({0, 2}, 3), build_MI([2, 0], 3)
+        assert first == second and first is not second
 
     def test_dimension_is_two_power_times_labels(self):
         for n in range(1, 4):
@@ -306,7 +312,7 @@ class TestRelationSuite:
         c1 = clifford_matrices(module)[1]
         parity = SparseMatrix(4, 4, {
             (d, d): -1 if len(subset) % 2 else 1
-            for d, subset in enumerate(clifford_basis(2)[0])
+            for d, subset in enumerate(clifford_tables(2).basis)
         })
         assert pi0 @ c1 != pi0.scale(SQRT)
         assert pi0 @ c1 == (parity @ pi0).scale(SQRT)
@@ -315,7 +321,7 @@ class TestRelationSuite:
         # Replace the sqrt(-1) elimination coefficient with 1: the casewise
         # relations still hold but the mixed zero-index relation breaks.
         module = build_MI({0}, 1)
-        index = clifford_basis(1)[1]
+        index = clifford_tables(1).index
         plain, barred = index[()], index[(1,)]
         corrupted = dict(module.matrices[0].entries)
         corrupted[(plain, barred)] = MINUS_ONE
@@ -325,7 +331,7 @@ class TestRelationSuite:
 
     def test_fault_injection_broken_braid_is_reported(self):
         module = build_MI({0, 1}, 2)
-        index = clifford_basis(2)[1]
+        index = clifford_tables(2).index
         source, target = index[(1, 2)], index[(2,)]
         corrupted = dict(module.matrices[0].entries)
         corrupted[(target, source)] = corrupted[(target, source)] * MINUS_ONE
@@ -353,7 +359,7 @@ class TestRelationSuite:
         # entries of one 2-cycle of c_1: it still squares to -1 but no longer
         # anticommutes with c_2.
         module = build_MI(frozenset(), 2)
-        index = clifford_basis(2)[1]
+        index = clifford_tables(2).index
         plain, barred = index[()], index[(1,)]
         generators = clifford_matrices(module)
         corrupted = dict(generators[1].entries)
@@ -366,7 +372,7 @@ class TestRelationSuite:
 
     def test_mixed_commute_fault_is_reported(self):
         module = build_MI({1}, 3)
-        index = clifford_basis(3)[1]
+        index = clifford_tables(3).index
         row, col = index[(1,)], index[(2,)]
         corrupted = dict(module.matrices[1].entries)
         corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE
@@ -377,7 +383,7 @@ class TestRelationSuite:
 
     def test_mixed_swap_fault_is_reported(self):
         module = build_MI(frozenset(), 2)
-        index = clifford_basis(2)[1]
+        index = clifford_tables(2).index
         row, col = index[(2,)], index[(1,)]
         corrupted = dict(module.matrices[1].entries)
         corrupted[(row, col)] = corrupted[(row, col)] * MINUS_ONE

@@ -21,9 +21,14 @@ from tbhl.hecke_clifford import (
     restriction_characteristic,
     ribbon_table_matrix,
 )
+from tbhl.domino_tableaux import enumerate_sdt, enumerate_tilings
 from tbhl.hecke_engine import family_from_action
 from tbhl.qsym_typeb import QSymElement, fb_monomials, peak_data, peak_function_type_b
-from tbhl.shifted_domino import MarkedStandardTableau, enumerate_shifted
+from tbhl.shifted_domino import (
+    MarkedStandardTableau,
+    enumerate_shifted,
+    enumerate_shifted_tilings,
+)
 from tbhl.signed_permutations import checked_index_set, format_index_set
 from tbhl.special_families import build_family
 
@@ -97,10 +102,38 @@ def test_index_set_is_checked_at_both_edges(name, n):
             call(rejected, n)
 
 
-@pytest.mark.parametrize("call", [build_MI, restriction_characteristic])
-def test_sets_and_lists_share_one_cached_value(call):
+# the readers cached on a checked (I, n), with their further keyword arguments
+CACHED_ON_INDEX_SETS = {
+    "restriction_characteristic": (restriction_characteristic, {}),
+    "fb_monomials": (fb_monomials, {"nvars": 2}),
+}
+CACHED_ON_SHAPES = (
+    enumerate_sdt, enumerate_tilings, enumerate_shifted, enumerate_shifted_tilings
+)
+
+
+@pytest.mark.parametrize(
+    "reader, keywords", CACHED_ON_INDEX_SETS.values(), ids=CACHED_ON_INDEX_SETS
+)
+def test_sets_and_lists_share_one_cached_value(cleared_caches, reader, keywords):
     # the index set is checked before the cache, so any iterable reaches it
-    assert call({0, 2}, 3) is call([2, 0], 3) is call(frozenset({0, 2}), 3)
+    values = [
+        reader(index_set, 3, **keywords)
+        for index_set in ({0, 2}, [2, 0], frozenset({0, 2}))
+    ]
+    assert values[0] is values[1] is values[2]
+    assert reader.cache_info().currsize == 1
+
+
+def test_nvars_shares_one_entry_by_keyword_or_position(cleared_caches):
+    assert fb_monomials({0}, 2, nvars=3) is fb_monomials((0,), 2, 3)
+    assert fb_monomials.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("enumerate_shape", CACHED_ON_SHAPES, ids=lambda f: f.__name__)
+def test_lists_and_tuples_share_one_cached_shape(cleared_caches, enumerate_shape):
+    assert enumerate_shape([2, 2]) is enumerate_shape((2, 2))
+    assert enumerate_shape.cache_info().currsize == 1
 
 
 def test_elements_are_read_as_ints():

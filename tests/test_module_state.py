@@ -15,6 +15,9 @@ from pathlib import Path
 import pytest
 
 from tbhl import cli_verify
+from tbhl.cli_verify import run_audit
+
+from tests.conftest import tbhl_caches
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "tbhl").glob("*.py"))
@@ -156,3 +159,39 @@ def test_cli_defines_no_cache():
         if hasattr(value, "cache_info")
         and getattr(value, "__module__", None) == cli_verify.__name__
     ] == []
+
+
+# every cache of the package; each must pay for itself by being reread
+CACHES = (
+    "tbhl.domino_tableaux.enumerate_sdt",
+    "tbhl.domino_tableaux.enumerate_tilings",
+    "tbhl.exact_algebra.GaussianInteger._gaussian_integer",
+    "tbhl.hecke_clifford.clifford_tables",
+    "tbhl.hecke_clifford.restriction_characteristic",
+    "tbhl.qsym_typeb.fb_monomials",
+    "tbhl.shifted_domino.enumerate_shifted",
+    "tbhl.shifted_domino.enumerate_shifted_tilings",
+    "tbhl.signed_permutations._rank_table",
+    "tbhl.signed_permutations.all_elements",
+    "tbhl.signed_permutations.bfs_word_lengths",
+    "tbhl.signed_permutations.reflections",
+)
+# the caches no audit rereads, each with the reason it stays
+UNREAD_BY_AUDITS = {
+    "tbhl.signed_permutations.bfs_word_lengths":
+        "an independent oracle of the length table; no audit calls it",
+    "tbhl.signed_permutations.reflections":
+        "read once per rank by _rank_table; the benchmark reads its statistics",
+}
+
+
+def test_every_cache_is_reread_by_a_cold_audit(cleared_caches):
+    caches = {f"{c.__module__}.{c.__qualname__}": c for c in tbhl_caches()}
+    assert sorted(caches) == list(CACHES)
+    reread = set()
+    # the default audit and the rank-5 audit, each from empty caches
+    for max_n, max_partition in ((3, 10), (5, 6)):
+        cleared_caches()
+        run_audit("all", max_n, max_partition, 0)
+        reread |= {name for name, c in caches.items() if c.cache_info().hits}
+    assert sorted(set(caches) - reread) == sorted(UNREAD_BY_AUDITS)
