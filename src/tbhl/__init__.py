@@ -10,8 +10,9 @@ The package constructs, with exact arithmetic over the Gaussian integers:
   composition-series extraction;
 - standard domino tableaux and (semi)standard shifted domino tableaux with
   their generating functions;
-- 0-Hecke-Clifford modules induced from one-dimensional modules, their
-  restriction characteristics, intertwiners, and centralizers;
+- 0-Hecke-Clifford modules induced from operator families (the modules
+  ``M_I`` from one-dimensional ones), their restriction characteristics,
+  intertwiners, and centralizers;
 - a CLI (``tbhl``) exposing enumeration, expansion, and verification
   subcommands.
 

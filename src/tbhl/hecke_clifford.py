@@ -62,7 +62,9 @@ from .qsym_typeb import (
     peak_data,
     symmetric_difference_condition,
 )
-from .signed_permutations import _cached_on, checked_index_set, subsets
+from .signed_permutations import (
+    _cached_on, _checked_generator, checked_index_set, subsets
+)
 
 _ZERO = GaussianInteger.integer(0)
 _ONE = GaussianInteger.integer(1)
@@ -77,8 +79,9 @@ _SQRT = GaussianInteger.sqrt_minus_one()
 def clifford_normalize(
     word: Iterable[int],
 ) -> tuple[GaussianInteger, tuple[int, ...]]:
-    """Sort a product of ``c`` generators into ``(sign, D)`` with the word
-    equal to ``sign * c_D``, tracking signs and squares.
+    """Sort a product of ``c`` generators into ``(sign, D)``, the word equal
+    to ``sign * c_D``: each letter passes the larger letters placed (a bit set)
+    and squares against an equal one, one flip per placed letter not below it.
 
     >>> sign, subset = clifford_normalize((2, 1))
     >>> sign.re, subset
@@ -88,24 +91,17 @@ def clifford_normalize(
     >>> clifford_normalize((3, 1, 3))[0].re
     1
     """
-    letters: list[int] = []
-    sign = _ONE
+    placed = flips = 0
     for index in word:
         if index < 1:
             raise ValueError("generator indices start at 1")
-        position = len(letters)
-        while position > 0 and letters[position - 1] > index:
-            position -= 1
-        swaps = len(letters) - position
-        if swaps % 2:
-            sign = sign * _MINUS_ONE
-        if position > 0 and letters[position - 1] == index:
-            # adjacent equal letters square to -1
-            del letters[position - 1]
-            sign = sign * _MINUS_ONE
-        else:
-            letters.insert(position, index)
-    return sign, tuple(letters)
+        flips += (placed >> index).bit_count()
+        placed ^= 1 << index
+    letters = []
+    while placed:
+        letters.append((placed & -placed).bit_length() - 1)
+        placed &= placed - 1
+    return (_MINUS_ONE if flips % 2 else _ONE), tuple(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +129,8 @@ def pi_commute(
 
     Returns ``(E, gamma_E, delta_E)`` triples sorted by ``E``.  For ``i = 0``
     the expansion follows the graded convention from the module docstring:
-    the letter 1 is anticommuted to the right end and absorbed, so its
-    coefficient carries the parity of the rest of the monomial.  Not cached:
+    the letter 1 is anticommuted to the right end and absorbed, with the
+    sign :func:`clifford_normalize` counts for that move.  Not cached:
     :func:`clifford_tables` reads the ``n * 2**n`` expansions of rank ``n``
     once and is cached itself.
 
@@ -152,32 +148,21 @@ def pi_commute(
     if i == 0:
         if 1 not in word:
             return ((word, _ZERO, _ONE),)
-        rest = tuple(x for x in word if x != 1)
-        coefficient = _SQRT if len(rest) % 2 == 0 else _SQRT * _MINUS_ONE
-        return ((rest, _ZERO, coefficient),)
-
-    def push(remaining: tuple[int, ...]):
-        # expansion of pi_i * c_remaining
-        if not remaining:
-            return [((), _ZERO, _ONE)]
-        first, rest = remaining[0], remaining[1:]
-        out = []
-        for prefix, const, with_pi in _single_rules(i, first):
-            if not const.is_zero():
-                out.append((prefix + rest, const, _ZERO))
-            if not with_pi.is_zero():
-                for tail, tail_const, tail_pi in push(rest):
-                    out.append(
-                        (
-                            prefix + tail,
-                            with_pi * tail_const,
-                            with_pi * tail_pi,
-                        )
-                    )
-        return out
-
+        sign, _ = clifford_normalize((*word[1:], 1))
+        return ((word[1:], _ZERO, _SQRT * sign),)
+    # pi_i passes D letter by letter: ``carried`` terms still hold it, ``terms`` not
+    terms, carried = [], [((), _ZERO, _ONE)]
+    for position, letter in enumerate(word):
+        rest, passed = word[position + 1:], []
+        for prefix, _, coefficient in carried:
+            for letters, const, with_pi in _single_rules(i, letter):
+                if not const.is_zero():
+                    terms.append((prefix + letters + rest, coefficient * const, _ZERO))
+                if not with_pi.is_zero():
+                    passed.append((prefix + letters, _ZERO, coefficient * with_pi))
+        carried = passed
     combined: dict[tuple[int, ...], list[GaussianInteger]] = {}
-    for raw_word, const, with_pi in push(word):
+    for raw_word, const, with_pi in terms + carried:
         sign, subset = clifford_normalize(raw_word)
         slot = combined.setdefault(subset, [_ZERO, _ZERO])
         slot[0] = slot[0] + sign * const
@@ -296,8 +281,7 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
     {(0, 0): '-1', (0, 1): '-1*i'}
     """
     index_set = checked_index_set(index_set, n)
-    if not 0 <= i < n:
-        raise ValueError(f"generator index {i} out of range for n={n}")
+    _checked_generator(i, n)
     basis, index = clifford_tables(n)[:2]
     entries = {
         (index[target], d): coefficient
@@ -389,7 +373,7 @@ def cover_lower_targets(
     index_set = checked_index_set(index_set, n)
     barred = checked_index_set(subset, n, 1)
     out = []
-    if i == 0:
+    if _checked_generator(i, n) == 0:
         if 0 in index_set and 1 in barred:
             out.append(barred - {1})
     else:

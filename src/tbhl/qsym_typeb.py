@@ -209,7 +209,8 @@ def peak_data(subset: Iterable[int], n: int) -> PeakDataB:
 def _validate_peak_set(peaks: frozenset[int], n: int, bit: int) -> None:
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
-    checked_index_set(peaks, n - 1, start=1)
+    # peaks lie in 1..n-1, an empty range at degree 0
+    checked_index_set(peaks, n - 1 if n > 0 else n, start=1)
     ordered = sorted(peaks)
     for a, b in zip(ordered, ordered[1:]):
         if b - a == 1:

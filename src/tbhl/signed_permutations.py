@@ -144,10 +144,8 @@ def simple_reflection(i: int, n: int) -> SignedPermutation:
     >>> simple_reflection(2, 3).window
     (1, 3, 2)
     """
-    if i == 0:
+    if _checked_generator(i, n) == 0:
         return SignedPermutation((-1, *range(2, n + 1)))
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"generator index {i} outside rank {n}")
     window = list(range(1, n + 1))
     window[i - 1], window[i] = window[i], window[i - 1]
     return SignedPermutation(tuple(window))
@@ -162,6 +160,7 @@ def braid_exponent(i: int, j: int) -> int:
     if i == j:
         raise ValueError("distinct indices required")
     a, b = min(i, j), max(i, j)
+    _checked_generator(a, b + 1)
     if (a, b) == (0, 1):
         return 4
     if b - a == 1:
@@ -571,7 +570,7 @@ def checked_index_set(subset: Iterable[int], n: int, start: int = 0) -> frozense
     labels and the index sets of induced modules lie in ``0..n-1``, peak sets
     in ``1..n-1``, Clifford index sets and primed entries in ``1..n``.  Each
     element is read through ``operator.index``, so a float raises
-    ``TypeError``.
+    ``TypeError``.  A negative ``n`` is a negative degree and raises.
 
     >>> sorted(checked_index_set((3, 0), 4))
     [0, 3]
@@ -580,6 +579,8 @@ def checked_index_set(subset: Iterable[int], n: int, start: int = 0) -> frozense
     ...
     ValueError: index set {0,4} is outside 1..4
     """
+    if n < 0:
+        raise ValueError(f"degree {n} is negative")
     index_set = frozenset(map(operator.index, subset))
     for i in index_set:
         if not start <= i < start + n:
@@ -588,6 +589,13 @@ def checked_index_set(subset: Iterable[int], n: int, start: int = 0) -> frozense
                 f"{start}..{start + n - 1}"
             )
     return index_set
+
+
+def _checked_generator(i: int, n: int) -> int:
+    """``i`` checked to index one of the generators ``0..n-1`` of rank ``n``."""
+    if not 0 <= i < n:
+        raise ValueError(f"generator index {i} out of range for n={n}")
+    return i
 
 
 def _cached_on(canonical):

@@ -87,6 +87,16 @@ class TestCliffordNormalForm:
             sign, letters = self._reference(word)
             assert clifford_normalize(tuple(word)) == (sign, tuple(letters))
 
+    def test_every_short_word_against_reference(self):
+        # the 5,461 words of length <= 6 over 1..4, 0.06-0.07 s on 2 vCPUs
+        words = 0
+        for length in range(7):
+            for word in itertools.product(range(1, 5), repeat=length):
+                sign, letters = self._reference(word)
+                assert clifford_normalize(word) == (sign, tuple(letters)), word
+                words += 1
+        assert words == 5461
+
     @staticmethod
     def _reference(word):
         # Bubble sort with an explicit -1 per swap and per square.

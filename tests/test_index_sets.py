@@ -4,7 +4,9 @@ Fundamentals, peak sets, descent labels, primed entries, and the index sets
 and Clifford index sets of induced modules all pass through
 ``checked_index_set``.  Each entry point accepts the empty set at its
 smallest size and its top index, and rejects the top index together with an
-element one past either end, with the one message.
+element one past either end, with the one message.  A negative degree is
+rejected with one message too, except where a degree check of its own comes
+first, and a generator index outside ``0..n-1`` with another.
 """
 
 import re
@@ -29,7 +31,12 @@ from tbhl.shifted_domino import (
     enumerate_shifted,
     enumerate_shifted_tilings,
 )
-from tbhl.signed_permutations import checked_index_set, format_index_set
+from tbhl.signed_permutations import (
+    braid_exponent,
+    checked_index_set,
+    format_index_set,
+    simple_reflection,
+)
 from tbhl.special_families import build_family
 
 
@@ -68,10 +75,10 @@ ENTRY_POINTS = {
     "k_set": (lambda s, n: k_set(s, (), n), zero_to_top, 0),
     "k_set-barred": (lambda s, n: k_set((), s, n), one_to_top, 0),
     "cover_lower_targets": (
-        lambda s, n: cover_lower_targets(0, s, (), n), zero_to_top, 0
+        lambda s, n: cover_lower_targets(0, s, (), n), zero_to_top, 1
     ),
     "cover_lower_targets-barred": (
-        lambda s, n: cover_lower_targets(0, (), s, n), one_to_top, 0
+        lambda s, n: cover_lower_targets(0, (), s, n), one_to_top, 1
     ),
     "res_MI_formula": (
         lambda s, n: res_MI_formula(s, n, "proof_penultimate"), zero_to_top, 0
@@ -100,6 +107,43 @@ def test_index_set_is_checked_at_both_edges(name, n):
         message = f"index set {format_index_set(rejected)} is outside {low}..{top}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(rejected, n)
+
+
+# the entry points whose degree has no check of its own
+DEGREE_CHECKED = [
+    name for name in ENTRY_POINTS
+    if name not in ("build_family-dclass", "MarkedStandardTableau")
+]
+
+
+@pytest.mark.parametrize("name", DEGREE_CHECKED)
+def test_negative_degree_is_rejected(name):
+    call, _, _ = ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="^degree -1 is negative$"):
+        call(frozenset(), -1)
+
+
+# name -> call on (generator index, n)
+GENERATOR_INDICES = {
+    "simple_reflection": simple_reflection,
+    "cover_lower_targets": lambda i, n: cover_lower_targets(i, (), (), n),
+    "ribbon_table_matrix": lambda i, n: ribbon_table_matrix(i, (), n),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_INDICES)
+@pytest.mark.parametrize("i, n", [(0, 0), (-1, 2), (2, 2), (7, 2)])
+def test_generator_index_is_checked(name, i, n):
+    message = f"generator index {i} out of range for n={n}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GENERATOR_INDICES[name](i, n)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (-2, 3)])
+def test_braid_exponent_rejects_a_negative_index(i, j):
+    message = f"generator index {min(i, j)} out of range for n={max(i, j) + 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        braid_exponent(i, j)
 
 
 # the readers cached on a checked (I, n), with their further keyword arguments

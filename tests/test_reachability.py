@@ -21,6 +21,7 @@ The scan is stdlib ``ast`` only, in the style of ``test_imports.py``.
 
 import ast
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -172,20 +173,26 @@ def test_every_definition_is_reached():
     assert unreached(graph, {_split(root) for root in roots}) == []
 
 
+@cache
+def calls_by_test_file() -> dict[str, frozenset[str]]:
+    """The names each other test file calls, as ``f(...)`` or ``x.f(...)``;
+    each file is parsed once for all the oracles."""
+    return {
+        path.name: frozenset(
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))
+        )
+        for path in sorted((ROOT / "tests").glob("test_*.py"))
+        if path.name != Path(__file__).name
+    }
+
+
 @pytest.mark.parametrize("oracle", ORACLES)
 def test_oracle_is_called_from_a_test(oracle):
     name = oracle.rpartition(".")[2]
-    callers = [
-        path.name
-        for path in sorted((ROOT / "tests").glob("test_*.py"))
-        if path.name != Path(__file__).name
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call)
-        and (
-            (isinstance(node.func, ast.Name) and node.func.id == name)
-            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
-        )
-    ]
+    callers = [path for path, calls in calls_by_test_file().items() if name in calls]
     assert callers, f"{oracle} is not called from any test"
 
 

@@ -15,14 +15,25 @@ mask, unlike ``characteristic_by_composition_series``.
 It costs ``2**n`` products along words of length up to ``n**2``, so it runs
 at ranks up to 4: on the 128 modules listed under ``MODULES`` and on every
 ``build_MI(I, n)`` with ``n <= 4``, in about 1 s on 2 vCPUs.
+
+Two faults of the series show that the comparison can fail: factors read
+one bit higher (modulo the rank), and one factor of the last key dropped
+with its label.  Each fails the comparison on the modules it changes and a
+cold default audit on the case ids listed with it.
 """
+
+from collections import Counter
+from dataclasses import replace
+from functools import cache
 
 import pytest
 
+from tbhl import cli_verify, hecke_clifford, hecke_engine
 from tbhl.cli_verify import (
     _ascent_compatible_catalog,
     _family_catalog,
     _valid_shapes,
+    run_audit,
 )
 from tbhl.domino_tableaux import sdt_operator_family
 from tbhl.exact_algebra import SparseMatrix
@@ -129,15 +140,91 @@ def test_longest_words():
     assert len(longest_word((0, 2), 3)) == 2
 
 
+@cache
+def oracle_pairs(name):
+    """Each module of ``MODULES[name]`` with its trace characteristic,
+    computed once for the tests that compare against it."""
+    modules, expected = MODULES[name]
+    pairs = tuple((fam, trace_characteristic(fam)) for fam in modules())
+    assert len(pairs) == expected
+    return pairs
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_agrees_with_the_composition_series(name):
-    modules, expected = MODULES[name]
-    compared = 0
-    for fam in modules():
+    for fam, trace in oracle_pairs(name):
         series, _ = characteristic_by_composition_series(fam)
-        assert trace_characteristic(fam) == series, fam.labels[:2]
-        compared += 1
-    assert compared == expected
+        assert trace == series, fam.labels[:2]
+
+
+def shifted_masks(series, n):
+    # every factor read one bit higher, modulo the rank
+    factors = tuple(frozenset((i + 1) % n for i in f) for f in series.factors)
+    return replace(series, factors=factors)
+
+
+def dropped_label(series, n):
+    # the last factor of the last key is lost, with its label
+    if not series.factors:
+        return series
+    last = max(series.factors, key=sorted)
+    k = max(k for k, factor in enumerate(series.factors) if factor == last)
+    return replace(
+        series,
+        order=series.order[:k] + series.order[k + 1:],
+        factors=series.factors[:k] + series.factors[k + 1:],
+    )
+
+
+def faulty(fault):
+    """``characteristic_by_composition_series`` with ``fault`` applied to
+    each series before its characteristic is read."""
+
+    def characteristic(fam):
+        _, series = characteristic_by_composition_series(fam)
+        series = fault(series, fam.rank)
+        return QSymElement.from_descent_sets(series.factors, fam.rank), series
+
+    return characteristic
+
+
+# fault -> (modules of MODULES whose comparison fails, failing audit case ids)
+SERIES_FAULTS = {
+    "shifted-masks": (shifted_masks, 88, {
+        "families.relations": 27, "domino.modules": 23, "clifford.audit": 18,
+        "induction.family": 17, "induction.conjugate": 7,
+        "clifford.restriction": 2, "families.random-convex": 1,
+    }),
+    "dropped-label": (dropped_label, 128, {
+        "families.relations": 43, "domino.modules": 37, "clifford.audit": 28,
+        "induction.family": 23, "induction.conjugate": 11,
+        "clifford.restriction": 3, "families.random-convex": 1, "morphisms.iso": 1,
+    }),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_FAULTS)
+def test_a_faulty_series_fails_the_comparison(name):
+    fault, expected, _ = SERIES_FAULTS[name]
+    characteristic = faulty(fault)
+    failing = sum(
+        characteristic(fam)[0] != trace
+        for modules in MODULES
+        for fam, trace in oracle_pairs(modules)
+    )
+    assert failing == expected
+
+
+@pytest.mark.parametrize("name", SERIES_FAULTS)
+def test_a_faulty_series_fails_the_audit(monkeypatch, cleared_caches, name):
+    fault, _, expected = SERIES_FAULTS[name]
+    # each calling module holds its own binding
+    for module in (hecke_engine, hecke_clifford, cli_verify):
+        monkeypatch.setattr(
+            module, "characteristic_by_composition_series", faulty(fault)
+        )
+    cases = run_audit("all", 3, 10, 0)
+    assert Counter(case.id for case in cases if case.status == "fail") == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
