@@ -317,7 +317,7 @@ def cases_unimodal(max_n: int) -> list[AuditCase]:
         bad = []
         for i in range(1, n + 1):
             family = set(invert_family(build_family("luni", (i,), n)).members)
-            if set(unimodal_interval(i, n, "corrected")) != family:
+            if set(unimodal_interval(i, n)) != family:
                 bad.append(i)
         cases.append(_case(
             "unimodal.interval", {"degree": n}, not bad,

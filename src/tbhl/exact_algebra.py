@@ -39,13 +39,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
-__all__ = [
-    "GaussianInteger",
-    "SparseMatrix",
-    "TruncatedPolynomial",
-]
-
-
 @dataclass(frozen=True)
 class GaussianInteger:
     """A complex number with ``int`` real and imaginary parts.
@@ -194,9 +187,6 @@ class SparseMatrix:
             else:
                 merged[pos] = total
         return SparseMatrix._trusted(self.nrows, self.ncols, merged)
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(GaussianInteger.integer(-1))
 
     def scale(self, scalar: GaussianInteger) -> "SparseMatrix":
         if scalar.is_zero():
@@ -354,8 +344,9 @@ class TruncatedPolynomial:
     ``terms`` maps exponent vectors (tuples of length ``nvars``) to nonzero
     integer coefficients, each of total degree at most ``degree_cap``; a
     term above the cap raises ``ValueError``, so the stored terms are always
-    the complete polynomial.  :meth:`make` reads exponents and coefficients
-    through ``operator.index``, so a float or a string raises ``TypeError``.
+    the complete polynomial.  :meth:`make` rejects a negative ``nvars`` or
+    cap, and reads exponents and coefficients through ``operator.index``, so
+    a float or a string raises ``TypeError``.
 
     >>> p = TruncatedPolynomial.make(2, 2, {(0, 2): 1, (1, 1): 1})
     >>> sorted((p + p).as_dict().items())
@@ -376,6 +367,10 @@ class TruncatedPolynomial:
         degree_cap: int,
         terms: Mapping[tuple[int, ...], int],
     ) -> "TruncatedPolynomial":
+        for name, value in (("nvars", nvars), ("degree cap", degree_cap)):
+            if value < 0:
+                raise ValueError(f"{name} {value} is negative")
+
         def checked(exponents, coefficient) -> tuple[tuple[int, ...], int]:
             exponents = tuple(map(operator.index, exponents))
             if len(exponents) != nvars:
@@ -392,7 +387,7 @@ class TruncatedPolynomial:
 
     @staticmethod
     def zero(nvars: int, degree_cap: int) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(nvars, degree_cap)
+        return TruncatedPolynomial.make(nvars, degree_cap, {})
 
     def _require_compatible(self, other: "TruncatedPolynomial") -> None:
         if self.nvars != other.nvars or self.degree_cap != other.degree_cap:
@@ -424,9 +419,3 @@ class TruncatedPolynomial:
             body = "*".join(factors) if factors else "1"
             pieces.append(f"{coefficient}*{body}")
         return " + ".join(pieces)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -488,11 +488,14 @@ def build_intertwiner(index_set, k: int, n: int) -> IntertwinerResult:
     larger = build_MI(enlarged, n)
     basis, index = clifford_tables(n)[:2]
     size = len(basis)
+    # c_D c_k c_{k+1} = ±c_E with E = D xor {k, k+1} != D, so the -1 of the
+    # identity has each diagonal position to itself
     entries = {}
     for col, subset in enumerate(basis):
         sign, product = clifford_normalize((*subset, k, k + 1))
         entries[(index[product], col)] = sign
-    matrix = SparseMatrix(size, size, entries) - SparseMatrix.identity(size)
+        entries[(col, col)] = _MINUS_ONE
+    matrix = SparseMatrix._trusted(size, size, entries)
     smaller_c, larger_c = clifford_matrices(smaller), clifford_matrices(larger)
     commutes = all(
         matrix @ smaller.matrices[i] == larger.matrices[i] @ matrix

@@ -44,17 +44,6 @@ from .signed_permutations import (
     subsets,
 )
 
-__all__ = [
-    "QSymElement",
-    "PeakDataB",
-    "fb_monomials",
-    "peak_data",
-    "peak_function_type_b",
-    "peak_characteristic",
-    "fb_truncations_linearly_independent",
-    "PEAK_VARIANTS",
-]
-
 PEAK_VARIANTS = ("literal", "complemented")
 
 
@@ -64,8 +53,8 @@ class QSymElement:
 
     Fundamental elements are indexed by subsets of ``{0..n-1}``.  ``coeffs``
     is in the normal form of :func:`~tbhl.exact_algebra._collect`, keyed by
-    subsets as sorted tuples.  Only :meth:`make` checks a combination: each
-    subset through :func:`~tbhl.signed_permutations.checked_index_set`, and
+    subsets as sorted tuples.  Only :meth:`make` checks a combination: its
+    degree, each subset through :func:`~tbhl.signed_permutations.checked_index_set`, and
     each coefficient through ``operator.index``, as :meth:`scale` reads its
     scalar.  ``+``, :meth:`scale` and the package's own combinations are
     built in normal form directly; there is no ``-``.
@@ -76,6 +65,8 @@ class QSymElement:
 
     @staticmethod
     def make(n: int, coeffs: Mapping[Iterable[int], int]) -> "QSymElement":
+        if n < 0:
+            raise ValueError(f"degree {n} is negative")
         return QSymElement(
             n,
             _collect(
@@ -86,7 +77,7 @@ class QSymElement:
 
     @staticmethod
     def zero(n: int) -> "QSymElement":
-        return QSymElement(n, ())
+        return QSymElement.make(n, {})
 
     @staticmethod
     def fundamental(subset: Iterable[int], n: int) -> "QSymElement":
@@ -277,15 +268,13 @@ def peak_characteristic(
     return peak_function_type_b(data.zeta, data.peak, n, variant)
 
 
-def fb_truncations_linearly_independent(n: int, nvars: int | None = None) -> bool:
+def fb_truncations_linearly_independent(n: int, nvars: int) -> bool:
     """Whether the degree-n fundamental truncations to ``nvars`` variables
-    (default n+1) are linearly independent over the rationals.
+    are linearly independent over the rationals.
 
-    >>> fb_truncations_linearly_independent(2)
+    >>> fb_truncations_linearly_independent(2, 3)
     True
     """
-    if nvars is None:
-        nvars = n + 1
     index_sets = [frozenset(c) for c in subsets(range(n))]
     # the columns number the monomials in the order met; F_{} meets them all
     column: dict[tuple[int, ...], int] = {}
@@ -298,9 +287,3 @@ def fb_truncations_linearly_independent(n: int, nvars: int | None = None) -> boo
     # every position is in range and every coefficient a positive count
     expansion = SparseMatrix._trusted(len(index_sets), len(column), entries)
     return expansion.rank() == len(index_sets)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -46,32 +46,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from typing import Iterable
 
-__all__ = [
-    "SignedPermutation",
-    "AlignedWitness",
-    "AscentCompatibilityReport",
-    "simple_reflection",
-    "identity",
-    "braid_exponent",
-    "MAX_RANK",
-    "all_elements",
-    "length",
-    "bfs_word_lengths",
-    "left_descents",
-    "reflections",
-    "right_inversions",
-    "leq_left_weak",
-    "weak_order_interval",
-    "convexity_witness",
-    "is_convex_left_weak",
-    "is_aligned",
-    "ascent_compatibility_report",
-    "format_window",
-    "parse_index_set",
-    "format_index_set",
-    "checked_index_set",
-    "subsets",
-]
 
 @dataclass(frozen=True, order=True, slots=True)
 class SignedPermutation:
@@ -521,8 +495,11 @@ def ascent_compatibility_report(
             by_reflection.setdefault(masks[up] ^ masks[k], []).append(
                 (u, s, up in inside)
             )
-    for group in by_reflection.values():
-        for (u, s, in_u), (v, t, in_v) in itertools.combinations(group, 2):
+    # a group is consistent when every member agrees with the first, and the
+    # first disagreeing pair in pairwise order is the first member and the
+    # first member that differs from it
+    for (u, s, in_u), *rest in by_reflection.values():
+        for v, t, in_v in rest:
             if in_u != in_v:
                 return AscentCompatibilityReport(False, AlignedWitness(u, v, s, t))
     return AscentCompatibilityReport(True, None)
@@ -632,9 +609,3 @@ def subsets(items: Iterable) -> tuple[tuple, ...]:
             itertools.combinations(items, size) for size in range(len(items) + 1)
         )
     )
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

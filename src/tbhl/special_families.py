@@ -15,9 +15,10 @@ ascent-compatibility through ``signed_permutations``.
 
 The weak-order interval description of the inverted ``luni`` family uses a
 top element whose published bottom companion is off by one position: the
-stated bottom reverses only the first ``i - 1`` values and so describes the
-family at ``i - 1``.  Both readings are exposed via a ``variant`` flag, with
-``corrected`` (reverse the first ``i`` values) as the default.
+stated bottom reverses only the first ``i - 1`` values, which is the bottom
+at ``i - 1``, so its interval is not the family.  The bottom built here
+reverses the first ``i`` values; the tests keep the published reading as a
+check of the erratum.
 """
 
 from __future__ import annotations
@@ -192,19 +193,16 @@ def parse_family_spec(text: str) -> PermutationFamily:
 # ---------------------------------------------------------------------------
 # interval endpoints for the inverted unimodal family
 
-ENDPOINT_VARIANTS = ("corrected", "literal")
-
 
 def unimodal_interval_endpoints(
-    i: int, n: int, variant: str = "corrected"
+    i: int, n: int
 ) -> tuple[SignedPermutation, SignedPermutation]:
     """Top and bottom of the weak-order interval of the inverted family.
 
     Returns ``(top, bottom)``.  The top negates everything: the first
     ``i - 1`` positions in place and the rest shifted below them.  The
-    ``corrected`` bottom reverses the first ``i`` values; the ``literal``
-    bottom reverses only the first ``i - 1`` and coincides with the
-    corrected bottom at ``i - 1``.
+    bottom reverses the first ``i`` values (the published bottom reverses
+    only the first ``i - 1``; see the module docstring).
 
     >>> unimodal_interval_endpoints(1, 2)[0].window
     (-2, -1)
@@ -213,28 +211,18 @@ def unimodal_interval_endpoints(
     """
     if not 1 <= i <= n:
         raise ValueError(f"unimodal position {i} outside 1..{n}")
-    if variant not in ENDPOINT_VARIANTS:
-        raise ValueError(f"unknown endpoint variant {variant!r}")
     top = SignedPermutation(
         tuple(-j for j in range(1, i)) + tuple(k - i - n for k in range(i, n + 1))
     )
-    if variant == "corrected":
-        bottom = SignedPermutation(
-            tuple(i + 1 - j for j in range(1, i + 1))
-            + tuple(range(i + 1, n + 1))
-        )
-    else:
-        bottom = SignedPermutation(
-            tuple(i - j for j in range(1, i)) + tuple(range(i, n + 1))
-        )
+    bottom = SignedPermutation(
+        tuple(i + 1 - j for j in range(1, i + 1)) + tuple(range(i + 1, n + 1))
+    )
     return top, bottom
 
 
-def unimodal_interval(
-    i: int, n: int, variant: str = "corrected"
-) -> tuple[SignedPermutation, ...]:
+def unimodal_interval(i: int, n: int) -> tuple[SignedPermutation, ...]:
     """The weak-order interval between the two endpoints."""
-    top, bottom = unimodal_interval_endpoints(i, n, variant)
+    top, bottom = unimodal_interval_endpoints(i, n)
     return weak_order_interval(bottom, top)
 
 
@@ -252,9 +240,3 @@ def smallest_non_convex_arc_degree(
         if witness is not None:
             return n, witness
     return None
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

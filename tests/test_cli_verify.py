@@ -860,7 +860,7 @@ class TestAuditLibrary:
             "verify_relations": lambda ops: {"failed": {"kind": "quadratic", "i": 0}},
             "verify_hcl_relations": lambda module: {"failed": {"kind": "braid"}},
             "brute_force_sdt": lambda shape: (),
-            "unimodal_interval": lambda i, n, variant: (),
+            "unimodal_interval": lambda i, n: (),
             # no tableau of (5,4,4,1), the pinned-descents shape, and only there
             "enumerate_sdt": lambda shape: (
                 () if shape == (5, 4, 4, 1) else enumerate_sdt(shape)

@@ -181,7 +181,7 @@ class TestSparseMatrix:
     def test_zero_entries_are_not_stored(self):
         a = SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 0})
         assert (0, 0) in a.entries and (1, 1) not in a.entries
-        assert (a - a).entries == {}
+        assert (a + a.scale(integer(-1))).entries == {}
 
     def test_positions_outside_the_shape_are_rejected(self):
         for position in ((2, 0), (0, 2), (-1, 0)):
@@ -409,7 +409,7 @@ class TestSparseProducts:
         minus_i = GaussianInteger(0, -1)
         e = SparseMatrix(2, 2, {(0, 0): minus_i, (1, 1): 1})
         assert (d + e).entries == {(1, 1): GaussianInteger(4)}
-        assert (d - d).entries == {}
+        assert (d + d.scale(integer(-1))).entries == {}
         assert (d.scale(i) + d.scale(minus_i)).entries == {}
         # equal matrices reached different ways hash equal
         assert d + e == SparseMatrix(2, 2, {(1, 1): 4})
@@ -519,6 +519,17 @@ class TestTruncatedPolynomial:
             TruncatedPolynomial.make(2, 3, {(2, -1): 1})
         # a term of degree exactly the cap is kept
         assert TruncatedPolynomial.make(2, 3, {(2, 1): 4}).as_dict() == {(2, 1): 4}
+
+    def test_negative_sizes_are_rejected(self):
+        with pytest.raises(ValueError, match="^degree cap -1 is negative$"):
+            TruncatedPolynomial.make(2, -1, {})
+        with pytest.raises(ValueError, match="^nvars -1 is negative$"):
+            TruncatedPolynomial.make(-1, 3, {})
+        with pytest.raises(ValueError, match="^degree cap -2 is negative$"):
+            TruncatedPolynomial.zero(1, -2)
+        # no variables, or a cap of zero, is still a polynomial ring
+        assert TruncatedPolynomial.make(0, 3, {(): 2}).as_dict() == {(): 2}
+        assert TruncatedPolynomial.zero(2, 0).terms == ()
 
     def test_cancellation_removes_terms(self):
         x0 = TruncatedPolynomial.make(1, 4, {(1,): 1})

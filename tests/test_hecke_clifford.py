@@ -537,6 +537,28 @@ class TestIntertwiner:
             if other == col
         } == {position[(1, 2)]: ONE, col: MINUS_ONE}
 
+    def test_whole_matrices_up_to_rank_four(self):
+        # right multiplication by the even c_k c_{k+1} is left multiplication
+        # by it, signed by (-1)^|D ∩ {k, k+1}|; the intertwiner subtracts 1
+        cases = 0
+        for n in range(1, 5):
+            basis, _, _, _, c, _ = clifford_tables(n)
+            identity = SparseMatrix.identity(len(basis))
+            for index_set in all_index_sets(n):
+                for k in range(1, n):
+                    if k in index_set or not iso_predicate(
+                        index_set, index_set | {k}, n
+                    ):
+                        continue
+                    sign = SparseMatrix(len(basis), len(basis), {
+                        (d, d): (-1) ** len({k, k + 1} & set(subset))
+                        for d, subset in enumerate(basis)
+                    })
+                    expected = sign @ c[k - 1] @ c[k] + identity.scale(MINUS_ONE)
+                    assert build_intertwiner(index_set, k, n).matrix == expected
+                    cases += 1
+        assert cases == 12
+
     def test_all_admissible_cases_up_to_rank_three(self):
         count = 0
         for n in range(1, 4):

@@ -244,6 +244,23 @@ class TestQSymElement:
             "coeffs": [["{0,3}", 2]],
         }
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QSymElement.make(-1, {}),
+            lambda: QSymElement.zero(-1),
+            lambda: QSymElement.from_descent_sets([], -1),
+        ],
+    )
+    def test_negative_degree_is_rejected(self, build):
+        with pytest.raises(ValueError, match="^degree -1 is negative$"):
+            build()
+
+    def test_degree_zero_is_valid(self):
+        assert QSymElement.zero(0).coeffs == ()
+        assert QSymElement.make(0, {frozenset(): 3}).coeffs == (((), 3),)
+        assert QSymElement.from_descent_sets([()], 0).coeffs == (((), 1),)
+
     def test_subset_validation(self):
         with pytest.raises(ValueError):
             QSymElement.make(2, {frozenset({2}): 1})
@@ -282,7 +299,7 @@ class TestQSymElement:
 class TestLinearIndependence:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_truncations_independent(self, n):
-        assert fb_truncations_linearly_independent(n)
+        assert fb_truncations_linearly_independent(n, n + 1)
 
     def test_too_few_variables_fails(self):
         # with a single variable all strictness patterns collapse

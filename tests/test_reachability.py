@@ -267,6 +267,37 @@ def test_every_all_entry_resolves():
     assert unresolved_exports(package_sources()) == []
 
 
+def test_only_the_package_binds_all():
+    # a submodule marks its private names by the leading underscore alone
+    binders = [
+        module
+        for module, source in package_sources().items()
+        if any("__all__" in _defined_names(node) for node in ast.parse(source).body)
+    ]
+    assert binders == ["__init__"]
+
+
+def test_pytest_is_the_one_doctest_runner():
+    # pyproject.toml is read as text: tomllib needs Python 3.11
+    settings = {
+        key.strip(): value
+        for key, _, value in (
+            line.partition("=")
+            for line in (ROOT / "pyproject.toml").read_text().splitlines()
+        )
+    }
+    assert "--doctest-modules" in settings["addopts"]
+    assert '"src/tbhl"' in settings["testpaths"]
+    importers = [
+        module
+        for module, source in package_sources().items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import)
+        and any(alias.name == "doctest" for alias in node.names)
+    ]
+    assert importers == []
+
+
 def test_all_listing_is_not_a_use():
     sources = {
         "a": "__all__ = ['main', 'listed']\ndef main():\n    pass\n"

@@ -314,6 +314,24 @@ def brute_force_compatible(subset, aligned):
     )
 
 
+def pairwise_witness(subset):
+    """The first disagreeing pair over all pairs of each class of (element,
+    ascent) pairs with one conjugated reflection ``u^-1 s u``, found by
+    products; the classes and their members are met in the report's order."""
+    members = list(set(subset))
+    n = members[0].n
+    classes = {}
+    for u in members:
+        for s in sorted(set(range(n)) - left_descents(u)):
+            su = simple_reflection(s, n) * u
+            classes.setdefault(u.inverse() * su, []).append((u, s, su in subset))
+    for group in classes.values():
+        for (u, s, in_u), (v, t, in_v) in itertools.combinations(group, 2):
+            if in_u != in_v:
+                return AlignedWitness(u, v, s, t)
+    return None
+
+
 def aligned_quadruples(n):
     """Every aligned (u, v, s, t) of B_n, found by ``is_aligned``."""
     pairs = [(u, s) for u in all_elements(n) for s in range(n)]
@@ -366,6 +384,19 @@ class TestRankTable:
             subset = set(rng.sample(group, rng.randint(1, len(group))))
             verdicts.add(self._check(subset, aligned))
         assert verdicts == {True, False}
+
+    def test_witness_matches_the_pairwise_scan_on_random_subsets_of_b3(self):
+        # the report compares each class member with the first one only; the
+        # first disagreeing pair is the one a scan over all pairs finds first
+        group = all_elements(3)
+        rng = random.Random(29)
+        witnesses = set()
+        for _ in range(300):
+            subset = set(rng.sample(group, rng.randint(1, len(group))))
+            witness = ascent_compatibility_report(subset).witness
+            assert witness == pairwise_witness(subset)
+            witnesses.add(witness)
+        assert None in witnesses and len(witnesses) > 10
 
     @staticmethod
     def _check(subset, aligned):

@@ -19,6 +19,7 @@ from tbhl.signed_permutations import (
     ascent_compatibility_report,
     left_descents,
     leq_left_weak,
+    weak_order_interval,
 )
 from tbhl.special_families import (
     build_family,
@@ -191,18 +192,21 @@ class TestUnimodalInterval:
         for n in range(1, 5):
             for i in range(1, n + 1):
                 family = set(invert_family(build_family("luni", (i,), n)).members)
-                assert set(unimodal_interval(i, n, "corrected")) == family
+                assert set(unimodal_interval(i, n)) == family
 
     def test_literal_variant_is_shifted_by_one(self):
-        # the literal bottom at position i equals the corrected bottom at
-        # position i - 1, so the literal interval describes the wrong family
+        # the published bottom at position i reverses only the first i - 1
+        # values: it is the bottom at position i - 1, so its interval
+        # describes the wrong family
         for n in range(2, 5):
             for i in range(2, n + 1):
-                literal = unimodal_interval_endpoints(i, n, "literal")
-                corrected = unimodal_interval_endpoints(i - 1, n, "corrected")
-                assert literal[1] == corrected[1]
+                top, _ = unimodal_interval_endpoints(i, n)
+                published = SignedPermutation(
+                    tuple(i - j for j in range(1, i)) + tuple(range(i, n + 1))
+                )
+                assert published == unimodal_interval_endpoints(i - 1, n)[1]
                 family = set(invert_family(build_family("luni", (i,), n)).members)
-                assert set(unimodal_interval(i, n, "literal")) != family
+                assert set(weak_order_interval(published, top)) != family
 
     def test_interval_count_matches_family_size(self):
         for n in range(1, 5):
@@ -210,10 +214,6 @@ class TestUnimodalInterval:
                 assert len(unimodal_interval(i, n)) == len(
                     build_family("luni", (i,), n)
                 )
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            unimodal_interval_endpoints(1, 2, "other")
 
 
 class TestFamilySpecs:
