@@ -11,9 +11,8 @@ take scalars only.
 
 Matrices are sparse dicts keyed by ``(row, col)`` that never store a zero
 entry.  The public constructor checks every position and value; sums,
-scalings, products and Kronecker products are built by a trusted constructor
-instead.  A product sums the parts of its terms and builds one scalar per
-nonzero entry.
+scalings and products are built by a trusted constructor instead.  A
+product sums the parts of its terms and builds one scalar per nonzero entry.
 
 Polynomials are multivariate polynomials with integer coefficients and a
 degree cap, used for monomial expansions of quasisymmetric functions; a term
@@ -114,10 +113,10 @@ class SparseMatrix:
     never stored, so equal matrices have equal entry dicts.  They are given
     as a mapping, and the public constructor checks every position and turns
     every ``int`` value into a scalar through :meth:`GaussianInteger.integer`.
-    Results of ``@``, ``+``, :meth:`scale` and :meth:`kron` come from the
-    trusted constructor :meth:`_trusted`, which skips those checks: their
-    entries are computed from already-checked matrices, and entries that
-    cancel are dropped.  Instances are immutable in intent: all operations
+    Results of ``@``, ``+`` and :meth:`scale` come from the trusted
+    constructor :meth:`_trusted`, which skips those checks: their entries
+    are computed from already-checked matrices, and entries that cancel are
+    dropped.  Instances are immutable in intent: all operations
     return new matrices.
 
     >>> a = SparseMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
@@ -226,21 +225,6 @@ class SparseMatrix:
             other.ncols,
             {pos: of(re, im) for pos, (re, im) in sums.items() if re or im},
         )
-
-    def kron(self, other: "SparseMatrix") -> "SparseMatrix":
-        """Kronecker product: ``self[r, c] * other[s, t]`` sits at row
-        ``r * other.nrows + s`` and column ``c * other.ncols + t``."""
-        rows, cols = other.nrows, other.ncols
-        left = [(r * rows, c * cols, v.re, v.im) for (r, c), v in self.entries.items()]
-        right = [(s, t, v.re, v.im) for (s, t), v in other.entries.items()]
-        of = GaussianInteger._gaussian_integer
-        # a product of nonzero Gaussian integers is nonzero
-        entries = {
-            (r + s, c + t): of(a * x - b * y, a * y + b * x)
-            for r, c, a, b in left
-            for s, t, x, y in right
-        }
-        return SparseMatrix._trusted(self.nrows * rows, self.ncols * cols, entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):

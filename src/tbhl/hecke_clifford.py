@@ -27,12 +27,13 @@ relation suite checks that graded form.
 
 Words in the ``c`` generators normalize to a sign times ``c_D`` with the
 index set ``D`` increasing.  Inducing an operator family ``M`` of dimension
-``m`` adjoins a free Clifford factor: ``(D, y)`` sits at ``k * 2**n +
-index(D)`` for ``y`` the ``k``-th label of ``M``.  With ``pi_i c_D = sum_E
+``m`` adjoins a free Clifford factor: ``(D, y)`` sits at ``a * 2**n +
+index(D)`` for ``y`` the ``a``-th label of ``M``.  With ``pi_i c_D = sum_E
 c_E (gamma_E + delta_E pi_i)`` read as tables ``Gamma_i`` and ``Delta_i`` on
-that basis, the induced ``pi_i`` is ``identity(m).kron(Gamma_i) +
-M_i.kron(Delta_i)`` and ``c_j`` is ``identity(m).kron(C_j)``.  The basis and
-the tables are cached per rank (:func:`clifford_tables`) and each module's
+that basis, block ``(a, b)`` of the induced ``pi_i`` is ``[a == b] Gamma_i
++ M_i[a, b] Delta_i`` and each block of ``c_j`` is ``C_j``; an induced module
+keeps ``M`` and streams those blocks (:class:`InducedModule`).  The tables
+are cached per rank (:func:`clifford_tables`) and each module's
 characteristic per ``(I, n)`` (:func:`restriction_characteristic`); no
 module is kept, :func:`build_MI` builds a new one on every call.
 
@@ -46,8 +47,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import cache, cached_property, lru_cache, partial
+from typing import Iterable, Iterator
 
 from .exact_algebra import GaussianInteger, SparseMatrix, _collect
 from .hecke_engine import (
@@ -212,25 +213,67 @@ def clifford_tables(n: int) -> CliffordTables:
     return CliffordTables(basis, index, gamma, delta, c, table(parity))
 
 
-def induce_labeled_basis(base: OperatorFamily) -> OperatorFamily:
+def _block(gamma: SparseMatrix, delta: SparseMatrix, diagonal: bool, value) -> list:
+    """``(s, t, x)`` of ``[diagonal] Gamma_i + value Delta_i``, without zeros."""
+    summed = dict(gamma.entries) if diagonal else {}
+    for pos, x in delta.entries.items():
+        summed[pos] = summed.get(pos, _ZERO) + value * x
+    return [(s, t, x) for (s, t), x in summed.items() if not x.is_zero()]
+
+
+@dataclass(frozen=True)
+class InducedModule:
+    """An operator family ``base`` induced, kept as its factors: the series
+    reads :meth:`entries`, and :attr:`matrices` collects them on first read."""
+
+    labels: tuple
+    base: OperatorFamily
+
+    @property
+    def rank(self) -> int:
+        return self.base.rank
+
+    def entries(self) -> Iterator[tuple[int, int, int, GaussianInteger]]:
+        """``(operator, row, col, value)``, each distinct block summed once."""
+        n, tables = self.rank, clifford_tables(self.rank)
+        # every diagonal block holds Gamma_i, with or without an M_i entry
+        diagonal = dict.fromkeys(((a, a) for a in range(len(self.base.labels))), _ZERO)
+        for i, matrix in enumerate(self.base.matrices):
+            block = cache(partial(_block, tables.gamma[i], tables.delta[i]))
+            for (a, b), value in {**diagonal, **matrix.entries}.items():
+                for s, t, x in block(a == b, value):
+                    yield i, (a << n) + s, (b << n) + t, x
+
+    @cached_property
+    def matrices(self) -> tuple[SparseMatrix, ...]:
+        parts = [{} for _ in range(self.rank)]
+        for i, row, col, value in self.entries():
+            parts[i][row, col] = value
+        size = len(self.labels)
+        # the stream gives each in-range position once, never with a zero
+        return tuple(SparseMatrix._trusted(size, size, part) for part in parts)
+
+
+def induce_labeled_basis(base: OperatorFamily) -> InducedModule:
     """Adjoin a free Clifford factor to an operator family: the labels are
-    the pairs ``(D, y)``, and ``pi_i`` is the Kronecker form of the module
-    docstring with the tables of :func:`clifford_tables`."""
-    tables = clifford_tables(base.rank)
-    labels = tuple((subset, label) for label in base.labels for subset in tables.basis)
-    identity = SparseMatrix.identity(len(base.labels))
-    return OperatorFamily(labels, [
-        identity.kron(gamma) + matrix.kron(delta)
-        for matrix, gamma, delta in zip(base.matrices, tables.gamma, tables.delta)
-    ])
+    the pairs ``(D, y)``, and ``pi_i`` is the block rule of the docstring."""
+    basis = clifford_tables(base.rank).basis
+    return InducedModule(tuple((D, y) for y in base.labels for D in basis), base)
 
 
-def clifford_matrices(module: OperatorFamily) -> dict[int, SparseMatrix]:
-    """The Clifford generators ``c_1..c_rank`` of an induced module: ``c_j``
-    is ``identity(m).kron(C_j)``."""
-    identity = SparseMatrix.identity(len(module.labels) >> module.rank)
+def _repeated(table: SparseMatrix, count: int) -> SparseMatrix:
+    """``table`` on each of ``count`` diagonal blocks: identity tensor ``table``."""
+    size, entries = table.nrows, table.entries.items()
+    return SparseMatrix._trusted(size * count, size * count, {
+        (a * size + s, a * size + t): x for a in range(count) for (s, t), x in entries
+    })
+
+
+def clifford_matrices(module: InducedModule | OperatorFamily) -> dict[int, SparseMatrix]:
+    """The Clifford generators ``c_1..c_rank`` of an induced module."""
+    count = len(module.labels) >> module.rank
     tables = clifford_tables(module.rank).c
-    return {j: identity.kron(table) for j, table in enumerate(tables, 1)}
+    return {j: _repeated(table, count) for j, table in enumerate(tables, 1)}
 
 
 def _ribbon_table_column(
@@ -291,7 +334,7 @@ def ribbon_table_matrix(i: int, index_set, n: int) -> SparseMatrix:
     return SparseMatrix(len(basis), len(basis), entries)
 
 
-def build_MI(index_set, n: int) -> OperatorFamily:
+def build_MI(index_set, n: int) -> InducedModule:
     """Induced module of a subset's one-dimensional module, built anew."""
     index_set = checked_index_set(index_set, n)
     base = family_from_action((index_set,), lambda y: y, lambda y, i: None, n)
@@ -302,7 +345,7 @@ def build_MI(index_set, n: int) -> OperatorFamily:
 # relation suite
 
 
-def verify_hcl_relations(module: OperatorFamily) -> dict:
+def verify_hcl_relations(module: InducedModule | OperatorFamily) -> dict:
     """Check casewise, Clifford, and mixed relations as matrix identities.
 
     The casewise quadratic and braid relations are those of
@@ -336,9 +379,7 @@ def verify_hcl_relations(module: OperatorFamily) -> dict:
             return {"failed": {"kind": "mixed-shift", "i": i}}
     if n >= 1:
         # the graded pi_0 c_1 rule: parity negates odd Clifford index sets
-        parity = SparseMatrix.identity(len(module.labels) >> n).kron(
-            clifford_tables(n).parity
-        )
+        parity = _repeated(clifford_tables(n).parity, len(module.labels) >> n)
         if pi[0] @ cg[1] != (parity @ pi[0]).scale(_SQRT):
             return {"failed": {"kind": "mixed-zero", "j": 1}}
     return {"relations": "ok"}

@@ -1,9 +1,9 @@
 """Operator families, the casewise rule that builds them, and composition series.
 
 Every module here is an *operator family*: ordered labels with one exact
-square matrix per generator index ``0..rank-1``.  The relation checker and
-the composition-series walk read nothing else, so families built by the
-casewise rule and induced Clifford modules (``hecke_clifford``) share them.
+square matrix per generator index ``0..rank-1``.  The relation checker reads
+the matrices and the composition-series walk an entry stream, which induced
+Clifford modules (``hecke_clifford``) give from their factors, unbuilt.
 
 ``family_from_action`` is the casewise rule.  It takes labels, a descent
 label per label (a subset of the generator indices) and a partial action
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .exact_algebra import GaussianInteger, SparseMatrix
 from .qsym_typeb import QSymElement
@@ -67,6 +67,12 @@ class OperatorFamily:
     @property
     def rank(self) -> int:
         return len(self.matrices)
+
+    def entries(self) -> Iterator[tuple[int, int, int, GaussianInteger]]:
+        """Every stored entry as ``(operator, row, col, value)``."""
+        for i, matrix in enumerate(self.matrices):
+            for (row, col), value in matrix.entries.items():
+                yield i, row, col, value
 
 
 @dataclass(frozen=True)
@@ -213,9 +219,10 @@ def characteristic_by_composition_series(
     label appearing in its image under some operator; the order puts image
     supports first, so every prefix span is operator-invariant.  Ties between
     simultaneously ready labels go to the earlier basis position.  One pass
-    over the entries reads the edges and, per label, the bitmask of the
-    operators acting by ``-1``.  Raises :class:`NoCompositionSeries` if that
-    digraph has a cycle or a diagonal entry is neither ``0`` nor ``-1``.
+    over ``fam.entries()`` (an induced module streams them from its factors)
+    reads the edges and, per label, the bitmask of the operators acting by
+    ``-1``.  Raises :class:`NoCompositionSeries` if that digraph has a cycle
+    or a diagonal entry is neither ``0`` nor ``-1``.
 
     >>> from tbhl.signed_permutations import all_elements
     >>> char, series = characteristic_by_composition_series(
@@ -231,18 +238,17 @@ def characteristic_by_composition_series(
     successors: list[list[int]] = [[] for _ in range(size)]
     indegree = [0] * size
     masks = [0] * size
-    for i, matrix in enumerate(fam.matrices):
-        for (r, c), value in matrix.entries.items():
-            if r != c:
-                successors[r].append(c)
-                indegree[c] += 1
-            elif value.re == -1 and not value.im:
-                masks[c] |= 1 << i
-            else:
-                raise NoCompositionSeries(
-                    f"diagonal entry of operator {i} at {labels[c]!r} "
-                    f"is neither 0 nor -1"
-                )
+    for i, r, c, value in fam.entries():
+        if r != c:
+            successors[r].append(c)
+            indegree[c] += 1
+        elif value.re == -1 and not value.im:
+            masks[c] |= 1 << i
+        else:
+            raise NoCompositionSeries(
+                f"diagonal entry of operator {i} at {labels[c]!r} "
+                f"is neither 0 nor -1"
+            )
     ready = [k for k in range(size) if indegree[k] == 0]
     heapq.heapify(ready)
     order_positions: list[int] = []

@@ -437,69 +437,6 @@ class TestSparseProducts:
         assert product.get(0, 1) is GaussianInteger.integer(-3) * i
 
 
-UNIT_PARTS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0))
-unit_entries = st.sampled_from([GaussianInteger(re, im) for re, im in UNIT_PARTS])
-
-
-@st.composite
-def unit_matrices(draw):
-    """Matrices of at most 3x3, empty and non-square shapes included, with
-    entries in {0, ±1, ±i, 2}."""
-    nrows, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    return SparseMatrix(
-        nrows,
-        ncols,
-        {(r, c): draw(unit_entries) for r in range(nrows) for c in range(ncols)},
-    )
-
-
-def dense_kron(a, b):
-    """Kronecker product on every position, in scalar arithmetic."""
-    return SparseMatrix(
-        a.nrows * b.nrows,
-        a.ncols * b.ncols,
-        {
-            (r * b.nrows + s, c * b.ncols + t): a.get(r, c) * b.get(s, t)
-            for r in range(a.nrows)
-            for c in range(a.ncols)
-            for s in range(b.nrows)
-            for t in range(b.ncols)
-        },
-    )
-
-
-class TestKroneckerProduct:
-    @given(unit_matrices(), unit_matrices())
-    @settings(max_examples=80)
-    def test_kron_agrees_with_dense_reference(self, a, b):
-        product = a.kron(b)
-        assert (product.nrows, product.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
-        assert product == dense_kron(a, b)
-        for (r, c), value in product.entries.items():
-            assert 0 <= r < product.nrows and 0 <= c < product.ncols
-            assert type(value) is GaussianInteger and not value.is_zero()
-            assert value is GaussianInteger._gaussian_integer(value.re, value.im)
-
-    def test_left_factor_is_outermost(self):
-        a = SparseMatrix(1, 2, {(0, 1): 2})
-        assert a.kron(SparseMatrix.identity(2)).entries == {
-            (0, 2): GaussianInteger.integer(2),
-            (1, 3): GaussianInteger.integer(2),
-        }
-        assert SparseMatrix.identity(2).kron(a).entries == {
-            (0, 1): GaussianInteger.integer(2),
-            (1, 3): GaussianInteger.integer(2),
-        }
-
-    def test_empty_shapes(self):
-        a = SparseMatrix(2, 3, {(1, 2): -1})
-        for shape in ((0, 2), (2, 0), (0, 0)):
-            empty = SparseMatrix.zero(*shape)
-            for product in (a.kron(empty), empty.kron(a)):
-                assert product.entries == {}
-                assert (product.nrows, product.ncols) == (2 * shape[0], 3 * shape[1])
-
-
 class TestTruncatedPolynomial:
     def test_terms_above_the_cap_are_rejected(self):
         with pytest.raises(ValueError, match="degree cap"):

@@ -28,7 +28,7 @@ from tbhl import (
     special_families,
 )
 from tbhl.cli_verify import run_audit
-from tbhl.exact_algebra import GaussianInteger, SparseMatrix
+from tbhl.exact_algebra import GaussianInteger
 from tbhl.qsym_typeb import QSymElement
 from tbhl.signed_permutations import left_descents
 
@@ -85,19 +85,14 @@ def dropped_adjacent_pair(monkeypatch):
         monkeypatch.setattr(module, "adjacent_pairs", faulty)
 
 
-def conjugated_kron_entries(monkeypatch):
-    # every Kronecker entry with an imaginary part comes out conjugated
-    kron = SparseMatrix.kron
+def conjugated_block_entries(monkeypatch):
+    # every entry of an induced block with an imaginary part comes out conjugated
+    block = hecke_clifford._block
 
-    def faulty(self, other):
-        product = kron(self, other)
-        entries = {
-            key: GaussianInteger(value.re, -value.im)
-            for key, value in product.entries.items()
-        }
-        return SparseMatrix._trusted(product.nrows, product.ncols, entries)
+    def faulty(*args):
+        return [(s, t, GaussianInteger(x.re, -x.im)) for s, t, x in block(*args)]
 
-    monkeypatch.setattr(SparseMatrix, "kron", faulty)
+    monkeypatch.setattr(hecke_clifford, "_block", faulty)
 
 
 def swapped_peak_variants(monkeypatch):
@@ -295,8 +290,8 @@ FAULTS = {
         {"domino.counts": 2, "domino.modules": 6, "shifted.h-modes": 3,
          "shifted.stand": 3},
     ),
-    "kron-conjugates-imaginary-entries": (
-        conjugated_kron_entries, {"clifford.diagonal": 3, "clifford.relations": 3}
+    "induced-blocks-conjugate-imaginary-entries": (
+        conjugated_block_entries, {"clifford.diagonal": 3, "clifford.relations": 3}
     ),
     "peak-function-swaps-variants": (swapped_peak_variants, {"clifford.audit": 7}),
     "weak-order-interval-drops-its-top": (

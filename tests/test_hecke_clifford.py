@@ -2,12 +2,12 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
 from tbhl.exact_algebra import GaussianInteger, SparseMatrix
 from tbhl.hecke_clifford import (
+    InducedModule,
     build_MI,
     build_intertwiner,
     centralizer_check,
@@ -26,7 +26,7 @@ from tbhl.hecke_clifford import (
     ribbon_table_matrix,
     verify_hcl_relations,
 )
-from tbhl.cli_verify import clifford_audit_cases
+from tbhl.cli_verify import _ascent_compatible_catalog, clifford_audit_cases
 from tbhl import hecke_clifford
 from tbhl.hecke_engine import (
     OperatorFamily,
@@ -61,10 +61,11 @@ def fb(subset, n):
 
 
 def with_pi(module, i, matrix):
-    """``module`` with its ``pi_i`` replaced by ``matrix``."""
+    """The operator family of ``module`` with its ``pi_i`` replaced by
+    ``matrix``; an induced module is rebuilt as a plain family."""
     matrices = list(module.matrices)
     matrices[i] = matrix
-    return replace(module, matrices=matrices)
+    return OperatorFamily(module.labels, matrices)
 
 
 class TestCliffordNormalForm:
@@ -215,7 +216,16 @@ def random_rank3_ascent_compatible(seed, count):
     return found
 
 
-class TestInducedKroneckerForm:
+def stream_entries(module):
+    """The entry stream of a module as a dict, each position given once."""
+    stream = {}
+    for i, row, col, value in module.entries():
+        assert (i, row, col) not in stream
+        stream[i, row, col] = value
+    return stream
+
+
+class TestInducedBlockForm:
     """``induce_labeled_basis`` equals the label-by-label expansion."""
 
     def assert_matches_oracle(self, base):
@@ -243,6 +253,32 @@ class TestInducedKroneckerForm:
     def test_random_rank_three_ascent_compatible_families(self):
         for members in random_rank3_ascent_compatible(seed=16, count=6):
             self.assert_matches_oracle(family_from_elements(members))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stream_matches_oracle_on_ascent_compatible_families(self, n):
+        # entry by entry, without collecting the induced matrices
+        for fam in _ascent_compatible_catalog(n):
+            base = family_from_elements(fam.members)
+            labels, matrices = induced_oracle(base)
+            module = induce_labeled_basis(base)
+            assert module.labels == labels
+            assert stream_entries(module) == {
+                (i, row, col): value
+                for i, matrix in enumerate(matrices)
+                for (row, col), value in matrix.entries.items()
+            }, fam.name
+
+    def test_cancelling_entry_is_absent(self):
+        # pi_1 c_1 = -c_1 + c_2 + c_2 pi_1 and pi_1 acts on the base by -1, so
+        # Gamma_1 and M_1 Delta_1 cancel at row c_2, column c_1
+        module = build_MI({1}, 2)
+        tables = clifford_tables(2)
+        row, col = tables.index[(2,)], tables.index[(1,)]
+        assert tables.gamma[1].get(row, col) == ONE == tables.delta[1].get(row, col)
+        assert module.base.matrices[1].get(0, 0) == MINUS_ONE
+        assert (1, row, col) not in stream_entries(module)
+        assert module.matrices[1].get(row, col).is_zero()
+        assert module.matrices == induced_oracle(module.base)[1]
 
     def test_clifford_basis_layout(self):
         tables = clifford_tables(3)
@@ -692,6 +728,24 @@ class TestInduceAndRestrict:
         base = family_from_action(("a", "b"), lambda y: (), lambda y, i: swap[y], 1)
         with pytest.raises(ValueError):
             induce_and_restrict(base)
+
+    def test_restriction_collects_no_matrices(self, monkeypatch, cleared_caches):
+        # the series reads the entry stream; only the relation checks collect
+        def unexpected(module):
+            raise AssertionError("an induced module collected its matrices")
+
+        monkeypatch.setattr(InducedModule, "matrices", property(unexpected))
+        for n in range(1, 4):
+            for index_set in all_index_sets(n):
+                assert restriction_characteristic(index_set, n) == res_MI_formula(
+                    index_set, n, "proof_penultimate"
+                )
+        bases = (sdt_operator_family((4, 2, 2)), family_from_elements(all_elements(2)))
+        for base in bases:
+            direct, expected = induce_and_restrict(base)
+            assert direct == expected
+        with pytest.raises(AssertionError, match="collected"):
+            verify_hcl_relations(build_MI({0}, 2))
 
     def test_reads_no_clifford_generators(self, monkeypatch):
         def unexpected(module):
