@@ -32,7 +32,8 @@ index(D)`` for ``y`` the ``a``-th label of ``M``.  With ``pi_i c_D = sum_E
 c_E (gamma_E + delta_E pi_i)`` read as tables ``Gamma_i`` and ``Delta_i`` on
 that basis, block ``(a, b)`` of the induced ``pi_i`` is ``[a == b] Gamma_i
 + M_i[a, b] Delta_i`` and each block of ``c_j`` is ``C_j``; an induced module
-keeps ``M`` and streams those blocks (:class:`InducedModule`).  The tables
+keeps only ``M`` and streams those blocks, one per entry of ``M``; its labels
+and matrices are built when read (:class:`InducedModule`).  The tables
 are cached per rank (:func:`clifford_tables`) and each module's
 characteristic per ``(I, n)`` (:func:`restriction_characteristic`); no
 module is kept, :func:`build_MI` builds a new one on every call.
@@ -214,42 +215,52 @@ def clifford_tables(n: int) -> CliffordTables:
 
 
 def _block(gamma: SparseMatrix, delta: SparseMatrix, diagonal: bool, value) -> list:
-    """``(s, t, x)`` of ``[diagonal] Gamma_i + value Delta_i``, without zeros."""
+    """``((s, t), x)`` of ``[diagonal] Gamma_i + value Delta_i``, without zeros."""
     summed = dict(gamma.entries) if diagonal else {}
     for pos, x in delta.entries.items():
         summed[pos] = summed.get(pos, _ZERO) + value * x
-    return [(s, t, x) for (s, t), x in summed.items() if not x.is_zero()]
+    return [(pos, x) for pos, x in summed.items() if not x.is_zero()]
 
 
 @dataclass(frozen=True)
 class InducedModule:
     """An operator family ``base`` induced, kept as its factors: the series
-    reads :meth:`entries`, and :attr:`matrices` collects them on first read."""
+    reads :meth:`blocks`; :attr:`labels` and :attr:`matrices` are built on read."""
 
-    labels: tuple
     base: OperatorFamily
 
     @property
     def rank(self) -> int:
         return self.base.rank
 
-    def entries(self) -> Iterator[tuple[int, int, int, GaussianInteger]]:
-        """``(operator, row, col, value)``, each distinct block summed once."""
+    @property
+    def size(self) -> int:
+        return self.base.size << self.rank
+
+    @cached_property
+    def labels(self) -> tuple:
+        basis = clifford_tables(self.rank).basis
+        return tuple((D, y) for y in self.base.labels for D in basis)
+
+    def blocks(self) -> Iterator[tuple[int, int, int, list]]:
+        """``(operator, row offset, col offset, ((s, t), x) pairs)``, one
+        block per base entry, each distinct block summed once and shared."""
         n, tables = self.rank, clifford_tables(self.rank)
         # every diagonal block holds Gamma_i, with or without an M_i entry
-        diagonal = dict.fromkeys(((a, a) for a in range(len(self.base.labels))), _ZERO)
+        diagonal = dict.fromkeys(((a, a) for a in range(self.base.size)), _ZERO)
         for i, matrix in enumerate(self.base.matrices):
             block = cache(partial(_block, tables.gamma[i], tables.delta[i]))
             for (a, b), value in {**diagonal, **matrix.entries}.items():
-                for s, t, x in block(a == b, value):
-                    yield i, (a << n) + s, (b << n) + t, x
+                yield i, a << n, b << n, block(a == b, value)
 
     @cached_property
     def matrices(self) -> tuple[SparseMatrix, ...]:
         parts = [{} for _ in range(self.rank)]
-        for i, row, col, value in self.entries():
-            parts[i][row, col] = value
-        size = len(self.labels)
+        for i, row, col, pairs in self.blocks():
+            part = parts[i]
+            for (s, t), x in pairs:
+                part[row + s, col + t] = x
+        size = self.size
         # the stream gives each in-range position once, never with a zero
         return tuple(SparseMatrix._trusted(size, size, part) for part in parts)
 
@@ -257,8 +268,7 @@ class InducedModule:
 def induce_labeled_basis(base: OperatorFamily) -> InducedModule:
     """Adjoin a free Clifford factor to an operator family: the labels are
     the pairs ``(D, y)``, and ``pi_i`` is the block rule of the docstring."""
-    basis = clifford_tables(base.rank).basis
-    return InducedModule(tuple((D, y) for y in base.labels for D in basis), base)
+    return InducedModule(base)
 
 
 def _repeated(table: SparseMatrix, count: int) -> SparseMatrix:
@@ -271,7 +281,7 @@ def _repeated(table: SparseMatrix, count: int) -> SparseMatrix:
 
 def clifford_matrices(module: InducedModule | OperatorFamily) -> dict[int, SparseMatrix]:
     """The Clifford generators ``c_1..c_rank`` of an induced module."""
-    count = len(module.labels) >> module.rank
+    count = module.size >> module.rank
     tables = clifford_tables(module.rank).c
     return {j: _repeated(table, count) for j, table in enumerate(tables, 1)}
 
@@ -355,7 +365,7 @@ def verify_hcl_relations(module: InducedModule | OperatorFamily) -> dict:
     if casewise != {"relations": "ok"}:
         return casewise
     n = module.rank
-    identity = SparseMatrix.identity(len(module.labels))
+    identity = SparseMatrix.identity(module.size)
     minus_identity = identity.scale(_MINUS_ONE)
     pi = module.matrices
     cg = clifford_matrices(module)
@@ -379,7 +389,7 @@ def verify_hcl_relations(module: InducedModule | OperatorFamily) -> dict:
             return {"failed": {"kind": "mixed-shift", "i": i}}
     if n >= 1:
         # the graded pi_0 c_1 rule: parity negates odd Clifford index sets
-        parity = _repeated(clifford_tables(n).parity, len(module.labels) >> n)
+        parity = _repeated(clifford_tables(n).parity, module.size >> n)
         if pi[0] @ cg[1] != (parity @ pi[0]).scale(_SQRT):
             return {"failed": {"kind": "mixed-zero", "j": 1}}
     return {"relations": "ok"}

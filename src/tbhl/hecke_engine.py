@@ -2,7 +2,7 @@
 
 Every module here is an *operator family*: ordered labels with one exact
 square matrix per generator index ``0..rank-1``.  The relation checker reads
-the matrices and the composition-series walk an entry stream, which induced
+the matrices and the composition-series walk a block stream, which induced
 Clifford modules (``hecke_clifford``) give from their factors, unbuilt.
 
 ``family_from_action`` is the casewise rule.  It takes labels, a descent
@@ -13,16 +13,16 @@ label per label (a subset of the generator indices) and a partial action
 * the label ``move(y, i)`` otherwise, when that move lands on a label;
 * zero otherwise.
 
-The composition-series walk orders the labels so that every operator maps
-each basis vector into the span of itself and *earlier* vectors, reads the
-diagonal entry of each operator at each position (always ``0`` or ``-1``),
-and sums one fundamental function per position, indexed by the set of
-generators acting by ``-1`` there.
+The composition-series walk finds an order of the basis in which every
+operator maps each basis vector into the span of itself and *earlier*
+vectors, and sums one fundamental function per position, indexed by the
+generators acting there by ``-1`` (each diagonal entry is ``0`` or ``-1``).
+By Jordan–Hölder the sum is the same for every such order.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -68,19 +68,14 @@ class OperatorFamily:
     def rank(self) -> int:
         return len(self.matrices)
 
-    def entries(self) -> Iterator[tuple[int, int, int, GaussianInteger]]:
-        """Every stored entry as ``(operator, row, col, value)``."""
+    @property
+    def size(self) -> int:
+        return len(self.labels)
+
+    def blocks(self) -> Iterator[tuple[int, int, int, Iterable]]:
+        """``(operator, row offset, col offset, ((row, col), value) pairs)``."""
         for i, matrix in enumerate(self.matrices):
-            for (row, col), value in matrix.entries.items():
-                yield i, row, col, value
-
-
-@dataclass(frozen=True)
-class CompositionSeries:
-    """A basis order with invariant prefix spans, and the per-step factors."""
-
-    order: tuple[Label, ...]
-    factors: tuple[frozenset[int], ...]
+            yield i, 0, 0, matrix.entries.items()
 
 
 def family_from_action(
@@ -212,65 +207,58 @@ class NoCompositionSeries(ValueError):
 
 def characteristic_by_composition_series(
     fam: OperatorFamily,
-) -> tuple[QSymElement, CompositionSeries]:
+) -> tuple[QSymElement, tuple[int, ...]]:
     """Order the basis triangularly and read factors off the diagonals.
 
-    The support digraph has an edge from each basis label to every *other*
-    label appearing in its image under some operator; the order puts image
-    supports first, so every prefix span is operator-invariant.  Ties between
-    simultaneously ready labels go to the earlier basis position.  One pass
-    over ``fam.entries()`` (an induced module streams them from its factors)
-    reads the edges and, per label, the bitmask of the operators acting by
-    ``-1``.  Raises :class:`NoCompositionSeries` if that digraph has a cycle
-    or a diagonal entry is neither ``0`` nor ``-1``.
+    The support digraph has an edge from each basis position to every
+    *other* position appearing in its image under some operator; a walk of
+    that digraph puts image supports first, so every prefix span is
+    operator-invariant.  One pass over ``fam.blocks()`` (an induced module
+    streams them from its factors) reads the edges and, per position, the
+    bitmask of the operators acting by ``-1``.  Returns the characteristic
+    and the positions in the order the walk took them: one valid order,
+    with no promise of which.  Raises :class:`NoCompositionSeries` if that
+    digraph has a cycle or a diagonal entry is neither ``0`` nor ``-1``.
 
     >>> from tbhl.signed_permutations import all_elements
-    >>> char, series = characteristic_by_composition_series(
+    >>> char, order = characteristic_by_composition_series(
     ...     family_from_elements(all_elements(1)))
     >>> print(char)
     1*FB{} + 1*FB{0}
-    >>> series.factors
-    (frozenset({0}), frozenset())
+    >>> sorted(order)
+    [0, 1]
     """
-    labels = fam.labels
-    size = len(labels)
+    size = fam.size
     # an edge is listed once per operator having it, and counted as often
     successors: list[list[int]] = [[] for _ in range(size)]
     indegree = [0] * size
     masks = [0] * size
-    for i, r, c, value in fam.entries():
-        if r != c:
-            successors[r].append(c)
-            indegree[c] += 1
-        elif value.re == -1 and not value.im:
-            masks[c] |= 1 << i
-        else:
-            raise NoCompositionSeries(
-                f"diagonal entry of operator {i} at {labels[c]!r} "
-                f"is neither 0 nor -1"
-            )
-    ready = [k for k in range(size) if indegree[k] == 0]
-    heapq.heapify(ready)
-    order_positions: list[int] = []
-    while ready:
-        k = heapq.heappop(ready)
-        order_positions.append(k)
-        # pushed unsorted: the heap pops the earliest ready position
+    for i, row, col, pairs in fam.blocks():
+        for (s, t), value in pairs:
+            r, c = row + s, col + t
+            if r != c:
+                successors[r].append(c)
+                indegree[c] += 1
+            elif value.re == -1 and not value.im:
+                masks[c] |= 1 << i
+            else:
+                raise NoCompositionSeries(
+                    f"diagonal entry of operator {i} at {fam.labels[c]!r} "
+                    f"is neither 0 nor -1"
+                )
+    order = [k for k in range(size) if not indegree[k]]
+    # the list is its own queue: positions made ready are walked in turn
+    for k in order:
         for c in successors[k]:
             indegree[c] -= 1
-            if indegree[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order_positions) != size:
+            if not indegree[c]:
+                order.append(c)
+    if len(order) != size:
         raise NoCompositionSeries(
             "support digraph is cyclic; no triangular basis order exists"
         )
-    acting = {
-        mask: frozenset(i for i in range(fam.rank) if mask >> i & 1)
-        for mask in set(masks)
-    }
-    factors = [acting[masks[k]] for k in order_positions]
-    char = QSymElement.from_descent_sets(factors, fam.rank)
-    series = CompositionSeries(
-        tuple(labels[k] for k in order_positions), tuple(factors)
-    )
-    return char, series
+    char = QSymElement.make(fam.rank, {
+        frozenset(i for i in range(fam.rank) if mask >> i & 1): count
+        for mask, count in Counter(masks).items()
+    })
+    return char, tuple(order)

@@ -90,7 +90,7 @@ def conjugated_block_entries(monkeypatch):
     block = hecke_clifford._block
 
     def faulty(*args):
-        return [(s, t, GaussianInteger(x.re, -x.im)) for s, t, x in block(*args)]
+        return [(pos, GaussianInteger(x.re, -x.im)) for pos, x in block(*args)]
 
     monkeypatch.setattr(hecke_clifford, "_block", faulty)
 

@@ -29,6 +29,7 @@ from tbhl.hecke_clifford import (
 from tbhl.cli_verify import _ascent_compatible_catalog, clifford_audit_cases
 from tbhl import hecke_clifford
 from tbhl.hecke_engine import (
+    NoCompositionSeries,
     OperatorFamily,
     characteristic_by_composition_series,
     family_from_action,
@@ -217,11 +218,12 @@ def random_rank3_ascent_compatible(seed, count):
 
 
 def stream_entries(module):
-    """The entry stream of a module as a dict, each position given once."""
+    """The block stream of a module as a dict, each position given once."""
     stream = {}
-    for i, row, col, value in module.entries():
-        assert (i, row, col) not in stream
-        stream[i, row, col] = value
+    for i, row, col, pairs in module.blocks():
+        for (s, t), value in pairs:
+            assert (i, row + s, col + t) not in stream
+            stream[i, row + s, col + t] = value
     return stream
 
 
@@ -498,8 +500,6 @@ class TestRestrictionCharacteristic:
     def test_rank_one_pinned(self):
         direct = restriction_characteristic(frozenset(), 1)
         assert direct == fb(set(), 1).scale(2)
-        _, series = characteristic_by_composition_series(build_MI(frozenset(), 1))
-        assert sorted(series.factors, key=sorted) == [frozenset(), frozenset()]
         assert restriction_characteristic({0}, 1) == fb(set(), 1) + fb({0}, 1)
 
     def test_rank_two_pinned(self):
@@ -746,6 +746,34 @@ class TestInduceAndRestrict:
             assert direct == expected
         with pytest.raises(AssertionError, match="collected"):
             verify_hcl_relations(build_MI({0}, 2))
+
+    def test_restriction_builds_no_labels(self, monkeypatch, cleared_caches):
+        # the series reads the block stream and a size; neither the labels
+        # nor the matrices of an induced module are built
+        built = []
+
+        def recorded(base):
+            built.append(induce_labeled_basis(base))
+            return built[-1]
+
+        monkeypatch.setattr(hecke_clifford, "induce_labeled_basis", recorded)
+        for n in range(1, 4):
+            for index_set in all_index_sets(n):
+                restriction_characteristic(index_set, n)
+        induce_and_restrict(sdt_operator_family((4, 2, 2)))
+        induce_and_restrict(family_from_elements(all_elements(2)))
+        assert len(built) == 14 + 2
+        for module in built:
+            assert "labels" not in vars(module) and "matrices" not in vars(module)
+
+    def test_bad_diagonal_names_the_induced_label(self):
+        base = OperatorFamily(("a",), (SparseMatrix(1, 1, {(0, 0): 1}),))
+        module = induce_labeled_basis(base)
+        with pytest.raises(NoCompositionSeries) as raised:
+            characteristic_by_composition_series(module)
+        assert str(raised.value) == (
+            "diagonal entry of operator 0 at ((), 'a') is neither 0 nor -1"
+        )
 
     def test_reads_no_clifford_generators(self, monkeypatch):
         def unexpected(module):

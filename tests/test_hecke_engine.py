@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from tbhl.cli_verify import _ascent_compatible_catalog
+from tbhl.domino_tableaux import sdt_operator_family
 from tbhl.exact_algebra import GaussianInteger, SparseMatrix
+from tbhl.hecke_clifford import build_MI, induce_labeled_basis
 from tbhl.hecke_engine import (
     OperatorFamily,
     alternating_product,
@@ -22,6 +25,7 @@ from tbhl.signed_permutations import (
     left_descents,
     length,
     simple_reflection,
+    subsets,
     weak_order_interval,
 )
 
@@ -209,25 +213,79 @@ class TestDescentSumCharacteristic:
         )
 
 
+def is_walk_order(fam, char, order):
+    """Whether ``order`` is a permutation of the basis positions that puts
+    the row of every off-diagonal ``blocks()`` entry before its column, and
+    whose diagonal masks, read in that order, sum to ``char``."""
+    if sorted(order) != list(range(fam.size)):
+        return False
+    place = {k: p for p, k in enumerate(order)}
+    acting = [set() for _ in range(fam.size)]
+    for i, row, col, pairs in fam.blocks():
+        for (s, t), value in pairs:
+            r, c = row + s, col + t
+            if r == c and value == GaussianInteger.integer(-1):
+                acting[c].add(i)
+            elif r == c or place[r] > place[c]:
+                return False
+    return QSymElement.from_descent_sets(
+        (acting[k] for k in order), fam.rank
+    ) == char
+
+
+def has_off_diagonal_entry(fam):
+    return any(
+        row + s != col + t
+        for _, row, col, pairs in fam.blocks()
+        for (s, t), _ in pairs
+    )
+
+
+def walked_families():
+    # the groups of rank <= 3, the B2 intervals, a tableau module, and the
+    # induced modules of ranks <= 3
+    for n in (1, 2, 3):
+        yield family_from_elements(all_elements(n))
+    group = all_elements(2)
+    for x in group:
+        for z in group:
+            members = weak_order_interval(x, z)
+            if members:
+                yield family_from_elements(members)
+    yield sdt_operator_family((2, 2))
+    for n in (1, 2, 3):
+        for index_set in subsets(range(n)):
+            yield build_MI(index_set, n)
+        for fam in _ascent_compatible_catalog(n):
+            yield induce_labeled_basis(family_from_elements(fam.members))
+
+
 class TestCompositionSeries:
     def test_rank_one_group(self):
-        char, series = characteristic_by_composition_series(
+        char, _ = characteristic_by_composition_series(
             family_from_elements(all_elements(1))
         )
         assert char == QSymElement.make(
             1, {frozenset(): 1, frozenset({0}): 1}
         )
-        assert series.factors == (frozenset({0}), frozenset())
-        assert series.order == (
-            SignedPermutation((-1,)),
-            SignedPermutation((1,)),
-        )
 
     def test_singleton_with_two_descents(self):
         fam = family_from_action(("y",), lambda y: {0, 2}, lambda y, i: None, 3)
-        char, series = characteristic_by_composition_series(fam)
+        char, order = characteristic_by_composition_series(fam)
         assert char == QSymElement.fundamental({0, 2}, 3)
-        assert series.factors == (frozenset({0, 2}),)
+        assert order == (0,)
+
+    def test_order_is_a_walk_order(self):
+        # the reversed order fails exactly when the family has an edge
+        count = 0
+        for fam in walked_families():
+            char, order = characteristic_by_composition_series(fam)
+            assert is_walk_order(fam, char, order)
+            assert is_walk_order(fam, char, order[::-1]) != (
+                has_off_diagonal_entry(fam)
+            )
+            count += 1
+        assert count == 3 + 27 + 1 + 14 + 23
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_agrees_with_descent_sum_on_full_group(self, n):
@@ -246,9 +304,7 @@ class TestCompositionSeries:
                 char, _ = characteristic_by_composition_series(fam)
                 assert char == characteristic_by_descent_sum(members)
 
-    def test_factors_invariant_under_tie_breaks(self):
-        # ready labels are taken in basis order; reversing that order
-        # changes the series but not its factors
+    def test_characteristic_invariant_under_basis_reversal(self):
         fam = family_from_elements(all_elements(2))
         reversed_fam = family_from_action(
             fam.labels[::-1],
@@ -256,13 +312,9 @@ class TestCompositionSeries:
             lambda x, i: simple_reflection(i, 2) * x,
             2,
         )
-        char_a, series_a = characteristic_by_composition_series(fam)
-        char_b, series_b = characteristic_by_composition_series(reversed_fam)
+        char_a, _ = characteristic_by_composition_series(fam)
+        char_b, _ = characteristic_by_composition_series(reversed_fam)
         assert char_a == char_b
-        assert sorted(map(sorted, series_a.factors)) == sorted(
-            map(sorted, series_b.factors)
-        )
-        assert series_a.order != series_b.order
 
     def test_cyclic_support_graph_rejected(self):
         fam = OperatorFamily(("a", "b"), (mat([[0, 1], [1, 0]]),))
