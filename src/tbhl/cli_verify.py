@@ -36,7 +36,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 
-from .exact_algebra import GaussianInteger
+from .exact_algebra import _MINUS_ONE, _ZERO
 from .domino_tableaux import (
     brute_force_sdt,
     enumerate_sdt,
@@ -232,15 +232,15 @@ def cases_family_relations(max_n: int) -> list[AuditCase]:
     return cases
 
 
-def cases_random_convex(max_n: int, seed: int, samples: int) -> list[AuditCase]:
+def cases_random_convex(max_n: int, seed: int) -> list[AuditCase]:
     degree = min(max_n, 3)
     rng = random.Random(seed)
     group = all_elements(degree)
-    params = {"degree": degree, "samples": samples, "seed": seed}
+    params = {"degree": degree, "samples": RANDOM_CONVEX_SAMPLES, "seed": seed}
     cases = []
     with _series_case(cases, "families.random-convex", params) as case:
         failures = 0
-        for _ in range(samples):
+        for _ in range(RANDOM_CONVEX_SAMPLES):
             top = rng.choice(group)
             below = weak_order_interval(identity(degree), top)
             if not below:
@@ -458,7 +458,7 @@ def cases_clifford(max_n: int) -> list[AuditCase]:
                     if k_set(index_set, frozenset(subset) | {valley}, n) != acting:
                         stability_failures.append((index_set, subset, valley))
                 for i, matrix in enumerate(module.matrices):
-                    expected = GaussianInteger.integer(-1 if i in acting else 0)
+                    expected = _MINUS_ONE if i in acting else _ZERO
                     if matrix.get(col, col) != expected:
                         diagonal_failures.append((index_set, subset, i))
             for i, matrix in enumerate(module.matrices):
@@ -661,7 +661,7 @@ def run_audit(
         cases = [
             *cases_qsym(),
             *cases_family_relations(max_n),
-            *cases_random_convex(max_n, seed, RANDOM_CONVEX_SAMPLES),
+            *cases_random_convex(max_n, seed),
             *cases_arc(max_n),
             *cases_unimodal(max_n),
             *cases_domino(max_partition),

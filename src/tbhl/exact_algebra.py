@@ -3,16 +3,16 @@
 Scalars are Gaussian integers: complex numbers with ``int`` real and
 imaginary parts.  Every operator entry is ``0``, ``±1`` or ``±i``, and sums
 and products of Gaussian integers are Gaussian integers, so no computation
-leaves them.  The scalars are interned: values come from one bounded cache,
-so the few values the operators produce are shared instances.  An ``int``
-becomes a scalar in two places only, :meth:`GaussianInteger.integer` and the
-public ``SparseMatrix`` constructor; ``+``, ``*`` and ``SparseMatrix.scale``
-take scalars only.
+leaves them.  Zero and the four units are shared instances in a fixed table:
+a scalar computed with one of those values is the table's instance, any
+other value a new one compared by value.  Only :meth:`GaussianInteger.integer`
+and the public ``SparseMatrix`` constructor turn an ``int`` into a scalar;
+``+``, ``*`` and ``SparseMatrix.scale`` take scalars only.
 
 Matrices are sparse dicts keyed by ``(row, col)`` that never store a zero
 entry.  The public constructor checks every position and value; sums,
 scalings and products are built by a trusted constructor instead.  A
-product sums the parts of its terms and builds one scalar per nonzero entry.
+product sums the parts of its terms and makes one scalar per nonzero entry.
 
 Polynomials are multivariate polynomials with integer coefficients and a
 degree cap, used for monomial expansions of quasisymmetric functions; a term
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Hashable, Iterable, Mapping
 
 @dataclass(frozen=True)
@@ -57,17 +56,9 @@ class GaussianInteger:
     @staticmethod
     def integer(value: int) -> "GaussianInteger":
         """The integer ``value``.  It is read through ``operator.index`` before
-        the cache lookup, so ``True`` gives the same plain-``int`` instance as
+        the table lookup, so ``True`` gives the same plain-``int`` instance as
         ``1`` and a float raises ``TypeError``."""
-        return GaussianInteger._gaussian_integer(operator.index(value), 0)
-
-    @staticmethod
-    @lru_cache(maxsize=1024)
-    def _gaussian_integer(re: int, im: int) -> "GaussianInteger":
-        # scalars are immutable, so instances are shared: the ±1/±i entries
-        # of the operators, and every product of them, are a few objects,
-        # and entry dicts of equal matrices compare by identity
-        return GaussianInteger(re, im)
+        return _scalar(operator.index(value), 0)
 
     @staticmethod
     def sqrt_minus_one() -> "GaussianInteger":
@@ -77,15 +68,13 @@ class GaussianInteger:
         >>> i * i
         GaussianInteger(re=-1, im=0)
         """
-        return GaussianInteger._gaussian_integer(0, 1)
+        return _SQRT
 
     def __add__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger._gaussian_integer(
-            self.re + other.re, self.im + other.im
-        )
+        return _scalar(self.re + other.re, self.im + other.im)
 
     def __mul__(self, other: "GaussianInteger") -> "GaussianInteger":
-        return GaussianInteger._gaussian_integer(
+        return _scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -102,8 +91,19 @@ class GaussianInteger:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-_ZERO = GaussianInteger.integer(0)
-_ONE = GaussianInteger.integer(1)
+_ZERO = GaussianInteger(0, 0)
+_ONE = GaussianInteger(1, 0)
+_MINUS_ONE = GaussianInteger(-1, 0)
+_SQRT = GaussianInteger(0, 1)
+# zero and the four units, the only values the operators produce, so entry
+# dicts of equal matrices compare by identity on every entry
+_SHARED = {(value.re, value.im): value for value in (_ZERO, _ONE, _MINUS_ONE, _SQRT)}
+_SHARED[0, -1] = GaussianInteger(0, -1)
+
+
+def _scalar(re: int, im: int) -> GaussianInteger:
+    # a scalar is never falsy, so a table hit is returned as it is
+    return _SHARED.get((re, im)) or GaussianInteger(re, im)
 
 
 class SparseMatrix:
@@ -111,8 +111,9 @@ class SparseMatrix:
 
     Entries are stored in a dict keyed by ``(row, col)``; zero entries are
     never stored, so equal matrices have equal entry dicts.  They are given
-    as a mapping, and the public constructor checks every position and turns
-    every ``int`` value into a scalar through :meth:`GaussianInteger.integer`.
+    as a mapping.  The public constructor reads the sizes through
+    ``operator.index`` and rejects a negative one, checks every position, and
+    turns every ``int`` value into a scalar through :meth:`GaussianInteger.integer`.
     Results of ``@``, ``+`` and :meth:`scale` come from the trusted
     constructor :meth:`_trusted`, which skips those checks: their entries
     are computed from already-checked matrices, and entries that cancel are
@@ -132,8 +133,10 @@ class SparseMatrix:
         ncols: int,
         entries: Mapping[tuple[int, int], "GaussianInteger | int"],
     ) -> None:
-        self.nrows = nrows
-        self.ncols = ncols
+        nrows, ncols = operator.index(nrows), operator.index(ncols)
+        if nrows < 0 or ncols < 0:
+            raise ValueError(f"matrix size {min(nrows, ncols)} is negative")
+        self.nrows, self.ncols = nrows, ncols
         stored: dict[tuple[int, int], GaussianInteger] = {}
         for (r, c), value in entries.items():
             if not (0 <= r < nrows and 0 <= c < ncols):
@@ -163,7 +166,7 @@ class SparseMatrix:
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix._trusted(n, n, {(k, k): _ONE for k in range(n)})
+        return SparseMatrix(n, n, {(k, k): _ONE for k in range(n)})
 
     def get(self, row: int, col: int) -> GaussianInteger:
         return self.entries.get((row, col), _ZERO)
@@ -199,7 +202,7 @@ class SparseMatrix:
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         """Sparse product, summed on the parts of the entries: one scalar is
-        built per nonzero output entry, none per term."""
+        made per nonzero output entry, none per term."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
         by_row: dict[int, list[tuple[int, int, int]]] = {}
@@ -219,12 +222,12 @@ class SparseMatrix:
                 else:
                     acc[0] += a * x - b * y
                     acc[1] += a * y + b * x
-        of = GaussianInteger._gaussian_integer
-        return SparseMatrix._trusted(
-            self.nrows,
-            other.ncols,
-            {pos: of(re, im) for pos, (re, im) in sums.items() if re or im},
-        )
+        shared = _SHARED.get
+        entries = {
+            pos: shared((re, im)) or GaussianInteger(re, im)
+            for pos, (re, im) in sums.items() if re or im
+        }
+        return SparseMatrix._trusted(self.nrows, other.ncols, entries)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):
@@ -233,9 +236,6 @@ class SparseMatrix:
             (self.nrows, self.ncols) == (other.nrows, other.ncols)
             and self.entries == other.entries
         )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
 
     def rank(self) -> int:
         """Exact rank by fraction-free Gaussian elimination.

@@ -51,7 +51,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from typing import Iterable, Iterator
 
-from .exact_algebra import GaussianInteger, SparseMatrix, _collect
+from .exact_algebra import (
+    GaussianInteger, SparseMatrix, _MINUS_ONE, _ONE, _ZERO, _collect
+)
 from .hecke_engine import (
     OperatorFamily,
     characteristic_by_composition_series,
@@ -67,11 +69,6 @@ from .qsym_typeb import (
 from .signed_permutations import (
     _cached_on, _checked_generator, checked_index_set, subsets
 )
-
-_ZERO = GaussianInteger.integer(0)
-_ONE = GaussianInteger.integer(1)
-_MINUS_ONE = GaussianInteger.integer(-1)
-_SQRT = GaussianInteger.sqrt_minus_one()
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +148,7 @@ def pi_commute(
         if 1 not in word:
             return ((word, _ZERO, _ONE),)
         sign, _ = clifford_normalize((*word[1:], 1))
-        return ((word[1:], _ZERO, _SQRT * sign),)
+        return ((word[1:], _ZERO, GaussianInteger.sqrt_minus_one() * sign),)
     # pi_i passes D letter by letter: ``carried`` terms still hold it, ``terms`` not
     terms, carried = [], [((), _ZERO, _ONE)]
     for position, letter in enumerate(word):
@@ -301,7 +298,8 @@ def _ribbon_table_column(
         if 1 in barred:
             # the displayed -sqrt(-1) coefficient is the singleton case of
             # the graded rule: it flips with the parity of the other bars
-            coefficient = _MINUS_ONE * _SQRT if len(barred) % 2 else _SQRT
+            root = GaussianInteger.sqrt_minus_one()
+            coefficient = _MINUS_ONE * root if len(barred) % 2 else root
             return ((swap_to(barred - {1}), coefficient),)
         return ((subset, _MINUS_ONE),)
     above, below = i in barred, (i + 1) in barred
@@ -390,7 +388,7 @@ def verify_hcl_relations(module: InducedModule | OperatorFamily) -> dict:
     if n >= 1:
         # the graded pi_0 c_1 rule: parity negates odd Clifford index sets
         parity = _repeated(clifford_tables(n).parity, module.size >> n)
-        if pi[0] @ cg[1] != (parity @ pi[0]).scale(_SQRT):
+        if pi[0] @ cg[1] != (parity @ pi[0]).scale(GaussianInteger.sqrt_minus_one()):
             return {"failed": {"kind": "mixed-zero", "j": 1}}
     return {"relations": "ok"}
 

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .exact_algebra import GaussianInteger, SparseMatrix
+from .exact_algebra import SparseMatrix, _MINUS_ONE, _ONE
 from .qsym_typeb import QSymElement
 from .signed_permutations import (
     SignedPermutation,
@@ -37,9 +37,6 @@ from .signed_permutations import (
 )
 
 Label = Hashable
-
-_MINUS_ONE = GaussianInteger.integer(-1)
-_ONE = GaussianInteger.integer(1)
 
 
 @dataclass(frozen=True)

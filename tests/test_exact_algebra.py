@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tbhl.cli_verify import _family_catalog, _valid_shapes
+from tbhl.domino_tableaux import sdt_operator_family
 from tbhl.exact_algebra import (
     GaussianInteger,
     SparseMatrix,
     TruncatedPolynomial,
 )
+from tbhl.hecke_clifford import build_MI, clifford_matrices, clifford_tables
+from tbhl.hecke_engine import family_from_elements
+from tbhl.signed_permutations import subsets
 
 integers = st.integers(-30, 30)
 gaussians = st.builds(GaussianInteger, integers, integers)
@@ -62,29 +67,64 @@ def _parts(value: GaussianInteger):
     return (value.re, value.im)
 
 
+# zero and the four units, each the one shared instance of its value
+ZERO, ONE, MINUS_ONE = integer(0), integer(1), integer(-1)
+SQRT = GaussianInteger.sqrt_minus_one()
+UNITS = (ONE, MINUS_ONE, SQRT, MINUS_ONE * SQRT)
+SHARED = {_parts(value): value for value in (ZERO, *UNITS)}
+
+
+def assert_shared(values) -> None:
+    for value in values:
+        assert all(type(part) is int for part in _parts(value)), value
+        assert value is SHARED[_parts(value)], value
+
+
 class TestScalarRepresentation:
-    """Parts are plain ``int``, and computed values are interned."""
+    """Parts are plain ``int``.  Zero and the four units are shared instances
+    on every path; any other value is compared by value."""
 
-    def test_results_are_interned_int_parts(self):
+    def test_units_are_shared_on_every_path(self):
+        assert sorted(SHARED) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+        # instances from the public constructor go in, shared ones come out
+        fresh_i, fresh_one = GaussianInteger(0, 1), GaussianInteger(1, 0)
+        a = SparseMatrix(2, 2, {(0, 0): fresh_i, (1, 0): 1, (1, 1): -1})
+        b = SparseMatrix(2, 2, {(0, 0): fresh_i, (0, 1): 1, (1, 1): 1})
+        row = SparseMatrix(1, 2, {(0, 0): 2, (0, 1): 1})
+        column = SparseMatrix(2, 1, {(0, 0): 1, (1, 0): -1})
+        products = [a @ b, row @ column, b @ a @ b]
+        assert [len(p.entries) for p in products] == [3, 1, 2]
+        assert_shared([
+            integer(True), integer(False), integer(-1), integer(0),
+            GaussianInteger.sqrt_minus_one(),
+            fresh_i + fresh_one + GaussianInteger(-1, 0), integer(2) + MINUS_ONE,
+            fresh_i * fresh_i, fresh_i * GaussianInteger(0, -1), fresh_one * fresh_one,
+            *(value for p in products for value in p.entries.values()),
+            *a.scale(fresh_i).entries.values(),
+            *b.scale(MINUS_ONE).entries.values(),
+            *SparseMatrix(1, 3, {(0, 0): True, (0, 1): -1, (0, 2): 1}).entries.values(),
+            SparseMatrix.identity(3).get(2, 2), SparseMatrix.zero(1, 1).get(0, 0),
+        ])
+
+    def test_non_units_compare_by_value(self):
         i = GaussianInteger.sqrt_minus_one()
-        two = GaussianInteger.integer(2)
-        results = [i + two, i * two, two * two, i * i, GaussianInteger.integer(4)]
-        for value in results:
+        a = SparseMatrix(2, 2, {(0, 0): 3, (0, 1): 2, (1, 1): i})
+        product = a @ a
+        computed = [integer(2), integer(3) * integer(3), integer(-3) * i]
+        computed += [product.get(0, 0), product.get(0, 1), a.scale(integer(-3)).get(1, 1)]
+        twins = [GaussianInteger(2), GaussianInteger(9), GaussianInteger(0, -3)]
+        twins += [GaussianInteger(9), GaussianInteger(6, 2), GaussianInteger(0, -3)]
+        for value, twin in zip(computed, twins):
+            assert type(value) is GaussianInteger
             assert all(type(part) is int for part in _parts(value)), value
-            assert value is GaussianInteger._gaussian_integer(value.re, value.im)
-
-    def test_directly_built_and_interned_values_agree(self):
-        # SparseMatrix.__eq__ and __hash__ compare entry dicts, so a value
-        # built by the public constructor must match the interned one
-        direct = GaussianInteger(2, 0)
-        interned = GaussianInteger.integer(2)
-        assert direct == interned and hash(direct) == hash(interned)
-        a = SparseMatrix(1, 1, {(0, 0): direct})
-        b = SparseMatrix(1, 1, {(0, 0): 2})
-        assert a == b and hash(a) == hash(b)
+            assert value == twin and hash(value) == hash(twin)
+        # SparseMatrix.__eq__ compares entry dicts, so a value built by the
+        # public constructor matches a computed one
+        assert SparseMatrix(1, 1, {(0, 0): GaussianInteger(2, 0)}) == SparseMatrix(
+            1, 1, {(0, 0): 2}
+        )
 
     def test_bool_never_becomes_a_part(self):
-        GaussianInteger._gaussian_integer.cache_clear()
         assert type(GaussianInteger.integer(True).re) is int
         one = GaussianInteger.integer(1)
         assert type(one.re) is int and str(one) == "1"
@@ -187,6 +227,30 @@ class TestSparseMatrix:
         for position in ((2, 0), (0, 2), (-1, 0)):
             with pytest.raises(IndexError):
                 SparseMatrix(2, 2, {position: 1})
+
+    def test_sizes_are_non_negative_integers(self):
+        for make in (
+            lambda: SparseMatrix(-2, -2, {}),
+            lambda: SparseMatrix(2, -1, {}),
+            lambda: SparseMatrix.zero(0, -3),
+            lambda: SparseMatrix.identity(-1),
+        ):
+            with pytest.raises(ValueError, match="^matrix size -[0-9] is negative$"):
+                make()
+        for make in (
+            lambda: SparseMatrix(-1, 2.5, {}),
+            lambda: SparseMatrix(2, 2.5, {}),
+            lambda: SparseMatrix(Fraction(2), 2, {}),
+            lambda: SparseMatrix.identity(2.0),
+            lambda: SparseMatrix.zero("2", 2),
+        ):
+            with pytest.raises(TypeError):
+                make()
+        # a bool is read as its int, and the empty shapes are matrices
+        flag = SparseMatrix(True, 2, {(0, 1): 1})
+        assert (flag.nrows, type(flag.nrows)) == (1, int)
+        assert SparseMatrix.identity(0).is_invertible()
+        assert SparseMatrix.zero(0, 3).rank() == 0
 
     def test_scale_and_add(self):
         a = SparseMatrix(2, 2, {(0, 1): 3})
@@ -391,7 +455,6 @@ class TestSparseProducts:
         a, b = pair
         product = a @ b
         assert product == dense_product(a, b)
-        assert hash(product) == hash(dense_product(a, b))
         for value in product.entries.values():
             assert type(value) is GaussianInteger and not value.is_zero()
             assert all(type(part) is int for part in _parts(value)), value
@@ -411,10 +474,9 @@ class TestSparseProducts:
         assert (d + e).entries == {(1, 1): GaussianInteger(4)}
         assert (d + d.scale(integer(-1))).entries == {}
         assert (d.scale(i) + d.scale(minus_i)).entries == {}
-        # equal matrices reached different ways hash equal
+        # equal matrices reached different ways compare equal
         assert d + e == SparseMatrix(2, 2, {(1, 1): 4})
-        assert hash(d + e) == hash(SparseMatrix(2, 2, {(1, 1): 4}))
-        assert hash(a @ c) == hash(SparseMatrix(2, 1, {(0, 0): GaussianInteger(2, 2)}))
+        assert a @ c == SparseMatrix(2, 1, {(0, 0): GaussianInteger(2, 2)})
 
     def test_scale_by_zero_is_the_zero_matrix(self):
         a = SparseMatrix(2, 3, {(0, 1): 3, (1, 2): -5})
@@ -422,19 +484,45 @@ class TestSparseProducts:
             scaled = a.scale(zero)
             assert scaled == SparseMatrix.zero(2, 3)
             assert scaled.entries == {}
-            assert hash(scaled) == hash(SparseMatrix.zero(2, 3))
 
-    def test_product_entries_are_shared_instances(self):
+    def test_product_units_are_shared_instances(self):
         i = GaussianInteger.sqrt_minus_one()
         a = SparseMatrix(2, 2, {(0, 0): 2, (0, 1): 3, (1, 1): i})
         b = SparseMatrix(2, 2, {(0, 0): 3, (1, 0): 1, (1, 1): GaussianInteger(0, -1)})
         product = a @ b
-        # 2*3 + 3*1 = 9 is summed on parts, then built once, interned
-        assert product.get(0, 0) is GaussianInteger.integer(9)
-        assert type(product.get(0, 0).re) is int
-        assert product.get(1, 1) is GaussianInteger.integer(1)
+        # 2*3 + 3*1 = 9 is summed on parts, then built once, compared by value
+        nine = product.get(0, 0)
+        assert nine == GaussianInteger(9) and hash(nine) == hash(GaussianInteger(9))
+        assert type(nine.re) is int
+        assert product.get(1, 1) is ONE
         assert product.get(1, 0) is i
-        assert product.get(0, 1) is GaussianInteger.integer(-3) * i
+        assert product.get(0, 1) == GaussianInteger(0, -3)
+
+
+def test_every_operator_entry_is_a_shared_unit():
+    # the families the audits build: the catalog to rank 3, the domino
+    # families to 8 boxes, the Clifford tables and every M_I to rank 4, with
+    # the pairwise products of each M_I's generators
+    matrices = [
+        m
+        for n in (1, 2, 3)
+        for fam in _family_catalog(n)
+        for m in family_from_elements(fam.members).matrices
+    ]
+    matrices += [
+        m for shape in _valid_shapes(8) for m in sdt_operator_family(shape).matrices
+    ]
+    for n in range(1, 5):
+        tables = clifford_tables(n)
+        matrices += [*tables.gamma, *tables.delta, *tables.c, tables.parity]
+        for index_set in subsets(range(n)):
+            module = build_MI(index_set, n)
+            generators = [*module.matrices, *clifford_matrices(module).values()]
+            matrices += generators + [a @ b for a in generators for b in generators]
+    entries = [value for m in matrices for value in m.entries.values()]
+    assert len(entries) > 5000
+    for value in entries:
+        assert any(value is unit for unit in UNITS), value
 
 
 class TestTruncatedPolynomial:

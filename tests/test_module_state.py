@@ -165,7 +165,6 @@ def test_cli_defines_no_cache():
 CACHES = (
     "tbhl.domino_tableaux.enumerate_sdt",
     "tbhl.domino_tableaux.enumerate_tilings",
-    "tbhl.exact_algebra.GaussianInteger._gaussian_integer",
     "tbhl.hecke_clifford.clifford_tables",
     "tbhl.hecke_clifford.restriction_characteristic",
     "tbhl.qsym_typeb.fb_monomials",
