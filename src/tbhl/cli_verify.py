@@ -208,7 +208,7 @@ def _family_catalog(n: int):
 
 def cases_family_relations(max_n: int) -> list[AuditCase]:
     cases = []
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, max_n + 1):
         for fam in _family_catalog(n):
             params = {"family": fam.name}
             with _series_case(cases, "families.relations", params) as case:
@@ -232,8 +232,7 @@ def cases_family_relations(max_n: int) -> list[AuditCase]:
     return cases
 
 
-def cases_random_convex(max_n: int, seed: int) -> list[AuditCase]:
-    degree = min(max_n, 3)
+def cases_random_convex(degree: int, seed: int) -> list[AuditCase]:
     rng = random.Random(seed)
     group = all_elements(degree)
     params = {"degree": degree, "samples": RANDOM_CONVEX_SAMPLES, "seed": seed}
@@ -271,7 +270,7 @@ def cases_random_convex(max_n: int, seed: int) -> list[AuditCase]:
 
 def cases_arc(max_n: int) -> list[AuditCase]:
     cases = []
-    for n in range(2, min(max_n, 4) + 1):
+    for n in range(2, max_n + 1):
         fam = build_family("arc", (), n)
         report = ascent_compatibility_report(fam.members)
         cases.append(_case(
@@ -284,7 +283,7 @@ def cases_arc(max_n: int) -> list[AuditCase]:
             "arc.count", {"degree": 3}, count == 24,
             f"expected 24 members, found {count}",
         ))
-        found = smallest_non_convex_arc_degree(min(max_n, 4))
+        found = smallest_non_convex_arc_degree(max_n)
         ok = False
         details = "no non-convex degree found"
         if found is not None:
@@ -303,8 +302,7 @@ def cases_arc(max_n: int) -> list[AuditCase]:
                 f"{format_window(low)} <= {format_window(gap)} <= "
                 f"{format_window(high)} with the middle element outside"
             )
-        params = {"max_degree": min(max_n, 4)}
-        cases.append(_case("arc.non-convex", params, ok, details))
+        cases.append(_case("arc.non-convex", {"max_degree": max_n}, ok, details))
     return cases
 
 
@@ -313,7 +311,7 @@ def cases_arc(max_n: int) -> list[AuditCase]:
 
 def cases_unimodal(max_n: int) -> list[AuditCase]:
     cases = []
-    for n in range(1, min(max_n, 4) + 1):
+    for n in range(1, max_n + 1):
         bad = []
         for i in range(1, n + 1):
             family = set(invert_family(build_family("luni", (i,), n)).members)
@@ -332,7 +330,7 @@ def cases_unimodal(max_n: int) -> list[AuditCase]:
 
 def cases_domino(max_partition: int) -> list[AuditCase]:
     cases = []
-    for total in range(2, min(max_partition, 8) + 1, 2):
+    for total in range(2, max_partition + 1, 2):
         mismatches = []
         for shape in partitions_of(total):
             fast = enumerate_sdt(shape)
@@ -377,7 +375,7 @@ def cases_domino(max_partition: int) -> list[AuditCase]:
 # -- criterion: shifted domino tableaux -------------------------------------
 
 
-def cases_shifted(max_partition: int) -> list[AuditCase]:
+def cases_shifted(stand_total: int, peak_total: int) -> list[AuditCase]:
     quotient = two_quotient(WITNESS_SHAPE)
     cases = [_case(
         "shifted.quotient", {"shape": _shape_text(WITNESS_SHAPE)},
@@ -385,7 +383,7 @@ def cases_shifted(max_partition: int) -> list[AuditCase]:
         f"quotient pair mu={_shape_text(quotient.mu)} "
         f"nu={_shape_text(quotient.nu)}",
     )]
-    for shape in _valid_shapes(min(max_partition, 8)):
+    for shape in _valid_shapes(stand_total):
         nvars = filled_count(shape) + 1
         bad, compared, monomial = stand_theorem_check(shape, nvars)
         cases.append(_case(
@@ -405,9 +403,9 @@ def cases_shifted(max_partition: int) -> list[AuditCase]:
                 else "readings differ"
             ),
         ))
-    for shape in _valid_shapes(min(max_partition, 10)):
+    for shape in _valid_shapes(peak_total):
         cases.append(peak_theorem_case(shape))
-    if max_partition >= 10:
+    if peak_total >= 10:
         cases.extend(witness_cases())
     return cases
 
@@ -526,9 +524,9 @@ def clifford_audit_cases(max_n: int) -> list[AuditCase]:
 # -- criterion: isomorphisms, intertwiners, centralizers --------------------
 
 
-def cases_morphisms(max_n: int) -> list[AuditCase]:
+def cases_morphisms(iso_degree: int, map_degree: int) -> list[AuditCase]:
     cases = []
-    for n in range(1, max_n + 1):
+    for n in range(1, iso_degree + 1):
         with _series_case(cases, "morphisms.iso", {"degree": n}) as case:
             chars = {
                 index_set: restriction_characteristic(index_set, n)
@@ -545,14 +543,12 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
                 "predicate agrees with characteristic equality on all pairs",
                 f"{len(mismatches)} disagreeing pairs",
             )
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, map_degree + 1):
         built = 0
         broken = 0
         for index_set in map(frozenset, subsets(range(n))):
             for k in range(1, n):
-                if k in index_set or not iso_predicate(
-                    index_set, index_set | {k}, n
-                ):
+                if k in index_set or not iso_predicate(index_set, index_set | {k}, n):
                     continue
                 result = build_intertwiner(index_set, k, n)
                 built += 1
@@ -581,7 +577,7 @@ def cases_morphisms(max_n: int) -> list[AuditCase]:
 
 def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
     cases = []
-    for shape in _valid_shapes(min(max_partition, 8)):
+    for shape in _valid_shapes(max_partition):
         params = {"shape": _shape_text(shape)}
         with _series_case(cases, "induction.conjugate", params) as case:
             direct, closed_form = induce_and_restrict(conjugate_family(shape))
@@ -592,7 +588,7 @@ def cases_induction(max_n: int, max_partition: int) -> list[AuditCase]:
                 "generating function",
                 f"direct={direct}; expected={expected}",
             )
-    for n in range(1, min(max_n, 3) + 1):
+    for n in range(1, max_n + 1):
         for fam in _ascent_compatible_catalog(n):
             with _series_case(cases, "induction.family", {"family": fam.name}) as case:
                 compatible = ascent_compatibility_report(fam.members).compatible
@@ -645,11 +641,7 @@ def cases_qsym() -> list[AuditCase]:
 
 
 def run_audit(
-    which: str,
-    max_n: int,
-    max_partition: int,
-    seed: int,
-    shape=None,
+    which: str, max_n: int, max_partition: int, seed: int, shape=None
 ) -> list[AuditCase]:
     if which == "clifford-audit":
         cases = clifford_audit_cases(max_n)
@@ -657,19 +649,20 @@ def run_audit(
         cases = [peak_theorem_case(shape)]
     else:
         # cases_qsym first: its truncation matrix, the audit's memory peak,
-        # then does not sit on top of the caches the other sections fill
+        # then does not sit on top of the caches the other sections fill.  Each
+        # section runs exactly the degrees and sizes given here.
         cases = [
             *cases_qsym(),
-            *cases_family_relations(max_n),
-            *cases_random_convex(max_n, seed),
-            *cases_arc(max_n),
-            *cases_unimodal(max_n),
-            *cases_domino(max_partition),
-            *cases_shifted(max_partition),
+            *cases_family_relations(min(max_n, 3)),
+            *cases_random_convex(min(max_n, 3), seed),
+            *cases_arc(min(max_n, 4)),
+            *cases_unimodal(min(max_n, 4)),
+            *cases_domino(min(max_partition, 8)),
+            *cases_shifted(min(max_partition, 8), max_partition),
             *cases_clifford(max_n),
             *clifford_audit_cases(max_n),
-            *cases_morphisms(max_n),
-            *cases_induction(max_n, max_partition),
+            *cases_morphisms(max_n, min(max_n, 3)),
+            *cases_induction(min(max_n, 3), min(max_partition, 8)),
         ]
     return sorted(cases, key=AuditCase.sort_key)
 
@@ -883,11 +876,13 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--max-n must lie in 1..{MAX_RANK}")
         header["max_n"] = max_n
     max_partition = getattr(args, "max_partition", DEFAULT_MAX_PARTITION)
-    if max_partition < 2:
-        raise ValueError("--max-partition must be at least 2")
-    shape = _parse_shape(args.shape) if getattr(args, "shape", None) else None
+    if not 2 <= max_partition <= DEFAULT_MAX_PARTITION:
+        raise ValueError(f"--max-partition must lie in 2..{DEFAULT_MAX_PARTITION}")
+    shape = _parse_shape(args.shape) if "shape" in args else None
     if shape and sum(shape) > 2 * MAX_PEAK_THEOREM_DOMINOES:
         raise ValueError(f"--shape has more than {MAX_PEAK_THEOREM_DOMINOES} dominoes")
+    if shape and not enumerate_shifted(shape):
+        raise ValueError(f"shape {_shape_text(shape)} has no standard tableaux")
     cases = run_audit(
         args.verify_command,
         max_n,
@@ -994,13 +989,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify = top.add_parser("verify", help="run audit cases")
     vsub = verify.add_subparsers(dest="verify_command", required=True)
     common_verify = argparse.ArgumentParser(add_help=False)
-    common_verify.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    common_verify.add_argument(
+        "--max-n", type=int, default=DEFAULT_MAX_N, help=f"largest rank, 1..{MAX_RANK}"
+    )
     allcmd = vsub.add_parser("all", parents=[output, common_verify])
     allcmd.add_argument(
         "--max-partition",
         type=int,
         default=DEFAULT_MAX_PARTITION,
-        help="largest partition size of the shape-indexed cases (at least 2)",
+        help="largest partition size of the shape-indexed cases, "
+        f"2..{DEFAULT_MAX_PARTITION}",
     )
     allcmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vsub.add_parser("clifford-audit", parents=[output, common_verify])

@@ -111,8 +111,8 @@ class SparseMatrix:
 
     Entries are stored in a dict keyed by ``(row, col)``; zero entries are
     never stored, so equal matrices have equal entry dicts.  They are given
-    as a mapping.  The public constructor reads the sizes through
-    ``operator.index`` and rejects a negative one, checks every position, and
+    as a mapping.  The public constructor reads the sizes and positions through
+    ``operator.index``, rejects a negative size, checks every position, and
     turns every ``int`` value into a scalar through :meth:`GaussianInteger.integer`.
     Results of ``@``, ``+`` and :meth:`scale` come from the trusted
     constructor :meth:`_trusted`, which skips those checks: their entries
@@ -139,6 +139,7 @@ class SparseMatrix:
         self.nrows, self.ncols = nrows, ncols
         stored: dict[tuple[int, int], GaussianInteger] = {}
         for (r, c), value in entries.items():
+            r, c = operator.index(r), operator.index(c)
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry {(r, c)} outside {nrows}x{ncols} matrix")
             if not isinstance(value, GaussianInteger):

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line driver."""
 
+import ast
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 
@@ -412,6 +414,7 @@ class TestUsageErrors:
             ["enumerate", "family", "dclass:{0}:7"],
             ["enumerate", "family", "luni:1:7:inv"],
             ["enumerate", "family", "arc:0", "--count"],
+            ["verify", "all", "--max-partition", "11"],
         ],
         ids=[
             "max-n-negative",
@@ -425,6 +428,7 @@ class TestUsageErrors:
             "family-dclass-degree-7",
             "family-inverse-degree-7",
             "family-degree-0",
+            "max-partition-11",
         ],
     )
     def test_bad_sizes_fail_before_any_work(self, capsys, monkeypatch, argv):
@@ -487,7 +491,7 @@ class TestUsageErrors:
         argv = ["verify", "all", "--max-n", "1", "--max-partition", value]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == "error: --max-partition must be at least 2\n"
+        assert err == "error: --max-partition must lie in 2..10\n"
 
     def test_max_partition_two_runs(self, capsys):
         argv = ["verify", "all", "--max-n", "1", "--max-partition", "2", "--json"]
@@ -495,6 +499,22 @@ class TestUsageErrors:
         assert code == 0
         cases = json.loads(out)["cases"]
         assert any(case["id"].startswith("domino.") for case in cases)
+
+    def test_max_partition_edges(self, capsys, monkeypatch):
+        # 2 and 10 reach the audit unchanged; 1 and 11 exit 2 before it starts
+        # (--max-n's edges 1, 6 and 0, 7 are rows of the tests above)
+        seen = []
+
+        def record(command, max_n, max_partition, *args, **kwargs):
+            seen.append(max_partition)
+            return []
+
+        monkeypatch.setattr(cli_verify, "run_audit", record)
+        for value, code in ((1, 2), (2, 0), (10, 0), (11, 2)):
+            argv = ["verify", "all", "--max-partition", str(value)]
+            expected = "" if code == 0 else "error: --max-partition must lie in 2..10\n"
+            assert run_cli(capsys, argv)[::2] == (code, expected)
+        assert seen == [2, 10]
 
     @pytest.mark.parametrize(
         "shape, maxval", [("2,2", "-1"), ("2,2", "0"), ("2,2", "3"), ("4,2", "4")]
@@ -558,6 +578,14 @@ class TestUsageErrors:
             assert f"at most {getattr(cli_verify, bound)} dominoes" in text or (
                 f"{getattr(cli_verify, bound)} with --maxval" in text
             )
+        for command, ranges in (
+            (["verify", "all"], ("1..6", "2..10")),
+            (["verify", "clifford-audit"], ("1..6",)),
+        ):
+            with pytest.raises(SystemExit):
+                main([*command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert all(f", {bound}" in text for bound in ranges)
 
     @pytest.mark.parametrize(
         "extra", [[], ["--count"], ["--maxval", "1"], ["--maxval", "1", "--count"]]
@@ -648,6 +676,23 @@ class TestVerifyCommands:
         lines = out.strip().splitlines()
         assert lines[0].startswith("PASS")
         assert "shifted.peak" in lines[0]
+
+    @pytest.mark.parametrize("shape", ["3,2,1", "3,1", "1,1"])
+    def test_peak_theorem_refuses_a_shape_without_tableaux(
+        self, capsys, monkeypatch, shape
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit started on a shape with nothing to check")
+
+        monkeypatch.setattr(cli_verify, "run_audit", refuse)
+        code, out, err = run_cli(capsys, ["verify", "peak-theorem", "--shape", shape])
+        assert (code, out) == (2, "")
+        assert err == f"error: shape {shape} has no standard tableaux\n"
+
+    def test_peak_theorem_empty_shape_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "peak-theorem", "--shape", ""])
+        assert (code, out) == (2, "")
+        assert err == "error: shape '' must be comma-separated integers\n"
 
     def test_peak_theorem_takes_no_max_n(self, capsys):
         # one shape is checked, so a rank bound would change nothing
@@ -761,6 +806,67 @@ class TestAuditLibrary:
         assert len(checked) == 2 + 4 + 8
         assert len(set(checked)) == len(checked)
 
+    SECTION_SIZES = {
+        (3, 10): {
+            "cases_qsym": (), "cases_family_relations": (3,),
+            "cases_random_convex": (3, 7), "cases_arc": (3,), "cases_unimodal": (3,),
+            "cases_domino": (8,), "cases_shifted": (8, 10), "cases_clifford": (3,),
+            "clifford_audit_cases": (3,), "cases_morphisms": (3, 3),
+            "cases_induction": (3, 8),
+        },
+        (5, 6): {
+            "cases_qsym": (), "cases_family_relations": (3,),
+            "cases_random_convex": (3, 7), "cases_arc": (4,), "cases_unimodal": (4,),
+            "cases_domino": (6,), "cases_shifted": (6, 6), "cases_clifford": (5,),
+            "clifford_audit_cases": (5,), "cases_morphisms": (5, 3),
+            "cases_induction": (3, 6),
+        },
+    }
+
+    @pytest.mark.parametrize("max_n, max_partition", list(SECTION_SIZES))
+    def test_run_audit_passes_each_section_its_size(
+        self, monkeypatch, max_n, max_partition
+    ):
+        # with every section replaced by a recorder, the arguments run_audit
+        # passes are each section's whole size
+        sizes = self.SECTION_SIZES[(max_n, max_partition)]
+        seen = {}
+
+        def recorder(section):
+            def record(*args):
+                seen[section] = args
+                return []
+
+            return record
+
+        for section in sizes:
+            monkeypatch.setattr(cli_verify, section, recorder(section))
+        assert run_audit("all", max_n, max_partition, 7) == []
+        assert seen == sizes
+
+    def test_no_section_clamps_its_own_size(self):
+        # a builder that took min/max of a parameter would run a size other
+        # than the one run_audit states
+        tree = ast.parse(inspect.getsource(cli_verify))
+        builders = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and (node.name.startswith("cases_") or node.name == "clifford_audit_cases")
+        ]
+        assert {node.name for node in builders} == set(self.SECTION_SIZES[(3, 10)])
+        clamps = [
+            (node.name, ast.unparse(call))
+            for node in builders
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in ("min", "max")
+            and {arg.arg for arg in node.args.args} & {
+                name.id for name in ast.walk(call) if isinstance(name, ast.Name)
+            }
+        ]
+        assert clamps == []
+
     def test_one_walk_per_shifted_tiling(self, monkeypatch, cleared_caches):
         # the stand check's walk also gives H_lambda's monomial sum, so each
         # tiling of a checked shape is walked once; the weight witness adds one
@@ -772,7 +878,7 @@ class TestAuditLibrary:
             return code_walk(tiling, *args)
 
         monkeypatch.setattr(shifted_domino, "_code_walk", counting)
-        cases_shifted(10)
+        cases_shifted(8, 10)
         tilings = [
             tiling
             for shape in _valid_shapes(8)

@@ -252,6 +252,16 @@ class TestSparseMatrix:
         assert SparseMatrix.identity(0).is_invertible()
         assert SparseMatrix.zero(0, 3).rank() == 0
 
+    def test_positions_are_integers(self):
+        for entries in ({(0.5, 1): 1}, {(0, 0): 1, (1.0, 1): 1}, {("0", 0): 1}):
+            with pytest.raises(TypeError):
+                SparseMatrix(2, 2, entries)
+        # a bool position is read as its int, so it is stored as one
+        flag = SparseMatrix(2, 2, {(True, 0): 1, (0, False): 1})
+        assert list(flag.entries) == [(1, 0), (0, 0)]
+        assert all(type(part) is int for key in flag.entries for part in key)
+        assert flag == SparseMatrix(2, 2, {(0, 0): 1, (1, 0): 1})
+
     def test_scale_and_add(self):
         a = SparseMatrix(2, 2, {(0, 1): 3})
         assert a.scale(integer(3)) + a.scale(integer(-1)) == a.scale(integer(2))
